@@ -37,9 +37,11 @@ from .match_synth import (
     OptimizerSettings,
     run_algorithm1,
 )
+from .nrf import form_nrf_pair
 from .partition import Neighborhoods, build_partition, validate_neighborhoods
 from .plant import Plant
 from .sim_net import compose_signals, simulate_distributed, simulate_monolithic
+from .sparse_param import MIN_FIR_DEGREE
 from .verify import run_invariant_suite
 
 EXIT_CONFIG = 2
@@ -121,9 +123,15 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
     if syn.get("norm", "hinf") != "hinf":
         raise ConfigError("only the 'hinf' norm is supported at v1; "
                           "the quadratic-norm route is out of scope")
+    q = int(q_override if q_override is not None else syn.get("q", 2))
+    mode = str(syn.get("param_mode", "factored"))
+    if mode not in MIN_FIR_DEGREE:
+        raise ConfigError(f"unknown param_mode {mode!r}; expected one of {sorted(MIN_FIR_DEGREE)}")
+    if q < MIN_FIR_DEGREE[mode]:
+        raise ConfigError(f"FIR degree q = {q} is too small; {mode} mode needs q >= {MIN_FIR_DEGREE[mode]}")
     return AlgorithmConfig(
-        q=int(q_override if q_override is not None else syn.get("q", 2)),
-        param_mode=str(syn.get("param_mode", "factored")),
+        q=q,
+        param_mode=mode,
         preserve_diagonal=bool(syn.get("preserve_diagonal", True)),
         gain_strategy=str(syn.get("gain_strategy", "block_diagonalizing_F_deadbeat_L")),
         bezout_grid=int(syn.get("bezout_grid", 512)),
@@ -275,8 +283,7 @@ def cmd_verify(args) -> int:
         print(f"cannot load run directory {args.out}: {exc}")
         return EXIT_CONFIG
     from .sparse_param import q_from_x
-    q = q_from_x(param, x)
-    maps = build_closed_loop_maps(bundle, q, bank, partition)
+    maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
 
     records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param)
     records.append(_roundtrip_record(maps, args.out))

@@ -30,6 +30,7 @@ from .errors import DimensionMismatchError, NonzeroFeedthroughError, UnboundedTf
 from .lti import (
     Realization,
     SignalTrace,
+    frequency_response,
     from_gain,
     make_realization,
     minimal,
@@ -43,7 +44,7 @@ from .lti import (
     stack_rows,
     star,
 )
-from .nrf import NrfPair, form_nrf_pair, stacked_bank
+from .nrf import NrfPair, stacked_bank
 from .partition import AreaPartition, Neighborhoods
 
 
@@ -89,7 +90,6 @@ class ClosedLoopMaps:
 
 def _resolvent_times_z(A: np.ndarray, C: np.ndarray) -> Realization:
     """Realize C (zI - A)^{-1} z = C + C (zI - A)^{-1} A, which is proper."""
-    n = A.shape[0]
     return make_realization(A, A.copy(), C, C.copy())
 
 
@@ -111,43 +111,40 @@ def _stabilized_ic_rows(bundle: DcfBundle, q: Realization) -> Realization:
     return minimal(stack_rows(top, bot))
 
 
-def build_fq(bundle: DcfBundle, q: Realization, pair: NrfPair | None = None) -> Realization:
+def build_fq(pair: NrfPair) -> Realization:
     """Assemble and minimalize the forced closed-loop map.
 
     The disturbance column is built through the Bezout identity
     (N Xq + I) G_d = (Y + N Q) Mt G_d with Mt G_d = (zI - A - L)^{-1} B_d,
     so no unstable plant mode ever has to cancel numerically.
     """
-    if pair is None:
-        pair = form_nrf_pair(bundle, q)
+    bundle = pair.bundle
     n_x, n_u, n_d = bundle.n_x, bundle.n_u, bundle.plant.n_d
     nm = stack_rows(bundle.N, bundle.M)
     diag_gap = minimal(parallel(pair.yq_diag, negate(pair.yq)))
     cols123 = series(nm, stack_cols_many([pair.xq, pair.yq, diag_gap]))
     a_l = bundle.observer_pencil()
     gd_obs = make_realization(a_l, bundle.plant.B_d, np.eye(n_x), np.zeros((n_x, n_d)))
-    col4 = series(_stabilized_ic_rows(bundle, q), gd_obs)
+    col4 = series(_stabilized_ic_rows(bundle, pair.q), gd_obs)
     corr = np.zeros((n_x + n_u, n_x + 2 * n_u + n_d))
     corr[n_x:, n_x:n_x + n_u] = -np.eye(n_u)
     fq = minimal(parallel(stack_cols_many([cols123, col4]), from_gain(corr)))
     return _assert_stable(fq, "forced closed-loop map")
 
 
-def build_iq(bundle: DcfBundle, q: Realization, bank,
-             pair: NrfPair | None = None) -> tuple[Realization, Realization, Realization]:
+def build_iq(pair: NrfPair, bank) -> tuple[Realization, Realization, Realization]:
     """Assemble the initial-condition map; returns (I, J1, J2).
 
     J1 = Mt (zI - A)^{-1} z collapses to I + (zI - A - L)^{-1} (A + L) for
     this factorization, which is stable by construction.
     """
-    if pair is None:
-        pair = form_nrf_pair(bundle, q)
+    bundle = pair.bundle
     a_l = bundle.observer_pencil()
     j1 = minimal(_resolvent_times_z(a_l, np.eye(bundle.n_x)))
     ctrl = stacked_bank(bank)
     j2 = minimal(series(pair.yq_diag, _resolvent_times_z(ctrl.A, ctrl.C)))
     nm = stack_rows(bundle.N, bundle.M)
-    left_cols = minimal(series(_stabilized_ic_rows(bundle, q), j1))
+    left_cols = minimal(series(_stabilized_ic_rows(bundle, pair.q), j1))
     right_cols = minimal(series(nm, j2))
     iq = minimal(stack_cols_many([left_cols, right_cols]))
     _assert_stable(iq, "initial-condition map")
@@ -156,14 +153,40 @@ def build_iq(bundle: DcfBundle, q: Realization, bank,
     return iq, j1, j2
 
 
-def build_closed_loop_maps(bundle: DcfBundle, q: Realization, bank,
-                           partition: AreaPartition) -> ClosedLoopMaps:
+def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> ClosedLoopMaps:
     """One-stop construction of every closed-loop map for a designed bank."""
-    pair = form_nrf_pair(bundle, q)
-    fq = build_fq(bundle, q, pair)
-    iq, j1, j2 = build_iq(bundle, q, bank, pair)
+    fq = build_fq(pair)
+    iq, j1, j2 = build_iq(pair, bank)
     part_w = partition.with_w_sizes([c.order for c in bank])
-    return ClosedLoopMaps(fq, iq, j1, j2, bundle.plant.g_d(), pair, tuple(bank), part_w)
+    return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
+
+
+def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of F and I that are linear in Q, evaluated pointwise on ``zs``.
+
+    ``taps`` stacks K FIR tap tensors of shape (q, n_u, n_x), each the
+    parameter Q(z) = sum_t taps[t] z^{-t-1}.  From the docstring formulas with
+    Xq = Xt + Q Mt, Yq = Yt + Q Nt, Mt G_d = (zI - A_L)^{-1} B_d and
+    J1 = z (zI - A_L)^{-1}, each Q contributes
+
+        forced:  [N; M] [ Q Mt | Q Nt | diag(Q Nt) - Q Nt | Q (zI - A_L)^{-1} B_d ]
+        initial: [N; M] Q J1   (the plant-IC columns; the controller-IC
+                                columns [N; M] J2 depend on Q only through
+                                diag(Yq) and the bank)
+
+    Returns the stacks of shape (K, G, n_x + n_u, n_x + 2 n_u + n_d) and
+    (K, G, n_x + n_u, n_x).
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    q_resp = np.einsum("gt,ktij->kgij", zs[:, None] ** -np.arange(1.0, taps.shape[1] + 1), taps)
+    nm = np.concatenate([frequency_response(bundle.N, zs), frequency_response(bundle.M, zs)], axis=1)
+    res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
+    q_nt = q_resp @ frequency_response(bundle.Nt, zs)
+    gap = -q_nt
+    gap[..., np.arange(bundle.n_u), np.arange(bundle.n_u)] = 0.0
+    right = np.concatenate([q_resp @ frequency_response(bundle.Mt, zs), q_nt, gap,
+                            q_resp @ (res_l @ bundle.plant.B_d)], axis=-1)
+    return nm @ right, nm @ (q_resp @ (zs[:, None, None] * res_l))
 
 
 def iq_at(iq: Realization, k: int) -> np.ndarray:
@@ -299,34 +322,6 @@ class DecomposedResponse:
     psi: SignalTrace
     theta: SignalTrace
     delta: SignalTrace
-    n_xi: int
-
-    def _split(self, tr: SignalTrace):
-        return tr.samples[:, :self.n_xi], tr.samples[:, self.n_xi:]
-
-    @property
-    def psi_x(self):
-        return self._split(self.psi)[0]
-
-    @property
-    def psi_u(self):
-        return self._split(self.psi)[1]
-
-    @property
-    def theta_x(self):
-        return self._split(self.theta)[0]
-
-    @property
-    def theta_u(self):
-        return self._split(self.theta)[1]
-
-    @property
-    def delta_x(self):
-        return self._split(self.delta)[0]
-
-    @property
-    def delta_u(self):
-        return self._split(self.delta)[1]
 
 
 def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
@@ -375,4 +370,4 @@ def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
     outside = [j for j in range(partition.n_areas) if j not in nb.of(i)]
     delta_free = ic_response(iq_rows, masked_ic(outside), horizon, d_s.start_index)
     delta = SignalTrace(delta_forced.samples + delta_free.samples, d_s.start_index)
-    return DecomposedResponse(psi, theta, delta, partition.size("x", i))
+    return DecomposedResponse(psi, theta, delta)

@@ -120,10 +120,6 @@ def zeros_tfm(p: int, m: int) -> Realization:
     return from_gain(np.zeros((p, m)))
 
 
-def identity_tfm(p: int) -> Realization:
-    return from_gain(np.eye(p))
-
-
 def delay(p: int = 1) -> Realization:
     """Realization of ``z^{-1} I_p``."""
     return make_realization(np.zeros((p, p)), np.eye(p), np.eye(p), np.zeros((p, p)))
@@ -232,16 +228,6 @@ class FrequencyGrid:
 DEFAULT_ZERO_GRID = FrequencyGrid.chebyshev(64)
 
 
-def max_abs_on_grid(R: Realization, grid: FrequencyGrid = DEFAULT_ZERO_GRID) -> float:
-    """Largest entrywise magnitude over the grid."""
-    return float(np.max(np.abs(frequency_response(R, grid.points)))) if R.shape[0] and R.shape[1] else 0.0
-
-
-def is_zero_tfm(R: Realization, grid: FrequencyGrid = DEFAULT_ZERO_GRID, tol: float = ZERO_TOL) -> bool:
-    """Grid-based test for a map that is identically zero."""
-    return max_abs_on_grid(R, grid) <= tol
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -307,15 +293,6 @@ def stack_cols(R1: Realization, R2: Realization) -> Realization:
     return make_realization(A, B, C, D)
 
 
-def stack_rows_many(realizations) -> Realization:
-    out = None
-    for R in realizations:
-        out = R if out is None else stack_rows(out, R)
-    if out is None:
-        raise DimensionMismatchError("nothing to stack")
-    return out
-
-
 def stack_cols_many(realizations) -> Realization:
     out = None
     for R in realizations:
@@ -362,13 +339,6 @@ def inverse(R: Realization, cond_bound: float = 1e12) -> Realization:
 # ---------------------------------------------------------------------------
 # structure: rank tools, minimality, PBH
 # ---------------------------------------------------------------------------
-
-def default_rank_tol(M: np.ndarray) -> float:
-    """Rank threshold scaled by the size of the tested block."""
-    if M.size == 0:
-        return RANK_TOL
-    return RANK_TOL * (1.0 + float(np.linalg.norm(M, 2)))
-
 
 def _orth(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column space, SVD-based and deterministic."""
@@ -533,13 +503,6 @@ def hinf_norm(R: Realization, grid_points: int = 4096, refine_passes: int = 3,
         best = max(best, _golden_max(lambda t: _sigma_max_at(R, t), lo, hi,
                                      tol=step * 1e-6))
     return best
-
-
-def hinf_norm_from_samples(values: np.ndarray) -> float:
-    """Peak largest singular value of pre-evaluated grid responses."""
-    if values.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.svd(values, compute_uv=False)[..., 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closed_loop import ClosedLoopMaps, area_block, build_closed_loop_maps
+from .closed_loop import ClosedLoopMaps, area_block, build_closed_loop_maps, q_linear_responses
 from .dcf import DcfBundle
 from .errors import DimensionMismatchError
 from .lti import (
@@ -30,15 +30,11 @@ from .lti import (
     frequency_response,
     hinf_norm,
     is_cb_bounded,
-    make_realization,
     minimal,
     negate,
     parallel,
-    series,
-    stack_cols_many,
-    stack_rows,
 )
-from .nrf import bank_from_pair, diagonal_part, form_nrf_pair
+from .nrf import bank_from_pair, form_nrf_pair
 from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
 from .sparse_param import MODE_FACTORED, QParametrization, q_from_x
 
@@ -177,7 +173,7 @@ class MapsBuilder:
     def __call__(self, q: Realization) -> ClosedLoopMaps:
         pair = form_nrf_pair(self.bundle, q)
         _, bank = bank_from_pair(pair, self.partition)
-        return build_closed_loop_maps(self.bundle, q, bank, self.partition)
+        return build_closed_loop_maps(pair, bank, self.partition)
 
 
 def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
@@ -264,7 +260,10 @@ class _SurrogateModel:
     """Grid responses of the matching blocks as affine functions of x.
 
     Sampling uses only the upper half circle: every map here is
-    real-rational, so singular values repeat at conjugate points.
+    real-rational, so singular values repeat at conjugate points.  The base
+    responses come from the realized maps at x = 0; each free direction's
+    response is the Q-linear part of the closed-loop formulas, evaluated
+    pointwise.  ``n_evals`` counts calls of :meth:`objective`.
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
@@ -276,6 +275,7 @@ class _SurrogateModel:
         self.partition = partition
         self.spec = spec
         self.active = active
+        self.n_evals = 0
         n_x, n_u, n_d = maps0.n_x, maps0.n_u, maps0.n_d
         self.n_x, self.n_u = n_x, n_u
 
@@ -283,29 +283,11 @@ class _SurrogateModel:
         self.init_base = frequency_response(maps0.initial, zs)
         self.n_w = maps0.n_w
 
-        nm = stack_rows(bundle.N, bundle.M)
-        g_d = bundle.plant.g_d()
-        a_pl = bundle.plant.A
-        j1 = minimal(series(bundle.Mt, make_realization(a_pl, a_pl.copy(), np.eye(n_x), np.eye(n_x))))
-        self.forced_dirs = []
-        self.init_dirs = []
-        for k in active:
-            b_k = q_from_x_direction(param, k)
-            xq_dir = minimal(series(b_k, bundle.Mt))
-            yq_dir = minimal(series(b_k, bundle.Nt))
-            diag_gap = minimal(parallel(diagonal_part(yq_dir), negate(yq_dir)))
-            right = stack_cols_many([xq_dir, yq_dir, diag_gap, minimal(series(xq_dir, g_d))])
-            self.forced_dirs.append(frequency_response(minimal(series(nm, right)), zs))
-            # only the plant-IC columns move with x; controller-IC columns are
-            # pinned by the diagonal-preserving parametrization
-            ic_dir = minimal(series(nm, minimal(series(b_k, j1))))
-            full = np.zeros_like(self.init_base)
-            full[:, :, :n_x] = frequency_response(ic_dir, zs)
-            self.init_dirs.append(full)
-        self.forced_dirs = np.array(self.forced_dirs) if self.forced_dirs \
-            else np.zeros((0,) + self.forced_base.shape)
-        self.init_dirs = np.array(self.init_dirs) if self.init_dirs \
-            else np.zeros((0,) + self.init_base.shape)
+        self.forced_dirs, ic_dirs = q_linear_responses(bundle, param.basis[active], zs)
+        # only the plant-IC columns move with x; controller-IC columns are
+        # pinned by the diagonal-preserving parametrization
+        self.init_dirs = np.zeros(ic_dirs.shape[:-1] + self.init_base.shape[-1:], dtype=complex)
+        self.init_dirs[..., :n_x] = ic_dirs
 
         # precompute index sets and target responses per block
         part_w = maps0.partition
@@ -333,12 +315,8 @@ class _SurrogateModel:
 
     def respond(self, x_active: np.ndarray):
         """(forced, init) grid responses at the active coefficients."""
-        if x_active.size:
-            forced = self.forced_base + np.tensordot(x_active, self.forced_dirs, axes=(0, 0))
-            init = self.init_base + np.tensordot(x_active, self.init_dirs, axes=(0, 0))
-        else:
-            forced, init = self.forced_base, self.init_base
-        return forced, init
+        return (self.forced_base + np.tensordot(x_active, self.forced_dirs, axes=(0, 0)),
+                self.init_base + np.tensordot(x_active, self.init_dirs, axes=(0, 0)))
 
     def gammas_from(self, forced: np.ndarray, init: np.ndarray):
         N = self.spec.n_areas
@@ -359,15 +337,18 @@ class _SurrogateModel:
                 gc[i, j] = val
         return gd, gu, gc
 
-    def gammas(self, x_active: np.ndarray):
-        """Surrogate (grid-max) matching norms at the active coefficients."""
-        return self.gammas_from(*self.respond(x_active))
+    def objective(self, forced: np.ndarray, init: np.ndarray) -> float:
+        """Weighted surrogate objective of grid responses; +inf outside the
+        admissible bounds."""
+        self.n_evals += 1
+        gd, gu, gc = self.gammas_from(forced, init)
+        if not _within_bounds(self.spec, gd, gu, gc):
+            return np.inf
+        return _objective_value(self.spec, gd, gu, gc)
 
-
-def q_from_x_direction(param: QParametrization, k: int) -> Realization:
-    """FIR realization of one basis direction (the homogeneous part)."""
-    from .lti import fir_realization
-    return fir_realization(param.basis[k])
+    def objective_at(self, x_active) -> float:
+        """:meth:`objective` at the active coefficients."""
+        return self.objective(*self.respond(np.asarray(x_active, dtype=float).ravel()))
 
 
 def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
@@ -382,15 +363,7 @@ def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
     builder = MapsBuilder(bundle, partition)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
     k = param.n_free if n_active is None else min(n_active, param.n_free)
-    model = _SurrogateModel(bundle, param, partition, spec, maps0, np.arange(k))
-
-    def objective(x_active) -> float:
-        gd, gu, gc = model.gammas(np.asarray(x_active, dtype=float).ravel())
-        if not _within_bounds(spec, gd, gu, gc):
-            return np.inf
-        return _objective_value(spec, gd, gu, gc)
-
-    return objective
+    return _SurrogateModel(bundle, param, partition, spec, maps0, np.arange(k)).objective_at
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +433,6 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
 
     zero = np.zeros(n_free)
     log: list[float] = []
-    evals = 0
 
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
         (gd, gu, gc), maps = constraint_norms(param, zero, spec, builder)
@@ -470,21 +442,13 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
 
     maps0 = builder(q_from_x(param, zero))
     model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
-    counter = [0]
-
-    def surrogate(x_active: np.ndarray) -> float:
-        counter[0] += 1
-        gd, gu, gc = model.gammas(x_active)
-        if not _within_bounds(spec, gd, gu, gc):
-            return np.inf
-        return _objective_value(spec, gd, gu, gc)
 
     rng = np.random.default_rng(opts.seed)
     starts = [np.zeros(active.size)]
     for _ in range(max(0, opts.n_starts - 1)):
         cand = opts.start_scale * rng.standard_normal(active.size)
         for _ in range(40):
-            if np.isfinite(surrogate(cand)):
+            if np.isfinite(model.objective_at(cand)):
                 break
             cand *= 0.5
         else:
@@ -493,8 +457,8 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
 
     best_x, best_f = None, np.inf
     for start in starts:
-        x, fx = _pattern_search(model, spec, surrogate, start, opts, log_best=log,
-                                best_so_far=lambda: best_f, counter=counter)
+        x, fx = _pattern_search(model, start, opts, log_best=log,
+                                best_so_far=lambda: best_f)
         if fx < best_f:
             best_x, best_f = x, fx
     x_act = best_x if best_x is not None else np.zeros(active.size)
@@ -502,7 +466,7 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     # certify, shrinking toward the exactly feasible origin if needed
     x_full = zero.copy()
     x_full[active] = x_act
-    if best_f >= surrogate(np.zeros(active.size)) - opts.sweep_tol:
+    if best_f >= model.objective_at(np.zeros(active.size)) - opts.sweep_tol:
         x_full = zero  # no real progress; skip straight to the feasible origin
     for _ in range(12):
         (gd, gu, gc), maps = constraint_norms(param, x_full, spec, builder)
@@ -512,17 +476,17 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     else:
         x_full = zero
         (gd, gu, gc), maps = constraint_norms(param, x_full, spec, builder)
-    evals = counter[0]
     obj = _objective_value(spec, gd, gu, gc)
     if not log:
         log.append(obj)
     return SynthesisResult(x_full, gd, gu, gc, obj, log, q_from_x(param, x_full),
-                           maps, spec, param, evals, True, _bound_hints(spec, gd, gu, gc))
+                           maps, spec, param, model.n_evals, True, _bound_hints(spec, gd, gu, gc))
 
 
-def _pattern_search(model, spec, f, x0: np.ndarray, opts: OptimizerSettings,
-                    log_best: list, best_so_far, counter) -> tuple[np.ndarray, float]:
+def _pattern_search(model, x0: np.ndarray, opts: OptimizerSettings,
+                    log_best: list, best_so_far) -> tuple[np.ndarray, float]:
     """Coordinate descent with golden-section line searches; logs improvements."""
+    f = model.objective_at
     x = x0.copy()
     fx = f(x)
     if not np.isfinite(fx):
@@ -542,30 +506,25 @@ def _pattern_search(model, spec, f, x0: np.ndarray, opts: OptimizerSettings,
     for _ in range(opts.max_sweeps):
         f_before = fx
         for k in range(x.size):
-            x, fx = _line_search_coord(model, spec, x, k, fx, opts, counter)
+            x, fx = _line_search_coord(model, x, k, fx, opts)
             note(fx)
         if f_before - fx < opts.sweep_tol:
             break
     return x, fx
 
 
-def _line_search_coord(model, spec, x: np.ndarray, k: int, fx: float,
-                       opts: OptimizerSettings, counter) -> tuple[np.ndarray, float]:
+def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
+                       opts: OptimizerSettings) -> tuple[np.ndarray, float]:
     """Golden-section minimisation along coordinate k (infeasible = +inf).
 
     The grid responses are affine in x, so moving one coordinate is a single
     scaled add of that direction's precomputed response.
     """
     f0, i0 = model.respond(x)
-    dF = model.forced_dirs[k] if model.forced_dirs.shape[0] else 0.0
-    dI = model.init_dirs[k] if model.init_dirs.shape[0] else 0.0
+    dF, dI = model.forced_dirs[k], model.init_dirs[k]
 
     def phi(t: float) -> float:
-        counter[0] += 1
-        gd, gu, gc = model.gammas_from(f0 + t * dF, i0 + t * dI)
-        if not _within_bounds(spec, gd, gu, gc):
-            return np.inf
-        return _objective_value(spec, gd, gu, gc)
+        return model.objective(f0 + t * dF, i0 + t * dI)
 
     step = opts.initial_step * max(1.0, abs(x[k]))
     f_plus, f_minus = phi(step), phi(-step)

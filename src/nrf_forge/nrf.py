@@ -110,12 +110,6 @@ class AreaController:
     def realization(self) -> Realization:
         return make_realization(self.A, self.B, self.C, self.D)
 
-    def with_initial_state(self, w0) -> "AreaController":
-        w0 = np.asarray(w0, dtype=float).ravel()
-        if w0.size != self.order:
-            raise DimensionMismatchError(f"w0 has length {w0.size}, order is {self.order}")
-        return AreaController(self.area, self.A, self.B, self.C, self.D, self.row_orders, w0)
-
 
 def diagonal_part(R: Realization, rank_tol=None) -> Realization:
     """Realize diag(elm_11(R), ..., elm_pp(R)) of a square map."""

@@ -1,4 +1,4 @@
-"""Network area partitioning, selection matrices and communication sets.
+"""Network area partitioning, index sets and communication sets.
 
 Index sets are contiguous, ascending and cover the global index range
 exactly; plants whose natural ordering interleaves areas must be permuted
@@ -94,24 +94,6 @@ class AreaPartition:
         off = self.offset(kind, i)
         return np.arange(off, off + self.size(kind, i))
 
-    def selector(self, kind: str, i: int) -> np.ndarray:
-        """Selection matrix S whose columns are the standard basis vectors of
-        the area's indices; ``S.T @ v`` slices, ``S @ v_i`` embeds."""
-        total = sum(self._sizes(kind))
-        S = np.zeros((total, self.size(kind, i)))
-        S[self.indices(kind, i), np.arange(self.size(kind, i))] = 1.0
-        return S
-
-    def z_selector(self, i: int) -> np.ndarray:
-        """diag(S_x, S_u) combining an area's state and input selections."""
-        import scipy.linalg
-        return scipy.linalg.block_diag(self.selector("x", i), self.selector("u", i))
-
-    def zc_selector(self, i: int) -> np.ndarray:
-        """diag(S_x, S_w) selecting an area's plant and controller states."""
-        import scipy.linalg
-        return scipy.linalg.block_diag(self.selector("x", i), self.selector("w", i))
-
     def _check_area(self, i: int) -> int:
         if not 0 <= i < self.n_areas:
             raise IndexError(f"area index {i} out of range for N = {self.n_areas}")
@@ -122,15 +104,6 @@ def build_partition(sizes) -> AreaPartition:
     """Create a partition from a list of (n_xi, n_ui) pairs."""
     sizes = list(sizes)
     return AreaPartition(tuple(int(s[0]) for s in sizes), tuple(int(s[1]) for s in sizes))
-
-
-def slice_area(partition: AreaPartition, v, kind: str, i: int) -> np.ndarray:
-    """Extract area ``i``'s sub-vector of ``v`` for the given variable kind."""
-    v = np.asarray(v, dtype=float).ravel()
-    total = sum(partition._sizes(kind))
-    if v.size != total:
-        raise DimensionMismatchError(f"vector length {v.size} does not match global {kind}-dimension {total}")
-    return v[partition.indices(kind, i)]
 
 
 @dataclass(frozen=True)

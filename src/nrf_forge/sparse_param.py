@@ -41,6 +41,10 @@ FEASIBILITY_TOL = 1e-9
 MODE_FIR = "fir"
 MODE_FACTORED = "factored"
 
+#: Smallest FIR degree of each tap layout; the factored layout needs one free
+#: tap plus the closing tap.
+MIN_FIR_DEGREE = {MODE_FIR: 1, MODE_FACTORED: 2}
+
 
 @dataclass(frozen=True)
 class SparsityPattern:
@@ -206,19 +210,14 @@ def _assemble_system(bundle: DcfBundle, pattern: SparsityPattern, q: int,
     Unknown layout: tap-major, then row-major, then column:
     v[(t-1)*n_u*n_x + i*n_x + k] = tap_t[i, k], t = 1..n_taps.
     """
-    if q < 1:
-        raise ValueError("FIR degree must be at least 1")
+    if mode not in MIN_FIR_DEGREE:
+        raise ValueError(f"unknown parametrization mode {mode!r}")
+    if q < MIN_FIR_DEGREE[mode]:
+        raise ValueError(f"{mode} mode needs FIR degree q >= {MIN_FIR_DEGREE[mode]}, got {q}")
     taps = left_factor_taps(bundle)
     nu = taps["degree"]
     n_u, n_x = bundle.n_u, bundle.n_x
-    if mode == MODE_FIR:
-        n_taps = q
-    elif mode == MODE_FACTORED:
-        if q < 2:
-            raise ValueError("factored mode needs q >= 2 (one free tap plus the closing tap)")
-        n_taps = q - 1
-    else:
-        raise ValueError(f"unknown parametrization mode {mode!r}")
+    n_taps = q if mode == MODE_FIR else q - 1
     n_unknowns = n_taps * n_u * n_x
     A_pl, B_pl = bundle.plant.A, bundle.plant.B_u
 
@@ -318,28 +317,8 @@ def _to_q_taps(sol_taps: np.ndarray, q: int, mode: str, A_L: np.ndarray) -> np.n
     return out
 
 
-def solve_particular(bundle: DcfBundle, pattern: SparsityPattern, q: int,
-                     mode: str = MODE_FIR, preserve_diagonal: bool = True):
-    """Least-norm tap tensor meeting the constraints, or an infeasibility report."""
-    result = build_parametrization(bundle, pattern, q, mode, preserve_diagonal,
-                                   want_basis=False)
-    if isinstance(result, InfeasibilityReport):
-        return result
-    return result.q0_taps
-
-
-def nullspace_basis(bundle: DcfBundle, pattern: SparsityPattern, q: int,
-                    mode: str = MODE_FIR, preserve_diagonal: bool = True) -> np.ndarray:
-    """Orthonormal (in Q-coefficient space) free directions of the family."""
-    result = build_parametrization(bundle, pattern, q, mode, preserve_diagonal)
-    if isinstance(result, InfeasibilityReport):
-        raise ValueError(f"constraints infeasible: {result.message}")
-    return result.basis
-
-
 def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int,
-                          mode: str = MODE_FIR, preserve_diagonal: bool = True,
-                          want_basis: bool = True):
+                          mode: str = MODE_FIR, preserve_diagonal: bool = True):
     """Solve the matching system once and package particular + basis.
 
     Returns a :class:`QParametrization`, or an :class:`InfeasibilityReport`
@@ -371,22 +350,17 @@ def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int,
     q0 = _to_q_taps(_taps_from_vector(sol, n_taps, n_u, n_x), q, mode, A_L)
 
     basis = np.zeros((0, q, n_u, n_x))
-    if want_basis:
-        if mat.shape[0]:
-            null = scipy.linalg.null_space(mat)
-        else:
-            null = np.eye(n_unknowns)
-        dirs = [
-            _to_q_taps(_taps_from_vector(null[:, k], n_taps, n_u, n_x), q, mode, A_L)
-            for k in range(null.shape[1])
-        ]
-        if dirs:
-            flat = np.stack([d.ravel() for d in dirs])  # K x (q n_u n_x)
-            # orthonormalise in Q-coefficient space
-            Uq, sq, Vq = np.linalg.svd(flat, full_matrices=False)
-            keep = sq > 1e-12 * (sq[0] if sq.size else 1.0)
-            basis_flat = Vq[keep]
-            basis = basis_flat.reshape(-1, q, n_u, n_x)
+    null = scipy.linalg.null_space(mat) if mat.shape[0] else np.eye(n_unknowns)
+    dirs = [
+        _to_q_taps(_taps_from_vector(null[:, k], n_taps, n_u, n_x), q, mode, A_L)
+        for k in range(null.shape[1])
+    ]
+    if dirs:
+        flat = np.stack([d.ravel() for d in dirs])  # K x (q n_u n_x)
+        # orthonormalise in Q-coefficient space
+        Uq, sq, Vq = np.linalg.svd(flat, full_matrices=False)
+        keep = sq > 1e-12 * (sq[0] if sq.size else 1.0)
+        basis = Vq[keep].reshape(-1, q, n_u, n_x)
     # make the particular solution the least-norm member of the Q-family
     if basis.shape[0]:
         flat_b = basis.reshape(basis.shape[0], -1)

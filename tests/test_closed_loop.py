@@ -50,13 +50,13 @@ def two_area_design(plant, seed=0, q_scale=0.05):
                          q_scale * rng.standard_normal((2, 4))])
     pair = form_nrf_pair(bundle, q)
     _, bank = bank_from_pair(pair, part)
-    maps = build_closed_loop_maps(bundle, q, bank, part)
+    maps = build_closed_loop_maps(pair, bank, part)
     return part, nb, bundle, q, bank, maps
 
 
 def test_scalar_forced_map_blocks():
     plant, bundle, q, pair = scalar_setup()
-    fq = build_fq(bundle, q, pair)
+    fq = build_fq(pair)
     assert fq.shape == (2, 4)
     vals = frequency_response(fq, ZS)
     # state from beta_x: N Xq = 0; command from beta_u: M Yq - 1 = 0;
@@ -77,7 +77,7 @@ def test_scalar_ic_map_upper_left_is_one():
     row = extract_row(pair.kd, 0)
     bank = [AreaController(0, row.A, row.B, row.C, row.D, (row.order,),
                            np.zeros(row.order))]
-    iq, j1, j2 = build_iq(bundle, q, bank, pair)
+    iq, j1, j2 = build_iq(pair, bank)
     vals = frequency_response(iq, ZS)
     assert np.max(np.abs(vals[:, 0, 0] - 1.0)) <= 1e-12
     assert np.max(np.abs(vals[:, 1, 0])) <= 1e-12
@@ -102,7 +102,7 @@ def test_fully_deadbeat_ic_map_is_fir():
     q = fir_realization([0.1 * np.ones((2, 4))])
     pair = form_nrf_pair(bundle, q)
     _, bank = bank_from_pair(pair, part)
-    iq, _, _ = build_iq(bundle, q, bank, pair)
+    iq, _, _ = build_iq(pair, bank)
     total_degree = iq.order + 1
     assert np.max(np.abs(iq_at(iq, total_degree + 1))) <= 1e-12
     assert np.max(np.abs(iq_at(iq, total_degree + 5))) <= 1e-12
@@ -112,7 +112,7 @@ def test_unstable_parameter_rejected():
     plant, bundle, q, pair = scalar_setup()
     q_bad = make_realization([[1.5]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(UnboundedTfmError):
-        build_fq(bundle, q_bad)
+        build_fq(form_nrf_pair(bundle, q_bad))
 
 
 def test_area_blocks_select_expected_submaps(two_area_plant):

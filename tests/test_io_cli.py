@@ -167,6 +167,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_cli_design_q1_is_config_error(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["example-grid", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["design", "--config", os.path.join(out, "config.json"),
+                 "--out", out, "--q", "1"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error:") and "q >= 2" in lines[0]
+
+
 def test_cli_infeasible_exit_code(tmp_path):
     out = str(tmp_path)
     assert main(["example-grid", "--out", out]) == 0

@@ -11,6 +11,7 @@ from nrf_forge.match_synth import (
     MapsBuilder,
     OptimizerSettings,
     SynthesisSpec,
+    _SurrogateModel,
     constraint_norms,
     default_targets,
     make_surrogate_objective,
@@ -153,6 +154,48 @@ def test_convexity_of_constraint_norms():
     assert np.all(gdm <= lam * gd1 + (1 - lam) * gd2 + 1e-8)
     assert np.all(gum <= lam * gu1 + (1 - lam) * gu2 + 1e-8)
     assert np.all(gcm <= lam * gc1 + (1 - lam) * gc2 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# surrogate
+# ---------------------------------------------------------------------------
+
+def surrogate_and_realized(bundle, part, param, spec, seed):
+    """(forced, initial) grid responses at a random x: from the surrogate,
+    and from the realized maps at the same x."""
+    builder = MapsBuilder(bundle, part)
+    maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
+    model = _SurrogateModel(bundle, param, part, spec, maps0, np.arange(param.n_free))
+    x = np.random.default_rng(seed).standard_normal(param.n_free)
+    maps = builder(q_from_x(param, x))
+    realized = tuple(frequency_response(m, model.zs) for m in (maps.forced, maps.initial))
+    return model.respond(x), realized, maps.n_x
+
+
+def rel_gap(got, want):
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_surrogate_matches_realized_maps_on_toy():
+    plant, part, nb, bundle, param = toy_setup(seed=11)
+    assert param.n_free
+    spec, _ = bootstrap_spec(plant, part, bundle, param)
+    (forced, init), (forced_r, init_r), n_x = surrogate_and_realized(
+        bundle, part, param, spec, seed=12)
+    assert rel_gap(forced, forced_r) <= 1e-6
+    # this toy's bank is empty at x = 0, so the surrogate carries no
+    # controller-IC columns; the plant-IC columns exist at both points
+    assert rel_gap(init[..., :n_x], init_r[..., :n_x]) <= 1e-6
+
+
+def test_surrogate_matches_realized_maps_on_mesh(grid_setup, grid_design):
+    _, part, _ = grid_setup
+    res = grid_design
+    (forced, init), (forced_r, init_r), _ = surrogate_and_realized(
+        res.pair.bundle, part, res.param, res.spec, seed=13)
+    assert rel_gap(forced, forced_r) <= 1e-6
+    assert rel_gap(init, init_r) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nrf_forge.errors import DimensionMismatchError
 from nrf_forge.partition import (
     Neighborhoods,
     build_partition,
-    slice_area,
     validate_neighborhoods,
 )
 
@@ -35,17 +33,16 @@ def test_nonpositive_sizes_rejected():
 def test_grid_selector_third_area_picks_states_five_and_six():
     # five areas of (2, 1): area 3 (1-based) owns global states 5, 6 (1-based)
     part = build_partition([(2, 1)] * 5)
-    S = part.selector("x", 2)
     v = np.arange(1.0, 11.0)
-    assert np.allclose(S.T @ v, [5.0, 6.0])
-    assert np.allclose(S.T @ S, np.eye(2))
+    assert np.allclose(v[part.indices("x", 2)], [5.0, 6.0])
+    assert np.unique(part.indices("x", 2)).size == 2
 
 
 def test_slice_and_reconstruct_roundtrip():
     part = build_partition([(2, 1), (3, 2), (6, 2), (1, 2)])
     rng = np.random.default_rng(0)
     v = rng.standard_normal(part.n_x)
-    pieces = [slice_area(part, v, "x", i) for i in range(part.n_areas)]
+    pieces = [v[part.indices("x", i)] for i in range(part.n_areas)]
     assert np.allclose(np.concatenate(pieces), v)
 
 
@@ -57,13 +54,11 @@ def test_slice_matches_direct_index_gather(sizes):
     for i in range(part.n_areas):
         lo = part.offset("u", i)
         hi = lo + part.size("u", i)
-        assert np.allclose(slice_area(part, v, "u", i), v[lo:hi])
+        assert np.allclose(v[part.indices("u", i)], v[lo:hi])
 
 
 def test_slice_dimension_error():
     part = build_partition([(2, 1), (2, 1)])
-    with pytest.raises(DimensionMismatchError):
-        slice_area(part, np.zeros(5), "x", 0)
     with pytest.raises(IndexError):
         part.indices("x", 2)
 
@@ -71,24 +66,26 @@ def test_slice_dimension_error():
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=2, max_size=5))
 def test_partition_of_unity_and_orthogonality(sizes):
     part = build_partition(sizes)
-    acc = np.zeros((part.n_x, part.n_x))
-    for i in range(part.n_areas):
-        S = part.selector("x", i)
-        acc += S @ S.T
-    assert np.allclose(acc, np.eye(part.n_x))
+    # the area index sets tile range(n) of each kind with no overlap
+    for kind, n in (("x", part.n_x), ("u", part.n_u)):
+        tiles = np.concatenate([part.indices(kind, i) for i in range(part.n_areas)])
+        assert np.array_equal(np.sort(tiles), np.arange(n))
+    # an area's stacked [x; u] indices meet no other area's
+    z = [set(part.indices("x", i)) | {part.n_x + k for k in part.indices("u", i)}
+         for i in range(part.n_areas)]
     for i in range(part.n_areas):
         for j in range(part.n_areas):
-            Zi, Zj = part.z_selector(i), part.z_selector(j)
             if i != j:
-                assert np.allclose(Zi.T @ Zj, 0.0)
+                assert not z[i] & z[j]
             else:
-                assert np.allclose(Zi.T @ Zj, np.eye(Zi.shape[1]))
+                assert len(z[i]) == part.size("x", i) + part.size("u", i)
 
 
 def test_w_sizes_attach():
     part = build_partition([(2, 1), (2, 1)]).with_w_sizes([2, 0])
     assert part.n_w == 2
-    assert part.zc_selector(0).shape == (6, 4)
+    assert part.indices("x", 0).size + part.indices("w", 0).size == 4
+    assert part.indices("w", 1).size == 0
     with pytest.raises(ValueError):
         build_partition([(2, 1), (2, 1)]).n_w  # noqa: B018
 

@@ -24,7 +24,7 @@ def loop(two_area_plant):
     q = fir_realization([0.05 * rng.standard_normal((2, 4))])
     pair = form_nrf_pair(bundle, q)
     _, bank = bank_from_pair(pair, part)
-    maps = build_closed_loop_maps(bundle, q, bank, part)
+    maps = build_closed_loop_maps(pair, bank, part)
     return two_area_plant, part, nb, bundle, bank, maps
 
 

@@ -14,10 +14,8 @@ from nrf_forge.sparse_param import (
     SparsityPattern,
     build_parametrization,
     left_factor_taps,
-    nullspace_basis,
     pattern_from_neighborhoods,
     q_from_x,
-    solve_particular,
 )
 
 ZS = FrequencyGrid.chebyshev(64).points
@@ -82,15 +80,15 @@ def test_pattern_requires_zero_diagonal():
 def test_unconstrained_pattern_gives_zero_particular():
     plant, part, nb, bundle = chain_setup(forbid=())
     pat = pattern_from_neighborhoods(part, nb)
-    taps = solve_particular(bundle, pat, q=1, mode="fir")
-    assert isinstance(taps, np.ndarray)
-    assert np.allclose(taps, 0.0)
+    param = build_parametrization(bundle, pat, q=1, mode="fir")
+    assert isinstance(param, QParametrization)
+    assert np.allclose(param.q0_taps, 0.0)
 
 
 def test_unconstrained_basis_spans_everything():
     plant, part, nb, bundle = chain_setup(forbid=())
     pat = pattern_from_neighborhoods(part, nb)
-    basis = nullspace_basis(bundle, pat, q=1, mode="fir")
+    basis = build_parametrization(bundle, pat, q=1, mode="fir").basis
     assert basis.shape[0] == plant.n_u * plant.n_x
 
 
