@@ -161,7 +161,7 @@ def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> Clo
     return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
 
 
-def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs) -> tuple[np.ndarray, np.ndarray]:
+def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
     """The parts of F and I that are linear in Q, evaluated pointwise on ``zs``.
 
     ``taps`` stacks K FIR tap tensors of shape (q, n_u, n_x), each the
@@ -174,19 +174,24 @@ def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs) -> tuple[np.ndar
                                 columns [N; M] J2 depend on Q only through
                                 diag(Yq) and the bank)
 
-    Returns the stacks of shape (K, G, n_x + n_u, n_x + 2 n_u + n_d) and
-    (K, G, n_x + n_u, n_x).
+    Yields one pair per tap tensor, of shapes (G, n_x + n_u, n_x + 2 n_u + n_d)
+    and (G, n_x + n_u, n_x); the factor responses are evaluated once.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    q_resp = np.einsum("gt,ktij->kgij", zs[:, None] ** -np.arange(1.0, taps.shape[1] + 1), taps)
+    powers = zs[:, None] ** -np.arange(1.0, taps.shape[1] + 1)
     nm = np.concatenate([frequency_response(bundle.N, zs), frequency_response(bundle.M, zs)], axis=1)
     res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
-    q_nt = q_resp @ frequency_response(bundle.Nt, zs)
-    gap = -q_nt
-    gap[..., np.arange(bundle.n_u), np.arange(bundle.n_u)] = 0.0
-    right = np.concatenate([q_resp @ frequency_response(bundle.Mt, zs), q_nt, gap,
-                            q_resp @ (res_l @ bundle.plant.B_d)], axis=-1)
-    return nm @ right, nm @ (q_resp @ (zs[:, None, None] * res_l))
+    mt, nt = frequency_response(bundle.Mt, zs), frequency_response(bundle.Nt, zs)
+    gd_l = res_l @ bundle.plant.B_d
+    j1 = zs[:, None, None] * res_l
+    diag = np.arange(bundle.n_u)
+    for tap in taps:
+        q_resp = np.einsum("gt,tij->gij", powers, tap)
+        q_nt = q_resp @ nt
+        gap = -q_nt
+        gap[:, diag, diag] = 0.0
+        right = np.concatenate([q_resp @ mt, q_nt, gap, q_resp @ gd_l], axis=-1)
+        yield nm @ right, nm @ (q_resp @ j1)
 
 
 def iq_at(iq: Realization, k: int) -> np.ndarray:

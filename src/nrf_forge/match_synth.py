@@ -212,48 +212,67 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
 # frequency-sampled surrogate, affine in the free coefficients
 # ---------------------------------------------------------------------------
 
-def _lambda_max_hermitian(H: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of stacked hermitian matrices, closed form for
-    sizes up to three (trigonometric solution of the characteristic cubic),
-    LAPACK fallback above."""
-    r = H.shape[-1]
+def _lambda_max(H: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of hermitian matrices stacked along the trailing
+    axes of H, shape (r, r, ...): closed form for r up to three
+    (trigonometric solution of the characteristic cubic), LAPACK above."""
+    r = H.shape[0]
     if r == 0:
-        return np.zeros(H.shape[:-2])
+        return np.zeros(H.shape[2:])
     if r == 1:
-        return H[..., 0, 0].real
+        return H[0, 0].real
     if r == 2:
-        m = 0.5 * (H[..., 0, 0] + H[..., 1, 1]).real
-        det = (H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]).real
-        return m + np.sqrt(np.maximum(m * m - det, 0.0))
+        m = 0.5 * (H[0, 0].real + H[1, 1].real)
+        h = 0.5 * (H[0, 0].real - H[1, 1].real)
+        return m + np.sqrt(h * h + np.abs(H[0, 1]) ** 2)
     if r == 3:
-        h00, h11, h22 = (H[..., i, i].real for i in range(3))
-        p1 = (np.abs(H[..., 0, 1]) ** 2 + np.abs(H[..., 0, 2]) ** 2
-              + np.abs(H[..., 1, 2]) ** 2)
-        q = (h00 + h11 + h22) / 3.0
-        p2 = (h00 - q) ** 2 + (h11 - q) ** 2 + (h22 - q) ** 2 + 2.0 * p1
-        p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+        a, b, c = (H[i, i].real for i in range(3))
+        s01, s02, s12 = np.abs(H[0, 1]) ** 2, np.abs(H[0, 2]) ** 2, np.abs(H[1, 2]) ** 2
+        q = (a + b + c) / 3.0
+        a, b, c = a - q, b - q, c - q
+        p = np.sqrt((a * a + b * b + c * c + 2.0 * (s01 + s02 + s12)) / 6.0)
+        # det(H - qI), written for a hermitian matrix
+        det = (a * b * c - a * s12 - b * s02 - c * s01
+               + 2.0 * (H[0, 1] * H[1, 2] * H[2, 0]).real)
         safe = np.where(p > 0, p, 1.0)
-        B = (H - q[..., None, None] * np.eye(3)) / safe[..., None, None]
-        detB = (B[..., 0, 0] * (B[..., 1, 1] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 1])
-                - B[..., 0, 1] * (B[..., 1, 0] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 0])
-                + B[..., 0, 2] * (B[..., 1, 0] * B[..., 2, 1] - B[..., 1, 1] * B[..., 2, 0])).real
-        phi = np.arccos(np.clip(detB / 2.0, -1.0, 1.0)) / 3.0
-        lam = q + 2.0 * p * np.cos(phi)
-        return np.where(p2 > 0, lam, q)
-    return np.linalg.eigvalsh(H)[..., -1]
+        phi = np.arccos(np.clip(det / (2.0 * safe ** 3), -1.0, 1.0)) / 3.0
+        return np.where(p > 0, q + 2.0 * p * np.cos(phi), q)
+    return np.linalg.eigvalsh(np.moveaxis(H, (0, 1), (-2, -1)))[..., -1]
 
 
-def _sigma_max_grid(blk: np.ndarray) -> float:
-    """Peak largest singular value of stacked (G, r, c) responses."""
-    if blk.size == 0:
-        return 0.0
-    r, c = blk.shape[-2:]
-    if c < r:
-        gram = np.conj(blk.swapaxes(-1, -2)) @ blk
-    else:
-        gram = blk @ np.conj(blk.swapaxes(-1, -2))
-    lam = _lambda_max_hermitian(gram)
-    return float(np.sqrt(max(np.max(lam), 0.0)))
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^H of matrices stacked along the last axis: (s, t, n) -> (s, s, n)."""
+    return np.einsum("ikn,jkn->ijn", a, b.conj())
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Where one matching block sits in the closed-loop maps.
+
+    ``slot`` is its place in the flat [gamma_d; gamma_u; gamma_c] vector and
+    ``source`` 0 for the forced map, 1 for the initial-condition map.  The
+    stacks hold the ``cols`` of ``rows`` (transposed when the block has fewer
+    columns than rows, so the Gram side comes first); ``fixed_cols`` never
+    move with x and enter only through a constant Gram term.
+    """
+
+    slot: int
+    source: int
+    rows: np.ndarray
+    cols: np.ndarray
+    fixed_cols: np.ndarray
+    transposed: bool
+
+
+@dataclass
+class _BlockGroup:
+    """Blocks of one stacked shape (s, t), the grid axis last and block-major."""
+
+    blocks: list
+    slots: np.ndarray
+    base: np.ndarray            # (s, t, blocks * G): responses at x = 0 minus targets
+    dirs: np.ndarray            # (K, s, t, blocks * G): one stack per free direction
+    fixed: np.ndarray | None    # (s, s, blocks * G): Gram of the fixed columns
 
 
 class _SurrogateModel:
@@ -263,92 +282,150 @@ class _SurrogateModel:
     real-rational, so singular values repeat at conjugate points.  The base
     responses come from the realized maps at x = 0; each free direction's
     response is the Q-linear part of the closed-loop formulas, evaluated
-    pointwise.  ``n_evals`` counts calls of :meth:`objective`.
+    pointwise.  Both are stored per block, grouped by shape, so an evaluation
+    is one Gram stack and one batched lambda_max per group.  Only the
+    plant-IC columns of the initial map move with x (the diagonal-preserving
+    parametrization pins the controller-IC columns), so where the Gram side
+    is the rows the controller-IC columns enter as a constant Gram term.
+    ``n_evals`` counts calls of :meth:`objective`.
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
                  maps0: ClosedLoopMaps, active: np.ndarray):
         opts = spec.optimizer
-        zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
-        self.zs = zs
-        self.partition = partition
+        self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
-        self.active = active
         self.n_evals = 0
+        self.groups = self._base_groups(partition, maps0, active.size)
+        # fill direction by direction; the controller-IC columns of a
+        # direction are zero
+        G = self.zs.size
+        ic_pad = np.zeros((G, maps0.n_x + maps0.n_u, maps0.n_w), dtype=complex)
+        directions = q_linear_responses(bundle, param.basis[active], self.zs)
+        for k, (forced_k, ic_k) in enumerate(directions):
+            resp = (forced_k, np.concatenate([ic_k, ic_pad], axis=-1))
+            for g in self.groups:
+                for m, b in enumerate(g.blocks):
+                    blk = resp[b.source][:, b.rows[:, None], b.cols]
+                    g.dirs[k, :, :, m * G:(m + 1) * G] = (
+                        blk.transpose(2, 1, 0) if b.transposed else blk.transpose(1, 2, 0))
+
+    def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps, K: int) -> list:
+        """Lay out every matching block, stack its response at x = 0 minus
+        its target, and group the blocks by stacked shape; the direction
+        stacks are allocated, not filled."""
+        spec, zs = self.spec, self.zs
+        N, G = spec.n_areas, zs.size
         n_x, n_u, n_d = maps0.n_x, maps0.n_u, maps0.n_d
-        self.n_x, self.n_u = n_x, n_u
-
-        self.forced_base = frequency_response(maps0.forced, zs)
-        self.init_base = frequency_response(maps0.initial, zs)
-        self.n_w = maps0.n_w
-
-        self.forced_dirs, ic_dirs = q_linear_responses(bundle, param.basis[active], zs)
-        # only the plant-IC columns move with x; controller-IC columns are
-        # pinned by the diagonal-preserving parametrization
-        self.init_dirs = np.zeros(ic_dirs.shape[:-1] + self.init_base.shape[-1:], dtype=complex)
-        self.init_dirs[..., :n_x] = ic_dirs
-
-        # precompute index sets and target responses per block
         part_w = maps0.partition
-        self.blocks = []
-        for i in range(spec.n_areas):
+        base_resp = (frequency_response(maps0.forced, zs), frequency_response(maps0.initial, zs))
+
+        layout = []   # (slot, source, rows, cols, target)
+        cols_d = np.arange(n_x + n_u, n_x + 2 * n_u + n_d)
+        for i in range(N):
             rows = np.concatenate([partition.indices("x", i), n_x + partition.indices("u", i)])
-            cols = np.arange(n_x + n_u, n_x + 2 * n_u + n_d)
-            self.blocks.append(("d", i, 0, rows, cols, self._target_resp(spec.t_d[i], rows, cols)))
-            for j in range(spec.n_areas):
+            layout.append((i, 0, rows, cols_d, spec.t_d[i]))
+            for j in range(N):
                 cols_u = np.concatenate([partition.indices("x", j), n_x + partition.indices("u", j)])
-                self.blocks.append(("u", i, j, rows, cols_u,
-                                    self._target_resp(spec.target_u(i, j), rows, cols_u)))
+                layout.append((N + i * N + j, 0, rows, cols_u, spec.target_u(i, j)))
                 cols_c = np.concatenate([part_w.indices("x", j), n_x + part_w.indices("w", j)])
-                self.blocks.append(("c", i, j, rows, cols_c,
-                                    self._target_resp(spec.target_c(i, j), rows, cols_c)))
+                layout.append((N + N * N + i * N + j, 1, rows, cols_c, spec.target_c(i, j)))
+
+        grouped: dict = {}
+        for slot, src, rows, cols, target in layout:
+            blk = base_resp[src][:, rows[:, None], cols]
+            if target is not None:
+                blk = blk - self._target_resp(target, rows, cols)
+            transposed = cols.size < rows.size
+            if transposed:
+                moving = np.ones(cols.size, dtype=bool)
+                stack, fixed = blk.transpose(2, 1, 0), None
+            else:
+                moving = cols < n_x if src == 1 else np.ones(cols.size, dtype=bool)
+                stack = blk[:, :, moving].transpose(1, 2, 0)
+                fixed_part = blk[:, :, ~moving].transpose(1, 2, 0)
+                fixed = _gram(fixed_part, fixed_part) if fixed_part.size else None
+            block = _Block(slot, src, rows, cols[moving], cols[~moving], transposed)
+            grouped.setdefault(stack.shape[:2], []).append((block, stack, fixed))
+
+        groups = []
+        for (s, t), members in grouped.items():
+            fixed = None
+            if any(f is not None for _, _, f in members):
+                fixed = np.concatenate([f if f is not None else np.zeros((s, s, G), dtype=complex)
+                                        for _, _, f in members], axis=-1)
+            groups.append(_BlockGroup(
+                blocks=[b for b, _, _ in members],
+                slots=np.array([b.slot for b, _, _ in members]),
+                base=np.concatenate([stk for _, stk, _ in members], axis=-1),
+                dirs=np.empty((K, s, t, len(members) * G), dtype=complex),
+                fixed=fixed))
+        return groups
 
     def _target_resp(self, target, rows, cols):
-        if target is None:
-            return None
         if target.shape != (rows.size, cols.size):
             raise DimensionMismatchError(
                 f"target has shape {target.shape}, block is {(rows.size, cols.size)}"
             )
         return frequency_response(target, self.zs)
 
-    def respond(self, x_active: np.ndarray):
-        """(forced, init) grid responses at the active coefficients."""
-        return (self.forced_base + np.tensordot(x_active, self.forced_dirs, axes=(0, 0)),
-                self.init_base + np.tensordot(x_active, self.init_dirs, axes=(0, 0)))
+    def stacks_at(self, x_active: np.ndarray) -> list:
+        """Per-group block responses, targets subtracted, at the active coefficients."""
+        return [g.base + np.tensordot(x_active, g.dirs, axes=1) for g in self.groups]
 
-    def gammas_from(self, forced: np.ndarray, init: np.ndarray):
+    def _gram0(self, g: _BlockGroup, B: np.ndarray) -> np.ndarray:
+        """Gram stack of a group at stacks B, with its constant term."""
+        return _gram(B, B) if g.fixed is None else _gram(B, B) + g.fixed
+
+    def gammas_from(self, grams: list):
+        """(gamma_d, gamma_u, gamma_c) from the groups' Gram stacks: the peak
+        over the grid of each block's largest eigenvalue, square-rooted."""
         N = self.spec.n_areas
-        gd = np.zeros(N)
-        gu = np.zeros((N, N))
-        gc = np.zeros((N, N))
-        for kind, i, j, rows, cols, tgt in self.blocks:
-            src = init if kind == "c" else forced
-            blk = src[:, rows[:, None], cols[None, :]]
-            if tgt is not None:
-                blk = blk - tgt
-            val = _sigma_max_grid(blk)
-            if kind == "d":
-                gd[i] = val
-            elif kind == "u":
-                gu[i, j] = val
-            else:
-                gc[i, j] = val
-        return gd, gu, gc
+        vals = np.empty(N + 2 * N * N)
+        for g, H in zip(self.groups, grams):
+            lam = _lambda_max(H).reshape(len(g.blocks), -1).max(axis=1)
+            vals[g.slots] = np.sqrt(np.maximum(lam, 0.0))
+        return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
-    def objective(self, forced: np.ndarray, init: np.ndarray) -> float:
-        """Weighted surrogate objective of grid responses; +inf outside the
-        admissible bounds."""
+    def objective(self, grams: list) -> float:
+        """Weighted surrogate objective of the groups' Gram stacks; +inf
+        outside the admissible bounds."""
         self.n_evals += 1
-        gd, gu, gc = self.gammas_from(forced, init)
+        gd, gu, gc = self.gammas_from(grams)
         if not _within_bounds(self.spec, gd, gu, gc):
             return np.inf
         return _objective_value(self.spec, gd, gu, gc)
 
     def objective_at(self, x_active) -> float:
         """:meth:`objective` at the active coefficients."""
-        return self.objective(*self.respond(np.asarray(x_active, dtype=float).ravel()))
+        stacks = self.stacks_at(np.asarray(x_active, dtype=float).ravel())
+        return self.objective([self._gram0(g, B) for g, B in zip(self.groups, stacks)])
+
+    def line(self, x_active: np.ndarray, k: int):
+        """phi(t) = :meth:`objective` at x + t e_k.
+
+        Along the line each block is B + t d, so its Gram is
+        G0 + t G1 + t^2 G2 with G0 = B B^H, G1 = B d^H + d B^H and
+        G2 = d d^H; these are formed once here, and a probe only sums them.
+        """
+        quads = []
+        for g, B in zip(self.groups, self.stacks_at(x_active)):
+            d = g.dirs[k]
+            cross = _gram(B, d)
+            quads.append((self._gram0(g, B), cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
+
+        def phi(t: float) -> float:
+            grams = []
+            for g0, g1, g2 in quads:
+                H = g2 * t
+                H += g1
+                H *= t
+                H += g0
+                grams.append(H)
+            return self.objective(grams)
+
+        return phi
 
 
 def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
@@ -409,7 +486,7 @@ def _within_bounds(spec: SynthesisSpec, gd, gu, gc, tol: float = 1e-9) -> bool:
 
 
 def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
-          partition: AreaPartition) -> SynthesisResult:
+          partition: AreaPartition, bootstrap=None) -> SynthesisResult:
     """Minimise the weighted matching objective over the free coefficients.
 
     Requires admissible bounds to be set (run the bootstrap first, e.g.
@@ -418,6 +495,9 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     the search.  The returned constraint values are recomputed through the
     certified norm path; if the surrogate optimum drifts outside a bound,
     the point is shrunk toward the (exactly feasible) origin.
+    ``bootstrap`` is the ``constraint_norms`` result at x = 0 under this
+    spec's targets, when the caller already has it: its maps seed the
+    surrogate, and a certificate at x = 0 reuses its norms.
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
@@ -434,13 +514,18 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     zero = np.zeros(n_free)
     log: list[float] = []
 
+    def certify(x):
+        if bootstrap is not None and not np.any(x):
+            return bootstrap
+        return constraint_norms(param, x, spec, builder)
+
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
-        (gd, gu, gc), maps = constraint_norms(param, zero, spec, builder)
+        (gd, gu, gc), maps = certify(zero)
         obj = _objective_value(spec, gd, gu, gc)
         return SynthesisResult(zero, gd, gu, gc, obj, [obj], q_from_x(param, zero),
                                maps, spec, param, 1, True, _bound_hints(spec, gd, gu, gc))
 
-    maps0 = builder(q_from_x(param, zero))
+    maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
     model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
 
     rng = np.random.default_rng(opts.seed)
@@ -469,13 +554,13 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     if best_f >= model.objective_at(np.zeros(active.size)) - opts.sweep_tol:
         x_full = zero  # no real progress; skip straight to the feasible origin
     for _ in range(12):
-        (gd, gu, gc), maps = constraint_norms(param, x_full, spec, builder)
+        (gd, gu, gc), maps = certify(x_full)
         if _within_bounds(spec, gd, gu, gc) or not np.any(x_full):
             break
         x_full *= 0.5
     else:
         x_full = zero
-        (gd, gu, gc), maps = constraint_norms(param, x_full, spec, builder)
+        (gd, gu, gc), maps = certify(x_full)
     obj = _objective_value(spec, gd, gu, gc)
     if not log:
         log.append(obj)
@@ -517,14 +602,10 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
                        opts: OptimizerSettings) -> tuple[np.ndarray, float]:
     """Golden-section minimisation along coordinate k (infeasible = +inf).
 
-    The grid responses are affine in x, so moving one coordinate is a single
-    scaled add of that direction's precomputed response.
+    Each probe evaluates the model's ``phi(t)``, whose Gram stacks are
+    quadratic in the step t.
     """
-    f0, i0 = model.respond(x)
-    dF, dI = model.forced_dirs[k], model.init_dirs[k]
-
-    def phi(t: float) -> float:
-        return model.objective(f0 + t * dF, i0 + t * dI)
+    phi = model.line(x, k)
 
     step = opts.initial_step * max(1.0, abs(x[k]))
     f_plus, f_minus = phi(step), phi(-step)
@@ -653,8 +734,9 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
             detail=param,
         )
 
-    builder = MapsBuilder(bundle, partition)
+    bootstrap = None
     if not spec.bounds_set():
-        (gd0, gu0, gc0), _ = constraint_norms(param, np.zeros(param.n_free), spec, builder)
-        spec = spec.with_bounds(gd0, gu0, gc0)
-    return solve(spec, param, bundle, partition)
+        bootstrap = constraint_norms(param, np.zeros(param.n_free), spec,
+                                     MapsBuilder(bundle, partition))
+        spec = spec.with_bounds(*bootstrap[0])
+    return solve(spec, param, bundle, partition, bootstrap)

@@ -282,8 +282,9 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     if off != w_c.size:
         raise DimensionMismatchError("w_c length does not match the bank")
 
-    # per-area column views into the controller input [u_f-bundle; x-bundle]
-    allowed_cols = []
+    # per-area column views into the controller input [u_f-bundle; x-bundle],
+    # with the feedthrough and input-matrix slices that read them
+    local = []
     for i, ctrl in enumerate(bank):
         D = ctrl.D
         _check_no_algebraic_loop(D, n_u)
@@ -299,7 +300,8 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
                     or np.any(D[:, hot_u]) or np.any(D[:, hot_x])
                 if uses:
                     raise CommConstraintError([(i, j)])
-        allowed_cols.append((np.asarray(cols_u, dtype=int), np.asarray(cols_x, dtype=int)))
+        cols_u, cols_x = np.asarray(cols_u, dtype=int), np.asarray(cols_x, dtype=int)
+        local.append((cols_u, cols_x, D[:, n_u + cols_x], ctrl.B[:, cols_u], ctrl.B[:, n_u + cols_x]))
 
     beta_x, beta_u = signals.beta_x, signals.beta_u
     beta_f, d = signals.beta_f_full, signals.d_full
@@ -323,8 +325,8 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
         # local command computation (state messages only; no u_f feedthrough)
         u_f = np.empty(n_u)
         for i, ctrl in enumerate(bank):
-            cols_u, cols_x = allowed_cols[i]
-            contrib = ctrl.D[:, n_u + cols_x] @ state_src[cols_x]
+            _, cols_x, D_state, _, _ = local[i]
+            contrib = D_state @ state_src[cols_x]
             u_f[u_idx[i]] = (ctrl.C @ w_parts[i] if ctrl.order else 0.0) + contrib
         UF[k] = u_f
         cmd_msg = u_f + beta_f[k]
@@ -333,10 +335,10 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
         for i, ctrl in enumerate(bank):
             if not ctrl.order:
                 continue
-            cols_u, cols_x = allowed_cols[i]
+            cols_u, cols_x, _, B_cmd, B_state = local[i]
             w_parts[i] = (ctrl.A @ w_parts[i]
-                          + ctrl.B[:, cols_u] @ cmd_src[cols_u]
-                          + ctrl.B[:, n_u + cols_x] @ state_src[cols_x])
+                          + B_cmd @ cmd_src[cols_u]
+                          + B_state @ state_src[cols_x])
         u = u_f + beta_u[k]
         U[k] = u
         x = A @ x + B_u @ u + B_d @ d[k]

@@ -12,6 +12,7 @@ from nrf_forge.match_synth import (
     OptimizerSettings,
     SynthesisSpec,
     _SurrogateModel,
+    _lambda_max,
     constraint_norms,
     default_targets,
     make_surrogate_objective,
@@ -160,19 +161,109 @@ def test_convexity_of_constraint_norms():
 # surrogate
 # ---------------------------------------------------------------------------
 
-def surrogate_and_realized(bundle, part, param, spec, seed):
-    """(forced, initial) grid responses at a random x: from the surrogate,
-    and from the realized maps at the same x."""
+def stacked(mats):
+    """(n, r, r) matrices as the (r, r, n) stack the lambda_max kernel takes."""
+    return np.moveaxis(np.asarray(mats), 0, -1)
+
+
+def random_hermitian(rng, n, r):
+    X = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    return X + np.conj(X.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lambda_max_matches_eigvalsh_on_random_hermitian(r):
+    rng = np.random.default_rng(20 + r)
+    H = random_hermitian(rng, 500, r)
+    X = rng.standard_normal((500, r, 2 * r)) + 1j * rng.standard_normal((500, r, 2 * r))
+    gram = X @ np.conj(X.swapaxes(-1, -2))
+    for mats in (H, gram):
+        eig = np.linalg.eigvalsh(mats)
+        scale = np.max(np.abs(eig), axis=-1)
+        assert np.max(np.abs(_lambda_max(stacked(mats)) - eig[:, -1]) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lambda_max_exact_cases(r):
+    rng = np.random.default_rng(30 + r)
+    c = np.array([2.5, -0.7, 1e-3, 4e3])
+    scaled_eye = c[:, None, None] * np.eye(r)
+    assert np.max(np.abs(_lambda_max(stacked(scaled_eye)) - c) / np.abs(c)) <= 1e-12
+    v = rng.standard_normal((6, r)) + 1j * rng.standard_normal((6, r))
+    rank_one = v[:, :, None] * np.conj(v[:, None, :])
+    norms = np.sum(np.abs(v) ** 2, axis=1)
+    assert np.max(np.abs(_lambda_max(stacked(rank_one)) - norms) / norms) <= 1e-12
+    assert np.max(np.abs(_lambda_max(np.zeros((r, r, 3), dtype=complex)))) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_lambda_max_repeated_largest_eigenvalue(r):
+    # the trigonometric cubic loses about sqrt(eps) at a double root
+    rng = np.random.default_rng(40 + r)
+    mats = []
+    for _ in range(50):
+        Q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+        top = rng.uniform(1.0, 3.0)
+        lam = np.concatenate([[top, top], rng.uniform(-2.0, 0.5, r - 2)])
+        mats.append((Q * lam) @ np.conj(Q.T))
+    mats = np.array(mats)
+    want = np.linalg.eigvalsh(mats)[:, -1]
+    assert np.max(np.abs(_lambda_max(stacked(mats)) - want) / want) <= 1e-7
+
+
+def block_target(spec, slot):
+    """The target of the block in ``slot`` of [gamma_d; gamma_u; gamma_c]."""
+    N = spec.n_areas
+    if slot < N:
+        return spec.t_d[slot]
+    i, j = divmod((slot - N) % (N * N), N)
+    return spec.target_u(i, j) if slot < N + N * N else spec.target_c(i, j)
+
+
+def surrogate_model(bundle, part, param, spec, n_active=None):
     builder = MapsBuilder(bundle, part)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
-    model = _SurrogateModel(bundle, param, part, spec, maps0, np.arange(param.n_free))
-    x = np.random.default_rng(seed).standard_normal(param.n_free)
-    maps = builder(q_from_x(param, x))
-    realized = tuple(frequency_response(m, model.zs) for m in (maps.forced, maps.initial))
-    return model.respond(x), realized, maps.n_x
+    k = param.n_free if n_active is None else n_active
+    return _SurrogateModel(bundle, param, part, spec, maps0, np.arange(k)), builder, maps0
+
+
+def assert_blocks_tile_maps(model, maps0):
+    """Every entry of F and I lies in exactly one block, as a stacked or a
+    fixed column."""
+    hits = [np.zeros(maps0.forced.shape, dtype=int), np.zeros(maps0.initial.shape, dtype=int)]
+    for g in model.groups:
+        for b in g.blocks:
+            cols = np.concatenate([b.cols, b.fixed_cols])
+            np.add.at(hits[b.source], (b.rows[:, None], cols[None, :]), 1)
+    assert all(np.all(h == 1) for h in hits)
+
+
+def realized_gaps(model, maps):
+    """Relative gaps between the model's per-block stacks at ``x`` (already
+    formed) and the same rows and columns of the realized maps minus the
+    targets; and between the fixed Gram terms and the realized fixed columns."""
+    resp = [frequency_response(m, model.zs) for m in (maps.forced, maps.initial)]
+    want, want_fixed, got_fixed = [], [], []
+    for g in model.groups:
+        parts, grams = [], []
+        for b in g.blocks:
+            blk = resp[b.source][:, b.rows[:, None], b.cols]
+            target = block_target(model.spec, b.slot)
+            if target is not None:
+                assert b.fixed_cols.size == 0
+                blk = blk - frequency_response(target, model.zs)
+            parts.append(blk.transpose(2, 1, 0) if b.transposed else blk.transpose(1, 2, 0))
+            w = resp[b.source][:, b.rows[:, None], b.fixed_cols].transpose(1, 2, 0)
+            grams.append(np.einsum("ikn,jkn->ijn", w, w.conj()))
+        want.append(np.concatenate(parts, axis=-1))
+        if g.fixed is not None:
+            want_fixed.append(np.concatenate(grams, axis=-1))
+            got_fixed.append(g.fixed)
+    return want, want_fixed, got_fixed
 
 
 def rel_gap(got, want):
+    got, want = (np.concatenate([a.ravel() for a in arrs]) for arrs in (got, want))
     assert got.shape == want.shape
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -181,21 +272,90 @@ def test_surrogate_matches_realized_maps_on_toy():
     plant, part, nb, bundle, param = toy_setup(seed=11)
     assert param.n_free
     spec, _ = bootstrap_spec(plant, part, bundle, param)
-    (forced, init), (forced_r, init_r), n_x = surrogate_and_realized(
-        bundle, part, param, spec, seed=12)
-    assert rel_gap(forced, forced_r) <= 1e-6
-    # this toy's bank is empty at x = 0, so the surrogate carries no
-    # controller-IC columns; the plant-IC columns exist at both points
-    assert rel_gap(init[..., :n_x], init_r[..., :n_x]) <= 1e-6
+    model, builder, maps0 = surrogate_model(bundle, part, param, spec)
+    assert_blocks_tile_maps(model, maps0)
+    x = np.random.default_rng(12).standard_normal(param.n_free)
+    want, _, _ = realized_gaps(model, builder(q_from_x(param, x)))
+    # this toy's bank is empty at x = 0, so the blocks hold no controller-IC
+    # columns; the plant-IC columns exist at both points
+    assert maps0.n_w == 0
+    assert rel_gap(model.stacks_at(x), want) <= 1e-6
 
 
-def test_surrogate_matches_realized_maps_on_mesh(grid_setup, grid_design):
+@pytest.fixture(scope="module")
+def mesh_model(grid_setup, grid_design):
     _, part, _ = grid_setup
     res = grid_design
-    (forced, init), (forced_r, init_r), _ = surrogate_and_realized(
-        res.pair.bundle, part, res.param, res.spec, seed=13)
-    assert rel_gap(forced, forced_r) <= 1e-6
-    assert rel_gap(init, init_r) <= 1e-6
+    model, builder, maps0 = surrogate_model(res.pair.bundle, part, res.param, res.spec)
+    return model, builder, maps0, res
+
+
+def test_surrogate_matches_realized_maps_on_mesh(mesh_model):
+    model, builder, maps0, res = mesh_model
+    assert_blocks_tile_maps(model, maps0)
+    x = np.random.default_rng(13).standard_normal(res.param.n_free)
+    want, want_fixed, got_fixed = realized_gaps(model, builder(q_from_x(res.param, x)))
+    assert rel_gap(model.stacks_at(x), want) <= 1e-6
+    assert got_fixed and rel_gap(got_fixed, want_fixed) <= 1e-6
+
+
+def grid_peak(resp, rows, cols, target, zs):
+    blk = resp[:, rows[:, None], cols]
+    if target is not None:
+        blk = blk - frequency_response(target, zs)
+    return np.max(np.linalg.svd(blk, compute_uv=False)[:, 0])
+
+
+def test_surrogate_objective_matches_realized_grid_peaks_on_mesh(grid_setup, mesh_model):
+    # every block weighted, no boxes: the surrogate objective at x is the sum
+    # of grid-peak singular values of the realized blocks at x
+    _, part, _ = grid_setup
+    _, builder, maps0, res = mesh_model
+    N = part.n_areas
+    spec = replace(res.spec, tau_c=np.ones((N, N)), bound_slack=np.inf)
+    spec = spec.with_bounds(np.zeros(N), np.zeros((N, N)), np.zeros((N, N)))
+    model = _SurrogateModel(res.pair.bundle, res.param, part, spec, maps0,
+                            np.arange(res.param.n_free))
+    x = 0.3 * np.random.default_rng(14).standard_normal(res.param.n_free)
+    maps = builder(q_from_x(res.param, x))
+    zs, n_x, n_u = model.zs, maps.n_x, maps.n_u
+    forced, initial = (frequency_response(m, zs) for m in (maps.forced, maps.initial))
+
+    def area(p, i, tail):
+        return np.concatenate([p.indices("x", i), n_x + p.indices(tail, i)])
+
+    want = 0.0
+    for i in range(N):
+        rows = area(part, i, "u")
+        want += grid_peak(forced, rows, np.concatenate([maps.column_block("beta_f"),
+                                                        maps.column_block("d")]),
+                          spec.t_d[i], zs)
+        for j in range(N):
+            want += grid_peak(forced, rows, area(part, j, "u"), spec.target_u(i, j), zs)
+            want += grid_peak(initial, rows, area(maps.partition, j, "w"), spec.target_c(i, j), zs)
+    assert model.objective_at(x) == pytest.approx(want, rel=1e-6)
+
+
+def test_line_search_phi_matches_objective_at_on_mesh(mesh_model):
+    model, _, _, res = mesh_model
+    x = res.x.copy()
+    for k in (0, 7, 20):
+        phi = model.line(x, k)
+        finite = 0
+        for t in (-0.3, -0.01, 0.0, 0.004, 0.05, 1e4):
+            e = np.zeros_like(x)
+            e[k] = t
+            before = model.n_evals
+            got = phi(t)
+            assert model.n_evals == before + 1
+            want = model.objective_at(x + e)
+            if np.isfinite(want):
+                finite += 1
+                assert abs(got - want) <= 1e-10 * abs(want)
+            else:
+                assert got == np.inf
+        assert finite >= 2
+        assert phi(1e4) == np.inf  # far outside the admissible boxes
 
 
 # ---------------------------------------------------------------------------
