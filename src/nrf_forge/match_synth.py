@@ -25,7 +25,10 @@ from .closed_loop import ClosedLoopMaps, area_block, build_closed_loop_maps, q_l
 from .dcf import DcfBundle
 from .errors import DimensionMismatchError
 from .lti import (
+    _GOLDEN,
     Realization,
+    _gram,
+    _lambda_max,
     delay,
     frequency_response,
     hinf_norm,
@@ -40,8 +43,6 @@ from .sparse_param import MODE_FACTORED, QParametrization, q_from_x
 
 MODE_DECOUPLE_ONLY = "decouple_only"
 MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,10 @@ def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
 
 def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
                      partition: AreaPartition):
+    """(gamma_d, gamma_u, gamma_c) at the realized maps: the H-infinity norm
+    of each matching block minus its target, through a minimal realization.
+    Each value is :func:`hinf_norm`'s largest sample seen, a lower bound on
+    the true norm."""
     opts = spec.optimizer
     N = spec.n_areas
 
@@ -211,39 +216,6 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
 # ---------------------------------------------------------------------------
 # frequency-sampled surrogate, affine in the free coefficients
 # ---------------------------------------------------------------------------
-
-def _lambda_max(H: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of hermitian matrices stacked along the trailing
-    axes of H, shape (r, r, ...): closed form for r up to three
-    (trigonometric solution of the characteristic cubic), LAPACK above."""
-    r = H.shape[0]
-    if r == 0:
-        return np.zeros(H.shape[2:])
-    if r == 1:
-        return H[0, 0].real
-    if r == 2:
-        m = 0.5 * (H[0, 0].real + H[1, 1].real)
-        h = 0.5 * (H[0, 0].real - H[1, 1].real)
-        return m + np.sqrt(h * h + np.abs(H[0, 1]) ** 2)
-    if r == 3:
-        a, b, c = (H[i, i].real for i in range(3))
-        s01, s02, s12 = np.abs(H[0, 1]) ** 2, np.abs(H[0, 2]) ** 2, np.abs(H[1, 2]) ** 2
-        q = (a + b + c) / 3.0
-        a, b, c = a - q, b - q, c - q
-        p = np.sqrt((a * a + b * b + c * c + 2.0 * (s01 + s02 + s12)) / 6.0)
-        # det(H - qI), written for a hermitian matrix
-        det = (a * b * c - a * s12 - b * s02 - c * s01
-               + 2.0 * (H[0, 1] * H[1, 2] * H[2, 0]).real)
-        safe = np.where(p > 0, p, 1.0)
-        phi = np.arccos(np.clip(det / (2.0 * safe ** 3), -1.0, 1.0)) / 3.0
-        return np.where(p > 0, q + 2.0 * p * np.cos(phi), q)
-    return np.linalg.eigvalsh(np.moveaxis(H, (0, 1), (-2, -1)))[..., -1]
-
-
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b^H of matrices stacked along the last axis: (s, t, n) -> (s, s, n)."""
-    return np.einsum("ikn,jkn->ijn", a, b.conj())
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -297,6 +269,7 @@ class _SurrogateModel:
         self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
         self.n_evals = 0
+        self._at = None   # (x, stacks, G0 per group) of the last line
         self.groups = self._base_groups(partition, maps0, active.size)
         # fill direction by direction; the controller-IC columns of a
         # direction are zero
@@ -408,12 +381,19 @@ class _SurrogateModel:
         Along the line each block is B + t d, so its Gram is
         G0 + t G1 + t^2 G2 with G0 = B B^H, G1 = B d^H + d B^H and
         G2 = d d^H; these are formed once here, and a probe only sums them.
+        The stacks B and G0 are kept for the next line, which reuses them
+        while x has not moved.
         """
+        if self._at is None or not np.array_equal(self._at[0], x_active):
+            stacks = self.stacks_at(x_active)
+            self._at = (np.array(x_active, dtype=float), stacks,
+                        [self._gram0(g, B) for g, B in zip(self.groups, stacks)])
+        _, stacks, grams0 = self._at
         quads = []
-        for g, B in zip(self.groups, self.stacks_at(x_active)):
+        for g, B, g0 in zip(self.groups, stacks, grams0):
             d = g.dirs[k]
             cross = _gram(B, d)
-            quads.append((self._gram0(g, B), cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
+            quads.append((g0, cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
 
         def phi(t: float) -> float:
             grams = []

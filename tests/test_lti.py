@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
+from conftest import shift_nilpotent
 from nrf_forge.errors import (
     DimensionMismatchError,
     NearSingularResolventError,
@@ -10,6 +12,7 @@ from nrf_forge.errors import (
 )
 from nrf_forge.lti import (
     FrequencyGrid,
+    _schur_response,
     SignalTrace,
     delay,
     evaluate,
@@ -284,6 +287,67 @@ def test_hinf_monotone_under_column_stacking():
     R2 = random_realization(rng, 2, 2, 1, rho=0.5)
     stacked = stack_cols(R1, R2)
     assert hinf_norm(stacked) >= max(hinf_norm(R1), hinf_norm(R2)) - 1e-9
+
+
+@pytest.mark.parametrize("grid_points", [256, 257, 4096])
+@pytest.mark.parametrize("a", [0.5, -0.7])
+def test_hinf_first_order_lag_closed_form(a, grid_points):
+    # ||1/(z - a)|| peaks at z = sign(a) with value 1/(1 - |a|)
+    R = make_realization([[a]], [[1.0]], [[1.0]], [[0.0]])
+    assert abs(hinf_norm(R, grid_points=grid_points) * (1.0 - abs(a)) - 1.0) <= 1e-10
+
+
+def norm_test_realizations():
+    """Seeded stable maps: tall, wide, and a wide one whose state matrix is
+    defective (a nilpotent FIR shift block feeding a stable part)."""
+    rng = np.random.default_rng(41)
+    tall = random_realization(rng, 6, 4, 2, rho=0.8)
+    wide = random_realization(rng, 5, 2, 4, rho=0.8)
+    A = scipy.linalg.block_diag(shift_nilpotent(4), random_realization(rng, 4, 1, 1, rho=0.6).A)
+    A[3, 4:] = rng.standard_normal(4)
+    defective = make_realization(A, rng.standard_normal((8, 3)), rng.standard_normal((2, 8)),
+                                 rng.standard_normal((2, 3)))
+    return [tall, wide, defective]
+
+
+def test_hinf_matches_dense_scan_on_random_mimo():
+    zs = np.exp(2j * np.pi * np.arange(2 ** 17) / 2 ** 17)
+    for R in norm_test_realizations():
+        scan = np.max(np.linalg.svd(frequency_response(R, zs), compute_uv=False)[:, 0])
+        assert abs(hinf_norm(R) - scan) <= 1e-6 * scan
+
+
+def test_schur_sweep_matches_frequency_response():
+    zs = np.exp(1j * np.pi * (np.arange(301) + 0.5) / 301)
+    for R in norm_test_realizations():
+        for S in (R, transpose(R)):
+            want = frequency_response(S, zs).transpose(1, 2, 0)
+            got = _schur_response(S, zs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_hinf_order_zero_is_largest_singular_value():
+    # a scaled signed partial permutation: every SVD path gets its
+    # singular values (2.5, 1.5, 0.25) exactly
+    D = np.array([[0.0, -2.5, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.25]])
+    assert hinf_norm(from_gain(D)) == np.linalg.svd(D, compute_uv=False)[0] == 2.5
+    assert hinf_norm(from_gain(np.zeros((2, 3)))) == 0.0
+
+
+def test_mesh_certification_makes_no_single_point_evaluation(grid_setup, grid_design,
+                                                            monkeypatch):
+    import nrf_forge.lti as lti
+    from nrf_forge.match_synth import MapsBuilder, constraint_norms
+
+    calls = []
+    real = lti.evaluate
+    monkeypatch.setattr(lti, "evaluate", lambda R, z: calls.append(z) or real(R, z))
+    _, part, _ = grid_setup
+    res = grid_design
+    gammas, _ = constraint_norms(res.param, np.zeros(res.param.n_free), res.spec,
+                                 MapsBuilder(res.pair.bundle, part))
+    assert calls == []
+    assert all(np.all(np.isfinite(g)) for g in gammas)
 
 
 # ---------------------------------------------------------------------------

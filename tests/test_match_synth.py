@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from conftest import deadbeat_bundle, random_stable_plant
 from nrf_forge.closed_loop import area_block
-from nrf_forge.lti import delay, evaluate, frequency_response, make_realization
+from nrf_forge.lti import _lambda_max, delay, evaluate, frequency_response, make_realization
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     AlgorithmReport,
@@ -12,7 +12,6 @@ from nrf_forge.match_synth import (
     OptimizerSettings,
     SynthesisSpec,
     _SurrogateModel,
-    _lambda_max,
     constraint_norms,
     default_targets,
     make_surrogate_objective,
