@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import io as artifact_io
 from .closed_loop import build_closed_loop_maps, prediction_model
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, UncontrollableModeError
 from .grid import (
     build_grid_plant,
     coefficients_from_dict,
@@ -206,7 +207,11 @@ def cmd_design(args) -> int:
 
     from .match_synth import default_targets
     spec = default_targets(partition, plant.n_d, optimizer=opts)
-    result = run_algorithm1(plant, partition, nb, spec, algo)
+    try:
+        result = run_algorithm1(plant, partition, nb, spec, algo)
+    except UncontrollableModeError as exc:
+        print(f"design infeasible: {exc}")
+        return EXIT_INFEASIBLE
     if isinstance(result, AlgorithmReport):
         print(f"design infeasible: {result.message}")
         if result.detail is not None:
@@ -406,6 +411,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}")
+        return EXIT_CONFIG
+    except json.JSONDecodeError as exc:
+        print(f"configuration error: malformed JSON in {exc}")
         return EXIT_CONFIG
 
 

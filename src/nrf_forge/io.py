@@ -91,7 +91,12 @@ def _plainify(obj):
 
 def load_document(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        # name the file; the decoder alone reports only line and column
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 def matrix_doc(M: np.ndarray) -> dict:

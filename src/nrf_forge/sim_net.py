@@ -11,6 +11,12 @@ simulations agree to floating-point reordering.
 Message semantics are synchronous lock-step: all areas exchange, then all
 step.  A delayed-message mode exists purely as an off-spec negative control
 for tests.
+
+Independent scenarios can be stepped together: signal channels may carry a
+trailing scenario axis, (horizon, dim, S), and the initial states are then
+(dim, S) with traces of shape (horizon, dim, S).  Every step is one matrix
+product over all S columns; a single scenario stays one-dimensional.
+:func:`stack_scenarios` builds such a batch from equally sized scenarios.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ class ScenarioSignals:
     """Exogenous traces of one scenario; absent channels default to zero.
 
     Compound channels are always recomputed from the parts:
-    beta_x = zeta + u_s1 + beta_s1 and beta_u = u_s2 + beta_s2.
+    beta_x = zeta + u_s1 + beta_s1 and beta_u = u_s2 + beta_s2.  Channels
+    are (horizon, dim), or (horizon, dim, S) for a batch of S scenarios, in
+    which case every present channel carries the same S.
     """
 
     horizon: int
@@ -53,25 +61,38 @@ class ScenarioSignals:
              "beta_s1": "n_x", "beta_s2": "n_u", "beta_f": "n_u", "beta_w": None}
 
     def __post_init__(self):
+        batches = set()
         for name, dim_attr in self._dims.items():
             arr = getattr(self, name)
             if arr is None:
                 continue
             arr = np.asarray(arr, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.horizon:
+            if arr.ndim not in (2, 3) or arr.shape[0] != self.horizon:
                 raise DimensionMismatchError(
-                    f"signal {name!r} must be (horizon, dim), got {arr.shape}"
+                    f"signal {name!r} must be (horizon, dim) or (horizon, dim, S), got {arr.shape}"
                 )
             if dim_attr is not None and arr.shape[1] != getattr(self, dim_attr):
                 raise DimensionMismatchError(
                     f"signal {name!r} has dim {arr.shape[1]}, expected {getattr(self, dim_attr)}"
                 )
+            batches.add(arr.shape[2:])
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if len(batches) > 1:
+            raise DimensionMismatchError(f"signal channels disagree on the scenario axis: {batches}")
+
+    @property
+    def batch(self) -> tuple:
+        """() for one scenario, (S,) for a batch of S."""
+        for name in self._dims:
+            arr = getattr(self, name)
+            if arr is not None:
+                return arr.shape[2:]
+        return ()
 
     def _get(self, name: str, dim: int) -> np.ndarray:
         arr = getattr(self, name)
-        return arr if arr is not None else np.zeros((self.horizon, dim))
+        return arr if arr is not None else np.zeros((self.horizon, dim) + self.batch)
 
     @property
     def beta_x(self) -> np.ndarray:
@@ -159,9 +180,39 @@ def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
     return ScenarioSignals(horizon, n_x, n_u, n_d, start_index, seed, **channels)
 
 
+def stack_scenarios(scenarios) -> ScenarioSignals:
+    """Stack equally sized single scenarios along a trailing scenario axis.
+
+    A channel present in some scenarios is zero in the others; the batch
+    keeps no seed.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise ValueError("no scenarios to stack")
+    first = scenarios[0]
+    layout = (first.horizon, first.n_x, first.n_u, first.n_d, first.start_index)
+    for s in scenarios:
+        if s.batch or (s.horizon, s.n_x, s.n_u, s.n_d, s.start_index) != layout:
+            raise DimensionMismatchError("only equally sized single scenarios can be stacked")
+    channels = {}
+    for name, dim_attr in ScenarioSignals._dims.items():
+        present = [getattr(s, name) for s in scenarios if getattr(s, name) is not None]
+        if present:
+            dim = getattr(first, dim_attr) if dim_attr else present[0].shape[1]
+            channels[name] = np.stack([s._get(name, dim) for s in scenarios], axis=-1)
+    if not channels:
+        # an all-zero batch still needs one channel to carry its size
+        channels["d"] = np.zeros((first.horizon, first.n_d, len(scenarios)))
+    return ScenarioSignals(*layout, **channels)
+
+
 @dataclass(frozen=True)
 class LoopTrace:
-    """Closed-loop time series plus the metadata needed to replay them."""
+    """Closed-loop time series plus the metadata needed to replay them.
+
+    Each series is (horizon, dim), or (horizon, dim, S) for a batch of S
+    scenarios; the :class:`SignalTrace` views are for single scenarios.
+    """
 
     x: np.ndarray
     u_f: np.ndarray
@@ -191,12 +242,21 @@ class LoopTrace:
 
 def _reported_state_noise(signals: ScenarioSignals, horizon: int, n_w: int) -> np.ndarray:
     if signals.beta_w is None:
-        return np.zeros((horizon, n_w))
+        return np.zeros((horizon, n_w) + signals.batch)
     if signals.beta_w.shape[1] != n_w:
         raise DimensionMismatchError(
             f"beta_w has dim {signals.beta_w.shape[1]}, controller order is {n_w}"
         )
     return signals.beta_w[:horizon]
+
+
+def _initial_state(v, dim: int, batch: tuple, name: str) -> np.ndarray:
+    """Copy of ``v`` shaped (dim,) + batch; a single scenario stays 1-d."""
+    v = np.array(v, dtype=float)
+    shape = (dim,) + batch
+    if v.shape != shape and (batch or v.size != dim):
+        raise DimensionMismatchError(f"{name} has shape {v.shape}, expected {shape}")
+    return v.reshape(shape)
 
 
 def _check_no_algebraic_loop(D: np.ndarray, n_u: int) -> None:
@@ -213,6 +273,8 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
 
     ``controller`` is either the stacked bank realization (inputs ordered
     [u_f + beta_f; x + beta_x]) or a list of :class:`AreaController`.
+    ``x_c`` and ``w_c`` are (dim,) for one scenario and (dim, S) for signals
+    batched over S scenarios.
     """
     if isinstance(controller, (list, tuple)):
         controller = stacked_bank(controller)
@@ -226,17 +288,16 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
         )
     _check_no_algebraic_loop(controller.D, n_u)
     D_x = controller.D[:, n_u:]
-    x = np.asarray(x_c, dtype=float).ravel().copy()
-    w = np.asarray(w_c, dtype=float).ravel().copy()
-    if x.size != n_x or w.size != controller.order:
-        raise DimensionMismatchError("initial condition sizes do not match")
+    batch = signals.batch
+    x = _initial_state(x_c, n_x, batch, "x_c")
+    w = _initial_state(w_c, controller.order, batch, "w_c")
     beta_x, beta_u = signals.beta_x, signals.beta_u
     beta_f, d = signals.beta_f_full, signals.d_full
     beta_w = _reported_state_noise(signals, T, controller.order)
-    X = np.empty((T, n_x))
-    UF = np.empty((T, n_u))
-    U = np.empty((T, n_u))
-    W = np.empty((T, controller.order))
+    X = np.empty((T, n_x) + batch)
+    UF = np.empty((T, n_u) + batch)
+    U = np.empty((T, n_u) + batch)
+    W = np.empty((T, controller.order) + batch)
     A, B_u, B_d = plant.A, plant.B_u, plant.B_d
     A_w, B_w, C_w = controller.A, controller.B, controller.C
     for k in range(T):
@@ -266,21 +327,23 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     is expected to have passed the communication-constraint check first).
     ``delay_messages=True`` switches to one-step-old neighbour messages, an
     off-spec demo mode that breaks equivalence with the monolithic loop.
+    Batched signals step all their scenarios at once, as in
+    :func:`simulate_monolithic`.
     """
     T = horizon if horizon is not None else signals.horizon
     if T > signals.horizon:
         raise DimensionMismatchError("horizon exceeds the provided signal traces")
     n_x, n_u = plant.n_x, plant.n_u
     N = partition.n_areas
-    x = np.asarray(x_c, dtype=float).ravel().copy()
+    batch = signals.batch
+    n_w_total = sum(c.order for c in bank)
+    x = _initial_state(x_c, n_x, batch, "x_c")
+    w_c = _initial_state(w_c, n_w_total, batch, "w_c")
     w_parts = []
     off = 0
-    w_c = np.asarray(w_c, dtype=float).ravel()
     for ctrl in bank:
-        w_parts.append(w_c[off:off + ctrl.order].copy())
+        w_parts.append(w_c[off:off + ctrl.order])
         off += ctrl.order
-    if off != w_c.size:
-        raise DimensionMismatchError("w_c length does not match the bank")
 
     # per-area column views into the controller input [u_f-bundle; x-bundle],
     # with the feedthrough and input-matrix slices that read them
@@ -305,25 +368,23 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
 
     beta_x, beta_u = signals.beta_x, signals.beta_u
     beta_f, d = signals.beta_f_full, signals.d_full
-    n_w_total = sum(c.order for c in bank)
     beta_w = _reported_state_noise(signals, T, n_w_total)
-    X = np.empty((T, n_x))
-    UF = np.empty((T, n_u))
-    U = np.empty((T, n_u))
-    W = np.empty((T, n_w_total))
+    X = np.empty((T, n_x) + batch)
+    UF = np.empty((T, n_u) + batch)
+    U = np.empty((T, n_u) + batch)
+    W = np.empty((T, n_w_total) + batch)
     A, B_u, B_d = plant.A, plant.B_u, plant.B_d
     u_idx = [partition.indices("u", i) for i in range(N)]
-    x_idx = [partition.indices("x", i) for i in range(N)]
-    prev_state_msg = np.zeros(n_x)
-    prev_cmd_msg = np.zeros(n_u)
+    prev_state_msg = np.zeros((n_x,) + batch)
+    prev_cmd_msg = np.zeros((n_u,) + batch)
     for k in range(T):
         X[k] = x
-        W[k] = (np.concatenate(w_parts) if w_parts else np.zeros(0)) + beta_w[k]
+        W[k] = (np.concatenate(w_parts) if w_parts else np.zeros((0,) + batch)) + beta_w[k]
         # broadcast phase: every area publishes its measured-state bundle
         state_msg = x + beta_x[k]
         state_src = prev_state_msg if (delay_messages and k > 0) else state_msg
         # local command computation (state messages only; no u_f feedthrough)
-        u_f = np.empty(n_u)
+        u_f = np.empty((n_u,) + batch)
         for i, ctrl in enumerate(bank):
             _, cols_x, D_state, _, _ = local[i]
             contrib = D_state @ state_src[cols_x]

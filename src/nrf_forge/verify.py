@@ -4,6 +4,12 @@ Every check returns a (name, measured, threshold, passed) record; the CLI
 renders one line per record and fails the run when any record fails.  The
 closed-loop identity check is the non-circular certificate: the maps are
 assembled by factor algebra, the traces by stepping the loop.
+
+Scenarios are stepped together as columns of one batch (the equivalence
+check in blocks of ``EQUIVALENCE_BLOCK`` to bound memory), each generated just
+before its block from the suite's generator.  The sparsity closure evaluates
+each random draw's controller pointwise from the coprime factors; one draw
+is also formed as a realized pair to cross-check that route.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from .closed_loop import ClosedLoopMaps, decompose_response, prediction_model, reconstructed_response
 from .dcf import DcfBundle, verify_bezout
-from .errors import CommConstraintError, SparsityInheritanceError
+from .errors import CommConstraintError, NonzeroFeedthroughError, SparsityInheritanceError
 from .lti import (
     FrequencyGrid,
     SignalTrace,
@@ -25,8 +31,11 @@ from .lti import (
 from .nrf import check_comm_constraints, extract_row, form_nrf_pair, verify_sparsity_inheritance
 from .partition import AreaPartition, Neighborhoods
 from .plant import Plant
-from .sim_net import compose_signals, simulate_distributed, simulate_monolithic
+from .sim_net import compose_signals, simulate_distributed, simulate_monolithic, stack_scenarios
 from .sparse_param import QParametrization, q_from_x
+
+# scenarios per batch of the distributed-equivalence check
+EQUIVALENCE_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     records: list[CheckRecord] = []
     rng = np.random.default_rng(seed)
     pair = maps.pair
-    n_x, n_u, n_d = plant.n_x, plant.n_u, plant.n_d
+    n_u = plant.n_u
     grid64 = FrequencyGrid.chebyshev(64)
 
     records.append(_rec("bezout_residual",
@@ -123,40 +132,44 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
 
     # closed-loop identity: simulation vs map reconstruction
     n_w = maps.n_w
+    scenarios, sig, x_c, w_c = _scenario_batch(
+        rng, identity_scenarios, 200, plant, n_w,
+        {"d": 0.5, "zeta": 0.1, "u_s1": 0.3, "u_s2": 0.2, "beta_f": 0.05, "beta_s2": 0.05})
+    tr = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
     worst = 0.0
-    for _ in range(identity_scenarios):
-        sig = compose_signals(200, n_x, n_u, n_d, seed=int(rng.integers(2**31)),
-                              amplitudes={"d": 0.5, "zeta": 0.1, "u_s1": 0.3,
-                                          "u_s2": 0.2, "beta_f": 0.05, "beta_s2": 0.05})
-        x_c = rng.uniform(-1, 1, n_x)
-        w_c = rng.uniform(-1, 1, n_w)
-        tr = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
-        rec = reconstructed_response(maps, sig.stacked_disturbance(), x_c, w_c)
-        worst = max(worst, float(np.max(np.abs(tr.outputs().samples - rec.samples))))
+    for s, one in enumerate(scenarios):
+        rec = reconstructed_response(maps, one.stacked_disturbance(), x_c[:, s], w_c[:, s])
+        sim = np.hstack([tr.x[:, :, s], tr.u_f[:, :, s]])
+        worst = max(worst, float(np.max(np.abs(sim - rec.samples))))
     records.append(_rec("closed_loop_identity", worst, 1e-6,
                         f"{identity_scenarios} scenarios x 200 steps"))
 
     worst = 0.0
-    for _ in range(equivalence_scenarios):
-        sig = compose_signals(500, n_x, n_u, n_d, seed=int(rng.integers(2**31)),
-                              amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2,
-                                          "u_s2": 0.2, "beta_f": 0.02})
-        x_c = rng.uniform(-1, 1, n_x)
-        w_c = rng.uniform(-1, 1, n_w)
+    for start in range(0, equivalence_scenarios, EQUIVALENCE_BLOCK):
+        _, sig, x_c, w_c = _scenario_batch(
+            rng, min(EQUIVALENCE_BLOCK, equivalence_scenarios - start), 500, plant, n_w,
+            {"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.02})
         tm = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
         td = simulate_distributed(plant, list(bank), partition, nb, sig, x_c, w_c)
-        err = max(float(np.max(np.abs(tm.x - td.x))), float(np.max(np.abs(tm.u_f - td.u_f))),
-                  float(np.max(np.abs(tm.w - td.w))) if tm.w.size else 0.0)
-        worst = max(worst, err)
+        worst = max(worst, float(np.max(np.abs(tm.x - td.x))),
+                    float(np.max(np.abs(tm.u_f - td.u_f))),
+                    float(np.max(np.abs(tm.w - td.w), initial=0.0)))
     records.append(_rec("distributed_equivalence", worst, 1e-10,
                         f"{equivalence_scenarios} scenarios x 500 steps"))
 
     if param is not None and param.n_free:
+        draws = [rng.standard_normal(param.n_free) for _ in range(closure_draws)]
+        mask = _off_pattern_mask(partition, nb)
         worst = 0.0
-        for _ in range(closure_draws):
-            xr = rng.standard_normal(param.n_free)
-            pr = form_nrf_pair(bundle, q_from_x(param, xr))
-            worst = max(worst, _comm_pattern_residual(pr.kd, partition, nb, zs))
+        kds = kd_responses(bundle, (param.taps_from_x(xr) for xr in draws), zs)
+        for k, kd in enumerate(kds):
+            worst = max(worst, float(np.max(np.abs(kd[:, mask]), initial=0.0)))
+            if k == 0:
+                # the pointwise route must agree with the realized pair
+                realized = frequency_response(form_nrf_pair(bundle, q_from_x(param, draws[0])).kd, zs)
+                scale = max(1.0, float(np.max(np.abs(realized))))
+                worst = max(worst, float(np.max(np.abs(realized[:, mask]), initial=0.0)),
+                            float(np.max(np.abs(kd - realized))) / scale)
         records.append(_rec("sparsity_closure", worst, 1e-8,
                             f"{closure_draws} random draws"))
 
@@ -164,7 +177,7 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     try:
         models = [prediction_model(maps, partition, i) for i in range(partition.n_areas)]
         records.append(_rec("prediction_model_feedthrough", 0.0, 0.0))
-    except Exception as exc:  # NonzeroFeedthroughError
+    except NonzeroFeedthroughError as exc:
         models = None
         records.append(CheckRecord("prediction_model_feedthrough", 1.0, 0.0, False, str(exc)))
     if models is not None:
@@ -174,18 +187,53 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     return records
 
 
-def _comm_pattern_residual(kd, partition: AreaPartition, nb: Neighborhoods, zs) -> float:
-    resp = frequency_response(kd, zs)
+def _scenario_batch(rng, count: int, horizon: int, plant: Plant, n_w: int, amplitudes: dict):
+    """``count`` scenarios drawn from ``rng`` in order, and their stacked batch.
+
+    Returns the single scenarios, the batched signals and the (dim, count)
+    initial states.
+    """
+    scenarios, x_cs, w_cs = [], [], []
+    for _ in range(count):
+        scenarios.append(compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
+                                         seed=int(rng.integers(2**31)), amplitudes=amplitudes))
+        x_cs.append(rng.uniform(-1, 1, plant.n_x))
+        w_cs.append(rng.uniform(-1, 1, n_w))
+    return (scenarios, stack_scenarios(scenarios),
+            np.stack(x_cs, axis=-1), np.stack(w_cs, axis=-1))
+
+
+def kd_responses(bundle: DcfBundle, taps_seq, zs):
+    """kd(z) = [I - Yqd^-1 Yq, Yqd^-1 Xq] on ``zs`` for each Q in ``taps_seq``.
+
+    Each element of ``taps_seq`` is an FIR tap tensor (q, n_u, n_x) of
+    Q(z) = sum_t taps[t] z^{-t-1}; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is
+    the diagonal of Yq, as in :func:`closed_loop.q_linear_responses`.  The
+    four factor responses are evaluated once; yields one (G, n_u, n_u + n_x)
+    stack per tap tensor.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    yt, xt, nt, mt = (frequency_response(f, zs) for f in (bundle.Yt, bundle.Xt, bundle.Nt, bundle.Mt))
+    eye = np.eye(bundle.n_u)
+    for taps in taps_seq:
+        powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
+        q_resp = np.einsum("gt,tij->gij", powers, taps)
+        yq = yt + q_resp @ nt
+        inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
+        yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_resp @ mt)], axis=-1)
+
+
+def _off_pattern_mask(partition: AreaPartition, nb: Neighborhoods) -> np.ndarray:
+    """Entries of kd = [Phi, Gamma] that the communication sets force to zero."""
     n_u = partition.n_u
-    worst = 0.0
+    mask = np.zeros((n_u, n_u + partition.n_x), dtype=bool)
     for i in range(partition.n_areas):
-        rows = partition.indices("u", i)
+        rows = partition.indices("u", i)[:, None]
         for j in range(partition.n_areas):
-            if j in nb.of(i):
-                continue
-            cols = np.concatenate([partition.indices("u", j), n_u + partition.indices("x", j)])
-            worst = max(worst, float(np.max(np.abs(resp[:, rows[:, None], cols[None, :]]))))
-    return worst
+            if j not in nb.of(i):
+                mask[rows, partition.indices("u", j)] = True
+                mask[rows, n_u + partition.indices("x", j)] = True
+    return mask
 
 
 def _decomposition_residual(plant: Plant, partition: AreaPartition, nb: Neighborhoods,

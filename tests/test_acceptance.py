@@ -38,9 +38,14 @@ from nrf_forge.match_synth import (
 from nrf_forge.nrf import check_comm_constraints, extract_row, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
-from nrf_forge.sim_net import compose_signals, simulate_distributed, simulate_monolithic
+from nrf_forge.sim_net import (
+    compose_signals,
+    simulate_distributed,
+    simulate_monolithic,
+    stack_scenarios,
+)
 from nrf_forge.sparse_param import QParametrization, q_from_x
-from nrf_forge.verify import run_invariant_suite
+from nrf_forge.verify import EQUIVALENCE_BLOCK, run_invariant_suite
 
 
 def _line(num, name, passed, detail):
@@ -128,11 +133,15 @@ def test_criterion_4_distributed_equivalence(grid_design, grid_setup):
     n_w = grid_design.maps.n_w
     rng = np.random.default_rng(1004)
     worst = 0.0
-    for _ in range(100):
-        sig = compose_signals(500, 10, 5, 5, seed=int(rng.integers(2**31)),
-                              amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2})
-        x_c = rng.uniform(-1, 1, 10)
-        w_c = rng.uniform(-1, 1, n_w)
+    for start in range(0, 100, EQUIVALENCE_BLOCK):
+        sigs, x_cs, w_cs = [], [], []
+        for _ in range(min(EQUIVALENCE_BLOCK, 100 - start)):
+            sigs.append(compose_signals(500, 10, 5, 5, seed=int(rng.integers(2**31)),
+                                        amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2,
+                                                    "u_s2": 0.2}))
+            x_cs.append(rng.uniform(-1, 1, 10))
+            w_cs.append(rng.uniform(-1, 1, n_w))
+        sig, x_c, w_c = stack_scenarios(sigs), np.stack(x_cs, axis=-1), np.stack(w_cs, axis=-1)
         tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
         td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
         err = max(float(np.max(np.abs(tm.x - td.x))), float(np.max(np.abs(tm.u_f - td.u_f))),

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +141,11 @@ def test_cli_verify_passes(cli_run, capsys):
     out = capsys.readouterr().out
     assert "PASS  bezout_residual" in out
     assert "FAIL" not in out
+    # the scenario counts are part of the certificate, not a speed knob
+    report = open(os.path.join(cli_run, "verify_report.txt")).read()
+    assert len(report.strip().splitlines()) == 19
+    for note in ("20 scenarios x 200 steps", "100 scenarios x 500 steps", "100 random draws"):
+        assert note in report
 
 
 def test_cli_simulate_deterministic(cli_run):
@@ -176,6 +182,38 @@ def test_cli_design_q1_is_config_error(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("configuration error:") and "q >= 2" in lines[0]
+
+
+def test_cli_malformed_json_is_config_error(cli_run, tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"schema_version": 1,')
+    assert main(["design", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    run = str(tmp_path / "run")
+    shutil.copytree(cli_run, run)
+    with open(os.path.join(run, "plant.json"), "w") as fh:
+        fh.write("{not json")
+    capsys.readouterr()
+    for cmd in ("verify", "simulate"):
+        assert main([cmd, "--out", run]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error: malformed JSON in") and "plant.json" in lines[0]
+
+
+def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):
+    # state 1 is decoupled from every input: its mode at z = 1.2 is unreachable
+    A = np.diag([1.2, 0.5, 0.4, 0.3])
+    A[1, 0] = 0.1
+    B_u = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.5]])
+    cfg = {"schema_version": 1,
+           "plant": {"A": A.tolist(), "B_u": B_u.tolist(), "B_d": np.ones((4, 1)).tolist()},
+           "partition": [[2, 1], [2, 1]], "neighborhoods": [[1, 2], [1, 2]]}
+    path = tmp_path / "cfg.json"
+    artifact_io.dump_document(cfg, str(path))
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("design infeasible:") and "not controllable" in lines[0]
 
 
 def test_cli_infeasible_exit_code(tmp_path):

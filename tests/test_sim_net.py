@@ -3,7 +3,7 @@ import pytest
 
 from conftest import deadbeat_bundle
 from nrf_forge.closed_loop import build_closed_loop_maps, ic_response
-from nrf_forge.errors import AlgebraicLoopError, DimensionMismatchError
+from nrf_forge.errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
 from nrf_forge.lti import fir_realization, impulse_response
 from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
@@ -12,7 +12,11 @@ from nrf_forge.sim_net import (
     compose_signals,
     simulate_distributed,
     simulate_monolithic,
+    stack_scenarios,
 )
+
+# batched and column-by-column stepping differ only by BLAS reordering
+BATCH_TOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +235,90 @@ def test_metadata_carried_on_traces(loop):
     assert tr.seed == 77
     assert tr.mode == "monolithic"
     assert tr.horizon == 10
+
+
+# ---------------------------------------------------------------------------
+# scenario batches
+# ---------------------------------------------------------------------------
+
+def _grid_batch(design, count, horizon, seed):
+    rng = np.random.default_rng(seed)
+    n_w = design.maps.n_w
+    singles = [compose_signals(horizon, 10, 5, 5, seed=int(rng.integers(2**31)),
+                               amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2,
+                                           "u_s2": 0.2, "beta_f": 0.02},
+                               traces={"beta_w": rng.standard_normal((horizon, n_w))})
+               for _ in range(count)]
+    x_c = rng.uniform(-1, 1, (10, count))
+    w_c = rng.uniform(-1, 1, (n_w, count))
+    return singles, x_c, w_c
+
+
+def test_stack_scenarios_layout():
+    a = compose_signals(30, 4, 2, 2, seed=1, amplitudes={"d": 0.5, "zeta": 0.1})
+    b = compose_signals(30, 4, 2, 2, seed=2, amplitudes={"d": 0.5, "u_s2": 0.3})
+    both = stack_scenarios([a, b])
+    assert both.batch == (2,) and a.batch == ()
+    assert both.d.shape == (30, 2, 2) and both.u_s1 is None
+    assert np.array_equal(both.beta_x[:, :, 0], a.beta_x)
+    assert np.array_equal(both.beta_u[:, :, 1], b.beta_u)
+    assert np.max(np.abs(both.beta_u[:, :, 0])) == 0.0
+    zero = stack_scenarios([compose_signals(30, 4, 2, 2, seed=s) for s in range(3)])
+    assert zero.batch == (3,)
+    with pytest.raises(DimensionMismatchError):
+        stack_scenarios([a, compose_signals(31, 4, 2, 2, seed=3)])
+    with pytest.raises(DimensionMismatchError):
+        ScenarioSignals(30, 4, 2, 2, d=np.zeros((30, 2, 3)), zeta=np.zeros((30, 4, 2)))
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "distributed"])
+def test_batch_matches_single_runs(grid_design, grid_setup, mode):
+    plant, part, nb = grid_setup
+    bank = list(grid_design.bank)
+    singles, x_c, w_c = _grid_batch(grid_design, 7, 150, seed=21)
+
+    def run(sig, x0, w0):
+        if mode == "monolithic":
+            return simulate_monolithic(plant, bank, sig, x0, w0)
+        return simulate_distributed(plant, bank, part, nb, sig, x0, w0)
+
+    batch = run(stack_scenarios(singles), x_c, w_c)
+    assert batch.x.shape == (150, 10, 7) and batch.w.shape == (150, grid_design.maps.n_w, 7)
+    for s, sig in enumerate(singles):
+        one = run(sig, x_c[:, s], w_c[:, s])
+        assert one.x.ndim == 2
+        for name in ("x", "u_f", "u", "w"):
+            assert np.max(np.abs(getattr(batch, name)[:, :, s] - getattr(one, name))) <= BATCH_TOL
+
+
+def test_batched_delayed_messages_break_equivalence(grid_design, grid_setup):
+    plant, part, nb = grid_setup
+    bank = list(grid_design.bank)
+    singles, x_c, w_c = _grid_batch(grid_design, 3, 100, seed=22)
+    sig = stack_scenarios(singles)
+    tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=True)
+    assert np.min(np.max(np.abs(tm.x - td.x), axis=(0, 1))) > 1e-6
+
+
+def test_batched_out_of_set_read_raises(grid_design, grid_setup):
+    plant, part, _ = grid_setup
+    isolated = Neighborhoods(tuple(frozenset({i}) for i in range(part.n_areas)))
+    singles, x_c, w_c = _grid_batch(grid_design, 2, 20, seed=23)
+    with pytest.raises(CommConstraintError):
+        simulate_distributed(plant, list(grid_design.bank), part, isolated,
+                             stack_scenarios(singles), x_c, w_c)
+
+
+def test_batch_size_mismatch_rejected(grid_design, grid_setup):
+    plant, part, nb = grid_setup
+    bank = list(grid_design.bank)
+    singles, x_c, w_c = _grid_batch(grid_design, 3, 20, seed=24)
+    sig = stack_scenarios(singles)
+    for x0, w0 in ((x_c[:, :2], w_c), (x_c, w_c[:, :2]), (x_c[:, 0], w_c[:, 0])):
+        with pytest.raises(DimensionMismatchError):
+            simulate_monolithic(plant, bank, sig, x0, w0)
+        with pytest.raises(DimensionMismatchError):
+            simulate_distributed(plant, bank, part, nb, sig, x0, w0)
+    with pytest.raises(DimensionMismatchError):
+        simulate_monolithic(plant, bank, singles[0], x_c, w_c)
