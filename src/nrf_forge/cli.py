@@ -23,7 +23,8 @@ import numpy as np
 
 from . import io as artifact_io
 from .closed_loop import build_closed_loop_maps, prediction_model
-from .errors import DimensionMismatchError, UncontrollableModeError
+from .dcf import STRATEGY_BLOCK_DEADBEAT, STRATEGY_USER
+from .errors import DimensionMismatchError, NonStabilizingGainsError, UncontrollableModeError
 from .grid import (
     build_grid_plant,
     coefficients_from_dict,
@@ -130,11 +131,17 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
         raise ConfigError(f"unknown param_mode {mode!r}; expected one of {sorted(MIN_FIR_DEGREE)}")
     if q < MIN_FIR_DEGREE[mode]:
         raise ConfigError(f"FIR degree q = {q} is too small; {mode} mode needs q >= {MIN_FIR_DEGREE[mode]}")
+    strategy = str(syn.get("gain_strategy", STRATEGY_BLOCK_DEADBEAT))
+    if strategy != STRATEGY_BLOCK_DEADBEAT:
+        why = ("needs explicit F and L, which a config cannot supply" if strategy == STRATEGY_USER
+               else "is unknown")
+        raise ConfigError(f"gain_strategy {strategy!r} {why}; "
+                          f"a config may only use {STRATEGY_BLOCK_DEADBEAT!r}")
     return AlgorithmConfig(
         q=q,
         param_mode=mode,
         preserve_diagonal=bool(syn.get("preserve_diagonal", True)),
-        gain_strategy=str(syn.get("gain_strategy", "block_diagonalizing_F_deadbeat_L")),
+        gain_strategy=strategy,
         bezout_grid=int(syn.get("bezout_grid", 512)),
         bound_slack=float(syn.get("bound_slack", 0.0)),
     )
@@ -209,7 +216,7 @@ def cmd_design(args) -> int:
     spec = default_targets(partition, plant.n_d, optimizer=opts)
     try:
         result = run_algorithm1(plant, partition, nb, spec, algo)
-    except UncontrollableModeError as exc:
+    except (UncontrollableModeError, NonStabilizingGainsError) as exc:
         print(f"design infeasible: {exc}")
         return EXIT_INFEASIBLE
     if isinstance(result, AlgorithmReport):
@@ -251,7 +258,7 @@ def _write_synthesis_report(result, out: str) -> None:
     with open(os.path.join(out, "gamma_table.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out, "objective_trace.csv"), "w") as fh:
-        fh.write("step,objective\n")
+        fh.write("step,surrogate_objective\n")
         for k, v in enumerate(result.objective_log):
             fh.write(f"{k},{v:.17g}\n")
     report = [

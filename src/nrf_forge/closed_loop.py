@@ -235,32 +235,33 @@ def _z_rows(partition: AreaPartition, i: int, n_x: int) -> np.ndarray:
     return np.concatenate([partition.indices("x", i), n_x + partition.indices("u", i)])
 
 
-def area_block(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,
-               i: int, j: int | None = None) -> Realization:
-    """Minimal realization of one area-level block of the closed-loop maps.
+def block_indices(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,
+                  i: int, j: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """(source, rows, cols) of one area-level block of the closed-loop maps;
+    source 0 is the forced map, 1 the initial-condition map.
 
     kind 'disturbance': response of area i to [beta_f; d].
     kind 'coupling':    response of area i to area j's injected commands.
     kind 'init':        response of area i to area j's initial conditions.
     """
-    n_x, n_u = maps.n_x, maps.n_u
-    rows = _z_rows(partition, i, n_x)
+    rows = _z_rows(partition, i, maps.n_x)
     if kind == "disturbance":
-        cols = np.concatenate([maps.column_block("beta_f"), maps.column_block("d")])
-        return minimal(select_cols(select_rows(maps.forced, rows), cols))
+        return 0, rows, np.concatenate([maps.column_block("beta_f"), maps.column_block("d")])
+    if kind not in ("coupling", "init"):
+        raise ValueError(f"unknown block kind {kind!r}")
+    if j is None:
+        raise ValueError(f"{kind} block needs a source area j")
     if kind == "coupling":
-        if j is None:
-            raise ValueError("coupling block needs a source area j")
-        cols = np.concatenate([partition.indices("x", j),
-                               n_x + partition.indices("u", j)])
-        return minimal(select_cols(select_rows(maps.forced, rows), cols))
-    if kind == "init":
-        if j is None:
-            raise ValueError("init block needs a source area j")
-        part = maps.partition
-        cols = np.concatenate([part.indices("x", j), n_x + part.indices("w", j)])
-        return minimal(select_cols(select_rows(maps.initial, rows), cols))
-    raise ValueError(f"unknown block kind {kind!r}")
+        return 0, rows, _z_rows(partition, j, maps.n_x)
+    part = maps.partition
+    return 1, rows, np.concatenate([part.indices("x", j), maps.n_x + part.indices("w", j)])
+
+
+def area_block(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,
+               i: int, j: int | None = None) -> Realization:
+    """Minimal realization of one area-level block (see :func:`block_indices`)."""
+    src, rows, cols = block_indices(maps, partition, kind, i, j)
+    return minimal(select_cols(select_rows((maps.forced, maps.initial)[src], rows), cols))
 
 
 @dataclass(frozen=True)

@@ -484,80 +484,166 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ikn,jkn->ijn", a, b.conj())
 
 
+@dataclass(frozen=True)
+class _SchurForm:
+    """A realization in complex Schur coordinates: with A = Z T Z^H and T
+    upper triangular, R(z) = CZ (zI - T)^{-1} ZB + D for CZ = C Z and
+    ZB = Z^H B.  One reduction serves every sub-block of R, at any points."""
+
+    T: np.ndarray
+    CZ: np.ndarray
+    ZB: np.ndarray
+    D: np.ndarray
+
+    @classmethod
+    def of(cls, R: Realization) -> "_SchurForm":
+        T, Z = scipy.linalg.schur(R.A, output="complex")
+        return cls(T, R.C @ Z, Z.conj().T @ R.B, R.D)
+
+    def transpose(self) -> "_SchurForm":
+        """The form of R^T, with no new reduction: for the order reversal J,
+        A^T = (conj(Z) J) (J T^T J) (J Z^T) and J T^T J is upper triangular."""
+        flip = (self.T[::-1, ::-1].T, self.ZB.T[:, ::-1], self.CZ.T[::-1], self.D.T)
+        return _SchurForm(*map(np.ascontiguousarray, flip))
+
+    def blocks_at(self, rows: np.ndarray, cols: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Values of the blocks R[rows[b], cols[b]] at the points zs[b],
+        shape (B, K, r, c) for rows (B, r), cols (B, c) and zs (B, K).
+
+        (zI - T) X = ZB[:, cols] is back-substituted at all points at once:
+        O(n^2 c) per point and no factorisation, so evaluate a block with
+        more columns than rows through :meth:`transpose`.  The rows go in
+        panels of 16, so that the coupling to solved rows is one matrix
+        product per panel.
+        """
+        (B, K), n, c = zs.shape, self.T.shape[0], cols.shape[1]
+        rhs = np.broadcast_to(self.ZB[:, cols][:, :, None], (n, B, K, c)).reshape(n, -1)
+        shifts = np.repeat(zs.ravel(), c)
+        X = np.empty_like(rhs)
+        for hi in range(n, 0, -16):
+            lo = max(0, hi - 16)
+            acc = rhs[lo:hi] + self.T[lo:hi, hi:] @ X[hi:]
+            for i in range(hi - 1, lo - 1, -1):
+                X[i] = (acc[i - lo] + self.T[i, i + 1:hi] @ X[i + 1:hi]) / (shifts - self.T[i, i])
+        vals = self.CZ[rows] @ X.reshape(n, B, K * c).transpose(1, 0, 2)
+        return (vals.reshape(B, -1, K, c).transpose(0, 2, 1, 3)
+                + self.D[rows[:, :, None], cols[:, None, :]][:, None])
+
+    def response(self, zs: np.ndarray) -> np.ndarray:
+        """Values of the whole map at every point of ``zs``, shape (len(zs), p, m),
+        in chunks of 128 points so the solve's work arrays stay small."""
+        p, m = self.D.shape
+        out = np.empty((zs.size, p, m), dtype=complex)
+        for lo in range(0, zs.size, 128):
+            out[lo:lo + 128] = self.blocks_at(np.arange(p)[None], np.arange(m)[None],
+                                              zs[None, lo:lo + 128])[0]
+        return out
+
+
 def _schur_response(R: Realization, zs) -> np.ndarray:
-    """Values of ``R`` at every point of ``zs``, shape (p, m, len(zs)).
+    """Values of ``R`` at every point of ``zs``, shape (p, m, len(zs)),
+    through one Schur reduction (see :class:`_SchurForm`)."""
+    return _SchurForm.of(R).response(np.asarray(zs, dtype=complex).ravel()).transpose(1, 2, 0)
 
-    One complex Schur reduction A = Z T Z^H, then a back-substitution of
-    (zI - T) X = Z^H B over all points at once, row by row, so each point
-    costs O(n^2 m) instead of an O(n^3) factorisation.  The cost grows with
-    the input count m; transpose wide maps first.
+
+def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: int) -> np.ndarray:
+    """Lower bounds on the peak largest singular value over the unit circle
+    of blocks (rows, cols, target) = R[rows, cols] - target of one map
+    (target a Realization, or None for zero), one value per block.
+
+    The grid is the upper half of theta_k = 2 pi (k + 1/2) / grid_points (a
+    real map has equal singular values at conjugate points).  One Schur
+    reduction of R serves every block: the map is swept once on its smaller
+    side, the blocks are sliced from the sweep, grouped by shape, and their
+    points ranked by the largest eigenvalue of the smaller-side Gram matrix.
+    The top ``refine_passes`` points of every block of a batch of one shape
+    are refined by lockstep golden-section searches on
+    [theta_k - step, theta_k + step],
+    each step one back-substitution of the blocks' smaller side and one
+    batched SVD.  The ranking only decides where to look: each value is the
+    largest SVD sample seen, a lower bound.
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    T, Z = scipy.linalg.schur(R.A, output="complex")
-    n = R.order
-    X = np.empty((n, R.ninputs, zs.size), dtype=complex)
-    rhs = (Z.conj().T @ R.B)[:, :, None]
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i] + np.tensordot(T[i, i + 1:], X[i + 1:], axes=1)
-        X[i] = acc / (zs - T[i, i])
-    return np.tensordot(R.C @ Z, X, axes=1) + R.D[:, :, None]
+    step = 2.0 * np.pi / grid_points
+    theta = step * (np.arange((grid_points + 1) // 2) + 0.5)
+    zs = np.exp(1j * theta)
+    schur = _SchurForm.of(R)
+    schur_t = schur.transpose()
+    sweep = (schur.response(zs) if R.noutputs >= R.ninputs
+             else schur_t.response(zs).transpose(0, 2, 1))
+    groups: dict = {}
+    for k, (rows, cols, _) in enumerate(blocks):
+        if rows.size and cols.size:
+            groups.setdefault((rows.size, cols.size), []).append(k)
+    batches = []
+    for (r, c), members in groups.items():
+        # at most about 2^21 sliced values (32 MB) per batch, so large
+        # networks do not hold every block's sweep at once
+        per = max(1, 2 ** 21 // (zs.size * r * c))
+        batches += [(r, c, members[lo:lo + per]) for lo in range(0, len(members), per)]
+    peaks = np.zeros(len(blocks))
+    for r, c, members in batches:
+        # orient every block as (t, s), its smaller side s last
+        wide = c > r
+        rows, cols = (np.array([blocks[k][side] for k in members]) for side in (0, 1))
+        form, big, small = (schur_t, cols, rows) if wide else (schur, rows, cols)
+        targets = [blocks[k][2] for k in members]
 
+        def minus_targets(vals, z):
+            """Subtract the targets from block values vals (B, K, t, s) at z (B, K)."""
+            for b, target in enumerate(targets):
+                if target is not None:
+                    tv = frequency_response(target, z[b])
+                    vals[b] -= tv.transpose(0, 2, 1) if wide else tv
+            return vals
 
-def _sigma_max(R: Realization, theta: np.ndarray) -> np.ndarray:
-    """Largest singular value of ``R`` at the angles ``theta``."""
-    return np.linalg.svd(frequency_response(R, np.exp(1j * theta)), compute_uv=False)[:, 0]
+        def sigma(th):
+            z = np.exp(1j * th)
+            vals = minus_targets(form.blocks_at(big, small, z), z)
+            return np.linalg.svd(vals, compute_uv=False)[..., 0]
+
+        oriented = sweep.transpose(0, 2, 1) if wide else sweep
+        S = oriented[:, big[:, :, None], small[:, None, :]].transpose(1, 0, 2, 3)
+        S = minus_targets(S, np.broadcast_to(zs, S.shape[:2]))
+        flat = S.transpose(3, 2, 0, 1).reshape(S.shape[3], S.shape[2], -1)
+        lam = _lambda_max(_gram(flat, flat)).reshape(len(members), -1)
+        top = np.argsort(lam, axis=1)[:, ::-1][:, :max(1, refine_passes)]
+        best = np.linalg.svd(S[np.arange(len(members))[:, None], top],
+                             compute_uv=False)[..., 0].max(axis=1)
+        # golden-section maximisation on every candidate interval at once;
+        # the intervals share one width, so they stop together below tol
+        tol = step * 1e-6
+        a, b = theta[top] - step, theta[top] + step
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        f1, f2 = np.split(sigma(np.concatenate([x1, x2], axis=1)), 2, axis=1)
+        best = np.maximum(best, np.maximum(f1, f2).max(axis=1))
+        for _ in range(80):
+            if np.all(b - a < tol):
+                break
+            up = f1 < f2
+            a, b = np.where(up, x1, a), np.where(up, b, x2)
+            x1, x2 = (np.where(up, x2, b - _GOLDEN * (b - a)),
+                      np.where(up, a + _GOLDEN * (b - a), x1))
+            f = sigma(np.where(up, x2, x1))
+            f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
+            best = np.maximum(best, f.max(axis=1))
+        peaks[members] = best
+    return peaks
 
 
 def hinf_norm(R: Realization, grid_points: int = 4096, refine_passes: int = 3,
               check_bounded: bool = True) -> float:
-    """Lower bound on the peak largest singular value over the unit circle.
-
-    The grid is theta_k = 2 pi (k + 1/2) / grid_points on the upper half
-    circle only (a real map has equal singular values at conjugate points).
-    One Schur sweep (:func:`_schur_response`) ranks the grid points by the
-    largest eigenvalue of the smaller-side Gram matrix; the top
-    ``refine_passes`` points are then evaluated through
-    :func:`frequency_response` and an SVD, and refined by golden-section
-    searches on [theta_k - step, theta_k + step], run in lockstep (one
-    batched evaluation per iteration).  The ranking only decides where to
-    look: the returned value is the largest SVD sample seen, hence a lower
-    bound, and the refinement drives the residual gap far below the grid's
-    for smooth desk-scale maps.  An order-zero map returns sigma_max(D).
-    """
+    """Lower bound on the peak largest singular value over the unit circle:
+    the one-block case of :func:`_block_peaks`, whose refinement drives the
+    gap far below the grid's for smooth desk-scale maps.  An order-zero map
+    returns sigma_max(D)."""
     if min(R.shape) == 0:
         return 0.0
     if check_bounded and not is_cb_bounded(R):
         raise UnboundedTfmError("map has poles on or outside the unit circle")
     if R.order == 0:
         return float(np.linalg.svd(R.D, compute_uv=False)[0])
-    step = 2.0 * np.pi / grid_points
-    theta = step * (np.arange((grid_points + 1) // 2) + 0.5)
-    wide = R.ninputs > R.noutputs
-    H = _schur_response(transpose(R) if wide else R, np.exp(1j * theta))
-    Ht = H.transpose(1, 0, 2)
-    top = np.argsort(_lambda_max(_gram(Ht, Ht)))[::-1][:max(1, refine_passes)]
-    best = float(np.max(_sigma_max(R, theta[top])))
-    # golden-section maximisation on every candidate interval at once; the
-    # intervals share one width, and a candidate stops once it is below tol
-    tol = step * 1e-6
-    a, b = theta[top] - step, theta[top] + step
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = np.split(_sigma_max(R, np.concatenate([x1, x2])), 2)
-    best = max(best, float(np.max(f1)), float(np.max(f2)))
-    for _ in range(80):
-        live = b - a >= tol
-        if not live.any():
-            break
-        up = live & (f1 < f2)
-        down = live & ~up
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + _GOLDEN * (b[up] - a[up])
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - _GOLDEN * (b[down] - a[down])
-        f = _sigma_max(R, np.where(up, x2, x1)[live])
-        f2[up], f1[down] = f[up[live]], f[down[live]]
-        best = max(best, float(np.max(f)))
-    return best
+    block = (np.arange(R.noutputs), np.arange(R.ninputs), None)
+    return float(_block_peaks(R, [block], grid_points, refine_passes)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,24 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closed_loop import ClosedLoopMaps, area_block, build_closed_loop_maps, q_linear_responses
+from .closed_loop import (
+    ClosedLoopMaps,
+    block_indices,
+    build_closed_loop_maps,
+    q_linear_responses,
+)
 from .dcf import DcfBundle
 from .errors import DimensionMismatchError
 from .lti import (
     _GOLDEN,
     Realization,
+    _block_peaks,
     _gram,
     _lambda_max,
     delay,
     frequency_response,
-    hinf_norm,
     is_cb_bounded,
-    minimal,
-    negate,
-    parallel,
+    minimal,  # noqa: F401  (unused here; perfbench's tracer test rebinds match_synth.minimal)
 )
 from .nrf import bank_from_pair, form_nrf_pair
 from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
@@ -179,38 +182,48 @@ class MapsBuilder:
 
 def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
                      builder: MapsBuilder):
-    """Certified matching norms at one x, via minimal difference realizations."""
+    """Certified matching norms at one x, read from the whole closed-loop maps."""
     maps = builder(q_from_x(param, x))
     return _norms_from_maps(maps, spec, builder.partition), maps
+
+
+def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoopMaps) -> list:
+    """Every matching block as (slot, source, rows, cols, target), ``slot``
+    its place in the flat [gamma_d; gamma_u; gamma_c] vector and (source,
+    rows, cols) as in :func:`closed_loop.block_indices`.  The blocks tile
+    both maps."""
+    N = spec.n_areas
+    layout = []
+    for i in range(N):
+        layout.append((i, *block_indices(maps, partition, "disturbance", i), spec.t_d[i]))
+        for j in range(N):
+            layout.append((N + i * N + j, *block_indices(maps, partition, "coupling", i, j),
+                           spec.target_u(i, j)))
+            layout.append((N + N * N + i * N + j, *block_indices(maps, partition, "init", i, j),
+                           spec.target_c(i, j)))
+    for _, _, rows, cols, target in layout:
+        if target is not None and target.shape != (rows.size, cols.size):
+            raise DimensionMismatchError(
+                f"target has shape {target.shape}, block is {(rows.size, cols.size)}")
+    return layout
 
 
 def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
                      partition: AreaPartition):
     """(gamma_d, gamma_u, gamma_c) at the realized maps: the H-infinity norm
-    of each matching block minus its target, through a minimal realization.
-    Each value is :func:`hinf_norm`'s largest sample seen, a lower bound on
-    the true norm."""
-    opts = spec.optimizer
-    N = spec.n_areas
-
-    def gap_norm(block: Realization, target):
-        diff = block if target is None else parallel(block, negate(target))
-        return hinf_norm(minimal(diff), grid_points=opts.norm_grid,
-                         refine_passes=opts.refine_passes, check_bounded=False)
-
-    gamma_d = np.array([
-        gap_norm(area_block(maps, partition, "disturbance", i), spec.t_d[i])
-        for i in range(N)
-    ])
-    gamma_u = np.array([
-        [gap_norm(area_block(maps, partition, "coupling", i, j), spec.target_u(i, j))
-         for j in range(N)] for i in range(N)
-    ])
-    gamma_c = np.array([
-        [gap_norm(area_block(maps, partition, "init", i, j), spec.target_c(i, j))
-         for j in range(N)] for i in range(N)
-    ])
-    return gamma_d, gamma_u, gamma_c
+    of each matching block minus its target.  No block realization is
+    formed: every block is read from one Schur form of the whole forced map
+    or of the whole initial-condition map (:func:`lti._block_peaks`), which
+    have the blocks' transfer functions.  Each value is the largest SVD
+    sample seen, a lower bound on the true norm."""
+    opts, N = spec.optimizer, spec.n_areas
+    layout = _block_layout(spec, partition, maps)
+    vals = np.empty(N + 2 * N * N)
+    for src, R in enumerate((maps.forced, maps.initial)):
+        mine = [blk for blk in layout if blk[1] == src]
+        vals[[blk[0] for blk in mine]] = _block_peaks(
+            R, [blk[2:] for blk in mine], opts.norm_grid, opts.refine_passes)
+    return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +301,13 @@ class _SurrogateModel:
         """Lay out every matching block, stack its response at x = 0 minus
         its target, and group the blocks by stacked shape; the direction
         stacks are allocated, not filled."""
-        spec, zs = self.spec, self.zs
-        N, G = spec.n_areas, zs.size
-        n_x, n_u, n_d = maps0.n_x, maps0.n_u, maps0.n_d
-        part_w = maps0.partition
+        zs, G, n_x = self.zs, self.zs.size, maps0.n_x
         base_resp = (frequency_response(maps0.forced, zs), frequency_response(maps0.initial, zs))
-
-        layout = []   # (slot, source, rows, cols, target)
-        cols_d = np.arange(n_x + n_u, n_x + 2 * n_u + n_d)
-        for i in range(N):
-            rows = np.concatenate([partition.indices("x", i), n_x + partition.indices("u", i)])
-            layout.append((i, 0, rows, cols_d, spec.t_d[i]))
-            for j in range(N):
-                cols_u = np.concatenate([partition.indices("x", j), n_x + partition.indices("u", j)])
-                layout.append((N + i * N + j, 0, rows, cols_u, spec.target_u(i, j)))
-                cols_c = np.concatenate([part_w.indices("x", j), n_x + part_w.indices("w", j)])
-                layout.append((N + N * N + i * N + j, 1, rows, cols_c, spec.target_c(i, j)))
-
         grouped: dict = {}
-        for slot, src, rows, cols, target in layout:
+        for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
             blk = base_resp[src][:, rows[:, None], cols]
             if target is not None:
-                blk = blk - self._target_resp(target, rows, cols)
+                blk = blk - frequency_response(target, zs)
             transposed = cols.size < rows.size
             if transposed:
                 moving = np.ones(cols.size, dtype=bool)
@@ -335,13 +333,6 @@ class _SurrogateModel:
                 dirs=np.empty((K, s, t, len(members) * G), dtype=complex),
                 fixed=fixed))
         return groups
-
-    def _target_resp(self, target, rows, cols):
-        if target.shape != (rows.size, cols.size):
-            raise DimensionMismatchError(
-                f"target has shape {target.shape}, block is {(rows.size, cols.size)}"
-            )
-        return frequency_response(target, self.zs)
 
     def stacks_at(self, x_active: np.ndarray) -> list:
         """Per-group block responses, targets subtracted, at the active coefficients."""
@@ -533,6 +524,10 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     x_full[active] = x_act
     if best_f >= model.objective_at(np.zeros(active.size)) - opts.sweep_tol:
         x_full = zero  # no real progress; skip straight to the feasible origin
+    # the surrogate's direction stacks are not needed past this point; free
+    # them before the certificates allocate their sweeps
+    n_evals = model.n_evals
+    del model
     for _ in range(12):
         (gd, gu, gc), maps = certify(x_full)
         if _within_bounds(spec, gd, gu, gc) or not np.any(x_full):
@@ -545,7 +540,7 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     if not log:
         log.append(obj)
     return SynthesisResult(x_full, gd, gu, gc, obj, log, q_from_x(param, x_full),
-                           maps, spec, param, model.n_evals, True, _bound_hints(spec, gd, gu, gc))
+                           maps, spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc))
 
 
 def _pattern_search(model, x0: np.ndarray, opts: OptimizerSettings,

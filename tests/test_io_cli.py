@@ -216,6 +216,37 @@ def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):
     assert lines[0].startswith("design infeasible:") and "not controllable" in lines[0]
 
 
+@pytest.mark.parametrize("strategy, cause", [("bogus", "is unknown"),
+                                             ("user_supplied", "needs explicit F and L")])
+def test_cli_gain_strategy_is_config_error(tmp_path, capsys, strategy, cause):
+    out = str(tmp_path)
+    assert main(["example-grid", "--out", out]) == 0
+    cfg_path = os.path.join(out, "config.json")
+    cfg = artifact_io.load_document(cfg_path)
+    cfg["synthesis"]["gain_strategy"] = strategy
+    artifact_io.dump_document(cfg, cfg_path)
+    capsys.readouterr()
+    assert main(["design", "--config", cfg_path, "--out", out]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"configuration error: gain_strategy {strategy!r} {cause}")
+
+
+def test_cli_dependent_input_columns_is_infeasible(tmp_path, capsys):
+    # a stable plant whose two input columns are equal
+    B_u = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    cfg = {"schema_version": 1,
+           "plant": {"A": np.diag([0.5, 0.4, 0.3, 0.2]).tolist(), "B_u": B_u.tolist(),
+                     "B_d": np.ones((4, 1)).tolist()},
+           "partition": [[2, 1], [2, 1]], "neighborhoods": [[1, 2], [1, 2]]}
+    path = tmp_path / "cfg.json"
+    artifact_io.dump_document(cfg, str(path))
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("design infeasible:") and "dependent columns" in lines[0]
+
+
 def test_cli_infeasible_exit_code(tmp_path):
     out = str(tmp_path)
     assert main(["example-grid", "--out", out]) == 0

@@ -12,6 +12,7 @@ from nrf_forge.errors import (
 )
 from nrf_forge.lti import (
     FrequencyGrid,
+    _SchurForm,
     _schur_response,
     SignalTrace,
     delay,
@@ -324,6 +325,22 @@ def test_schur_sweep_matches_frequency_response():
             want = frequency_response(S, zs).transpose(1, 2, 0)
             got = _schur_response(S, zs)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_schur_form_blocks_match_frequency_response():
+    # per-block points, through the form and through its transpose, which
+    # reuses the same reduction
+    rng = np.random.default_rng(43)
+    zs = np.exp(1j * rng.uniform(0.0, np.pi, (3, 5)))
+    for R in norm_test_realizations():
+        form = _SchurForm.of(R)
+        for f, S in ((form, R), (form.transpose(), transpose(R))):
+            rows = np.array([rng.permutation(S.noutputs)[:2] for _ in range(3)])
+            cols = np.array([rng.permutation(S.ninputs)[:2] for _ in range(3)])
+            got = f.blocks_at(rows, cols, zs)
+            for b in range(3):
+                want = frequency_response(S, zs[b])[:, rows[b][:, None], cols[b]]
+                assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_hinf_order_zero_is_largest_singular_value():

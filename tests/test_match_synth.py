@@ -4,7 +4,17 @@ from dataclasses import replace
 
 from conftest import deadbeat_bundle, random_stable_plant
 from nrf_forge.closed_loop import area_block
-from nrf_forge.lti import _lambda_max, delay, evaluate, frequency_response, make_realization
+from nrf_forge.lti import (
+    _lambda_max,
+    delay,
+    evaluate,
+    frequency_response,
+    hinf_norm,
+    make_realization,
+    minimal,
+    negate,
+    parallel,
+)
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     AlgorithmReport,
@@ -12,6 +22,7 @@ from nrf_forge.match_synth import (
     OptimizerSettings,
     SynthesisSpec,
     _SurrogateModel,
+    _norms_from_maps,
     constraint_norms,
     default_targets,
     make_surrogate_objective,
@@ -154,6 +165,68 @@ def test_convexity_of_constraint_norms():
     assert np.all(gdm <= lam * gd1 + (1 - lam) * gd2 + 1e-8)
     assert np.all(gum <= lam * gu1 + (1 - lam) * gu2 + 1e-8)
     assert np.all(gcm <= lam * gc1 + (1 - lam) * gc2 + 1e-8)
+
+
+def mesh_maps(grid_setup, grid_design, scale, seed=21):
+    """The mesh design's maps and certified norms at ``scale`` times a
+    random direction of the free coefficients."""
+    _, part, _ = grid_setup
+    res = grid_design
+    x = scale * np.random.default_rng(seed).standard_normal(res.param.n_free)
+    gammas, maps = constraint_norms(res.param, x, res.spec, MapsBuilder(res.pair.bundle, part))
+    return np.concatenate([gammas[0], gammas[1].ravel(), gammas[2].ravel()]), maps, part, res.spec
+
+
+def block_difference(maps, part, spec, slot):
+    """A minimal realization of the block in ``slot`` minus its target."""
+    N = spec.n_areas
+    if slot < N:
+        blk = area_block(maps, part, "disturbance", slot)
+    else:
+        i, j = divmod((slot - N) % (N * N), N)
+        blk = area_block(maps, part, "coupling" if slot < N + N * N else "init", i, j)
+    target = block_target(spec, slot)
+    return blk if target is None else minimal(parallel(blk, negate(target)))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3])
+def test_certificate_matches_per_block_route_on_mesh(grid_setup, grid_design, scale):
+    got, maps, part, spec = mesh_maps(grid_setup, grid_design, scale)
+    opts = spec.optimizer
+    want = np.array([
+        hinf_norm(block_difference(maps, part, spec, slot), grid_points=opts.norm_grid,
+                  refine_passes=opts.refine_passes, check_bounded=False)
+        for slot in range(got.size)])
+    assert np.all(np.abs(got - want) <= 1e-6 * want + 1e-9)
+
+
+def test_certificate_matches_dense_scan_on_mesh(grid_setup, grid_design):
+    got, maps, part, spec = mesh_maps(grid_setup, grid_design, 1e-3)
+    N = spec.n_areas
+    # the upper half (both ends included) of a 2^17-point circle grid: a real
+    # map repeats its singular values at conjugate points
+    zs = np.exp(2j * np.pi * np.arange(2 ** 16 + 1) / 2 ** 17)
+    # a disturbance block, an own-command block with its delay target, a
+    # cross-coupling block and an initial-condition block
+    for slot in (2, N + 1 * N + 1, N + 3 * N + 4, N + N * N + 2 * N + 1):
+        resp = frequency_response(block_difference(maps, part, spec, slot), zs)
+        scan = np.max(np.linalg.svd(resp, compute_uv=False)[:, 0])
+        assert abs(got[slot] - scan) <= 1e-6 * scan
+
+
+def test_certificate_makes_no_minimal_call(grid_setup, grid_design, monkeypatch):
+    import sys
+    import nrf_forge.lti as lti
+
+    _, maps, part, spec = mesh_maps(grid_setup, grid_design, 1e-3)
+    calls = []
+    real = lti.minimal
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nrf_forge") and getattr(mod, "minimal", None) is real:
+            monkeypatch.setattr(mod, "minimal", lambda R, *a, **k: calls.append(R) or real(R, *a, **k))
+    gammas = _norms_from_maps(maps, spec, part)
+    assert calls == []
+    assert all(np.all(np.isfinite(g)) for g in gammas)
 
 
 # ---------------------------------------------------------------------------
