@@ -13,11 +13,11 @@ Exit codes: 0 success, 2 configuration error, 3 design infeasibility,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -147,11 +147,36 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
     )
 
 
+REMOVED_OPTIMIZER_KEYS = ("n_starts", "start_scale", "seed")
+
+
 def _optimizer_settings(cfg: dict) -> OptimizerSettings:
-    opt = dict(cfg.get("synthesis", {}).get("optimizer", {}))
+    """The config's ``synthesis.optimizer`` over the defaults.  Every value
+    must be a positive finite number of the field's type; the removed
+    restart keys are noted and ignored."""
+    opt = cfg.get("synthesis", {}).get("optimizer", {})
+    if not isinstance(opt, dict):
+        raise ConfigError(f"synthesis.optimizer must be an object, got {opt!r}")
     base = OptimizerSettings()
-    fields = {k: type(getattr(base, k))(v) for k, v in opt.items() if hasattr(base, k)}
-    return replace(base, **fields)
+    names = sorted(f.name for f in dataclasses.fields(base))
+    chosen = {}
+    for key, value in opt.items():
+        if key in REMOVED_OPTIMIZER_KEYS:
+            print(f"note: synthesis.optimizer.{key} is no longer used; the search is deterministic")
+            continue
+        if key not in names:
+            raise ConfigError(f"unknown synthesis.optimizer key {key!r}; expected one of {names}")
+        kind = type(getattr(base, key))
+        try:
+            cast = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            cast = None
+        if (isinstance(value, bool) or cast is None or cast != value
+                or not (0 < cast < float("inf"))):
+            raise ConfigError(f"synthesis.optimizer.{key} must be a positive "
+                              f"{kind.__name__}, got {value!r}")
+        chosen[key] = cast
+    return dataclasses.replace(base, **chosen)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -187,7 +212,6 @@ def cmd_example_grid(args) -> int:
             "preserve_diagonal": True,
             "norm": "hinf",
             "bound_slack": 0.25,
-            "optimizer": {"seed": 12345},
         },
         "simulation": {
             "horizon": 500,
@@ -209,8 +233,6 @@ def cmd_design(args) -> int:
     partition, nb = _partition_from_config(cfg)
     algo = _algorithm_config(cfg, args.q)
     opts = _optimizer_settings(cfg)
-    if args.seed is not None:
-        opts = replace(opts, seed=int(args.seed))
 
     from .match_synth import default_targets
     spec = default_targets(partition, plant.n_d, optimizer=opts)
@@ -266,6 +288,7 @@ def _write_synthesis_report(result, out: str) -> None:
         f"objective (certified): {result.objective:.12g}",
         f"free coefficients: {result.x.size} (nonzero {int(np.sum(result.x != 0))})",
         f"surrogate evaluations: {result.n_evals}",
+        f"search point certified: {'yes' if result.search_certified else 'no (returned x = 0)'}",
         f"x: {np.array2string(result.x, precision=6, max_line_width=100)}",
         "constraints at their admissible bounds:",
     ]
@@ -395,25 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="distributed controller synthesis, verification and simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("design", cmd_design), ("verify", cmd_verify),
-                     ("simulate", cmd_simulate), ("report", cmd_report),
-                     ("example-grid", cmd_example_grid)):
+    flags = {
+        "config": dict(type=str, help="scenario config document"),
+        "out": dict(type=str, help="run directory"),
+        "seed": dict(type=int, help="scenario seed"),
+        "q": dict(type=int, help="FIR degree of the free parameter"),
+        "coeffs": dict(type=str, help="coefficient document overriding the shipped surrogate"),
+    }
+
+    def command(name, fn, *own, required=("out",)):
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="scenario config document")
-        p.add_argument("--out", type=str, required=True, help="run directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--q", type=int, default=None, help="FIR degree of the free parameter")
-        p.add_argument("--coeffs", type=str, default=None,
-                       help="coefficient document overriding the shipped surrogate")
+        for flag in own:
+            p.add_argument(f"--{flag}", required=flag in required, **flags[flag])
         p.set_defaults(func=fn)
+
+    command("example-grid", cmd_example_grid, "out", "coeffs", "q", "seed")
+    command("design", cmd_design, "config", "out", "coeffs", "q", required=("config", "out"))
+    command("simulate", cmd_simulate, "config", "out", "seed")
+    command("verify", cmd_verify, "out")
+    command("report", cmd_report, "out")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "design" and not args.config:
-        print("design needs --config")
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

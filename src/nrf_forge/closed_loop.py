@@ -194,18 +194,6 @@ def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
         yield nm @ right, nm @ (q_resp @ j1)
 
 
-def iq_at(iq: Realization, k: int) -> np.ndarray:
-    """k-th impulse coefficient of the initial-condition map."""
-    if k < 0:
-        raise ValueError("time index must be nonnegative")
-    if k == 0:
-        return iq.D.copy()
-    X = iq.B
-    for _ in range(k - 1):
-        X = iq.A @ X
-    return iq.C @ X
-
-
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:
     """Trace of I[k] v for k = 0..horizon-1, by stepping the realization."""
     v = np.asarray(v, dtype=float).ravel()

@@ -540,12 +540,6 @@ class _SchurForm:
         return out
 
 
-def _schur_response(R: Realization, zs) -> np.ndarray:
-    """Values of ``R`` at every point of ``zs``, shape (p, m, len(zs)),
-    through one Schur reduction (see :class:`_SchurForm`)."""
-    return _SchurForm.of(R).response(np.asarray(zs, dtype=complex).ravel()).transpose(1, 2, 0)
-
-
 def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: int) -> np.ndarray:
     """Lower bounds on the peak largest singular value over the unit circle
     of blocks (rows, cols, target) = R[rows, cols] - target of one map

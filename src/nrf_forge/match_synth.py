@@ -7,12 +7,13 @@ is affine in the free coefficient vector x, so each matching norm
     gamma_uij(x) = || area i response to area j commands  - T_uij ||
     gamma_cij(x) = || area i response to area j's ICs     - T_cij ||
 
-is a convex function of x.  The solver is a multi-start coordinate pattern
-search with golden-section line searches on a frequency-sampled surrogate;
+is a convex function of x.  The solver is a coordinate pattern search from
+x = 0 with golden-section line searches on a frequency-sampled surrogate;
 candidates violating the admissible upper bounds are rejected outright
 (feasible-point method; the bootstrap at x = 0 supplies a feasible start by
 construction).  Reported constraint values are never taken from the search:
-they are recomputed post-hoc through the certified norm path.
+they are recomputed post-hoc through the certified norm path, and a search
+point whose certificate fails a bound is replaced by the certified origin.
 """
 
 from __future__ import annotations
@@ -50,16 +51,14 @@ MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Deterministic knobs of the pattern search and the certified norms."""
+    """Knobs of the pattern search and the certified norms; the search is
+    deterministic, so equal settings give equal designs."""
 
     search_grid: int = 256
     max_free_dims: int = 12
     max_sweeps: int = 3
     sweep_tol: float = 1e-6
     initial_step: float = 0.25
-    n_starts: int = 2
-    start_scale: float = 0.05
-    seed: int = 12345
     norm_grid: int = 2048
     refine_passes: int = 3
 
@@ -435,6 +434,7 @@ class SynthesisResult:
     n_evals: int
     feasible: bool
     hints: list
+    search_certified: bool  # False: the search point failed a bound and x = 0 was returned
 
     @property
     def bank(self):
@@ -463,9 +463,10 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     Requires admissible bounds to be set (run the bootstrap first, e.g.
     through :func:`run_algorithm1`) and a diagonal-preserving factored
     parametrization, so that the initial-condition columns stay fixed along
-    the search.  The returned constraint values are recomputed through the
-    certified norm path; if the surrogate optimum drifts outside a bound,
-    the point is shrunk toward the (exactly feasible) origin.
+    the search.  The search runs once from x = 0 and its point is certified
+    once; if that certificate fails an admissible bound, the certified
+    origin is returned instead (``search_certified`` False), which makes at
+    most one certificate beyond the search point.
     ``bootstrap`` is the ``constraint_norms`` result at x = 0 under this
     spec's targets, when the caller already has it: its maps seed the
     surrogate, and a certificate at x = 0 reuses its norms.
@@ -481,93 +482,53 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     builder = MapsBuilder(bundle, partition)
     n_free = param.n_free
     active = np.arange(min(n_free, opts.max_free_dims))
-
     zero = np.zeros(n_free)
-    log: list[float] = []
 
     def certify(x):
         if bootstrap is not None and not np.any(x):
             return bootstrap
         return constraint_norms(param, x, spec, builder)
 
-    if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
-        (gd, gu, gc), maps = certify(zero)
+    def result(x, certificate, log, n_evals, search_certified):
+        (gd, gu, gc), maps = certificate
         obj = _objective_value(spec, gd, gu, gc)
-        return SynthesisResult(zero, gd, gu, gc, obj, [obj], q_from_x(param, zero),
-                               maps, spec, param, 1, True, _bound_hints(spec, gd, gu, gc))
+        return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
+                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc),
+                               search_certified)
+
+    if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
+        return result(zero, certify(zero), None, 1, True)
 
     maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
     model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
-
-    rng = np.random.default_rng(opts.seed)
-    starts = [np.zeros(active.size)]
-    for _ in range(max(0, opts.n_starts - 1)):
-        cand = opts.start_scale * rng.standard_normal(active.size)
-        for _ in range(40):
-            if np.isfinite(model.objective_at(cand)):
-                break
-            cand *= 0.5
-        else:
-            cand = np.zeros(active.size)
-        starts.append(cand)
-
-    best_x, best_f = None, np.inf
-    for start in starts:
-        x, fx = _pattern_search(model, start, opts, log_best=log,
-                                best_so_far=lambda: best_f)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    x_act = best_x if best_x is not None else np.zeros(active.size)
-
-    # certify, shrinking toward the exactly feasible origin if needed
+    log: list[float] = []
+    x_act, f_star = _pattern_search(model, np.zeros(active.size), opts, log)
     x_full = zero.copy()
     x_full[active] = x_act
-    if best_f >= model.objective_at(np.zeros(active.size)) - opts.sweep_tol:
-        x_full = zero  # no real progress; skip straight to the feasible origin
+    if f_star >= log[0] - opts.sweep_tol:
+        x_full = zero  # no real progress; keep the certified origin
     # the surrogate's direction stacks are not needed past this point; free
-    # them before the certificates allocate their sweeps
+    # them before the certificate allocates its sweeps
     n_evals = model.n_evals
     del model
-    for _ in range(12):
-        (gd, gu, gc), maps = certify(x_full)
-        if _within_bounds(spec, gd, gu, gc) or not np.any(x_full):
-            break
-        x_full *= 0.5
-    else:
-        x_full = zero
-        (gd, gu, gc), maps = certify(x_full)
-    obj = _objective_value(spec, gd, gu, gc)
-    if not log:
-        log.append(obj)
-    return SynthesisResult(x_full, gd, gu, gc, obj, log, q_from_x(param, x_full),
-                           maps, spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc))
+    certificate = certify(x_full)
+    if not np.any(x_full) or _within_bounds(spec, *certificate[0]):
+        return result(x_full, certificate, log, n_evals, True)
+    return result(zero, certify(zero), log, n_evals, False)
 
 
 def _pattern_search(model, x0: np.ndarray, opts: OptimizerSettings,
-                    log_best: list, best_so_far) -> tuple[np.ndarray, float]:
-    """Coordinate descent with golden-section line searches; logs improvements."""
-    f = model.objective_at
+                    log: list) -> tuple[np.ndarray, float]:
+    """Coordinate descent with golden-section line searches; appends the
+    objective at the start and after every line search to ``log``."""
     x = x0.copy()
-    fx = f(x)
-    if not np.isfinite(fx):
-        x = np.zeros_like(x0)
-        fx = f(x)
-
-    def note(val):
-        cands = [val]
-        bsf = best_so_far()
-        if np.isfinite(bsf):
-            cands.append(bsf)
-        if log_best:
-            cands.append(log_best[-1])
-        log_best.append(min(cands))
-
-    note(fx)
+    fx = model.objective_at(x)
+    log.append(fx)
     for _ in range(opts.max_sweeps):
         f_before = fx
         for k in range(x.size):
             x, fx = _line_search_coord(model, x, k, fx, opts)
-            note(fx)
+            log.append(fx)
         if f_before - fx < opts.sweep_tol:
             break
     return x, fx

@@ -195,7 +195,7 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
                               param.mode, param.residual, param.constraint_rank,
                               param.n_constraints)
-    opts = OptimizerSettings(max_free_dims=1, n_starts=2, max_sweeps=4)
+    opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     spec = replace(default_targets(part, two_area_plant.n_d, optimizer=opts),
                    bound_slack=np.inf)
     builder = MapsBuilder(bundle, part)

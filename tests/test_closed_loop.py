@@ -9,7 +9,6 @@ from nrf_forge.closed_loop import (
     build_iq,
     decompose_response,
     ic_response,
-    iq_at,
     prediction_model,
     reconstructed_response,
 )
@@ -20,6 +19,7 @@ from nrf_forge.lti import (
     evaluate,
     fir_realization,
     frequency_response,
+    impulse_response,
     make_realization,
     select_rows,
     spectral_radius,
@@ -88,9 +88,10 @@ def test_iq_at_impulse_coefficients():
     plant = Plant(np.diag([0.1, 0.0, -0.1, 0.2]), np.eye(4)[:, [0, 2]], np.eye(4)[:, [1]])
     part, nb, bundle, q, bank, maps = two_area_design(plant, seed=1)
     iq = maps.initial
-    assert np.allclose(iq_at(iq, 0), iq.D)
-    assert np.allclose(iq_at(iq, 1), iq.C @ iq.B)
-    assert np.allclose(iq_at(iq, 3), iq.C @ iq.A @ iq.A @ iq.B)
+    h = impulse_response(iq, 4)
+    assert np.allclose(h[0], iq.D)
+    assert np.allclose(h[1], iq.C @ iq.B)
+    assert np.allclose(h[3], iq.C @ iq.A @ iq.A @ iq.B)
 
 
 def test_fully_deadbeat_ic_map_is_fir():
@@ -104,8 +105,9 @@ def test_fully_deadbeat_ic_map_is_fir():
     _, bank = bank_from_pair(pair, part)
     iq, _, _ = build_iq(pair, bank)
     total_degree = iq.order + 1
-    assert np.max(np.abs(iq_at(iq, total_degree + 1))) <= 1e-12
-    assert np.max(np.abs(iq_at(iq, total_degree + 5))) <= 1e-12
+    h = impulse_response(iq, total_degree + 6)
+    assert np.max(np.abs(h[total_degree + 1])) <= 1e-12
+    assert np.max(np.abs(h[total_degree + 5])) <= 1e-12
 
 
 def test_unstable_parameter_rejected():

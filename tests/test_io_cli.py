@@ -121,7 +121,7 @@ def cli_run(tmp_path_factory):
     assert main(["example-grid", "--out", out]) == 0
     cfg_path = os.path.join(out, "config.json")
     cfg = artifact_io.load_document(cfg_path)
-    cfg["synthesis"]["optimizer"] = {"max_free_dims": 4, "max_sweeps": 1, "n_starts": 1,
+    cfg["synthesis"]["optimizer"] = {"max_free_dims": 4, "max_sweeps": 1,
                                      "search_grid": 96, "norm_grid": 512}
     artifact_io.dump_document(cfg, cfg_path)
     assert main(["design", "--config", cfg_path, "--out", out]) == 0
@@ -134,6 +134,18 @@ def test_cli_design_exports_full_artifact_set(cli_run):
                 "prediction_models/area_5.json", "gamma_table.csv",
                 "synthesis_report.txt", "objective_trace.csv"):
         assert os.path.exists(os.path.join(cli_run, rel)), rel
+
+
+def test_cli_design_reruns_byte_identical(cli_run, tmp_path):
+    again = str(tmp_path / "again")
+    assert main(["design", "--config", os.path.join(cli_run, "config.json"),
+                 "--out", again]) == 0
+    for rel in ("gamma_table.csv", "synthesis_report.txt", "objective_trace.csv",
+                "param/parametrization.json"):
+        with open(os.path.join(cli_run, rel), "rb") as a, open(os.path.join(again, rel), "rb") as b:
+            assert a.read() == b.read(), rel
+    report = open(os.path.join(again, "synthesis_report.txt")).read()
+    assert "search point certified: yes\n" in report
 
 
 def test_cli_verify_passes(cli_run, capsys):
@@ -171,6 +183,53 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["design", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
     assert main(["verify", "--out", str(tmp_path / "empty")]) == 2
+
+
+def two_area_config(path, optimizer):
+    """A small stable two-area plant whose design takes well under a second."""
+    A = np.diag([0.5, 0.4, 0.3, 0.2])
+    A[0, 2] = A[2, 1] = 0.1
+    cfg = {"schema_version": 1,
+           "plant": {"A": A.tolist(), "B_u": np.eye(4)[:, [0, 2]].tolist(),
+                     "B_d": np.ones((4, 1)).tolist()},
+           "partition": [[2, 1], [2, 1]], "neighborhoods": [[1, 2], [1, 2]],
+           "synthesis": {"optimizer": optimizer}}
+    artifact_io.dump_document(cfg, str(path))
+    return str(path)
+
+
+def test_cli_removed_optimizer_keys_are_noted_and_ignored(tmp_path, capsys):
+    path = two_area_config(tmp_path / "cfg.json",
+                           {"n_starts": 3, "start_scale": 0.1, "seed": 1, "search_grid": 64})
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    notes = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
+    assert notes == [f"note: synthesis.optimizer.{key} is no longer used; the search is deterministic"
+                     for key in ("n_starts", "start_scale", "seed")]
+
+
+@pytest.mark.parametrize("optimizer, cause", [
+    ({"serach_grid": 64}, "unknown synthesis.optimizer key 'serach_grid'"),
+    ({"search_grid": "abc"}, "synthesis.optimizer.search_grid must be a positive int, got 'abc'"),
+    ({"search_grid": 0}, "synthesis.optimizer.search_grid must be a positive int, got 0"),
+    ({"norm_grid": -4}, "synthesis.optimizer.norm_grid must be a positive int, got -4"),
+    (5, "synthesis.optimizer must be an object, got 5"),
+])
+def test_cli_bad_optimizer_setting_is_config_error(tmp_path, capsys, optimizer, cause):
+    path = two_area_config(tmp_path / "cfg.json", optimizer)
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"configuration error: {cause}")
+
+
+@pytest.mark.parametrize("argv", [["design", "--config", "cfg.json", "--out", "run", "--seed", "3"],
+                                  ["verify", "--out", "run", "--q", "3"],
+                                  ["design", "--out", "run"]])
+def test_cli_flag_a_subcommand_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: nrf-forge" in capsys.readouterr().err
 
 
 def test_cli_design_q1_is_config_error(tmp_path, capsys):

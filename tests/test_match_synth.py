@@ -15,6 +15,7 @@ from nrf_forge.lti import (
     negate,
     parallel,
 )
+from nrf_forge import match_synth
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     AlgorithmReport,
@@ -449,7 +450,7 @@ def test_one_basis_toy_matches_brute_force_scan():
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
                               param.mode, param.residual, param.constraint_rank,
                               param.n_constraints)
-    opts = OptimizerSettings(max_free_dims=1, n_starts=2, max_sweeps=4)
+    opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     # unboxed problem: this toy's bootstrap controller is empty, so finite
     # boxes built at x = 0 would not be comparable across the family
     spec, _ = bootstrap_spec(plant, part, bundle, single, slack=np.inf, optimizer=opts)
@@ -490,6 +491,24 @@ def test_bounds_respected_at_solution():
     assert np.all(res.gamma_d <= spec.gamma_bar_d * (1 + 1e-9) + 1e-12)
     assert np.all(res.gamma_u <= spec.gamma_bar_u * (1 + 1e-9) + 1e-12)
     assert np.all(res.gamma_c <= spec.gamma_bar_c * (1 + 1e-9) + 1e-12)
+
+
+def test_rejected_search_point_costs_one_origin_certificate(monkeypatch):
+    # the case above: the search point fails its certificate, so solve
+    # certifies it once, then the origin once, and returns x = 0
+    plant, part, nb, bundle, param = toy_setup(seed=10)
+    spec, _ = bootstrap_spec(plant, part, bundle, param, slack=0.2)
+    certified = []
+
+    def counting(param, x, *args):
+        certified.append(np.array(x))
+        return constraint_norms(param, x, *args)
+
+    monkeypatch.setattr(match_synth, "constraint_norms", counting)
+    res = solve(spec, param, bundle, part)
+    assert len(certified) == 2
+    assert np.any(certified[0]) and not np.any(certified[1])
+    assert not np.any(res.x) and not res.search_certified
 
 
 # ---------------------------------------------------------------------------
