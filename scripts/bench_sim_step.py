@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time one closed-loop step of the distributed and monolithic simulators.
+
+Builds the synthetic ring bank of ``tests/conftest.py::unequal_ring`` (areas
+with unequal (n_xi, n_ui) and controller orders, one order-0 area, ring
+communication sets) for N = 8, 20 and 40, and times 2,000-step runs of
+``simulate_distributed`` and ``simulate_monolithic`` with one BLAS thread.
+Each figure is the median over 7 runs, in microseconds per step.  The
+record is stored under ``--label`` in ``BENCH_sim_step.json`` at the
+repository root; other labels already in that file are kept, so two source
+trees can be compared.
+
+    python3 scripts/bench_sim_step.py --label after
+    python3 scripts/bench_sim_step.py --label before --src ../parent/src
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_sim_step.json"
+SIZES = (8, 20, 40)
+STEPS = 2000
+REPEATS = 7
+SEED = 0
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this record in the output file")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="source tree holding nrf_forge")
+    return ap.parse_args(argv)
+
+
+def step_us(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times) / STEPS
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+    import numpy as np
+    from conftest import unequal_ring
+    from nrf_forge.sim_net import compose_signals, simulate_distributed, simulate_monolithic
+
+    rows = []
+    for n_areas in SIZES:
+        plant, part, nb, bank = unequal_ring(n_areas, SEED)
+        n_w = sum(c.order for c in bank)
+        sig = compose_signals(STEPS, plant.n_x, plant.n_u, plant.n_d, seed=SEED,
+                              amplitudes={"d": 0.5, "zeta": 0.05, "u_s1": 0.2, "beta_f": 0.02})
+        rng = np.random.default_rng(SEED + 1)
+        x_c, w_c = rng.uniform(-1, 1, plant.n_x), rng.uniform(-1, 1, n_w)
+        dist = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+        mono = simulate_monolithic(plant, bank, sig, x_c, w_c)
+        rows.append({
+            "N": n_areas, "n_x": plant.n_x, "n_u": plant.n_u, "n_w": n_w,
+            "dist_us_per_step": round(step_us(
+                lambda: simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)), 1),
+            "mono_us_per_step": round(step_us(
+                lambda: simulate_monolithic(plant, bank, sig, x_c, w_c)), 1),
+            "max_abs_gap": float(max(np.max(np.abs(dist.x - mono.x)),
+                                     np.max(np.abs(dist.u_f - mono.u_f)))),
+        })
+        print(rows[-1])
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("description", f"median wall time per step of {STEPS}-step runs over "
+                   f"{REPEATS} repeats, one BLAS thread; scripts/bench_sim_step.py")
+    doc.setdefault("records", {})[args.label] = {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "machine": platform.machine(), "nproc": os.cpu_count(), "results": rows,
+    }
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

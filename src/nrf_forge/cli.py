@@ -120,12 +120,26 @@ def _partition_from_config(cfg: dict):
     return part, nb
 
 
+def _setting(name: str, value, kind: type, need: str, ok=lambda v: True):
+    """``value`` as a ``kind`` (int or float), if it is exactly one and
+    ``ok`` holds for it; otherwise a ConfigError saying it must be ``need``.
+    Strings, bools and lossy casts are rejected."""
+    try:
+        cast = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if isinstance(value, bool) or cast is None or cast != value or not ok(cast):
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return cast
+
+
 def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
     syn = dict(cfg.get("synthesis", {}))
     if syn.get("norm", "hinf") != "hinf":
         raise ConfigError("only the 'hinf' norm is supported at v1; "
                           "the quadratic-norm route is out of scope")
-    q = int(q_override if q_override is not None else syn.get("q", 2))
+    q = _setting("synthesis.q", q_override if q_override is not None else syn.get("q", 2),
+                 int, "an int")
     mode = str(syn.get("param_mode", "factored"))
     if mode not in MIN_FIR_DEGREE:
         raise ConfigError(f"unknown param_mode {mode!r}; expected one of {sorted(MIN_FIR_DEGREE)}")
@@ -142,8 +156,10 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
         param_mode=mode,
         preserve_diagonal=bool(syn.get("preserve_diagonal", True)),
         gain_strategy=strategy,
-        bezout_grid=int(syn.get("bezout_grid", 512)),
-        bound_slack=float(syn.get("bound_slack", 0.0)),
+        bezout_grid=_setting("synthesis.bezout_grid", syn.get("bezout_grid", 512),
+                             int, "a positive int", lambda v: v > 0),
+        bound_slack=_setting("synthesis.bound_slack", syn.get("bound_slack", 0.0),
+                             float, "a finite float >= 0", lambda v: 0 <= v < float("inf")),
     )
 
 
@@ -167,15 +183,8 @@ def _optimizer_settings(cfg: dict) -> OptimizerSettings:
         if key not in names:
             raise ConfigError(f"unknown synthesis.optimizer key {key!r}; expected one of {names}")
         kind = type(getattr(base, key))
-        try:
-            cast = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            cast = None
-        if (isinstance(value, bool) or cast is None or cast != value
-                or not (0 < cast < float("inf"))):
-            raise ConfigError(f"synthesis.optimizer.{key} must be a positive "
-                              f"{kind.__name__}, got {value!r}")
-        chosen[key] = cast
+        chosen[key] = _setting(f"synthesis.optimizer.{key}", value, kind,
+                               f"a positive {kind.__name__}", lambda v: 0 < v < float("inf"))
     return dataclasses.replace(base, **chosen)
 
 
@@ -354,8 +363,10 @@ def cmd_simulate(args) -> int:
         print(f"cannot load run directory {args.out}: {exc}")
         return EXIT_CONFIG
     sim = dict(cfg.get("simulation", {}))
-    horizon = int(sim.get("horizon", 500))
-    seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
+    horizon = _setting("simulation.horizon", sim.get("horizon", 500), int, "a positive int",
+                       lambda v: v > 0)
+    seed = _setting("simulation.seed", args.seed if args.seed is not None else sim.get("seed", 0),
+                    int, "a non-negative int", lambda v: v >= 0)
     signals = compose_signals(
         horizon, plant.n_x, plant.n_u, plant.n_d, seed=seed,
         amplitudes=sim.get("amplitudes"), kinds=sim.get("kinds"),

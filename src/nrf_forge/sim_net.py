@@ -8,9 +8,14 @@ its command bundle (u_fj + beta_fj), and every receiver sees the same
 values.  For banks that pass the communication-constraint check the two
 simulations agree to floating-point reordering.
 
-Message semantics are synchronous lock-step: all areas exchange, then all
-step.  A delayed-message mode exists purely as an off-spec negative control
-for tests.
+Message semantics are synchronous lock-step in two phases.  The step reads
+z = [w; state messages; command messages; 0] through one gather row per
+area: its own controller state and the message slots of its communication
+set, padded with the zero slot.  Phase 1, one batched product of every
+area's [C_i | D_i,x], yields all commands, which are then published into z;
+phase 2, one batched product of every [A_i | B_i,u | B_i,x], steps all
+controller states.  A delayed-message mode exists purely as an off-spec
+negative control for tests.
 
 Independent scenarios can be stepped together: signal channels may carry a
 trailing scenario axis, (horizon, dim, S), and the initial states are then
@@ -316,92 +321,86 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     return LoopTrace(X, UF, U, W, signals.start_index, signals.seed, "monolithic")
 
 
+def _stack_padded(rows, pad: int):
+    """Per-area (gather row, matrix) pairs as one (N, width) gather array
+    padded with slot ``pad``, one zero-padded (N, height, width) matrix
+    stack, and the flat positions of the real rows among N * height."""
+    width = max(len(g) for g, _ in rows)
+    height = max(m.shape[0] for _, m in rows)
+    G = np.full((len(rows), width), pad)
+    P = np.zeros((len(rows), height, width))
+    for i, (g, m) in enumerate(rows):
+        G[i, :len(g)] = g
+        P[i, :m.shape[0], :m.shape[1]] = m
+    return G, P, np.concatenate([i * height + np.arange(m.shape[0]) for i, (_, m) in enumerate(rows)])
+
+
 def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
                          nb: Neighborhoods, signals: ScenarioSignals,
                          x_c, w_c, horizon: int | None = None,
                          delay_messages: bool = False) -> LoopTrace:
     """Run one subcontroller per area with explicit message passing.
 
-    Each area reads only the state and command bundles of its communication
-    set; structurally required inputs from outside that set raise (the bank
-    is expected to have passed the communication-constraint check first).
-    ``delay_messages=True`` switches to one-step-old neighbour messages, an
-    off-spec demo mode that breaks equivalence with the monolithic loop.
-    Batched signals step all their scenarios at once, as in
-    :func:`simulate_monolithic`.
+    Each step is one gathered product per phase over all areas and
+    scenarios (see the module notes); area i's product reads only its own
+    state and the message slots of its communication set.  Structurally
+    required inputs from outside that set raise before any step.
+    ``delay_messages=True`` makes both phases read the previous step's
+    message slots, an off-spec demo mode that breaks equivalence with the
+    monolithic loop.  Batched signals step all their scenarios at once.
     """
     T = horizon if horizon is not None else signals.horizon
     if T > signals.horizon:
         raise DimensionMismatchError("horizon exceeds the provided signal traces")
     n_x, n_u = plant.n_x, plant.n_u
-    N = partition.n_areas
     batch = signals.batch
-    n_w_total = sum(c.order for c in bank)
-    x = _initial_state(x_c, n_x, batch, "x_c")
-    w_c = _initial_state(w_c, n_w_total, batch, "w_c")
-    w_parts = []
-    off = 0
-    for ctrl in bank:
-        w_parts.append(w_c[off:off + ctrl.order])
-        off += ctrl.order
-
-    # per-area column views into the controller input [u_f-bundle; x-bundle],
-    # with the feedthrough and input-matrix slices that read them
-    local = []
+    S = int(np.prod(batch, dtype=int))
+    w_off = np.cumsum([0] + [c.order for c in bank])
+    n_w = int(w_off[-1])
+    zero = n_w + n_x + n_u
+    # area owning, and z slot carrying, each controller input [u_f-bundle; x-bundle]
+    owner = np.repeat(np.tile(np.arange(partition.n_areas), 2), partition.u_sizes + partition.x_sizes)
+    in_slot = np.r_[n_w + n_x + np.arange(n_u), n_w + np.arange(n_x)]
+    phase1, phase2 = [], []
     for i, ctrl in enumerate(bank):
-        D = ctrl.D
-        _check_no_algebraic_loop(D, n_u)
-        cols_u, cols_x = [], []
-        for j in range(N):
-            if j in nb.of(i):
-                cols_u.extend(partition.indices("u", j))
-                cols_x.extend(partition.indices("x", j))
-            else:
-                hot_u = partition.indices("u", j)
-                hot_x = n_u + partition.indices("x", j)
-                uses = (ctrl.order and (np.any(ctrl.B[:, hot_u]) or np.any(ctrl.B[:, hot_x]))) \
-                    or np.any(D[:, hot_u]) or np.any(D[:, hot_x])
-                if uses:
-                    raise CommConstraintError([(i, j)])
-        cols_u, cols_x = np.asarray(cols_u, dtype=int), np.asarray(cols_x, dtype=int)
-        local.append((cols_u, cols_x, D[:, n_u + cols_x], ctrl.B[:, cols_u], ctrl.B[:, n_u + cols_x]))
+        _check_no_algebraic_loop(ctrl.D, n_u)
+        allowed = np.isin(owner, list(nb.of(i)))
+        outside = np.unique(owner[~allowed & (np.any(ctrl.B, axis=0) | np.any(ctrl.D, axis=0))])
+        if outside.size:
+            raise CommConstraintError([(i, int(j)) for j in outside])
+        cols = np.flatnonzero(allowed)
+        cols_x = cols[cols >= n_u]
+        own = np.arange(w_off[i], w_off[i + 1])
+        phase1.append((np.r_[own, in_slot[cols_x]], np.hstack([ctrl.C, ctrl.D[:, cols_x]])))
+        phase2.append((np.r_[own, in_slot[cols]], np.hstack([ctrl.A, ctrl.B[:, cols]])))
+    G1, P1, to_uf = _stack_padded(phase1, zero)
+    G2, P2, to_w = _stack_padded(phase2, zero)
 
-    beta_x, beta_u = signals.beta_x, signals.beta_u
-    beta_f, d = signals.beta_f_full, signals.d_full
-    beta_w = _reported_state_noise(signals, T, n_w_total)
-    X = np.empty((T, n_x) + batch)
-    UF = np.empty((T, n_u) + batch)
-    U = np.empty((T, n_u) + batch)
-    W = np.empty((T, n_w_total) + batch)
+    z = np.zeros((zero + 1, S))
+    z[:n_w] = _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)
+    x = _initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S)
+    state_slots, cmd_slots = slice(n_w, n_w + n_x), slice(n_w + n_x, zero)
+    beta_x, beta_u, beta_f, d = (a.reshape(a.shape[:2] + (S,)) for a in (
+        signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
+    beta_w = _reported_state_noise(signals, T, n_w).reshape(T, n_w, S)
+    X, UF, W = (np.empty((T, dim, S)) for dim in (n_x, n_u, n_w))
     A, B_u, B_d = plant.A, plant.B_u, plant.B_d
-    u_idx = [partition.indices("u", i) for i in range(N)]
-    prev_state_msg = np.zeros((n_x,) + batch)
-    prev_cmd_msg = np.zeros((n_u,) + batch)
     for k in range(T):
-        X[k] = x
-        W[k] = (np.concatenate(w_parts) if w_parts else np.zeros((0,) + batch)) + beta_w[k]
-        # broadcast phase: every area publishes its measured-state bundle
+        X[k], W[k] = x, z[:n_w]
+        fresh = not (delay_messages and k)
         state_msg = x + beta_x[k]
-        state_src = prev_state_msg if (delay_messages and k > 0) else state_msg
-        # local command computation (state messages only; no u_f feedthrough)
-        u_f = np.empty((n_u,) + batch)
-        for i, ctrl in enumerate(bank):
-            _, cols_x, D_state, _, _ = local[i]
-            contrib = D_state @ state_src[cols_x]
-            u_f[u_idx[i]] = (ctrl.C @ w_parts[i] if ctrl.order else 0.0) + contrib
+        if fresh:
+            z[state_slots] = state_msg
+        u_f = np.matmul(P1, z[G1]).reshape(-1, S)[to_uf]
         UF[k] = u_f
         cmd_msg = u_f + beta_f[k]
-        cmd_src = prev_cmd_msg if (delay_messages and k > 0) else cmd_msg
-        # state update phase: each area consumes only its allowed messages
-        for i, ctrl in enumerate(bank):
-            if not ctrl.order:
-                continue
-            cols_u, cols_x, _, B_cmd, B_state = local[i]
-            w_parts[i] = (ctrl.A @ w_parts[i]
-                          + B_cmd @ cmd_src[cols_u]
-                          + B_state @ state_src[cols_x])
-        u = u_f + beta_u[k]
-        U[k] = u
-        x = A @ x + B_u @ u + B_d @ d[k]
-        prev_state_msg, prev_cmd_msg = state_msg, cmd_msg
-    return LoopTrace(X, UF, U, W, signals.start_index, signals.seed, "distributed")
+        if fresh:
+            z[cmd_slots] = cmd_msg
+        z[:n_w] = np.matmul(P2, z[G2]).reshape(-1, S)[to_w]
+        if delay_messages:
+            z[state_slots], z[cmd_slots] = state_msg, cmd_msg
+        x = A @ x + B_u @ (u_f + beta_u[k]) + B_d @ d[k]
+    # the controller-state disturbance rides only on the reported copy of w
+    U, W = UF + beta_u[:T], W + beta_w
+    return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (X, UF, U, W)),
+                     signals.start_index, signals.seed, "distributed")

@@ -7,6 +7,8 @@ from hypothesis import settings
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.grid import build_grid_plant, grid_neighborhoods, grid_partition
 from nrf_forge.match_synth import AlgorithmConfig, run_algorithm1
+from nrf_forge.nrf import AreaController
+from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
 
 settings.register_profile("dev", max_examples=25, deadline=None)
@@ -30,6 +32,38 @@ def shift_nilpotent(n):
     N = np.zeros((n, n))
     N[:-1, 1:] = np.eye(n - 1)
     return N
+
+
+def unequal_ring(n_areas, seed, static=False):
+    """Plant, partition, ring neighbourhoods {i-1, i, i+1} and a random bank.
+
+    Areas have unequal (n_xi, n_ui) and controller orders; area 1 is static
+    (order 0), and ``static=True`` makes every area static.  Each area's
+    B and D read only from its ring neighbourhood and have no command
+    feedthrough.  All gains are small, so the closed loop is stable.
+    """
+    rng = np.random.default_rng(seed)
+    x_sizes = [1 + i % 3 for i in range(n_areas)]
+    u_sizes = [1 + (i % 4 == 2) for i in range(n_areas)]
+    orders = [0 if static or i == 1 else 1 + (3 * i) % 4 for i in range(n_areas)]
+    part = build_partition(list(zip(x_sizes, u_sizes)))
+    nb = Neighborhoods(tuple(frozenset({(i - 1) % n_areas, i, (i + 1) % n_areas})
+                             for i in range(n_areas)))
+    plant = random_stable_plant(rng, sum(x_sizes), sum(u_sizes), 2, rho=0.5)
+    plant = Plant(plant.A, plant.B_u / np.sqrt(plant.n_x), plant.B_d)
+    owner = np.r_[np.repeat(np.arange(n_areas), u_sizes), np.repeat(np.arange(n_areas), x_sizes)]
+    n_u = plant.n_u
+    bank = []
+    for i, (n_ui, n_wi) in enumerate(zip(u_sizes, orders)):
+        reads = np.isin(owner, list(nb.of(i)))
+        A = rng.standard_normal((n_wi, n_wi))
+        A *= 0.5 / max(np.max(np.abs(np.linalg.eigvals(A)), initial=0.0), 1e-6)
+        B = 0.1 * rng.standard_normal((n_wi, reads.size)) * reads
+        D = 0.05 * rng.standard_normal((n_ui, reads.size)) * reads
+        D[:, :n_u] = 0.0
+        bank.append(AreaController(i, A, B, 0.1 * rng.standard_normal((n_ui, n_wi)), D,
+                                   (n_wi,) + (0,) * (n_ui - 1), np.zeros(n_wi)))
+    return plant, part, nb, bank
 
 
 def deadbeat_bundle(plant, F=None, grid_size=512):

@@ -222,6 +222,42 @@ def test_cli_bad_optimizer_setting_is_config_error(tmp_path, capsys, optimizer, 
     assert lines[0].startswith(f"configuration error: {cause}")
 
 
+@pytest.mark.parametrize("synthesis, cause", [
+    ({"q": "abc"}, "synthesis.q must be an int, got 'abc'"),
+    ({"q": 2.5}, "synthesis.q must be an int, got 2.5"),
+    ({"bound_slack": "x"}, "synthesis.bound_slack must be a finite float >= 0, got 'x'"),
+    ({"bound_slack": -0.5}, "synthesis.bound_slack must be a finite float >= 0, got -0.5"),
+    ({"bound_slack": float("inf")}, "synthesis.bound_slack must be a finite float >= 0, got inf"),
+    ({"bezout_grid": 0}, "synthesis.bezout_grid must be a positive int, got 0"),
+])
+def test_cli_bad_synthesis_value_is_config_error(tmp_path, capsys, synthesis, cause):
+    path = two_area_config(tmp_path / "cfg.json", {})
+    cfg = artifact_io.load_document(path)
+    cfg["synthesis"].update(synthesis)
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)  # writes inf as Infinity, which the config loader accepts
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [f"configuration error: {cause}"]
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("simulation, flags, cause", [
+    ({"horizon": 0}, [], "simulation.horizon must be a positive int, got 0"),
+    ({"horizon": "abc"}, [], "simulation.horizon must be a positive int, got 'abc'"),
+    ({"seed": "7"}, [], "simulation.seed must be a non-negative int, got '7'"),
+    ({}, ["--seed", "-1"], "simulation.seed must be a non-negative int, got -1"),
+])
+def test_cli_bad_simulation_value_is_config_error(cli_run, tmp_path, capsys, simulation, flags, cause):
+    cfg = artifact_io.load_document(os.path.join(cli_run, "config.json"))
+    cfg["simulation"].update(simulation)
+    path = str(tmp_path / "cfg.json")
+    artifact_io.dump_document(cfg, path)
+    capsys.readouterr()
+    assert main(["simulate", "--config", path, "--out", cli_run] + flags) == 2
+    assert capsys.readouterr().out.strip().splitlines() == [f"configuration error: {cause}"]
+
+
 @pytest.mark.parametrize("argv", [["design", "--config", "cfg.json", "--out", "run", "--seed", "3"],
                                   ["verify", "--out", "run", "--q", "3"],
                                   ["design", "--out", "run"]])

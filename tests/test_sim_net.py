@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle
+from conftest import deadbeat_bundle, unequal_ring
 from nrf_forge.closed_loop import build_closed_loop_maps, ic_response
 from nrf_forge.errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
 from nrf_forge.lti import fir_realization, impulse_response
@@ -322,3 +322,109 @@ def test_batch_size_mismatch_rejected(grid_design, grid_setup):
             simulate_distributed(plant, bank, part, nb, sig, x0, w0)
     with pytest.raises(DimensionMismatchError):
         simulate_monolithic(plant, bank, singles[0], x_c, w_c)
+
+
+# ---------------------------------------------------------------------------
+# padded gather layout: unequal areas, an order-0 area, all-static banks
+# ---------------------------------------------------------------------------
+
+def _reference_distributed(plant, bank, partition, nb, signals, x_c, w_c, delay_messages):
+    """One subcontroller at a time, each reading its allowed message columns:
+    the per-area loop the gathered step replaced, kept as its oracle."""
+    n_x, n_u, N, T = plant.n_x, plant.n_u, partition.n_areas, signals.horizon
+    batch = signals.batch
+    allowed = [[j for j in range(N) if j in nb.of(i)] for i in range(N)]
+    cols_u = [np.concatenate([partition.indices("u", j) for j in a]) for a in allowed]
+    cols_x = [np.concatenate([partition.indices("x", j) for j in a]) for a in allowed]
+    u_idx = [partition.indices("u", i) for i in range(N)]
+    offs = np.cumsum([0] + [c.order for c in bank])
+    w = [np.array(w_c[offs[i]:offs[i + 1]], dtype=float) for i in range(N)]
+    x = np.array(x_c, dtype=float)
+    X, UF, W = [], [], []
+    prev_state, prev_cmd = None, None
+    for k in range(T):
+        X.append(x)
+        W.append(np.concatenate(w))
+        state_msg = x + signals.beta_x[k]
+        state_src = prev_state if (delay_messages and k > 0) else state_msg
+        u_f = np.empty((n_u,) + batch)
+        for i, ctrl in enumerate(bank):
+            u_f[u_idx[i]] = ctrl.C @ w[i] + ctrl.D[:, n_u + cols_x[i]] @ state_src[cols_x[i]]
+        UF.append(u_f)
+        cmd_msg = u_f + signals.beta_f_full[k]
+        cmd_src = prev_cmd if (delay_messages and k > 0) else cmd_msg
+        for i, ctrl in enumerate(bank):
+            w[i] = (ctrl.A @ w[i] + ctrl.B[:, cols_u[i]] @ cmd_src[cols_u[i]]
+                    + ctrl.B[:, n_u + cols_x[i]] @ state_src[cols_x[i]])
+        u = u_f + signals.beta_u[k]
+        x = plant.A @ x + plant.B_u @ u + plant.B_d @ signals.d_full[k]
+        prev_state, prev_cmd = state_msg, cmd_msg
+    return np.array(X), np.array(UF), np.array(W)
+
+
+def _ring_scenarios(plant, n_w, count, horizon, seed):
+    """``count`` random scenarios (a single one for count = 0) and their
+    initial states."""
+    rng = np.random.default_rng(seed)
+    amps = {"d": 0.5, "zeta": 0.1, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.05}
+    singles = [compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
+                               seed=int(rng.integers(2**31)), amplitudes=amps)
+               for _ in range(max(count, 1))]
+    shape = (count,) if count else ()
+    return (stack_scenarios(singles) if count else singles[0],
+            rng.uniform(-1, 1, (plant.n_x,) + shape), rng.uniform(-1, 1, (n_w,) + shape))
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_unequal_ring_distributed_equals_monolithic(count):
+    plant, part, nb, bank = unequal_ring(12, seed=31)
+    n_w = sum(c.order for c in bank)
+    assert len({c.order for c in bank}) > 2 and min(c.order for c in bank) == 0
+    assert len(set(part.x_sizes)) > 1 and len(set(part.u_sizes)) > 1
+    sig, x_c, w_c = _ring_scenarios(plant, n_w, count, 300, seed=32)
+    tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+    assert td.x.shape == (300, plant.n_x) + sig.batch
+    assert np.max(np.abs(tm.x)) > 0.1
+    for name in ("x", "u_f", "u", "w"):
+        assert np.max(np.abs(getattr(tm, name) - getattr(td, name))) <= 1e-10, name
+
+
+@pytest.mark.parametrize("delay", [False, True])
+def test_unequal_ring_matches_per_area_reference(delay):
+    plant, part, nb, bank = unequal_ring(12, seed=33)
+    sig, x_c, w_c = _ring_scenarios(plant, sum(c.order for c in bank), 0, 200, seed=34)
+    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=delay)
+    X, UF, W = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay)
+    assert np.max(np.abs(td.x - X)) <= 1e-12
+    assert np.max(np.abs(td.u_f - UF)) <= 1e-12
+    assert np.max(np.abs(td.w - W)) <= 1e-12
+    if delay:
+        tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+        assert np.max(np.abs(tm.x - td.x)) > 1e-6
+
+
+@pytest.mark.parametrize("matrix", ["B", "D"])
+def test_out_of_set_column_raises_for_a_single_scenario(matrix):
+    plant, part, nb, bank = unequal_ring(12, seed=35)
+    i, j = 2, 7  # area 7 is outside area 2's ring neighbourhood {1, 2, 3}
+    bad = np.array(getattr(bank[i], matrix))
+    bad[0, plant.n_u + part.indices("x", j)[0]] = 1e-3
+    bank[i] = AreaController(**{**bank[i].__dict__, matrix: bad})
+    sig, x_c, w_c = _ring_scenarios(plant, sum(c.order for c in bank), 0, 10, seed=36)
+    with pytest.raises(CommConstraintError) as err:
+        simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+    assert err.value.pairs == [(i, j)]
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_all_static_bank_runs_both_ways(count):
+    plant, part, nb, bank = unequal_ring(6, seed=37, static=True)
+    assert all(c.order == 0 for c in bank)
+    sig, x_c, w_c = _ring_scenarios(plant, 0, count, 100, seed=38)
+    tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+    assert tm.w.shape == td.w.shape == (100, 0) + sig.batch
+    assert np.max(np.abs(tm.u_f)) > 0.0
+    assert np.max(np.abs(tm.x - td.x)) <= 1e-10
+    assert np.max(np.abs(tm.u_f - td.u_f)) <= 1e-10
