@@ -42,7 +42,7 @@ from .match_synth import (
 from .nrf import form_nrf_pair
 from .partition import Neighborhoods, build_partition, validate_neighborhoods
 from .plant import Plant
-from .sim_net import compose_signals, simulate_distributed, simulate_monolithic
+from .sim_net import NOISE_KINDS, compose_signals, simulate_distributed, simulate_monolithic
 from .sparse_param import MIN_FIR_DEGREE
 from .verify import run_invariant_suite
 
@@ -63,8 +63,7 @@ def _load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = artifact_io.load_document(path)
-    if int(cfg.get("schema_version", 0)) != 1:
-        raise ConfigError("config must declare schema_version 1")
+    _setting("schema_version", cfg.get("schema_version"), int, "1", lambda v: v == 1)
     return cfg
 
 
@@ -133,6 +132,19 @@ def _setting(name: str, value, kind: type, need: str, ok=lambda v: True):
     return cast
 
 
+#: Synthesis keys that name the parametrization; each is accepted only at
+#: the one value the program implements.
+FIXED_SYNTHESIS_KEYS = {"param_mode": "factored", "preserve_diagonal": True}
+
+
+def _object(section: dict, prefix: str, key: str) -> dict:
+    """``section[key]``, an empty dict when absent; a ConfigError unless it is an object."""
+    value = section.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix}.{key} must be an object, got {value!r}")
+    return value
+
+
 def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
     syn = dict(cfg.get("synthesis", {}))
     if syn.get("norm", "hinf") != "hinf":
@@ -140,11 +152,13 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
                           "the quadratic-norm route is out of scope")
     q = _setting("synthesis.q", q_override if q_override is not None else syn.get("q", 2),
                  int, "an int")
-    mode = str(syn.get("param_mode", "factored"))
-    if mode not in MIN_FIR_DEGREE:
-        raise ConfigError(f"unknown param_mode {mode!r}; expected one of {sorted(MIN_FIR_DEGREE)}")
-    if q < MIN_FIR_DEGREE[mode]:
-        raise ConfigError(f"FIR degree q = {q} is too small; {mode} mode needs q >= {MIN_FIR_DEGREE[mode]}")
+    if q < MIN_FIR_DEGREE:
+        raise ConfigError(f"FIR degree q = {q} is too small; the parametrization needs q >= {MIN_FIR_DEGREE}")
+    for key, only in FIXED_SYNTHESIS_KEYS.items():
+        value = syn.get(key, only)
+        if (type(value), value) != (type(only), only):
+            raise ConfigError(f"synthesis.{key} must be {json.dumps(only)}, got {value!r}; "
+                              "the factored, diagonal-preserving parametrization is the only one")
     strategy = str(syn.get("gain_strategy", STRATEGY_BLOCK_DEADBEAT))
     if strategy != STRATEGY_BLOCK_DEADBEAT:
         why = ("needs explicit F and L, which a config cannot supply" if strategy == STRATEGY_USER
@@ -153,8 +167,6 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
                           f"a config may only use {STRATEGY_BLOCK_DEADBEAT!r}")
     return AlgorithmConfig(
         q=q,
-        param_mode=mode,
-        preserve_diagonal=bool(syn.get("preserve_diagonal", True)),
         gain_strategy=strategy,
         bezout_grid=_setting("synthesis.bezout_grid", syn.get("bezout_grid", 512),
                              int, "a positive int", lambda v: v > 0),
@@ -170,9 +182,7 @@ def _optimizer_settings(cfg: dict) -> OptimizerSettings:
     """The config's ``synthesis.optimizer`` over the defaults.  Every value
     must be a positive finite number of the field's type; the removed
     restart keys are noted and ignored."""
-    opt = cfg.get("synthesis", {}).get("optimizer", {})
-    if not isinstance(opt, dict):
-        raise ConfigError(f"synthesis.optimizer must be an object, got {opt!r}")
+    opt = _object(cfg.get("synthesis", {}), "synthesis", "optimizer")
     base = OptimizerSettings()
     names = sorted(f.name for f in dataclasses.fields(base))
     chosen = {}
@@ -217,8 +227,6 @@ def cmd_example_grid(args) -> int:
         "neighborhoods": [sorted(j + 1 for j in nb.of(i)) for i in range(nb.n_areas)],
         "synthesis": {
             "q": args.q if args.q is not None else 2,
-            "param_mode": "factored",
-            "preserve_diagonal": True,
             "norm": "hinf",
             "bound_slack": 0.25,
         },
@@ -367,10 +375,14 @@ def cmd_simulate(args) -> int:
                        lambda v: v > 0)
     seed = _setting("simulation.seed", args.seed if args.seed is not None else sim.get("seed", 0),
                     int, "a non-negative int", lambda v: v >= 0)
-    signals = compose_signals(
-        horizon, plant.n_x, plant.n_u, plant.n_d, seed=seed,
-        amplitudes=sim.get("amplitudes"), kinds=sim.get("kinds"),
-    )
+    amplitudes = {k: _setting(f"simulation.amplitudes.{k}", v, float, "a finite float", np.isfinite)
+                  for k, v in _object(sim, "simulation", "amplitudes").items()}
+    kinds = _object(sim, "simulation", "kinds")
+    for k, v in kinds.items():
+        if v not in NOISE_KINDS:
+            raise ConfigError(f"simulation.kinds.{k} must be one of {list(NOISE_KINDS)}, got {v!r}")
+    signals = compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d, seed=seed,
+                              amplitudes=amplitudes, kinds=kinds)
     n_w = sum(c.order for c in bank)
     rng = np.random.default_rng(seed + 1)
     x_c = rng.uniform(-1.0, 1.0, plant.n_x)

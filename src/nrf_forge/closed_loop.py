@@ -161,6 +161,17 @@ def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> Clo
     return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
 
 
+def _q_responses(bundle: DcfBundle, taps_seq, zs: np.ndarray):
+    """Q, Q Mt and Q Nt on the flat complex grid ``zs`` for each tap tensor
+    (q, n_u, n_x) in ``taps_seq``, with Q(z) = sum_t taps[t] z^{-t-1}.  The
+    factors Mt and Nt are evaluated once."""
+    mt, nt = frequency_response(bundle.Mt, zs), frequency_response(bundle.Nt, zs)
+    for taps in taps_seq:
+        powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
+        q_resp = np.einsum("gt,tij->gij", powers, taps)
+        yield q_resp, q_resp @ mt, q_resp @ nt
+
+
 def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
     """The parts of F and I that are linear in Q, evaluated pointwise on ``zs``.
 
@@ -178,20 +189,33 @@ def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
     and (G, n_x + n_u, n_x); the factor responses are evaluated once.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    powers = zs[:, None] ** -np.arange(1.0, taps.shape[1] + 1)
     nm = np.concatenate([frequency_response(bundle.N, zs), frequency_response(bundle.M, zs)], axis=1)
     res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
-    mt, nt = frequency_response(bundle.Mt, zs), frequency_response(bundle.Nt, zs)
     gd_l = res_l @ bundle.plant.B_d
     j1 = zs[:, None, None] * res_l
     diag = np.arange(bundle.n_u)
-    for tap in taps:
-        q_resp = np.einsum("gt,tij->gij", powers, tap)
-        q_nt = q_resp @ nt
+    for q_resp, q_mt, q_nt in _q_responses(bundle, taps, zs):
         gap = -q_nt
         gap[:, diag, diag] = 0.0
-        right = np.concatenate([q_resp @ mt, q_nt, gap, q_resp @ gd_l], axis=-1)
+        right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
         yield nm @ right, nm @ (q_resp @ j1)
+
+
+def kd_responses(bundle: DcfBundle, taps_seq, zs):
+    """kd(z) = [I - Yqd^-1 Yq, Yqd^-1 Xq] on ``zs`` for each Q in ``taps_seq``.
+
+    Each element of ``taps_seq`` is an FIR tap tensor as in
+    :func:`q_linear_responses`; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is the
+    diagonal of Yq.  The factor responses are evaluated once; yields one
+    (G, n_u, n_u + n_x) stack per tap tensor.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    yt, xt = frequency_response(bundle.Yt, zs), frequency_response(bundle.Xt, zs)
+    eye = np.eye(bundle.n_u)
+    for _, q_mt, q_nt in _q_responses(bundle, taps_seq, zs):
+        yq = yt + q_nt
+        inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
+        yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_mt)], axis=-1)
 
 
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:

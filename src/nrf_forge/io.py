@@ -224,7 +224,6 @@ def export_parametrization(param: QParametrization, x: np.ndarray, dirpath: str)
     os.makedirs(dirpath, exist_ok=True)
     doc = {
         "fir_degree": param.fir_degree,
-        "mode": param.mode,
         "residual": param.residual,
         "constraint_rank": param.constraint_rank,
         "n_constraints": param.n_constraints,
@@ -245,7 +244,8 @@ def load_parametrization(dirpath: str):
         basis = np.stack([np.stack([matrix_from_doc(d) for d in taps]) for taps in doc["basis"]])
     else:
         basis = np.zeros((0,) + q0.shape)
-    param = QParametrization(q0, basis, q, doc["mode"], float(doc["residual"]),
+    # older run directories also carry a "mode" key, which is ignored
+    param = QParametrization(q0, basis, q, float(doc["residual"]),
                              int(doc["constraint_rank"]), int(doc["n_constraints"]))
     return param, np.asarray(doc["x"], dtype=float)
 

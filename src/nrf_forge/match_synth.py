@@ -43,7 +43,7 @@ from .lti import (
 )
 from .nrf import bank_from_pair, form_nrf_pair
 from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
-from .sparse_param import MODE_FACTORED, QParametrization, q_from_x
+from .sparse_param import QParametrization, q_from_x
 
 MODE_DECOUPLE_ONLY = "decouple_only"
 MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
@@ -268,9 +268,14 @@ class _SurrogateModel:
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise.  Both are stored per block, grouped by shape, so an evaluation
     is one Gram stack and one batched lambda_max per group.  Only the
-    plant-IC columns of the initial map move with x (the diagonal-preserving
-    parametrization pins the controller-IC columns), so where the Gram side
-    is the rows the controller-IC columns enter as a constant Gram term.
+    plant-IC columns of the initial map move with x here: the controller-IC
+    columns [N; M] J2 are held at x = 0, so where the Gram side is the rows
+    they enter as a constant Gram term.  That is exact only while every
+    controller row keeps its x = 0 order and characteristic polynomial: the
+    parametrization fixes diag(Yq) = diag(Yt), and the rows' companion forms
+    then fix J2.  A row whose order grows with x adds controller-IC columns
+    the surrogate leaves out (the two-area toy of the tests has 0 controller
+    states at x = 0 and 3 at a random x).
     ``n_evals`` counts calls of :meth:`objective`.
     """
 
@@ -461,9 +466,10 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     """Minimise the weighted matching objective over the free coefficients.
 
     Requires admissible bounds to be set (run the bootstrap first, e.g.
-    through :func:`run_algorithm1`) and a diagonal-preserving factored
-    parametrization, so that the initial-condition columns stay fixed along
-    the search.  The search runs once from x = 0 and its point is certified
+    through :func:`run_algorithm1`).  The surrogate the search minimises
+    holds the controller-IC columns at x = 0 (see :class:`_SurrogateModel`
+    for when that is exact); the certificate reads the realized maps at the
+    search point.  The search runs once from x = 0 and its point is certified
     once; if that certificate fails an admissible bound, the certified
     origin is returned instead (``search_certified`` False), which makes at
     most one certificate beyond the search point.
@@ -473,11 +479,6 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
-    if param.mode != MODE_FACTORED and param.n_free:
-        raise ValueError(
-            "the v1 search requires the factored, diagonal-preserving "
-            "parametrization (initial-condition columns must not move with x)"
-        )
     opts = spec.optimizer
     builder = MapsBuilder(bundle, partition)
     n_free = param.n_free
@@ -617,8 +618,6 @@ class AlgorithmConfig:
     """End-to-end design knobs."""
 
     q: int = 2
-    param_mode: str = MODE_FACTORED
-    preserve_diagonal: bool = True
     gain_strategy: str = "block_diagonalizing_F_deadbeat_L"
     F: np.ndarray | None = None
     L: np.ndarray | None = None
@@ -658,8 +657,7 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
 
     F, L = design_gains(plant, partition, config.gain_strategy, config.F, config.L)
     bundle = build_dcf(plant, F, L, config.bezout_grid)
-    param = build_parametrization(bundle, pattern, config.q, config.param_mode,
-                                  config.preserve_diagonal)
+    param = build_parametrization(bundle, pattern, config.q)
     from .sparse_param import InfeasibilityReport
     if isinstance(param, InfeasibilityReport):
         return AlgorithmReport(

@@ -14,8 +14,7 @@ area: its own controller state and the message slots of its communication
 set, padded with the zero slot.  Phase 1, one batched product of every
 area's [C_i | D_i,x], yields all commands, which are then published into z;
 phase 2, one batched product of every [A_i | B_i,u | B_i,x], steps all
-controller states.  A delayed-message mode exists purely as an off-spec
-negative control for tests.
+controller states.
 
 Independent scenarios can be stepped together: signal channels may carry a
 trailing scenario axis, (horizon, dim, S), and the initial states are then
@@ -131,6 +130,10 @@ class ScenarioSignals:
             beta_s1=self.beta_s1, beta_s2=self.beta_s2,
             beta_f=self.beta_f, beta_w=self.beta_w,
         )
+
+
+#: Noise kinds :func:`compose_signals` can draw.
+NOISE_KINDS = ("uniform", "gauss")
 
 
 def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
@@ -337,17 +340,14 @@ def _stack_padded(rows, pad: int):
 
 def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
                          nb: Neighborhoods, signals: ScenarioSignals,
-                         x_c, w_c, horizon: int | None = None,
-                         delay_messages: bool = False) -> LoopTrace:
+                         x_c, w_c, horizon: int | None = None) -> LoopTrace:
     """Run one subcontroller per area with explicit message passing.
 
     Each step is one gathered product per phase over all areas and
     scenarios (see the module notes); area i's product reads only its own
     state and the message slots of its communication set.  Structurally
-    required inputs from outside that set raise before any step.
-    ``delay_messages=True`` makes both phases read the previous step's
-    message slots, an off-spec demo mode that breaks equivalence with the
-    monolithic loop.  Batched signals step all their scenarios at once.
+    required inputs from outside that set raise before any step.  Batched
+    signals step all their scenarios at once.
     """
     T = horizon if horizon is not None else signals.horizon
     if T > signals.horizon:
@@ -387,18 +387,11 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     A, B_u, B_d = plant.A, plant.B_u, plant.B_d
     for k in range(T):
         X[k], W[k] = x, z[:n_w]
-        fresh = not (delay_messages and k)
-        state_msg = x + beta_x[k]
-        if fresh:
-            z[state_slots] = state_msg
+        z[state_slots] = x + beta_x[k]
         u_f = np.matmul(P1, z[G1]).reshape(-1, S)[to_uf]
         UF[k] = u_f
-        cmd_msg = u_f + beta_f[k]
-        if fresh:
-            z[cmd_slots] = cmd_msg
+        z[cmd_slots] = u_f + beta_f[k]
         z[:n_w] = np.matmul(P2, z[G2]).reshape(-1, S)[to_w]
-        if delay_messages:
-            z[state_slots], z[cmd_slots] = state_msg, cmd_msg
         x = A @ x + B_u @ (u_f + beta_u[k]) + B_d @ d[k]
     # the controller-state disturbance rides only on the reported copy of w
     U, W = UF + beta_u[:T], W + beta_w

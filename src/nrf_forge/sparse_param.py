@@ -2,26 +2,21 @@
 
 The communication constraints on the controller pair translate, entry by
 entry, into "identically zero" requirements on Yq = Yt + Q Nt (input-side
-block) and Xq = Xt + Q Mt (state-side block).  With a deadbeat observer gain
-the left factors are FIR, products of FIR maps are FIR, and coefficient
-matching turns every constrained entry into finitely many linear equations
-in Q's tap matrices.  The particular solution is the least-norm solution of
-that stacked system; the free directions are an orthonormal basis of its
-null space.
+block) and Xq = Xt + Q Mt (state-side block).  The parameter is factored as
 
-Two tap layouts are supported:
+    Q(z) = P(z) (I - A_L z^{-1}),   P = P_1 z^{-1} + ... + P_{q-1} z^{-(q-1)},
 
-``fir``
-    Q is a free tap sequence Q_1 .. Q_q on powers z^{-1} .. z^{-q}.
-
-``factored``
-    Q(z) = P(z) (I - A_L z^{-1}) with A_L the observer pencil and P a free
-    strictly proper FIR sequence.  Then Q Nt = P B z^{-1} and
-    Q Mt = P (I - A z^{-1}), so the constrained entries stay low-degree and,
-    together with the diagonal-preserving rows (P_t B)_ll = 0, every
-    controller row keeps the diagonal of Yt untouched.  For deadbeat designs
-    whose Yt has unit diagonal this pins all controller poles at zero and
-    fixes each row's characteristic polynomial to a pure power of z.
+with A_L the observer pencil, so that Q Nt = P B z^{-1} and
+Q Mt = P (I - A z^{-1}) are FIR whatever the gains.  With a deadbeat
+observer gain Yt and Xt are FIR too, and coefficient matching turns every
+constrained entry into finitely many linear equations in P's taps.  The
+diagonal-preserving rows (P_t B)_ll = 0 are always added, so every
+controller row keeps the diagonal of Yt untouched; for deadbeat designs
+whose Yt has unit diagonal this pins all controller poles at zero and fixes
+each row's characteristic polynomial to a pure power of z.  The particular
+solution is the least-norm solution of the stacked system; the free
+directions are an orthonormal basis of its null space, both stated as Q's
+own tap tensors.
 """
 
 from __future__ import annotations
@@ -38,12 +33,8 @@ from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
 
 FEASIBILITY_TOL = 1e-9
 
-MODE_FIR = "fir"
-MODE_FACTORED = "factored"
-
-#: Smallest FIR degree of each tap layout; the factored layout needs one free
-#: tap plus the closing tap.
-MIN_FIR_DEGREE = {MODE_FIR: 1, MODE_FACTORED: 2}
+#: Smallest FIR degree of Q: one free tap of P plus the closing tap.
+MIN_FIR_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,6 @@ class QParametrization:
     q0_taps: np.ndarray          # (q, n_u, n_x)
     basis: np.ndarray            # (K, q, n_u, n_x)
     fir_degree: int
-    mode: str
     residual: float
     constraint_rank: int
     n_constraints: int
@@ -163,7 +153,7 @@ def q_from_x(param: QParametrization, x) -> Realization:
 
 
 def left_factor_taps(bundle: DcfBundle) -> dict:
-    """FIR taps of (Yt, Nt, Mt, Xt) for a deadbeat bundle.
+    """FIR taps of Yt and Xt for a deadbeat bundle.
 
     Taps are indexed by the power of z^{-1} starting at 0.  Powers of the
     observer pencil are zeroed exactly once they fall below machine scale,
@@ -189,136 +179,81 @@ def left_factor_taps(bundle: DcfBundle) -> dict:
     nu = len(powers) - 1  # smallest k with A_L^k = 0 (<= n)
     m = bundle.n_u
     yt = np.zeros((nu + 1, m, m))
-    nt = np.zeros((nu + 1, n, m))
-    mt = np.zeros((nu + 1, n, n))
     xt = np.zeros((nu + 1, m, n))
     yt[0] = np.eye(m)
-    mt[0] = np.eye(n)
     for tau in range(1, nu + 1):
         P = powers[tau - 1]
         yt[tau] = -F @ P @ B
-        nt[tau] = P @ B
-        mt[tau] = P @ L
         xt[tau] = -F @ P @ L
-    return {"Yt": yt, "Nt": nt, "Mt": mt, "Xt": xt, "degree": nu}
+    return {"Yt": yt, "Xt": xt, "degree": nu}
 
 
-def _assemble_system(bundle: DcfBundle, pattern: SparsityPattern, q: int,
-                     mode: str, preserve_diagonal: bool = True):
-    """Stack the coefficient-matching equations into (matrix, rhs).
+def _assemble_system(bundle: DcfBundle, pattern: SparsityPattern, q: int):
+    """Stack the coefficient-matching equations in P's taps into (matrix, rhs).
 
     Unknown layout: tap-major, then row-major, then column:
-    v[(t-1)*n_u*n_x + i*n_x + k] = tap_t[i, k], t = 1..n_taps.
+    v[(t-1)*n_u*n_x + i*n_x + k] = P_t[i, k], t = 1..q-1.
     """
-    if mode not in MIN_FIR_DEGREE:
-        raise ValueError(f"unknown parametrization mode {mode!r}")
-    if q < MIN_FIR_DEGREE[mode]:
-        raise ValueError(f"{mode} mode needs FIR degree q >= {MIN_FIR_DEGREE[mode]}, got {q}")
+    if q < MIN_FIR_DEGREE:
+        raise ValueError(f"the FIR degree q must be >= {MIN_FIR_DEGREE}, got {q}")
     taps = left_factor_taps(bundle)
     nu = taps["degree"]
     n_u, n_x = bundle.n_u, bundle.n_x
-    n_taps = q if mode == MODE_FIR else q - 1
+    n_taps = q - 1
     n_unknowns = n_taps * n_u * n_x
     A_pl, B_pl = bundle.plant.A, bundle.plant.B_u
 
     rows, rhs = [], []
 
-    def row_indices(i):
-        return {t: (t - 1) * n_u * n_x + i * n_x for t in range(1, n_taps + 1)}
-
     def add_row(coeff_by_tap, i, target):
         r = np.zeros(n_unknowns)
-        base = row_indices(i)
         for t, coeff in coeff_by_tap.items():
-            r[base[t]:base[t] + n_x] = coeff
+            base = (t - 1) * n_u * n_x + i * n_x
+            r[base:base + n_x] = coeff
         rows.append(r)
         rhs.append(-target)
 
-    u_entries = pattern.constrained_u_entries()
-    x_entries = pattern.constrained_x_entries()
+    # Q Nt = P B z^{-1};  Q Mt = P (I - A z^{-1})
+    max_tau = max(nu, n_taps + 1)
+    for (i, j) in pattern.constrained_u_entries():
+        for tau in range(0, max_tau + 1):
+            target = taps["Yt"][tau][i, j] if tau <= nu else 0.0
+            coeffs = {}
+            if 1 <= tau - 1 <= n_taps:
+                coeffs[tau - 1] = B_pl[:, j]
+            if coeffs or target:
+                add_row(coeffs, i, target)
+    for (i, j) in pattern.constrained_x_entries():
+        for tau in range(0, max_tau + 1):
+            target = taps["Xt"][tau][i, j] if tau <= nu else 0.0
+            coeffs = {}
+            if 1 <= tau <= n_taps:
+                e_j = np.zeros(n_x)
+                e_j[j] = 1.0
+                coeffs[tau] = e_j
+            if 1 <= tau - 1 <= n_taps:
+                prev = coeffs.get(tau - 1, np.zeros(n_x))
+                coeffs[tau - 1] = prev - A_pl[:, j]
+            if coeffs or target:
+                add_row(coeffs, i, target)
+    # diagonal-preserving rows: (P_t B)_ll = 0 keeps diag(Yq) = diag(Yt)
+    for ell in range(n_u):
+        for t in range(1, n_taps + 1):
+            add_row({t: B_pl[:, ell]}, ell, 0.0)
 
-    if mode == MODE_FIR:
-        max_tau_u = max(nu, q + nu)
-        for (i, j) in u_entries:
-            for tau in range(0, max_tau_u + 1):
-                target = taps["Yt"][tau][i, j] if tau <= nu else 0.0
-                coeffs = {}
-                for t in range(1, n_taps + 1):
-                    s = tau - t
-                    if 1 <= s <= nu:
-                        coeffs[t] = taps["Nt"][s][:, j]
-                if coeffs or target:
-                    add_row(coeffs, i, target)
-        max_tau_x = max(nu, q + nu)
-        for (i, j) in x_entries:
-            for tau in range(0, max_tau_x + 1):
-                target = taps["Xt"][tau][i, j] if tau <= nu else 0.0
-                coeffs = {}
-                for t in range(1, n_taps + 1):
-                    s = tau - t
-                    if 0 <= s <= nu:
-                        coeffs[t] = taps["Mt"][s][:, j]
-                if coeffs or target:
-                    add_row(coeffs, i, target)
-    else:
-        # Q Nt = P B z^{-1};  Q Mt = P (I - A z^{-1})
-        max_tau_u = max(nu, n_taps + 1)
-        for (i, j) in u_entries:
-            for tau in range(0, max_tau_u + 1):
-                target = taps["Yt"][tau][i, j] if tau <= nu else 0.0
-                coeffs = {}
-                if 1 <= tau - 1 <= n_taps:
-                    coeffs[tau - 1] = B_pl[:, j]
-                if coeffs or target:
-                    add_row(coeffs, i, target)
-        max_tau_x = max(nu, n_taps + 1)
-        for (i, j) in x_entries:
-            for tau in range(0, max_tau_x + 1):
-                target = taps["Xt"][tau][i, j] if tau <= nu else 0.0
-                coeffs = {}
-                if 1 <= tau <= n_taps:
-                    e_j = np.zeros(n_x)
-                    e_j[j] = 1.0
-                    coeffs[tau] = e_j
-                if 1 <= tau - 1 <= n_taps:
-                    prev = coeffs.get(tau - 1, np.zeros(n_x))
-                    coeffs[tau - 1] = prev - A_pl[:, j]
-                if coeffs or target:
-                    add_row(coeffs, i, target)
-        if preserve_diagonal:
-            for ell in range(n_u):
-                for t in range(1, n_taps + 1):
-                    add_row({t: B_pl[:, ell]}, ell, 0.0)
-
-    if rows:
-        mat = np.vstack(rows)
-        vec = np.asarray(rhs)
-    else:
-        mat = np.zeros((0, n_unknowns))
-        vec = np.zeros(0)
-    return mat, vec, {"n_taps": n_taps, "nu": nu, "mode": mode}
+    return np.vstack(rows), np.asarray(rhs)
 
 
-def _taps_from_vector(v: np.ndarray, n_taps: int, n_u: int, n_x: int) -> np.ndarray:
-    return v.reshape(n_taps, n_u, n_x)
-
-
-def _to_q_taps(sol_taps: np.ndarray, q: int, mode: str, A_L: np.ndarray) -> np.ndarray:
-    """Convert a solution in the working layout to Q's own tap tensor."""
-    if mode == MODE_FIR:
-        return sol_taps
-    n_taps, n_u, n_x = sol_taps.shape
+def _to_q_taps(p_flat: np.ndarray, q: int, n_u: int, n_x: int, A_L: np.ndarray) -> np.ndarray:
+    """Q's own tap tensor (q, n_u, n_x) from P's flat taps: Q_t = P_t - P_{t-1} A_L."""
+    p_taps = p_flat.reshape(q - 1, n_u, n_x)
     out = np.zeros((q, n_u, n_x))
-    for t in range(1, q + 1):
-        if t <= n_taps:
-            out[t - 1] += sol_taps[t - 1]
-        if 1 <= t - 1 <= n_taps:
-            out[t - 1] -= sol_taps[t - 2] @ A_L
+    out[:-1] += p_taps
+    out[1:] -= p_taps @ A_L
     return out
 
 
-def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int,
-                          mode: str = MODE_FIR, preserve_diagonal: bool = True):
+def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int):
     """Solve the matching system once and package particular + basis.
 
     Returns a :class:`QParametrization`, or an :class:`InfeasibilityReport`
@@ -327,43 +262,33 @@ def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int,
     """
     if pattern.n_u != bundle.n_u or pattern.n_x != bundle.n_x:
         raise DimensionMismatchError("pattern dimensions do not match the bundle")
-    mat, vec, meta = _assemble_system(bundle, pattern, q, mode, preserve_diagonal)
-    n_taps = meta["n_taps"]
+    mat, vec = _assemble_system(bundle, pattern, q)
     n_u, n_x = bundle.n_u, bundle.n_x
-    n_unknowns = n_taps * n_u * n_x
-    if mat.shape[0]:
-        sol, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
-        residual = float(np.linalg.norm(mat @ sol - vec, np.inf))
-    else:
-        sol = np.zeros(n_unknowns)
-        rank = 0
-        residual = 0.0
-    scale = max(1.0, float(np.max(np.abs(vec))) if vec.size else 1.0)
+    sol, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
+    residual = float(np.linalg.norm(mat @ sol - vec, np.inf))
+    scale = max(1.0, float(np.max(np.abs(vec))))
     if residual > FEASIBILITY_TOL * scale:
         return InfeasibilityReport(
-            residual=residual, n_unknowns=n_unknowns,
+            residual=residual, n_unknowns=mat.shape[1],
             n_constraints=mat.shape[0], rank=int(rank),
             message=(f"minimal residual {residual:.3e} over {mat.shape[0]} constraints; "
                      "the requested sparsity pattern is not achievable at this FIR degree"),
         )
     A_L = bundle.observer_pencil()
-    q0 = _to_q_taps(_taps_from_vector(sol, n_taps, n_u, n_x), q, mode, A_L)
+    q0 = _to_q_taps(sol, q, n_u, n_x, A_L)
 
     basis = np.zeros((0, q, n_u, n_x))
-    null = scipy.linalg.null_space(mat) if mat.shape[0] else np.eye(n_unknowns)
-    dirs = [
-        _to_q_taps(_taps_from_vector(null[:, k], n_taps, n_u, n_x), q, mode, A_L)
-        for k in range(null.shape[1])
-    ]
-    if dirs:
-        flat = np.stack([d.ravel() for d in dirs])  # K x (q n_u n_x)
+    null = scipy.linalg.null_space(mat)
+    if null.shape[1]:
+        flat = np.stack([_to_q_taps(null[:, k], q, n_u, n_x, A_L).ravel()
+                         for k in range(null.shape[1])])  # K x (q n_u n_x)
         # orthonormalise in Q-coefficient space
         Uq, sq, Vq = np.linalg.svd(flat, full_matrices=False)
-        keep = sq > 1e-12 * (sq[0] if sq.size else 1.0)
+        keep = sq > 1e-12 * sq[0]
         basis = Vq[keep].reshape(-1, q, n_u, n_x)
     # make the particular solution the least-norm member of the Q-family
     if basis.shape[0]:
         flat_b = basis.reshape(basis.shape[0], -1)
         q0_flat = q0.ravel()
         q0 = (q0_flat - flat_b.T @ (flat_b @ q0_flat)).reshape(q, n_u, n_x)
-    return QParametrization(q0, basis, q, mode, residual, int(rank), mat.shape[0])
+    return QParametrization(q0, basis, q, residual, int(rank), mat.shape[0])

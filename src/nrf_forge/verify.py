@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_loop import ClosedLoopMaps, decompose_response, prediction_model, reconstructed_response
+from .closed_loop import (
+    ClosedLoopMaps,
+    decompose_response,
+    kd_responses,
+    prediction_model,
+    reconstructed_response,
+)
 from .dcf import DcfBundle, verify_bezout
 from .errors import CommConstraintError, NonzeroFeedthroughError, SparsityInheritanceError
 from .lti import (
@@ -201,26 +207,6 @@ def _scenario_batch(rng, count: int, horizon: int, plant: Plant, n_w: int, ampli
         w_cs.append(rng.uniform(-1, 1, n_w))
     return (scenarios, stack_scenarios(scenarios),
             np.stack(x_cs, axis=-1), np.stack(w_cs, axis=-1))
-
-
-def kd_responses(bundle: DcfBundle, taps_seq, zs):
-    """kd(z) = [I - Yqd^-1 Yq, Yqd^-1 Xq] on ``zs`` for each Q in ``taps_seq``.
-
-    Each element of ``taps_seq`` is an FIR tap tensor (q, n_u, n_x) of
-    Q(z) = sum_t taps[t] z^{-t-1}; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is
-    the diagonal of Yq, as in :func:`closed_loop.q_linear_responses`.  The
-    four factor responses are evaluated once; yields one (G, n_u, n_u + n_x)
-    stack per tap tensor.
-    """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    yt, xt, nt, mt = (frequency_response(f, zs) for f in (bundle.Yt, bundle.Xt, bundle.Nt, bundle.Mt))
-    eye = np.eye(bundle.n_u)
-    for taps in taps_seq:
-        powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
-        q_resp = np.einsum("gt,tij->gij", powers, taps)
-        yq = yt + q_resp @ nt
-        inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
-        yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_resp @ mt)], axis=-1)
 
 
 def _off_pattern_mask(partition: AreaPartition, nb: Neighborhoods) -> np.ndarray:

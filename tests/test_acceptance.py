@@ -190,11 +190,9 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
     part = build_partition([(2, 1), (2, 1)])
     nb = Neighborhoods((frozenset({0}), frozenset({0, 1})))
     bundle = deadbeat_bundle(two_area_plant)
-    param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb),
-                                  q=3, mode="factored")
+    param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q=3)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
-                              param.mode, param.residual, param.constraint_rank,
-                              param.n_constraints)
+                              param.residual, param.constraint_rank, param.n_constraints)
     opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     spec = replace(default_targets(part, two_area_plant.n_d, optimizer=opts),
                    bound_slack=np.inf)

@@ -50,7 +50,7 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     nb = Neighborhoods.complete(2)
     bundle = deadbeat_bundle(plant)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=2, mode="factored")
+    param = build_parametrization(bundle, pat, q=2)
     from nrf_forge.sparse_param import q_from_x
     x = 0.1 * rng.standard_normal(param.n_free)
     pair = form_nrf_pair(bundle, q_from_x(param, x))
@@ -77,6 +77,13 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     assert np.array_equal(param2.q0_taps, param.q0_taps)
     assert np.array_equal(param2.basis, param.basis)
     assert np.array_equal(x2, x)
+    # older run directories also carry the parametrization's "mode"
+    doc_path = str(tmp_path / "param" / "parametrization.json")
+    doc = artifact_io.load_document(doc_path)
+    assert "mode" not in doc
+    artifact_io.dump_document({**doc, "mode": "factored"}, doc_path)
+    param3, _ = artifact_io.load_parametrization(str(tmp_path / "param"))
+    assert np.array_equal(param3.basis, param.basis)
 
 
 def test_bank_manifest_maps_columns(tmp_path):
@@ -229,6 +236,10 @@ def test_cli_bad_optimizer_setting_is_config_error(tmp_path, capsys, optimizer, 
     ({"bound_slack": -0.5}, "synthesis.bound_slack must be a finite float >= 0, got -0.5"),
     ({"bound_slack": float("inf")}, "synthesis.bound_slack must be a finite float >= 0, got inf"),
     ({"bezout_grid": 0}, "synthesis.bezout_grid must be a positive int, got 0"),
+    ({"param_mode": "fir"}, "synthesis.param_mode must be \"factored\", got 'fir'; "
+                            "the factored, diagonal-preserving parametrization is the only one"),
+    ({"preserve_diagonal": False}, "synthesis.preserve_diagonal must be true, got False; "
+                                   "the factored, diagonal-preserving parametrization is the only one"),
 ])
 def test_cli_bad_synthesis_value_is_config_error(tmp_path, capsys, synthesis, cause):
     path = two_area_config(tmp_path / "cfg.json", {})
@@ -247,6 +258,10 @@ def test_cli_bad_synthesis_value_is_config_error(tmp_path, capsys, synthesis, ca
     ({"horizon": "abc"}, [], "simulation.horizon must be a positive int, got 'abc'"),
     ({"seed": "7"}, [], "simulation.seed must be a non-negative int, got '7'"),
     ({}, ["--seed", "-1"], "simulation.seed must be a non-negative int, got -1"),
+    ({"amplitudes": {"d": "abc"}}, [], "simulation.amplitudes.d must be a finite float, got 'abc'"),
+    ({"amplitudes": [1]}, [], "simulation.amplitudes must be an object, got [1]"),
+    ({"kinds": {"d": "laplace"}}, [],
+     "simulation.kinds.d must be one of ['uniform', 'gauss'], got 'laplace'"),
 ])
 def test_cli_bad_simulation_value_is_config_error(cli_run, tmp_path, capsys, simulation, flags, cause):
     cfg = artifact_io.load_document(os.path.join(cli_run, "config.json"))
@@ -370,6 +385,22 @@ def test_plant_pre_permutation_helper():
     # B rows follow the state permutation; columns follow the input order
     assert np.allclose(plant.B_u, B_u[[1, 3, 0, 2], :][:, [1, 0]])
     assert np.allclose(plant.B_d, B_d[[1, 3, 0, 2], :])
+
+
+def test_cli_parametrization_keys_at_their_one_value_design(tmp_path):
+    path = two_area_config(tmp_path / "cfg.json", {})
+    cfg = artifact_io.load_document(path)
+    cfg["synthesis"].update({"param_mode": "factored", "preserve_diagonal": True})
+    artifact_io.dump_document(cfg, path)
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_non_integer_schema_version_is_config_error(tmp_path, capsys):
+    path = str(tmp_path / "cfg.json")
+    artifact_io.dump_document({"schema_version": "abc"}, path)
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "configuration error: schema_version must be 1, got 'abc'"]
 
 
 def test_cli_bad_schema_version(tmp_path):

@@ -50,7 +50,7 @@ def toy_setup(seed=0, forbid=True):
         nb = Neighborhoods.complete(2)
     bundle = deadbeat_bundle(plant)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=3, mode="factored")
+    param = build_parametrization(bundle, pat, q=3)
     assert isinstance(param, QParametrization)
     return plant, part, nb, bundle, param
 
@@ -448,8 +448,7 @@ def test_zero_weights_return_bootstrap():
 def test_one_basis_toy_matches_brute_force_scan():
     plant, part, nb, bundle, param = toy_setup(seed=8)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
-                              param.mode, param.residual, param.constraint_rank,
-                              param.n_constraints)
+                              param.residual, param.constraint_rank, param.n_constraints)
     opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     # unboxed problem: this toy's bootstrap controller is empty, so finite
     # boxes built at x = 0 would not be comparable across the family

@@ -198,16 +198,15 @@ def test_grid_distributed_equivalence(grid_design, grid_setup):
 
 
 def test_delayed_messages_break_equivalence(grid_design, grid_setup):
-    # negative control: the off-spec delayed mode must NOT match
+    # negative control: off-spec delayed messages must NOT match
     plant, part, nb = grid_setup
     bank = list(grid_design.bank)
     sig = compose_signals(100, 10, 5, 5, seed=10, amplitudes={"d": 0.5})
     x_c = np.ones(10) * 0.3
     w_c = np.zeros(grid_design.maps.n_w)
     tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
-    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c,
-                              delay_messages=True)
-    assert np.max(np.abs(tm.x - td.x)) > 1e-6
+    X, _, _ = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=True)
+    assert np.max(np.abs(tm.x - X)) > 1e-6
 
 
 def test_controller_state_noise_only_shifts_reported_states(loop):
@@ -297,8 +296,8 @@ def test_batched_delayed_messages_break_equivalence(grid_design, grid_setup):
     singles, x_c, w_c = _grid_batch(grid_design, 3, 100, seed=22)
     sig = stack_scenarios(singles)
     tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
-    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=True)
-    assert np.min(np.max(np.abs(tm.x - td.x), axis=(0, 1))) > 1e-6
+    X, _, _ = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=True)
+    assert np.min(np.max(np.abs(tm.x - X), axis=(0, 1))) > 1e-6
 
 
 def test_batched_out_of_set_read_raises(grid_design, grid_setup):
@@ -330,7 +329,9 @@ def test_batch_size_mismatch_rejected(grid_design, grid_setup):
 
 def _reference_distributed(plant, bank, partition, nb, signals, x_c, w_c, delay_messages):
     """One subcontroller at a time, each reading its allowed message columns:
-    the per-area loop the gathered step replaced, kept as its oracle."""
+    the per-area loop the gathered step replaced, kept as its oracle.  With
+    ``delay_messages`` both phases read the previous step's messages, the
+    off-spec negative control that must not match the monolithic loop."""
     n_x, n_u, N, T = plant.n_x, plant.n_u, partition.n_areas, signals.horizon
     batch = signals.batch
     allowed = [[j for j in range(N) if j in nb.of(i)] for i in range(N)]
@@ -394,14 +395,16 @@ def test_unequal_ring_distributed_equals_monolithic(count):
 def test_unequal_ring_matches_per_area_reference(delay):
     plant, part, nb, bank = unequal_ring(12, seed=33)
     sig, x_c, w_c = _ring_scenarios(plant, sum(c.order for c in bank), 0, 200, seed=34)
-    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c, delay_messages=delay)
     X, UF, W = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay)
+    if delay:
+        # negative control: the delayed reference must NOT match the loop
+        tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+        assert np.max(np.abs(tm.x - X)) > 1e-6
+        return
+    td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
     assert np.max(np.abs(td.x - X)) <= 1e-12
     assert np.max(np.abs(td.u_f - UF)) <= 1e-12
     assert np.max(np.abs(td.w - W)) <= 1e-12
-    if delay:
-        tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
-        assert np.max(np.abs(tm.x - td.x)) > 1e-6
 
 
 @pytest.mark.parametrize("matrix", ["B", "D"])

@@ -80,7 +80,7 @@ def test_pattern_requires_zero_diagonal():
 def test_unconstrained_pattern_gives_zero_particular():
     plant, part, nb, bundle = chain_setup(forbid=())
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=1, mode="fir")
+    param = build_parametrization(bundle, pat, q=2)
     assert isinstance(param, QParametrization)
     assert np.allclose(param.q0_taps, 0.0)
 
@@ -88,14 +88,15 @@ def test_unconstrained_pattern_gives_zero_particular():
 def test_unconstrained_basis_spans_everything():
     plant, part, nb, bundle = chain_setup(forbid=())
     pat = pattern_from_neighborhoods(part, nb)
-    basis = build_parametrization(bundle, pat, q=1, mode="fir").basis
-    assert basis.shape[0] == plant.n_u * plant.n_x
+    basis = build_parametrization(bundle, pat, q=2).basis
+    # one free tap P_1; only the diagonal-preserving rows (P_1 B)_ll = 0 bind
+    assert basis.shape[0] == plant.n_u * plant.n_x - plant.n_u
 
 
 def test_chain_particular_satisfies_constraints_by_substitution():
     plant, part, nb, bundle = chain_setup(seed=4)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=plant.n_x, mode="fir")
+    param = build_parametrization(bundle, pat, q=plant.n_x)
     assert isinstance(param, QParametrization)
     pair = form_nrf_pair(bundle, q_from_x(param, np.zeros(param.n_free)))
     phi = frequency_response(pair.feedforward, ZS)
@@ -109,17 +110,18 @@ def test_basis_dimension_equals_unknowns_minus_rank():
     plant, part, nb, bundle = chain_setup(seed=5)
     pat = pattern_from_neighborhoods(part, nb)
     q = 3
-    param = build_parametrization(bundle, pat, q, mode="fir")
+    param = build_parametrization(bundle, pat, q)
     from nrf_forge.sparse_param import _assemble_system
-    mat, _, meta = _assemble_system(bundle, pat, q, "fir")
+    mat, _ = _assemble_system(bundle, pat, q)
     rank = np.linalg.matrix_rank(mat)
-    assert param.n_free == meta["n_taps"] * plant.n_u * plant.n_x - rank
+    assert mat.shape[1] == (q - 1) * plant.n_u * plant.n_x
+    assert param.n_free == mat.shape[1] - rank
 
 
 def test_q_from_x_matches_tap_polynomial():
     plant, part, nb, bundle = chain_setup(seed=6)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=2, mode="fir")
+    param = build_parametrization(bundle, pat, q=2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(param.n_free)
     R = q_from_x(param, x)
@@ -132,7 +134,7 @@ def test_q_from_x_matches_tap_polynomial():
 def test_x_zero_returns_particular():
     plant, part, nb, bundle = chain_setup(seed=7)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=2, mode="fir")
+    param = build_parametrization(bundle, pat, q=2)
     assert np.allclose(param.taps_from_x(np.zeros(param.n_free)), param.q0_taps)
 
 
@@ -140,7 +142,7 @@ def test_x_zero_returns_particular():
 def test_affinity_in_x(seed):
     plant, part, nb, bundle = chain_setup(seed=8)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=2, mode="fir")
+    param = build_parametrization(bundle, pat, q=2)
     rng = np.random.default_rng(seed)
     x1 = rng.standard_normal(param.n_free)
     x2 = rng.standard_normal(param.n_free)
@@ -152,26 +154,24 @@ def test_affinity_in_x(seed):
 def test_particular_orthogonal_to_basis():
     plant, part, nb, bundle = chain_setup(seed=9)
     pat = pattern_from_neighborhoods(part, nb)
-    for mode, q in (("fir", 3), ("factored", 3)):
-        param = build_parametrization(bundle, pat, q, mode=mode)
-        if param.n_free:
-            flat = param.basis.reshape(param.n_free, -1)
-            assert np.max(np.abs(flat @ param.q0_taps.ravel())) <= 1e-10
-            assert np.allclose(flat @ flat.T, np.eye(param.n_free), atol=1e-10)
+    param = build_parametrization(bundle, pat, q=3)
+    assert param.n_free
+    flat = param.basis.reshape(param.n_free, -1)
+    assert np.max(np.abs(flat @ param.q0_taps.ravel())) <= 1e-10
+    assert np.allclose(flat @ flat.T, np.eye(param.n_free), atol=1e-10)
 
 
 def test_sparsity_closure_over_random_draws():
     plant, part, nb, bundle = chain_setup(seed=10)
     pat = pattern_from_neighborhoods(part, nb)
-    for mode in ("fir", "factored"):
-        param = build_parametrization(bundle, pat, q=3, mode=mode)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            pair = form_nrf_pair(bundle, q_from_x(param, rng.standard_normal(param.n_free)))
-            phi = frequency_response(pair.feedforward, ZS)
-            gam = frequency_response(pair.feedback, ZS)
-            assert np.max(np.abs(phi[:, 0, 1])) <= 1e-8
-            assert np.max(np.abs(gam[:, 0, 2:4])) <= 1e-8
+    param = build_parametrization(bundle, pat, q=3)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        pair = form_nrf_pair(bundle, q_from_x(param, rng.standard_normal(param.n_free)))
+        phi = frequency_response(pair.feedforward, ZS)
+        gam = frequency_response(pair.feedback, ZS)
+        assert np.max(np.abs(phi[:, 0, 1])) <= 1e-8
+        assert np.max(np.abs(gam[:, 0, 2:4])) <= 1e-8
 
 
 def test_factored_mode_preserves_unit_diagonal_rows():
@@ -179,7 +179,7 @@ def test_factored_mode_preserves_unit_diagonal_rows():
     # every input-side diagonal entry of Yq equal to that of Yt
     plant, part, nb, bundle = chain_setup(seed=11)
     pat = pattern_from_neighborhoods(part, nb)
-    param = build_parametrization(bundle, pat, q=3, mode="factored")
+    param = build_parametrization(bundle, pat, q=3)
     rng = np.random.default_rng(3)
     pair = form_nrf_pair(bundle, q_from_x(param, rng.standard_normal(param.n_free)))
     yq = frequency_response(pair.yq, ZS)
@@ -199,11 +199,10 @@ def test_infeasible_pattern_reports():
     part = build_partition([(2, 1), (2, 1)])
     nb = Neighborhoods((frozenset({0}), frozenset({0, 1})))
     pat = pattern_from_neighborhoods(part, nb)
-    for mode in ("fir", "factored"):
-        result = build_parametrization(bundle, pat, q=2, mode=mode)
-        assert isinstance(result, InfeasibilityReport)
-        assert result.residual > 1e-9
-        assert "not achievable" in result.message
+    result = build_parametrization(bundle, pat, q=2)
+    assert isinstance(result, InfeasibilityReport)
+    assert result.residual > 1e-9
+    assert "not achievable" in result.message
 
 
 def test_non_fir_bundle_rejected():
@@ -221,8 +220,7 @@ def test_left_factor_taps_match_realizations():
     plant, part, nb, bundle = chain_setup(seed=14)
     taps = left_factor_taps(bundle)
     nu = taps["degree"]
-    for name, fac in (("Yt", bundle.Yt), ("Nt", bundle.Nt),
-                      ("Mt", bundle.Mt), ("Xt", bundle.Xt)):
+    for name, fac in (("Yt", bundle.Yt), ("Xt", bundle.Xt)):
         for z in (2.0, -1.3, 0.4 + 1.1j):
             series_val = sum(taps[name][t] / z ** t for t in range(nu + 1))
             assert np.allclose(evaluate(fac, z), series_val, atol=1e-10)

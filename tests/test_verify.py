@@ -1,9 +1,9 @@
 import numpy as np
 
+from nrf_forge.closed_loop import kd_responses
 from nrf_forge.lti import FrequencyGrid, frequency_response
 from nrf_forge.nrf import form_nrf_pair
 from nrf_forge.sparse_param import q_from_x
-from nrf_forge.verify import kd_responses
 
 
 def test_pointwise_kd_matches_realized_pair(grid_design):
