@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Record how design and verify cost grows with the size of a ring network.
+
+Designs and verifies ``perfbench/scenarios.ring_config(N, 8)`` (an N-node
+swing ring, slack 0, default optimizer settings) for N = 8, 12 and 20, each
+run in a fresh child process with one BLAS thread.  A run records the
+wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
+time spent building the search surrogate and in the pattern search, the
+surrogate's stored direction bytes and its (block, direction) pairs.  Each
+figure is the median over 3 runs.  The record is stored under
+``--label`` in ``BENCH_scale.json`` at the repository root; other labels
+already in that file are kept, so two source trees can be compared.
+
+    python3 scripts/bench_scale.py --label after
+    python3 scripts/bench_scale.py --label before --src ../parent/src
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_scale.json"
+RING_SEED = 8
+SIZES = (8, 12, 20)
+REPEATS = 3
+TIMED = ("design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s")
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", help="key of this record in the output file")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="source tree holding nrf_forge")
+    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child is None and not args.label:
+        ap.error("--label is required")
+    return args
+
+
+def child(n: int, src: str) -> dict:
+    """Design and verify the n-node ring in this process; return its figures."""
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    import numpy as np
+    import scenarios
+    from nrf_forge import cli, match_synth
+
+    spent = {"surrogate_build_s": 0.0, "search_s": 0.0}
+    model = {}   # figures of the surrogate, read as it is built
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] += time.perf_counter() - t0
+        return wrapper
+
+    build = match_synth._SurrogateModel.__init__
+
+    def init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        n_blocks = sum(len(g.blocks) for g in self.groups)
+        if hasattr(self, "n_pairs"):
+            dirs = [d for kept in self.dirs for _, _, d in kept]
+            model["pairs_stored"], model["pairs_total"] = self.n_pairs
+        else:  # a dense surrogate stores every pair
+            dirs = [g.dirs for g in self.groups]
+            model["pairs_stored"] = model["pairs_total"] = self.groups[0].dirs.shape[0] * n_blocks
+        model["surrogate_dir_mb"] = sum(d.nbytes for d in dirs) / 2**20
+
+    match_synth._SurrogateModel.__init__ = timed(init, "surrogate_build_s")
+    match_synth._pattern_search = timed(match_synth._pattern_search, "search_s")
+
+    cfg = scenarios.ring_config(n, RING_SEED)
+    cfg["synthesis"]["optimizer"].pop("seed")  # the search is deterministic
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(work, "run")
+        times = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["design", "--config", path, "--out", out], ["verify", "--out", out]):
+                t0 = time.perf_counter()
+                rc = cli.main(argv)
+                times.append(time.perf_counter() - t0)
+                if rc != 0:
+                    raise RuntimeError(f"{argv[0]} exited {rc}")
+        with open(os.path.join(out, "synthesis_report.txt")) as fh:
+            report = dict(ln.split(": ", 1) for ln in fh.read().splitlines() if ": " in ln)
+
+    return {
+        "N": n, "design_s": times[0], "verify_s": times[1],
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        **spent, **model,
+        "surrogate_evals": int(report["surrogate evaluations"]),
+        "objective": float(report["objective (certified)"]),
+        "numpy": np.__version__,
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(child(args.child, args.src)))
+        return 0
+    rows, numpy_version = [], None
+    for n in SIZES:
+        runs = []
+        for _ in range(REPEATS):
+            proc = subprocess.run([sys.executable, __file__, "--child", str(n), "--src", args.src],
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        numpy_version = runs[0].pop("numpy")
+        row = {**runs[0], **{k: round(statistics.median(r[k] for r in runs), 3) for k in TIMED}}
+        row["surrogate_dir_mb"] = round(row["surrogate_dir_mb"], 1)
+        row["runs"] = len(runs)
+        rows.append(row)
+        print(row)
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("description", "design and verify of perfbench ring_config(N, 8) (slack 0, "
+                   "default optimizer settings), each run in a fresh process with one BLAS "
+                   "thread; times in s and peak RSS in MB are medians over the runs; "
+                   "scripts/bench_scale.py")
+    doc.setdefault("records", {})[args.label] = {
+        "python": platform.python_version(), "numpy": numpy_version,
+        "machine": platform.machine(), "nproc": os.cpu_count(), "results": rows,
+    }
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -305,6 +305,7 @@ def _write_synthesis_report(result, out: str) -> None:
         f"objective (certified): {result.objective:.12g}",
         f"free coefficients: {result.x.size} (nonzero {int(np.sum(result.x != 0))})",
         f"surrogate evaluations: {result.n_evals}",
+        "surrogate direction pairs kept: {} of {}".format(*result.surrogate_pairs),
         f"search point certified: {'yes' if result.search_certified else 'no (returned x = 0)'}",
         f"x: {np.array2string(result.x, precision=6, max_line_width=100)}",
         "constraints at their admissible bounds:",
@@ -381,8 +382,11 @@ def cmd_simulate(args) -> int:
     for k, v in kinds.items():
         if v not in NOISE_KINDS:
             raise ConfigError(f"simulation.kinds.{k} must be one of {list(NOISE_KINDS)}, got {v!r}")
-    signals = compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d, seed=seed,
-                              amplitudes=amplitudes, kinds=kinds)
+    try:
+        signals = compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d, seed=seed,
+                                  amplitudes=amplitudes, kinds=kinds)
+    except ValueError as exc:  # the values are checked above, so only a channel name is left
+        raise ConfigError(f"simulation.{exc}") from exc
     n_w = sum(c.order for c in bank)
     rng = np.random.default_rng(seed + 1)
     x_c = rng.uniform(-1.0, 1.0, plant.n_x)

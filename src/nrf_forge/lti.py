@@ -480,8 +480,8 @@ def _lambda_max(H: np.ndarray) -> np.ndarray:
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b^H of matrices stacked along the last axis: (s, t, n) -> (s, s, n)."""
-    return np.einsum("ikn,jkn->ijn", a, b.conj())
+    """a b^H of matrices stacked along the trailing axes: (s, t, ...) -> (s, s, ...)."""
+    return np.einsum("ik...,jk...->ij...", a, b.conj())
 
 
 @dataclass(frozen=True)

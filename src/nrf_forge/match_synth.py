@@ -248,15 +248,32 @@ class _Block:
     transposed: bool
 
 
+#: A direction keeps a block only when the block's largest |entry| along it exceeds
+#: this fraction of the largest |entry| of all the direction's responses.  A dropped
+#: stack d of shape (s, t) moves the block's surrogate sigma at coefficient x_k by at
+#: most |x_k| sqrt(s t) max|d| (Weyl, as ||x_k d||_2 <= |x_k| ||d||_F).
+DROP_REL = 1e-12
+
+
 @dataclass
 class _BlockGroup:
-    """Blocks of one stacked shape (s, t), the grid axis last and block-major."""
+    """Blocks of one stacked shape (s, t), on a block axis before the grid axis."""
 
     blocks: list
     slots: np.ndarray
-    base: np.ndarray            # (s, t, blocks * G): responses at x = 0 minus targets
-    dirs: np.ndarray            # (K, s, t, blocks * G): one stack per free direction
-    fixed: np.ndarray | None    # (s, s, blocks * G): Gram of the fixed columns
+    base: np.ndarray            # (s, t, blocks, G): responses at x = 0 minus targets
+    fixed: np.ndarray | None    # (s, s, blocks, G): Gram of the fixed columns
+    gather: np.ndarray          # (s, t, blocks): rows of a direction's flat responses
+
+
+def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """The blocks ``idx`` (sorted) of a group's stack; ``a`` itself for all or None."""
+    return a if idx is None or idx.size == a.shape[2] else a[:, :, idx]
+
+
+def _peaks(H: np.ndarray) -> np.ndarray:
+    """Per block, the grid peak of sqrt(lambda_max) of a Gram stack (r, r, blocks, G)."""
+    return np.sqrt(np.maximum(_lambda_max(H).max(axis=-1), 0.0))
 
 
 class _SurrogateModel:
@@ -266,17 +283,18 @@ class _SurrogateModel:
     real-rational, so singular values repeat at conjugate points.  The base
     responses come from the realized maps at x = 0; each free direction's
     response is the Q-linear part of the closed-loop formulas, evaluated
-    pointwise.  Both are stored per block, grouped by shape, so an evaluation
-    is one Gram stack and one batched lambda_max per group.  Only the
-    plant-IC columns of the initial map move with x here: the controller-IC
-    columns [N; M] J2 are held at x = 0, so where the Gram side is the rows
-    they enter as a constant Gram term.  That is exact only while every
-    controller row keeps its x = 0 order and characteristic polynomial: the
-    parametrization fixes diag(Yq) = diag(Yt), and the rows' companion forms
-    then fix J2.  A row whose order grows with x adds controller-IC columns
-    the surrogate leaves out (the two-area toy of the tests has 0 controller
-    states at x = 0 and 3 at a random x).
-    ``n_evals`` counts calls of :meth:`objective`.
+    pointwise.  Blocks are grouped by stacked shape; each direction keeps
+    per group only the blocks it moves (:data:`DROP_REL`), in one stack.
+    Only the plant-IC columns of the initial map move with x here: the
+    controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
+    side is the rows they enter as a constant Gram term.  That is exact only
+    while every controller row keeps its x = 0 order and characteristic
+    polynomial: the parametrization fixes diag(Yq) = diag(Yt), and the rows'
+    companion forms then fix J2.  A row whose order grows with x adds
+    controller-IC columns the surrogate leaves out (the two-area toy of the
+    tests has 0 controller states at x = 0 and 3 at a random x).
+    ``n_evals`` counts calls of :meth:`objective`; ``n_pairs`` is (kept,
+    blocks x directions).
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
@@ -286,26 +304,25 @@ class _SurrogateModel:
         self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
         self.n_evals = 0
-        self._at = None   # (x, stacks, G0 per group) of the last line
-        self.groups = self._base_groups(partition, maps0, active.size)
-        # fill direction by direction; the controller-IC columns of a
-        # direction are zero
+        self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
+        self.groups = self._base_groups(partition, maps0)
         G = self.zs.size
-        ic_pad = np.zeros((G, maps0.n_x + maps0.n_u, maps0.n_w), dtype=complex)
-        directions = q_linear_responses(bundle, param.basis[active], self.zs)
-        for k, (forced_k, ic_k) in enumerate(directions):
-            resp = (forced_k, np.concatenate([ic_k, ic_pad], axis=-1))
-            for g in self.groups:
-                for m, b in enumerate(g.blocks):
-                    blk = resp[b.source][:, b.rows[:, None], b.cols]
-                    g.dirs[k, :, :, m * G:(m + 1) * G] = (
-                        blk.transpose(2, 1, 0) if b.transposed else blk.transpose(1, 2, 0))
+        self.dirs = []   # per direction: (group, kept blocks, their stack) triples
+        for forced_k, ic_k in q_linear_responses(bundle, param.basis[active], self.zs):
+            flat = np.concatenate([forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T, np.zeros((1, G))])
+            row_max = np.max(np.abs(flat), axis=1)
+            moved = [np.flatnonzero(row_max[g.gather].max(axis=(0, 1)) > DROP_REL * row_max.max())
+                     for g in self.groups]
+            self.dirs.append([(gi, idx, flat[g.gather[:, :, idx]])
+                              for gi, (g, idx) in enumerate(zip(self.groups, moved)) if idx.size])
+        n_blocks = sum(len(g.blocks) for g in self.groups)
+        self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept), len(self.dirs) * n_blocks)
 
-    def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps, K: int) -> list:
-        """Lay out every matching block, stack its response at x = 0 minus
-        its target, and group the blocks by stacked shape; the direction
-        stacks are allocated, not filled."""
-        zs, G, n_x = self.zs, self.zs.size, maps0.n_x
+    def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
+        """Lay out every matching block, stack its response at x = 0 minus its
+        target, and group the blocks by stacked shape.  A direction's flat
+        responses are forced, plant-IC, then a zero row for controller ICs."""
+        zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
         base_resp = (frequency_response(maps0.forced, zs), frequency_response(maps0.initial, zs))
         grouped: dict = {}
         for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
@@ -322,73 +339,86 @@ class _SurrogateModel:
                 fixed_part = blk[:, :, ~moving].transpose(1, 2, 0)
                 fixed = _gram(fixed_part, fixed_part) if fixed_part.size else None
             block = _Block(slot, src, rows, cols[moving], cols[~moving], transposed)
-            grouped.setdefault(stack.shape[:2], []).append((block, stack, fixed))
+            r, c = np.ix_(rows, block.cols)
+            at = r * n_f + c if src == 0 else np.where(c < n_x, n_r * n_f + r * n_x + c, n_r * (n_f + n_x))
+            grouped.setdefault(stack.shape[:2], []).append((block, stack, fixed, at.T if transposed else at))
 
         groups = []
-        for (s, t), members in grouped.items():
+        for (s, _), members in grouped.items():
             fixed = None
-            if any(f is not None for _, _, f in members):
-                fixed = np.concatenate([f if f is not None else np.zeros((s, s, G), dtype=complex)
-                                        for _, _, f in members], axis=-1)
+            if any(f is not None for _, _, f, _ in members):
+                fixed = np.stack([f if f is not None else np.zeros((s, s, G), dtype=complex)
+                                  for _, _, f, _ in members], axis=2)
             groups.append(_BlockGroup(
-                blocks=[b for b, _, _ in members],
-                slots=np.array([b.slot for b, _, _ in members]),
-                base=np.concatenate([stk for _, stk, _ in members], axis=-1),
-                dirs=np.empty((K, s, t, len(members) * G), dtype=complex),
-                fixed=fixed))
+                blocks=[b for b, _, _, _ in members],
+                slots=np.array([b.slot for b, _, _, _ in members]),
+                base=np.stack([stk for _, stk, _, _ in members], axis=2),
+                fixed=fixed,
+                gather=np.stack([at for _, _, _, at in members], axis=2)))
         return groups
 
     def stacks_at(self, x_active: np.ndarray) -> list:
         """Per-group block responses, targets subtracted, at the active coefficients."""
-        return [g.base + np.tensordot(x_active, g.dirs, axes=1) for g in self.groups]
+        stacks = [g.base.copy() for g in self.groups]
+        for k in np.flatnonzero(x_active):
+            for gi, idx, d in self.dirs[k]:
+                stacks[gi][:, :, idx] += x_active[k] * d
+        return stacks
 
-    def _gram0(self, g: _BlockGroup, B: np.ndarray) -> np.ndarray:
-        """Gram stack of a group at stacks B, with its constant term."""
-        return _gram(B, B) if g.fixed is None else _gram(B, B) + g.fixed
+    def _gram0(self, g: _BlockGroup, B: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+        """Gram stack, constant term included, of a group's blocks ``idx`` (all when None)."""
+        return _gram(B, B) if g.fixed is None else _gram(B, B) + _take(g.fixed, idx)
 
-    def gammas_from(self, grams: list):
-        """(gamma_d, gamma_u, gamma_c) from the groups' Gram stacks: the peak
-        over the grid of each block's largest eigenvalue, square-rooted."""
+    def gammas_from(self, grams: list, slots: list, at: np.ndarray | None = None):
+        """(gamma_d, gamma_u, gamma_c): the blocks ``slots[i]`` from the Gram
+        stack ``grams[i]``, every other block from the flat vector ``at``."""
         N = self.spec.n_areas
-        vals = np.empty(N + 2 * N * N)
-        for g, H in zip(self.groups, grams):
-            lam = _lambda_max(H).reshape(len(g.blocks), -1).max(axis=1)
-            vals[g.slots] = np.sqrt(np.maximum(lam, 0.0))
+        vals = np.empty(N + 2 * N * N) if at is None else at.copy()
+        for H, s in zip(grams, slots):
+            vals[s] = _peaks(H)
         return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
-    def objective(self, grams: list) -> float:
-        """Weighted surrogate objective of the groups' Gram stacks; +inf
+    def objective(self, gammas) -> float:
+        """Weighted surrogate objective of (gamma_d, gamma_u, gamma_c); +inf
         outside the admissible bounds."""
         self.n_evals += 1
-        gd, gu, gc = self.gammas_from(grams)
-        if not _within_bounds(self.spec, gd, gu, gc):
+        if not _within_bounds(self.spec, *gammas):
             return np.inf
-        return _objective_value(self.spec, gd, gu, gc)
+        return _objective_value(self.spec, *gammas)
 
     def objective_at(self, x_active) -> float:
-        """:meth:`objective` at the active coefficients."""
-        stacks = self.stacks_at(np.asarray(x_active, dtype=float).ravel())
-        return self.objective([self._gram0(g, B) for g, B in zip(self.groups, stacks)])
+        """:meth:`objective` at the active coefficients, which become the held x of :meth:`line`."""
+        self._x = np.array(x_active, dtype=float).ravel()
+        self._stacks = self.stacks_at(self._x)
+        self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
+        gammas = self.gammas_from(self._grams, [g.slots for g in self.groups])
+        self._vals = np.concatenate([g.ravel() for g in gammas])
+        return self.objective(gammas)
 
     def line(self, x_active: np.ndarray, k: int):
-        """phi(t) = :meth:`objective` at x + t e_k.
+        """phi(t) = :meth:`objective` at x + t e_k, valid until the next line.
 
-        Along the line each block is B + t d, so its Gram is
-        G0 + t G1 + t^2 G2 with G0 = B B^H, G1 = B d^H + d B^H and
-        G2 = d d^H; these are formed once here, and a probe only sums them.
-        The stacks B and G0 are kept for the next line, which reuses them
-        while x has not moved.
+        The held B, G0 and peaks (of the last line or objective_at) first
+        move to x, for the blocks of the directions x moved along.  Along the
+        line each block k moves is B + t d, with Gram G0 + t G1 + t^2 G2 for
+        G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here; a
+        probe sums them and takes their lambda_max.  Other blocks keep their
+        peak at x.
         """
-        if self._at is None or not np.array_equal(self._at[0], x_active):
-            stacks = self.stacks_at(x_active)
-            self._at = (np.array(x_active, dtype=float), stacks,
-                        [self._gram0(g, B) for g, B in zip(self.groups, stacks)])
-        _, stacks, grams0 = self._at
+        if self._x is None:
+            self.objective_at(np.zeros(len(self.dirs)))
+        step = np.asarray(x_active, dtype=float) - self._x
+        for j in np.flatnonzero(step):
+            for gi, idx, d in self.dirs[j]:
+                self._stacks[gi][:, :, idx] += step[j] * d
+                self._grams[gi][:, :, idx] = h = self._gram0(self.groups[gi], _take(self._stacks[gi], idx), idx)
+                self._vals[self.groups[gi].slots[idx]] = _peaks(h)
+        self._x = np.array(x_active, dtype=float)
         quads = []
-        for g, B, g0 in zip(self.groups, stacks, grams0):
-            d = g.dirs[k]
-            cross = _gram(B, d)
-            quads.append((g0, cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
+        for gi, idx, d in self.dirs[k]:
+            cross = _gram(_take(self._stacks[gi], idx), d)
+            quads.append((_take(self._grams[gi], idx), cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
+        slots, at = [self.groups[gi].slots[idx] for gi, idx, _ in self.dirs[k]], self._vals
 
         def phi(t: float) -> float:
             grams = []
@@ -398,7 +428,7 @@ class _SurrogateModel:
                 H *= t
                 H += g0
                 grams.append(H)
-            return self.objective(grams)
+            return self.objective(self.gammas_from(grams, slots, at))
 
         return phi
 
@@ -440,6 +470,7 @@ class SynthesisResult:
     feasible: bool
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
+    surrogate_pairs: tuple = (0, 0)  # (kept, all) (block, direction) pairs of the search surrogate
 
     @property
     def bank(self):
@@ -490,12 +521,12 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
             return bootstrap
         return constraint_norms(param, x, spec, builder)
 
-    def result(x, certificate, log, n_evals, search_certified):
+    def result(x, certificate, log, n_evals, search_certified, pairs=(0, 0)):
         (gd, gu, gc), maps = certificate
         obj = _objective_value(spec, gd, gu, gc)
         return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
                                spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc),
-                               search_certified)
+                               search_certified, pairs)
 
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
         return result(zero, certify(zero), None, 1, True)
@@ -510,12 +541,12 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
         x_full = zero  # no real progress; keep the certified origin
     # the surrogate's direction stacks are not needed past this point; free
     # them before the certificate allocates its sweeps
-    n_evals = model.n_evals
+    n_evals, pairs = model.n_evals, model.n_pairs
     del model
     certificate = certify(x_full)
     if not np.any(x_full) or _within_bounds(spec, *certificate[0]):
-        return result(x_full, certificate, log, n_evals, True)
-    return result(zero, certify(zero), log, n_evals, False)
+        return result(x_full, certificate, log, n_evals, True, pairs)
+    return result(zero, certify(zero), log, n_evals, False, pairs)
 
 
 def _pattern_search(model, x0: np.ndarray, opts: OptimizerSettings,

@@ -144,7 +144,8 @@ def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
 
     Generated channels use a single PCG64 generator seeded per scenario;
     identical (seed, horizon, amplitudes) always yield identical traces.
-    ``traces`` entries override generation for the named channels.
+    ``traces`` entries override generation for the named channels.  An
+    ``amplitudes`` or ``kinds`` key that names no channel raises ValueError.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -154,6 +155,10 @@ def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
     rng = np.random.default_rng(seed)
     dims = {"d": n_d, "zeta": n_x, "u_s1": n_x, "u_s2": n_u,
             "beta_s1": n_x, "beta_s2": n_u, "beta_f": n_u}
+    for what, given in (("amplitudes", amplitudes), ("kinds", kinds)):
+        for name in given:
+            if name not in dims:
+                raise ValueError(f"{what}.{name} is not a channel; the channels are {list(dims)}")
     channels = {}
     if "beta_w" in traces:
         # the controller-state dimension is design-dependent, so this channel

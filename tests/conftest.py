@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from nrf_forge.dcf import build_dcf, design_gains
-from nrf_forge.grid import build_grid_plant, grid_neighborhoods, grid_partition
+from nrf_forge.grid import GridCoefficients, build_grid_plant, grid_neighborhoods, grid_partition
 from nrf_forge.match_synth import AlgorithmConfig, run_algorithm1
 from nrf_forge.nrf import AreaController
 from nrf_forge.partition import Neighborhoods, build_partition
@@ -86,6 +86,35 @@ def grid_design(grid_setup):
     result = run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.25))
     assert not isinstance(result, tuple)
     return result
+
+
+#: Eight-node ring swing network: per-node gains and damping, then the
+#: coupling weights (i, i+1) and (i+1, i); all inside the ranges of the
+#: benchmark's ring generator.
+RING_H = (0.93, 1.07, 0.98, 1.02, 0.91, 1.09, 0.96, 1.04)
+RING_DAMPING = (0.88, 1.01, 0.95, 0.86, 1.04, 0.92, 0.99, 0.90)
+RING_COUPLING = ((0.42, 0.55), (0.61, 0.33), (0.37, 0.48), (0.52, 0.64),
+                 (0.31, 0.45), (0.58, 0.39), (0.47, 0.62), (0.35, 0.51))
+
+
+@pytest.fixture(scope="session")
+def ring_setup():
+    """The eight-node ring: plant, one area per node, and each node's
+    communication set {i - 1, i, i + 1}."""
+    n = len(RING_H)
+    coupling = np.zeros((n, n))
+    for i, (fwd, back) in enumerate(RING_COUPLING):
+        coupling[i, (i + 1) % n], coupling[(i + 1) % n, i] = fwd, back
+    plant = build_grid_plant(GridCoefficients(RING_H, RING_DAMPING, coupling))
+    nb = Neighborhoods(tuple(frozenset({(i - 1) % n, i, (i + 1) % n}) for i in range(n)))
+    return plant, build_partition([(2, 1)] * n), nb
+
+
+@pytest.fixture(scope="session")
+def ring_design(ring_setup):
+    """The ring designed with no bound slack."""
+    plant, part, nb = ring_setup
+    return run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.0))
 
 
 @pytest.fixture(scope="session")

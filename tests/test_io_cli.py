@@ -262,6 +262,10 @@ def test_cli_bad_synthesis_value_is_config_error(tmp_path, capsys, synthesis, ca
     ({"amplitudes": [1]}, [], "simulation.amplitudes must be an object, got [1]"),
     ({"kinds": {"d": "laplace"}}, [],
      "simulation.kinds.d must be one of ['uniform', 'gauss'], got 'laplace'"),
+    ({"amplitudes": {"zeat": 0.5}}, [], "simulation.amplitudes.zeat is not a channel; the channels "
+     "are ['d', 'zeta', 'u_s1', 'u_s2', 'beta_s1', 'beta_s2', 'beta_f']"),
+    ({"kinds": {"zeat": "gauss"}}, [], "simulation.kinds.zeat is not a channel; the channels "
+     "are ['d', 'zeta', 'u_s1', 'u_s2', 'beta_s1', 'beta_s2', 'beta_f']"),
 ])
 def test_cli_bad_simulation_value_is_config_error(cli_run, tmp_path, capsys, simulation, flags, cause):
     cfg = artifact_io.load_document(os.path.join(cli_run, "config.json"))

@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from conftest import deadbeat_bundle, random_stable_plant
-from nrf_forge.closed_loop import area_block
+from nrf_forge.dcf import build_dcf, design_gains
+from nrf_forge.closed_loop import area_block, q_linear_responses
 from nrf_forge.lti import (
     _lambda_max,
     delay,
@@ -22,7 +23,9 @@ from nrf_forge.match_synth import (
     MapsBuilder,
     OptimizerSettings,
     SynthesisSpec,
+    DROP_REL,
     _SurrogateModel,
+    _block_layout,
     _norms_from_maps,
     constraint_norms,
     default_targets,
@@ -429,6 +432,160 @@ def test_line_search_phi_matches_objective_at_on_mesh(mesh_model):
                 assert got == np.inf
         assert finite >= 2
         assert phi(1e4) == np.inf  # far outside the admissible boxes
+
+
+def dense_reference(model, bundle, param, part, maps0, x, lines):
+    """The affine surrogate built straight from ``q_linear_responses``,
+    keeping every (block, direction) pair.
+
+    Returns the flat [gamma_d; gamma_u; gamma_c] peaks at x, the peaks at
+    x + t e_k as a function of (k, t) for k in ``lines``, and rel[k, slot]:
+    the block's largest |entry| along direction k over the largest |entry| of
+    all of k's responses.  Direction responses leave the controller-IC
+    columns of the initial map at zero.
+    """
+    zs, n_x = model.zs, maps0.n_x
+    layout = _block_layout(model.spec, part, maps0)
+    at_x = [frequency_response(m, zs) for m in (maps0.forced, maps0.initial)]
+    along = {}
+    rel = np.empty((param.n_free, len(layout)))
+    for k, (forced_k, ic_k) in enumerate(q_linear_responses(bundle, param.basis, zs)):
+        initial_k = np.zeros_like(at_x[1])
+        initial_k[:, :, :n_x] = ic_k
+        resp = (forced_k, initial_k)
+        scale = max(np.max(np.abs(forced_k)), np.max(np.abs(ic_k)))
+        for slot, src, rows, cols, _ in layout:
+            rel[k, slot] = np.max(np.abs(resp[src][:, rows[:, None], cols])) / scale
+        for a, d in zip(at_x, resp):
+            a += x[k] * d
+        if k in lines:
+            along[k] = resp
+
+    def peaks(resp):
+        vals = np.empty(len(layout))
+        for slot, src, rows, cols, target in layout:
+            W = resp[src][:, rows[:, None], cols]
+            if target is not None:
+                W = W - frequency_response(target, zs)
+            Wh = W.conj().swapaxes(1, 2)
+            H = W @ Wh if cols.size >= rows.size else Wh @ W
+            vals[slot] = np.sqrt(max(np.max(_lambda_max(np.moveaxis(H, 0, -1))), 0.0))
+        return vals
+
+    def on_line(k, t):
+        return peaks([a + t * d for a, d in zip(at_x, along[k])])
+
+    return peaks(at_x), on_line, rel
+
+
+def model_gammas(model, x):
+    """The model's flat [gamma_d; gamma_u; gamma_c] at x, through its dense stacks."""
+    grams = [model._gram0(g, B) for g, B in zip(model.groups, model.stacks_at(x))]
+    gd, gu, gc = model.gammas_from(grams, [g.slots for g in model.groups])
+    return np.concatenate([gd, gu.ravel(), gc.ravel()])
+
+
+def build_dense_case(part, bundle, param, spec):
+    """A surrogate over every free direction, every block weighted and no
+    boxes, at a random x, with its dense reference."""
+    N, K = part.n_areas, param.n_free
+    spec = replace(spec, tau_c=np.ones((N, N)), bound_slack=np.inf)
+    spec = spec.with_bounds(np.zeros(N), np.zeros((N, N)), np.zeros((N, N)))
+    model, _, maps0 = surrogate_model(bundle, part, param, spec)
+    x = 0.3 * np.random.default_rng(15).standard_normal(K)
+    lines = (0, K // 2, K - 1)
+    ref = dense_reference(model, bundle, param, part, maps0, x, lines)
+    return part, model, x, lines, ref
+
+
+@pytest.fixture(scope="module")
+def mesh_dense(grid_setup, grid_design):
+    res = grid_design
+    return build_dense_case(grid_setup[1], res.pair.bundle, res.param, res.spec)
+
+
+@pytest.fixture(scope="module")
+def ring_dense(ring_setup, ring_design):
+    res = ring_design
+    return build_dense_case(ring_setup[1], res.pair.bundle, res.param, res.spec)
+
+
+@pytest.fixture(scope="module")
+def grouped_dense(grid_setup):
+    """The mesh with nodes 1-3 as one area, so that a block of that area's
+    rows is transposed and still has controller-IC columns, which no
+    direction moves."""
+    plant = grid_setup[0]
+    part = build_partition([(6, 3), (2, 1), (2, 1)])
+    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
+    bundle = build_dcf(plant, F, L, 512)
+    param = build_parametrization(bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
+    case = build_dense_case(part, bundle, param, default_targets(part, plant.n_d))
+    assert any(b.transposed and b.source == 1 and np.any(b.cols >= plant.n_x)
+               for g in case[1].groups for b in g.blocks)
+    return case
+
+
+@pytest.fixture(params=["mesh", "ring"])
+def dense_case(request):
+    return request.getfixturevalue(f"{request.param}_dense")
+
+
+def kept_pairs(model):
+    """{(direction, slot)} of the pairs the model stores."""
+    return {(k, int(slot)) for k, kept in enumerate(model.dirs)
+            for gi, idx, _ in kept for slot in model.groups[gi].slots[idx]}
+
+
+@pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
+def test_sparse_surrogate_matches_dense_reference(request, network):
+    _, model, x, lines, (want, on_line, _) = request.getfixturevalue(f"{network}_dense")
+    weights = np.concatenate([model.spec.tau_d, model.spec.tau_u.ravel(),
+                              model.spec.tau_c.ravel()])
+    got = model_gammas(model, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert model.objective_at(x) == pytest.approx(weights @ want, rel=1e-12, abs=0.0)
+    model.objective_at(np.zeros_like(x))  # the first line moves the held state from 0 to x
+    for k in lines:
+        phi = model.line(x, k)
+        for t in (-0.4, 0.02, 0.7):
+            assert phi(t) == pytest.approx(weights @ on_line(k, t), rel=1e-12, abs=0.0)
+        y = x.copy()
+        y[k] += 0.02  # an accepted move along k; the next line moves back
+        assert model.line(y, k)(0.0) == pytest.approx(weights @ on_line(k, 0.02), rel=1e-12, abs=0.0)
+
+
+def test_sparse_surrogate_drops_only_round_off_pairs(dense_case):
+    _, model, _, _, (_, _, rel) = dense_case
+    kept = kept_pairs(model)
+    assert kept == {(int(k), int(slot)) for k, slot in zip(*np.nonzero(rel > DROP_REL))}
+    dropped = np.ones(rel.shape, dtype=bool)
+    dropped[tuple(np.array(sorted(kept)).T)] = False
+    assert np.max(rel[dropped], initial=0.0) <= 1e-13
+    assert np.min(rel[~dropped]) >= 1e-7
+    assert model.n_pairs == (len(kept), rel.size)
+
+
+def test_sparse_surrogate_stores_only_kept_pairs(dense_case):
+    _, model, _, _, _ = dense_case
+    assert not any(hasattr(g, "dirs") for g in model.groups)
+    stored = sum(d.nbytes for kept in model.dirs for _, _, d in kept)
+    G = model.zs.size
+    want = sum(idx.size * np.prod(model.groups[gi].base.shape[:2]) * G * 16
+               for kept in model.dirs for gi, idx, _ in kept)
+    assert stored == want
+
+
+def test_ring_far_blocks_keep_no_pair(ring_dense):
+    part, model, _, _, _ = ring_dense
+    N = part.n_areas
+    far = set()
+    for i in range(N):
+        for j in range(N):
+            if min(abs(i - j), N - abs(i - j)) >= 3:
+                far |= {N + i * N + j, N + N * N + i * N + j}
+    assert len(far) == 48
+    assert not far & {slot for _, slot in kept_pairs(model)}
 
 
 # ---------------------------------------------------------------------------

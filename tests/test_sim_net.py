@@ -58,6 +58,18 @@ def test_same_seed_reproduces_traces():
     assert not np.array_equal(a.d_full, c.d_full)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"amplitudes": {"d": 0.5, "zeat": 0.5}}, "amplitudes.zeat"),
+    ({"kinds": {"zeat": "gauss"}}, "kinds.zeat"),
+    ({"amplitudes": {"beta_w": 0.1}}, "amplitudes.beta_w"),
+])
+def test_unknown_channel_name_is_refused(kwargs, key):
+    with pytest.raises(ValueError) as exc:
+        compose_signals(10, 4, 2, 1, **kwargs)
+    assert str(exc.value) == (f"{key} is not a channel; the channels are "
+                              "['d', 'zeta', 'u_s1', 'u_s2', 'beta_s1', 'beta_s2', 'beta_f']")
+
+
 def test_compound_channels_recomputed():
     rng = np.random.default_rng(5)
     zeta = rng.standard_normal((10, 4))
