@@ -5,9 +5,12 @@ Designs and verifies ``perfbench/scenarios.ring_config(N, 8)`` (an N-node
 swing ring, slack 0, default optimizer settings) for N = 8, 12 and 20, each
 run in a fresh child process with one BLAS thread.  A run records the
 wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
-time spent building the search surrogate and in the pattern search, the
-surrogate's stored direction bytes and its (block, direction) pairs.  Each
-figure is the median over 3 runs.  The record is stored under
+time spent building the search surrogate, in the pattern search and in the
+certified norms (``constraint_norms``), the surrogate's stored direction
+bytes, its (block, direction) pairs and the share of its evaluations' grid
+points at which a lambda_max was taken (read from the surrogate's
+``lambda_points`` counter, where the source tree has one).  Each figure is
+the median over 3 runs.  The record is stored under
 ``--label`` in ``BENCH_scale.json`` at the repository root; other labels
 already in that file are kept, so two source trees can be compared.
 
@@ -38,7 +41,7 @@ OUT = ROOT / "BENCH_scale.json"
 RING_SEED = 8
 SIZES = (8, 12, 20)
 REPEATS = 3
-TIMED = ("design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s")
+TIMED = ("design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s", "certify_s")
 
 
 def parse_args(argv=None):
@@ -59,7 +62,7 @@ def child(n: int, src: str) -> dict:
     import scenarios
     from nrf_forge import cli, match_synth
 
-    spent = {"surrogate_build_s": 0.0, "search_s": 0.0}
+    spent = {"surrogate_build_s": 0.0, "search_s": 0.0, "certify_s": 0.0}
     model = {}   # figures of the surrogate, read as it is built
 
     def timed(fn, key):
@@ -84,8 +87,18 @@ def child(n: int, src: str) -> dict:
             model["pairs_stored"] = model["pairs_total"] = self.groups[0].dirs.shape[0] * n_blocks
         model["surrogate_dir_mb"] = sum(d.nbytes for d in dirs) / 2**20
 
+    search = match_synth._pattern_search
+
+    def pattern_search(surrogate, *args, **kwargs):
+        out = search(surrogate, *args, **kwargs)
+        if hasattr(surrogate, "lambda_points"):
+            taken, bracketed = surrogate.lambda_points
+            model["lambda_share"] = round(float(taken / bracketed), 4)
+        return out
+
     match_synth._SurrogateModel.__init__ = timed(init, "surrogate_build_s")
-    match_synth._pattern_search = timed(match_synth._pattern_search, "search_s")
+    match_synth._pattern_search = timed(pattern_search, "search_s")
+    match_synth.constraint_norms = timed(match_synth.constraint_norms, "certify_s")
 
     cfg = scenarios.ring_config(n, RING_SEED)
     cfg["synthesis"]["optimizer"].pop("seed")  # the search is deterministic

@@ -40,6 +40,7 @@ from .errors import (
 from .lti import (
     FrequencyGrid,
     Realization,
+    _bracket,
     fir_support,
     frequency_response,
     make_realization,
@@ -50,6 +51,7 @@ from .partition import AreaPartition
 from .plant import Plant
 
 BEZOUT_TOL = 1e-8
+BEZOUT_CHUNK = 64  # grid points per chunk of verify_bezout's residual
 
 STRATEGY_BLOCK_DEADBEAT = "block_diagonalizing_F_deadbeat_L"
 STRATEGY_USER = "user_supplied"
@@ -251,20 +253,28 @@ def build_dcf(plant: Plant, F, L, grid_size: int = 512) -> DcfBundle:
 
 
 def verify_bezout(bundle: DcfBundle, grid: FrequencyGrid) -> float:
-    """Largest singular value of (left block) (right block) - I over the grid."""
+    """Largest singular value of (left block) (right block) - I over the grid,
+    formed in chunks of :data:`BEZOUT_CHUNK` points.  It lies between the
+    largest column norm and the Frobenius norm, so an SVD is taken only at
+    the points :func:`lti._bracket` keeps; the value is that of every point."""
     n, m = bundle.n_x, bundle.n_u
     zs = grid.points
-    G = zs.size
-    vals = {name: frequency_response(fac, zs) for name, fac in bundle.factors().items()}
-    left = np.empty((G, m + n, m + n), dtype=complex)
-    right = np.empty((G, m + n, m + n), dtype=complex)
-    left[:, :m, :m] = vals["Yt"]
-    left[:, :m, m:] = -vals["Xt"]
-    left[:, m:, :m] = -vals["Nt"]
-    left[:, m:, m:] = vals["Mt"]
-    right[:, :m, :m] = vals["M"]
-    right[:, :m, m:] = vals["X"]
-    right[:, m:, :m] = vals["N"]
-    right[:, m:, m:] = vals["Y"]
-    prod = left @ right - np.eye(m + n)
-    return float(np.max(np.linalg.svd(prod, compute_uv=False)[:, 0]))
+
+    def residual(z):
+        vals = {name: frequency_response(fac, z) for name, fac in bundle.factors().items()}
+        left = np.empty((z.size, m + n, m + n), dtype=complex)
+        right = np.empty((z.size, m + n, m + n), dtype=complex)
+        left[:, :m, :m] = vals["Yt"]
+        left[:, :m, m:] = -vals["Xt"]
+        left[:, m:, :m] = -vals["Nt"]
+        left[:, m:, m:] = vals["Mt"]
+        right[:, :m, :m] = vals["M"]
+        right[:, :m, m:] = vals["X"]
+        right[:, m:, :m] = vals["N"]
+        right[:, m:, m:] = vals["Y"]
+        return left @ right - np.eye(m + n)
+
+    col_sq = np.concatenate([(np.abs(residual(zs[lo:lo + BEZOUT_CHUNK])) ** 2).sum(axis=1)
+                             for lo in range(0, zs.size, BEZOUT_CHUNK)])
+    return float(_bracket(col_sq.T[:, None], lambda f: np.linalg.svd(
+        residual(zs[f]), compute_uv=False)[:, 0])[0])

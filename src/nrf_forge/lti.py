@@ -480,8 +480,36 @@ def _lambda_max(H: np.ndarray) -> np.ndarray:
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b^H of matrices stacked along the trailing axes: (s, t, ...) -> (s, s, ...)."""
-    return np.einsum("ik...,jk...->ij...", a, b.conj())
+    """a b^H of matrices stacked along the trailing axes: (s, t, ...) -> (s, s, ...).
+    The trailing axes are merged into one, which einsum sums faster."""
+    (s, t, *rest), r = a.shape, b.shape[0]
+    ab = np.einsum("ikn,jkn->ijn", a.reshape(s, t, -1), b.reshape(r, t, -1).conj())
+    return ab.reshape(s, r, *rest)
+
+
+#: Round-off allowance of :func:`_bracket`, relative to the size of the terms that
+#: formed a block's Grams (rounding leaves them PSD only to ~ side x length x eps).
+BRACKET_TOL = 1e-10
+
+
+def _bracket(diag: np.ndarray, value_at, top: int | None = None,
+             scale: np.ndarray | None = None) -> np.ndarray:
+    """Each block's peak, or with ``top`` the (blocks, top) indices of its top
+    points (ties to the later one), of value_at(flat) = lambda_max (or an
+    increasing function of it) of the Grams at flat points b G + g, whose
+    real diagonals are diag (r, blocks, G).  As max diag <= lambda_max <=
+    trace for a positive semidefinite Gram, values are taken only where the
+    trace reaches the block's top-th largest max-diagonal less BRACKET_TOL *
+    scale (default: the block's largest sum of |diag|).  Peaks and indices
+    equal a sweep's over every point when value_at forms values as it would."""
+    blocks, G = diag.shape[1:]
+    k = min(top or 1, G)
+    kth = np.partition(diag.max(axis=0, initial=-np.inf), G - k, axis=1)[:, G - k]
+    scale = np.abs(diag).sum(axis=0).max(axis=1) if scale is None else scale
+    flat = np.flatnonzero(diag.sum(axis=0) >= (kth - BRACKET_TOL * scale)[:, None])
+    vals = np.full((blocks, G), -np.inf)
+    vals.flat[flat] = value_at(flat)
+    return vals.max(axis=1) if top is None else np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
 
 
 @dataclass(frozen=True)
@@ -550,8 +578,10 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
     reduction of R serves every block: the map is swept once on its smaller
     side, the blocks are sliced from the sweep, grouped by shape, and their
     points ranked by the largest eigenvalue of the smaller-side Gram matrix.
-    The top ``refine_passes`` points of every block of a batch of one shape
-    are refined by lockstep golden-section searches on
+    The ranking is bracketed (:func:`_bracket`, diagonals sum |value|^2),
+    which picks the points a ranking of every point would from a few percent
+    of their lambda_max.  The top ``refine_passes`` points of every block of
+    a batch of one shape are refined by lockstep golden-section searches on
     [theta_k - step, theta_k + step],
     each step one back-substitution of the blocks' smaller side and one
     batched SVD.  The ranking only decides where to look: each value is the
@@ -598,9 +628,12 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
         oriented = sweep.transpose(0, 2, 1) if wide else sweep
         S = oriented[:, big[:, :, None], small[:, None, :]].transpose(1, 0, 2, 3)
         S = minus_targets(S, np.broadcast_to(zs, S.shape[:2]))
-        flat = S.transpose(3, 2, 0, 1).reshape(S.shape[3], S.shape[2], -1)
-        lam = _lambda_max(_gram(flat, flat)).reshape(len(members), -1)
-        top = np.argsort(lam, axis=1)[:, ::-1][:, :max(1, refine_passes)]
+
+        def lam_at(flat):
+            cols = S[flat // zs.size, flat % zs.size].transpose(2, 1, 0)
+            return _lambda_max(_gram(cols, cols))
+
+        top = _bracket((np.abs(S) ** 2).sum(axis=2).transpose(2, 0, 1), lam_at, top=max(1, refine_passes))
         best = np.linalg.svd(S[np.arange(len(members))[:, None], top],
                              compute_uv=False)[..., 0].max(axis=1)
         # golden-section maximisation on every candidate interval at once;

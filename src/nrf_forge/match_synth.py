@@ -34,6 +34,7 @@ from .lti import (
     _GOLDEN,
     Realization,
     _block_peaks,
+    _bracket,
     _gram,
     _lambda_max,
     delay,
@@ -271,9 +272,51 @@ def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
     return a if idx is None or idx.size == a.shape[2] else a[:, :, idx]
 
 
-def _peaks(H: np.ndarray) -> np.ndarray:
-    """Per block, the grid peak of sqrt(lambda_max) of a Gram stack (r, r, blocks, G)."""
-    return np.sqrt(np.maximum(_lambda_max(H).max(axis=-1), 0.0))
+def _gather(forced: np.ndarray, ic: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows ``at`` of the flat responses [forced; ic; 0] (rows, G), without forming them."""
+    out = np.zeros(at.shape + forced.shape[1:], dtype=complex)
+    for part, lo in ((forced, 0), (ic, forced.shape[0])):
+        sel = (at >= lo) & (at < lo + part.shape[0])
+        out[sel] = part[at[sel] - lo]
+    return out
+
+
+def _horner(terms: list, t: float):
+    """terms[0] + t terms[1] + t^2 terms[2] + ..., in Horner order."""
+    if len(terms) == 1:
+        return terms[0]
+    out = terms[-1] * t
+    out += terms[-2]
+    for term in terms[-3::-1]:
+        out *= t
+        out += term
+    return out
+
+
+def _gram_sum(members: list):
+    """peaks(t, count): per block, the grid peak of sqrt(lambda_max(H(t))) of
+    Gram stacks H(t) = _horner(terms, t) laid end to end, one tuple of terms
+    per member, each a pair (stack (r, r, n, G), the member's blocks in it).
+    Bracketed (:func:`lti._bracket`), H(t) and lambda_max are formed only
+    where a peak can be; ``count`` gains (points formed, points bracketed)."""
+    ends = np.cumsum([0] + [m[0][1].size for m in members])
+    diags = [np.concatenate([np.einsum("ii...->i...", T).real[:, idx] for T, idx in terms], axis=1)
+             for terms in zip(*members)]
+    sizes, G = [np.abs(d).sum(axis=0).max(axis=1) for d in diags], diags[0].shape[2]
+
+    def peaks(t: float = 0.0, count: np.ndarray | None = None) -> np.ndarray:
+        def lam_at(flat):
+            if count is not None:
+                count[:] += flat.size, diags[0][0].size
+            b, p = flat // G, flat % G
+            cuts = np.searchsorted(b, ends)
+            return _lambda_max(np.concatenate([
+                _horner([T[:, :, idx[b[lo:hi] - first], p[lo:hi]] for T, idx in m], t)
+                for m, lo, hi, first in zip(members, cuts, cuts[1:], ends)], axis=2))
+
+        return np.sqrt(np.maximum(_bracket(_horner(diags, t), lam_at, scale=_horner(sizes, abs(t))), 0.0))
+
+    return peaks
 
 
 class _SurrogateModel:
@@ -294,7 +337,8 @@ class _SurrogateModel:
     controller-IC columns the surrogate leaves out (the two-area toy of the
     tests has 0 controller states at x = 0 and 3 at a random x).
     ``n_evals`` counts calls of :meth:`objective`; ``n_pairs`` is (kept,
-    blocks x directions).
+    blocks x directions); ``lambda_points`` is (points whose lambda_max the
+    evaluations took, points they bracketed).
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
@@ -304,16 +348,17 @@ class _SurrogateModel:
         self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
         self.n_evals = 0
+        self.lambda_points = np.zeros(2, dtype=np.int64)
         self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
         self.groups = self._base_groups(partition, maps0)
         G = self.zs.size
         self.dirs = []   # per direction: (group, kept blocks, their stack) triples
         for forced_k, ic_k in q_linear_responses(bundle, param.basis[active], self.zs):
-            flat = np.concatenate([forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T, np.zeros((1, G))])
-            row_max = np.max(np.abs(flat), axis=1)
+            forced_k, ic_k = forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T
+            row_max = np.concatenate([np.abs(forced_k).max(axis=1), np.abs(ic_k).max(axis=1), [0.0]])
             moved = [np.flatnonzero(row_max[g.gather].max(axis=(0, 1)) > DROP_REL * row_max.max())
                      for g in self.groups]
-            self.dirs.append([(gi, idx, flat[g.gather[:, :, idx]])
+            self.dirs.append([(gi, idx, _gather(forced_k, ic_k, g.gather[:, :, idx]))
                               for gi, (g, idx) in enumerate(zip(self.groups, moved)) if idx.size])
         n_blocks = sum(len(g.blocks) for g in self.groups)
         self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept), len(self.dirs) * n_blocks)
@@ -369,13 +414,14 @@ class _SurrogateModel:
         """Gram stack, constant term included, of a group's blocks ``idx`` (all when None)."""
         return _gram(B, B) if g.fixed is None else _gram(B, B) + _take(g.fixed, idx)
 
-    def gammas_from(self, grams: list, slots: list, at: np.ndarray | None = None):
-        """(gamma_d, gamma_u, gamma_c): the blocks ``slots[i]`` from the Gram
-        stack ``grams[i]``, every other block from the flat vector ``at``."""
+    def gammas_from(self, peaks: list, slots: list, at: np.ndarray | None = None, t: float = 0.0):
+        """(gamma_d, gamma_u, gamma_c): the blocks ``slots[i]`` from
+        ``peaks[i]`` (of :func:`_gram_sum`) at t, every other block from the
+        flat vector ``at``."""
         N = self.spec.n_areas
         vals = np.empty(N + 2 * N * N) if at is None else at.copy()
-        for H, s in zip(grams, slots):
-            vals[s] = _peaks(H)
+        for block_peaks, s in zip(peaks, slots):
+            vals[s] = block_peaks(t, self.lambda_points)
         return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
     def objective(self, gammas) -> float:
@@ -391,7 +437,8 @@ class _SurrogateModel:
         self._x = np.array(x_active, dtype=float).ravel()
         self._stacks = self.stacks_at(self._x)
         self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
-        gammas = self.gammas_from(self._grams, [g.slots for g in self.groups])
+        gammas = self.gammas_from([_gram_sum([((H, np.arange(H.shape[2])),)]) for H in self._grams],
+                                  [g.slots for g in self.groups])
         self._vals = np.concatenate([g.ravel() for g in gammas])
         return self.objective(gammas)
 
@@ -401,9 +448,9 @@ class _SurrogateModel:
         The held B, G0 and peaks (of the last line or objective_at) first
         move to x, for the blocks of the directions x moved along.  Along the
         line each block k moves is B + t d, with Gram G0 + t G1 + t^2 G2 for
-        G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here; a
-        probe sums them and takes their lambda_max.  Other blocks keep their
-        peak at x.
+        G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here and
+        laid end to end per Gram side r; a probe brackets each side's peaks
+        in one pass (:func:`_gram_sum`).  Other blocks keep their peak at x.
         """
         if self._x is None:
             self.objective_at(np.zeros(len(self.dirs)))
@@ -412,23 +459,21 @@ class _SurrogateModel:
             for gi, idx, d in self.dirs[j]:
                 self._stacks[gi][:, :, idx] += step[j] * d
                 self._grams[gi][:, :, idx] = h = self._gram0(self.groups[gi], _take(self._stacks[gi], idx), idx)
-                self._vals[self.groups[gi].slots[idx]] = _peaks(h)
+                self._vals[self.groups[gi].slots[idx]] = _gram_sum([((h, np.arange(idx.size)),)])()
         self._x = np.array(x_active, dtype=float)
-        quads = []
+        sides: dict = {}
         for gi, idx, d in self.dirs[k]:
-            cross = _gram(_take(self._stacks[gi], idx), d)
-            quads.append((_take(self._grams[gi], idx), cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
-        slots, at = [self.groups[gi].slots[idx] for gi, idx, _ in self.dirs[k]], self._vals
+            cross, own = _gram(_take(self._stacks[gi], idx), d), np.arange(idx.size)
+            g1 = cross.conj().swapaxes(0, 1)
+            g1 += cross  # G1 = cross + cross^H, with one temporary fewer
+            del cross
+            sides.setdefault(d.shape[0], []).append(
+                (self.groups[gi].slots[idx], ((self._grams[gi], idx), (g1, own), (_gram(d, d), own))))
+        peaks = [_gram_sum([q for _, q in m]) for m in sides.values()]
+        slots, at = [np.concatenate([s for s, _ in m]) for m in sides.values()], self._vals
 
         def phi(t: float) -> float:
-            grams = []
-            for g0, g1, g2 in quads:
-                H = g2 * t
-                H += g1
-                H *= t
-                H += g0
-                grams.append(H)
-            return self.objective(self.gammas_from(grams, slots, at))
+            return self.objective(self.gammas_from(peaks, slots, at, t))
 
         return phi
 

@@ -66,6 +66,20 @@ def unequal_ring(n_areas, seed, static=False):
     return plant, part, nb, bank
 
 
+def bracket_every_point(diag, value_at, top=None, scale=None):
+    """``lti._bracket`` without pruning: ``value_at`` at every point."""
+    blocks, G = diag.shape[1:]
+    vals = value_at(np.arange(blocks * G)).reshape(blocks, G)
+    return vals.max(axis=1) if top is None else np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
+
+
+def unprune(monkeypatch):
+    """Swap every use of ``lti._bracket`` for :func:`bracket_every_point`."""
+    from nrf_forge import dcf, lti, match_synth
+    for module in (lti, dcf, match_synth):
+        monkeypatch.setattr(module, "_bracket", bracket_every_point)
+
+
 def deadbeat_bundle(plant, F=None, grid_size=512):
     """Bundle with zero (or given) feedback and a shift-nilpotent observer pencil."""
     F = F if F is not None else np.zeros((plant.n_u, plant.n_x))

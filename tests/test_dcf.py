@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent
+from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent, unprune
 from nrf_forge.dcf import (
     DcfBundle,
     build_dcf,
@@ -75,6 +75,33 @@ def test_perturbed_complement_breaks_bezout():
     bad = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt_bad, b.Yt, b.F, b.L,
                     plant, np.inf, 512)
     assert verify_bezout(bad, FrequencyGrid.uniform(512)) >= 0.009
+
+
+def bezout_every_point(bundle, grid):
+    """sigma_max of the Bezout residual, with an SVD at every grid point."""
+    m, vals = bundle.n_u, {k: frequency_response(f, grid.points) for k, f in bundle.factors().items()}
+    left = np.block([[vals["Yt"], -vals["Xt"]], [-vals["Nt"], vals["Mt"]]])
+    right = np.block([[vals["M"], vals["X"]], [vals["N"], vals["Y"]]])
+    prod = left @ right - np.eye(m + bundle.n_x)
+    return float(np.max(np.linalg.svd(prod, compute_uv=False)[:, 0]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("perturb", [0.0, 0.01])
+def test_verify_bezout_equals_every_point(seed, perturb, monkeypatch):
+    rng = np.random.default_rng(60 + seed)
+    plant = random_stable_plant(rng, n=int(rng.integers(2, 7)), m=int(rng.integers(1, 3)))
+    b = deadbeat_bundle(plant)
+    D_bad = b.Xt.D.copy()
+    D_bad[0, 0] += perturb
+    from nrf_forge.lti import make_realization
+    xt = make_realization(b.Xt.A, b.Xt.B, b.Xt.C, D_bad)
+    bundle = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt, b.Yt, b.F, b.L, plant, np.inf, 512)
+    grid = FrequencyGrid.uniform(200)
+    got = verify_bezout(bundle, grid)
+    assert got == bezout_every_point(bundle, grid)
+    unprune(monkeypatch)
+    assert got == verify_bezout(bundle, grid)
 
 
 def test_design_gains_scalar_trivial():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from conftest import shift_nilpotent
+from conftest import shift_nilpotent, unprune
 from nrf_forge.errors import (
     DimensionMismatchError,
     NearSingularResolventError,
@@ -13,6 +13,10 @@ from nrf_forge.errors import (
 from nrf_forge.lti import (
     FrequencyGrid,
     _SchurForm,
+    _block_peaks,
+    _bracket,
+    _gram,
+    _lambda_max,
     SignalTrace,
     delay,
     evaluate,
@@ -435,3 +439,80 @@ def test_uniform_grid_is_on_circle_and_distinct(count):
 def test_grid_rejects_off_circle_points():
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([0.5 + 0.0j]))
+
+
+# ---------------------------------------------------------------------------
+# peak bracketing
+# ---------------------------------------------------------------------------
+
+@st.composite
+def gram_stacks(draw):
+    """Gram stacks (r, r, blocks, G) of random complex columns, magnitudes
+    spread over six decades, each block plain, zero, rank one, tied (every
+    value twice) or with a zero row whose diagonal is pushed slightly
+    negative; and a top count k."""
+    r, t = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    blocks, G = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["plain", "zero", "rank1", "tied", "negative"]),
+                          min_size=blocks, max_size=blocks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((r, t, blocks, G)) + 1j * rng.standard_normal((r, t, blocks, G))
+    a *= 10.0 ** rng.uniform(-3.0, 3.0, (blocks, G))
+    for b, kind in enumerate(kinds):
+        if kind == "zero":
+            a[:, :, b] = 0.0
+        elif kind == "rank1":
+            a[:, 1:, b] = 0.0
+        elif kind == "tied":
+            a[:, :, b, G // 2:] = a[:, :, b, :G - G // 2]
+        elif kind == "negative":
+            a[0, :, b] = 0.0
+    H = _gram(a, a)
+    for b in (b for b, kind in enumerate(kinds) if kind == "negative"):
+        H[0, 0, b] -= 1e-14 * rng.random(G) * np.abs(np.einsum("ii...->...", H[:, :, b]).real).max()
+    return H, draw(st.integers(1, 6))
+
+
+@given(gram_stacks())
+def test_bracket_equals_every_point_bit_for_bit(case):
+    H, k = case
+    r = H.shape[0]
+    lam, flat = _lambda_max(H), H.reshape(r, r, -1)
+
+    def value_at(points):
+        return _lambda_max(flat[:, :, points])
+
+    diag = np.einsum("ii...->i...", H).real
+    assert np.array_equal(_bracket(diag, value_at), lam.max(axis=-1))
+    assert np.array_equal(_bracket(diag, value_at, top=k),
+                          np.argsort(lam, axis=1, kind="stable")[:, ::-1][:, :k])
+
+
+def test_bracket_takes_few_points_of_a_smooth_peak():
+    zs = np.exp(1j * np.pi * (np.arange(512) + 0.5) / 512)
+    R = random_realization(np.random.default_rng(4), 6, 3, 3)
+    S = frequency_response(R, zs).transpose(1, 2, 0)[:, :, None]
+    H, asked = _gram(S, S), []
+
+    def value_at(points):
+        asked.append(points.size)
+        return _lambda_max(H.reshape(3, 3, -1)[:, :, points])
+
+    assert _bracket(np.einsum("ii...->i...", H).real, value_at)[0] == _lambda_max(H).max()
+    assert asked[0] <= 0.25 * zs.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_peaks_equal_unpruned_ranking(seed, monkeypatch):
+    rng = np.random.default_rng(40 + seed)
+    p, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    R = random_realization(rng, int(rng.integers(2, 9)), p, m)
+    blocks = []
+    for _ in range(6):
+        rows = np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
+        cols = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+        target = random_realization(rng, 1, rows.size, cols.size) if rng.random() < 0.5 else None
+        blocks.append((rows, cols, target))
+    got = _block_peaks(R, blocks, 256, 3)
+    unprune(monkeypatch)
+    assert np.array_equal(got, _block_peaks(R, blocks, 256, 3))

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import deadbeat_bundle, random_stable_plant
+from hypothesis import given, strategies as st
+
+from conftest import deadbeat_bundle, random_stable_plant, unprune
+from nrf_forge import cli
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.closed_loop import area_block, q_linear_responses
 from nrf_forge.lti import (
+    _gram,
     _lambda_max,
     delay,
     evaluate,
@@ -479,10 +483,9 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
 
 
 def model_gammas(model, x):
-    """The model's flat [gamma_d; gamma_u; gamma_c] at x, through its dense stacks."""
-    grams = [model._gram0(g, B) for g, B in zip(model.groups, model.stacks_at(x))]
-    gd, gu, gc = model.gammas_from(grams, [g.slots for g in model.groups])
-    return np.concatenate([gd, gu.ravel(), gc.ravel()])
+    """The model's flat [gamma_d; gamma_u; gamma_c] at x, from a full evaluation."""
+    model.objective_at(x)
+    return model._vals.copy()
 
 
 def build_dense_case(part, bundle, param, spec):
@@ -586,6 +589,58 @@ def test_ring_far_blocks_keep_no_pair(ring_dense):
                 far |= {N + i * N + j, N + N * N + i * N + j}
     assert len(far) == 48
     assert not far & {slot for _, slot in kept_pairs(model)}
+
+
+@given(st.integers(1, 4), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_probe_through_cancellation_equals_every_point(r, t0, seed):
+    """Along B + t d with d = -B / t0 the Grams cancel to round-off at t0,
+    where they are not positive semidefinite; two members of one side, the
+    first read through a block index of a larger stack, match a sum over
+    every point bit for bit at t0 and nearby."""
+    rng = np.random.default_rng(seed)
+    members, want = [], []
+    for t, blocks in ((3, 4), (1, 2)):
+        B = rng.standard_normal((r, t, blocks, 64)) + 1j * rng.standard_normal((r, t, blocks, 64))
+        d = -B / t0
+        cross, own = _gram(B, d), np.arange(blocks)
+        terms = (_gram(B, B), cross + cross.conj().swapaxes(0, 1), _gram(d, d))
+        members.append(((np.concatenate([terms[0], terms[0]], axis=2), own + blocks),
+                        (terms[1], own), (terms[2], own)))
+        want.append(terms)
+    peaks = match_synth._gram_sum(members)
+    for t in (t0, t0 * (1 + 1e-9), 0.0):
+        full = []
+        for g0, g1, g2 in want:
+            H = g2 * t
+            H += g1
+            H *= t
+            H += g0
+            full.append(np.sqrt(np.maximum(_lambda_max(H).max(axis=-1), 0.0)))
+        assert np.array_equal(peaks(t, np.zeros(2, dtype=np.int64)), np.concatenate(full))
+
+
+def test_probes_take_few_lambda_max(mesh_model):
+    model, _, _, res = mesh_model
+    model.lambda_points[:] = 0
+    phi = model.line(res.x.copy(), 3)
+    for t in (-0.1, 0.01, 0.2):
+        phi(t)
+    taken, bracketed = model.lambda_points
+    assert 0 < taken <= 0.2 * bracketed
+
+
+@pytest.mark.parametrize("network", ["grid", "ring"])
+def test_design_equals_unpruned_design_byte_for_byte(request, network, monkeypatch, tmp_path):
+    pruned = request.getfixturevalue(f"{network}_design")
+    plant, part, nb = request.getfixturevalue(f"{network}_setup")
+    unprune(monkeypatch)
+    reference = run_algorithm1(plant, part, nb, config=AlgorithmConfig(
+        bound_slack=pruned.spec.bound_slack))
+    for result, sub in ((pruned, "pruned"), (reference, "reference")):
+        (tmp_path / sub).mkdir()
+        cli._write_synthesis_report(result, str(tmp_path / sub))
+    for name in ("gamma_table.csv", "objective_trace.csv"):
+        assert (tmp_path / "pruned" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
