@@ -4,8 +4,10 @@
 Builds the synthetic ring bank of ``tests/conftest.py::unequal_ring`` (areas
 with unequal (n_xi, n_ui) and controller orders, one order-0 area, ring
 communication sets) for N = 8, 20 and 40, and times 2,000-step runs of
-``simulate_distributed`` and ``simulate_monolithic`` with one BLAS thread.
-Each figure is the median over 7 runs, in microseconds per step.  The
+``simulate_distributed`` and ``simulate_monolithic`` with one BLAS thread,
+then 500-step runs of a batch of 25 scenarios stepped together (the size
+of one ``verify`` equivalence block).  Each figure is the median over 7
+runs, in microseconds per step (per step of the whole batch).  The
 record is stored under ``--label`` in ``BENCH_sim_step.json`` at the
 repository root; other labels already in that file are kept, so two source
 trees can be compared.
@@ -31,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_sim_step.json"
 SIZES = (8, 20, 40)
 STEPS = 2000
+BATCH, BATCH_STEPS = 25, 500
 REPEATS = 7
 SEED = 0
 
@@ -42,13 +45,13 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
-def step_us(fn) -> float:
+def step_us(fn, steps=STEPS) -> float:
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return 1e6 * statistics.median(times) / STEPS
+    return 1e6 * statistics.median(times) / steps
 
 
 def main(argv=None) -> int:
@@ -56,7 +59,12 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import numpy as np
     from conftest import unequal_ring
-    from nrf_forge.sim_net import compose_signals, simulate_distributed, simulate_monolithic
+    from nrf_forge.sim_net import (
+        compose_signals,
+        simulate_distributed,
+        simulate_monolithic,
+        stack_scenarios,
+    )
 
     rows = []
     for n_areas in SIZES:
@@ -68,19 +76,30 @@ def main(argv=None) -> int:
         x_c, w_c = rng.uniform(-1, 1, plant.n_x), rng.uniform(-1, 1, n_w)
         dist = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
         mono = simulate_monolithic(plant, bank, sig, x_c, w_c)
+        batch = stack_scenarios([compose_signals(
+            BATCH_STEPS, plant.n_x, plant.n_u, plant.n_d, seed=SEED + 2 + s,
+            amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.02})
+            for s in range(BATCH)])
+        x_b, w_b = rng.uniform(-1, 1, (plant.n_x, BATCH)), rng.uniform(-1, 1, (n_w, BATCH))
         rows.append({
             "N": n_areas, "n_x": plant.n_x, "n_u": plant.n_u, "n_w": n_w,
             "dist_us_per_step": round(step_us(
                 lambda: simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)), 1),
             "mono_us_per_step": round(step_us(
                 lambda: simulate_monolithic(plant, bank, sig, x_c, w_c)), 1),
+            f"dist_batch{BATCH}_us_per_step": round(step_us(
+                lambda: simulate_distributed(plant, bank, part, nb, batch, x_b, w_b),
+                BATCH_STEPS), 1),
+            f"mono_batch{BATCH}_us_per_step": round(step_us(
+                lambda: simulate_monolithic(plant, bank, batch, x_b, w_b), BATCH_STEPS), 1),
             "max_abs_gap": float(max(np.max(np.abs(dist.x - mono.x)),
                                      np.max(np.abs(dist.u_f - mono.u_f)))),
         })
         print(rows[-1])
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("description", f"median wall time per step of {STEPS}-step runs over "
-                   f"{REPEATS} repeats, one BLAS thread; scripts/bench_sim_step.py")
+    doc["description"] = (f"median wall time per step of {STEPS}-step runs and of "
+                          f"{BATCH_STEPS}-step runs of {BATCH} batched scenarios over "
+                          f"{REPEATS} repeats, one BLAS thread; scripts/bench_sim_step.py")
     doc.setdefault("records", {})[args.label] = {
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "nproc": os.cpu_count(), "results": rows,

@@ -219,26 +219,26 @@ def kd_responses(bundle: DcfBundle, taps_seq, zs):
 
 
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:
-    """Trace of I[k] v for k = 0..horizon-1, by stepping the realization."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != iq.ninputs:
-        raise DimensionMismatchError(f"vector length {v.size}, map expects {iq.ninputs}")
-    out = np.empty((horizon, iq.noutputs))
-    if horizon == 0:
-        return SignalTrace(out, start_index)
-    out[0] = iq.D @ v
-    x = iq.B @ v
-    for k in range(1, horizon):
-        out[k] = iq.C @ x
-        x = iq.A @ x
-    return SignalTrace(out, start_index)
+    """Trace of I[k] v for k = 0..horizon-1: the response to an input that
+    is v at k = 0 and zero after.  ``v`` is (ninputs,), or (ninputs, S)."""
+    v = np.asarray(v, dtype=float)
+    if len(v) != iq.ninputs:
+        raise DimensionMismatchError(f"vector length {len(v)}, map expects {iq.ninputs}")
+    u = np.zeros((horizon,) + v.shape)
+    u[:1] = v
+    return star(iq, SignalTrace(u, start_index))
 
 
 def reconstructed_response(maps: ClosedLoopMaps, d_s: SignalTrace, x_c, w_c) -> SignalTrace:
-    """[x; u_f] rebuilt from the closed-loop maps (no loop simulation)."""
+    """[x; u_f] rebuilt from the closed-loop maps (no loop simulation).
+
+    For a trace of S scenarios, ``x_c`` and ``w_c`` are (dim, S) and one
+    forced and one initial-condition recursion rebuild all of them.
+    """
+    v = np.concatenate([np.asarray(x_c, dtype=float), np.asarray(w_c, dtype=float)])
+    if v.shape[1:] != d_s.samples.shape[2:]:
+        raise DimensionMismatchError(f"initial states {v.shape} do not match the trace")
     forced = star(maps.forced, d_s)
-    v = np.concatenate([np.asarray(x_c, dtype=float).ravel(),
-                        np.asarray(w_c, dtype=float).ravel()])
     free = ic_response(maps.initial, v, d_s.horizon, d_s.start_index)
     return SignalTrace(forced.samples + free.samples, d_s.start_index)
 
@@ -353,18 +353,13 @@ def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
     ``{j: (u_s1j, u_s2j)}`` traces.  Together with the area's own prediction
     model state, psi + theta + delta reconstructs the simulated response.
     """
-    n_x, n_u = maps.n_x, maps.n_u
+    n_x = maps.n_x
     part = maps.partition
     rows = _z_rows(partition, i, n_x)
-    fq_rows = select_rows(maps.forced, rows)
-    psi = star(fq_rows, d_s)
-
     x_c = np.asarray(x_c, dtype=float).ravel()
     w_c = np.asarray(w_c, dtype=float).ravel()
     if x_c.size != n_x or w_c.size != maps.n_w:
         raise DimensionMismatchError("initial condition dimensions do not match the maps")
-    iq_rows = select_rows(maps.initial, rows)
-    horizon = d_s.horizon
 
     def masked_ic(area_set):
         v = np.zeros(n_x + maps.n_w)
@@ -373,19 +368,18 @@ def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
             v[n_x + part.indices("w", j)] = w_c[part.indices("w", j)]
         return v
 
-    theta = ic_response(iq_rows, masked_ic(sorted(nb.of(i))), horizon, d_s.start_index)
-
     # residual: cross-coupling from other areas' commands + far-away ICs
-    beta_x = np.zeros((horizon, n_x))
-    beta_u = np.zeros((horizon, n_u))
+    cross = np.zeros((d_s.horizon, maps.forced.ninputs))
     for j, (u1, u2) in us_others.items():
-        if j == i:
-            continue
-        beta_x[:, partition.indices("x", j)] += u1.samples
-        beta_u[:, partition.indices("u", j)] += u2.samples
-    cross = np.hstack([beta_x, beta_u, np.zeros((horizon, n_u)), np.zeros((horizon, maps.n_d))])
-    delta_forced = star(fq_rows, SignalTrace(cross, d_s.start_index))
+        if j != i:
+            cross[:, partition.indices("x", j)] += u1.samples
+            cross[:, n_x + partition.indices("u", j)] += u2.samples
     outside = [j for j in range(partition.n_areas) if j not in nb.of(i)]
-    delta_free = ic_response(iq_rows, masked_ic(outside), horizon, d_s.start_index)
-    delta = SignalTrace(delta_forced.samples + delta_free.samples, d_s.start_index)
+    # [psi, forced part of delta] and [theta, free part of delta] as batches of two
+    forced = star(select_rows(maps.forced, rows),
+                  SignalTrace(np.stack([d_s.samples, cross], axis=-1))).samples
+    free = ic_response(select_rows(maps.initial, rows), np.stack(
+        [masked_ic(sorted(nb.of(i))), masked_ic(outside)], axis=-1), d_s.horizon).samples
+    psi, theta, delta = (SignalTrace(a, d_s.start_index) for a in (
+        forced[..., 0], free[..., 0], forced[..., 1] + free[..., 1]))
     return DecomposedResponse(psi, theta, delta)

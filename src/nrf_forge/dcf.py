@@ -41,8 +41,8 @@ from .lti import (
     FrequencyGrid,
     Realization,
     _bracket,
+    _resolvent,
     fir_support,
-    frequency_response,
     make_realization,
     pbh_test,
     spectral_radius_raw,
@@ -252,6 +252,20 @@ def build_dcf(plant: Plant, F, L, grid_size: int = 512) -> DcfBundle:
                      fir_orders=fir_orders)
 
 
+def _factor_values(bundle: DcfBundle, zs: np.ndarray) -> dict:
+    """Every factor's values at ``zs``.  Factors with exactly equal (A, B)
+    share one resolvent solve: four for (N, M), (X, Y), (Nt, Yt), (Mt, Xt)."""
+    solved, vals = [], {}
+    for name, fac in bundle.factors().items():
+        X = next((X for A, B, X in solved
+                  if np.array_equal(A, fac.A) and np.array_equal(B, fac.B)), None)
+        if X is None:
+            X = _resolvent(fac.A, fac.B, zs)
+            solved.append((fac.A, fac.B, X))
+        vals[name] = fac.C @ X + fac.D
+    return vals
+
+
 def verify_bezout(bundle: DcfBundle, grid: FrequencyGrid) -> float:
     """Largest singular value of (left block) (right block) - I over the grid,
     formed in chunks of :data:`BEZOUT_CHUNK` points.  It lies between the
@@ -261,7 +275,7 @@ def verify_bezout(bundle: DcfBundle, grid: FrequencyGrid) -> float:
     zs = grid.points
 
     def residual(z):
-        vals = {name: frequency_response(fac, z) for name, fac in bundle.factors().items()}
+        vals = _factor_values(bundle, z)
         left = np.empty((z.size, m + n, m + n), dtype=complex)
         right = np.empty((z.size, m + n, m + n), dtype=complex)
         left[:, :m, :m] = vals["Yt"]

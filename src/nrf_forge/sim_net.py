@@ -1,12 +1,13 @@
 """Deterministic closed-loop simulation, monolithic and distributed.
 
-The monolithic form steps the plant against the stacked controller bank in
-one process.  The distributed form runs one subcontroller per area and
-exchanges exactly the messages the communication sets allow: each area j
-broadcasts its measured state bundle (x_j + zeta_j + u_s1j + beta_s1j) and
-its command bundle (u_fj + beta_fj), and every receiver sees the same
-values.  For banks that pass the communication-constraint check the two
-simulations agree to floating-point reordering.
+The monolithic form precomposes the plant and the stacked controller bank
+into one loop matrix and steps s = [x; w] with one product per step; inputs
+and outputs are products over the trace.  The distributed form runs one
+subcontroller per area and exchanges exactly the messages the communication
+sets allow: each area j broadcasts its measured state bundle (x_j + zeta_j +
+u_s1j + beta_s1j) and its command bundle (u_fj + beta_fj), and every
+receiver sees the same values.  For banks that pass the communication
+constraint check the two simulations agree to floating-point reordering.
 
 Message semantics are synchronous lock-step in two phases.  The step reads
 z = [w; state messages; command messages; 0] through one gather row per
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
-from .lti import SignalTrace
+from .lti import SignalTrace, _apply, _recursion
 from .nrf import AreaController, stacked_bank
 from .partition import AreaPartition, Neighborhoods
 from .plant import Plant
@@ -223,8 +224,8 @@ def stack_scenarios(scenarios) -> ScenarioSignals:
 class LoopTrace:
     """Closed-loop time series plus the metadata needed to replay them.
 
-    Each series is (horizon, dim), or (horizon, dim, S) for a batch of S
-    scenarios; the :class:`SignalTrace` views are for single scenarios.
+    Each series, and each :class:`SignalTrace` view, is (horizon, dim), or
+    (horizon, dim, S) for a batch of S scenarios.
     """
 
     x: np.ndarray
@@ -244,9 +245,6 @@ class LoopTrace:
     @property
     def horizon(self) -> int:
         return self.x.shape[0]
-
-    def states(self) -> SignalTrace:
-        return SignalTrace(self.x, self.start_index)
 
     def outputs(self) -> SignalTrace:
         """[x; u_f] stacked, the quantity the closed-loop maps predict."""
@@ -288,6 +286,10 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     [u_f + beta_f; x + beta_x]) or a list of :class:`AreaController`.
     ``x_c`` and ``w_c`` are (dim,) for one scenario and (dim, S) for signals
     batched over S scenarios.
+
+    The loop is precomposed: s = [x; w] steps as s_{k+1} = A_cl s_k + B_cl
+    d_s[k] over d_s = [beta_x; beta_u; beta_f; d], one product per step
+    (:func:`lti._recursion`), and u_f = [D_x, C_w] s + D_x beta_x.
     """
     if isinstance(controller, (list, tuple)):
         controller = stacked_bank(controller)
@@ -301,32 +303,27 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
         )
     _check_no_algebraic_loop(controller.D, n_u)
     D_x = controller.D[:, n_u:]
-    batch = signals.batch
-    x = _initial_state(x_c, n_x, batch, "x_c")
-    w = _initial_state(w_c, controller.order, batch, "w_c")
-    beta_x, beta_u = signals.beta_x, signals.beta_u
-    beta_f, d = signals.beta_f_full, signals.d_full
-    beta_w = _reported_state_noise(signals, T, controller.order)
-    X = np.empty((T, n_x) + batch)
-    UF = np.empty((T, n_u) + batch)
-    U = np.empty((T, n_u) + batch)
-    W = np.empty((T, controller.order) + batch)
-    A, B_u, B_d = plant.A, plant.B_u, plant.B_d
-    A_w, B_w, C_w = controller.A, controller.B, controller.C
-    for k in range(T):
-        X[k] = x
-        # the controller-state disturbance rides only on the reported copy
-        # of w; it never enters the loop itself
-        W[k] = w + beta_w[k]
-        meas = x + beta_x[k]
-        u_f = C_w @ w + D_x @ meas
-        UF[k] = u_f
-        u = u_f + beta_u[k]
-        U[k] = u
-        ctrl_in = np.concatenate([u_f + beta_f[k], meas])
-        w = A_w @ w + B_w @ ctrl_in
-        x = A @ x + B_u @ u + B_d @ d[k]
-    return LoopTrace(X, UF, U, W, signals.start_index, signals.seed, "monolithic")
+    B_wu, B_wx = controller.B[:, :n_u], controller.B[:, n_u:]
+    n_w, n_d, batch = controller.order, plant.n_d, signals.batch
+    S = int(np.prod(batch, dtype=int))
+    s0 = np.concatenate([_initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S),
+                         _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)])
+    beta_w = _reported_state_noise(signals, T, n_w).reshape(T, n_w, S)
+    d_s = signals.stacked_disturbance().samples[:T].reshape(T, n_x + 2 * n_u + n_d, S)
+    # s_{k+1} = A_cl s_k + B_cl d_s[k] over s = [x; w]; u_f enters s through B_s
+    C_uf = np.hstack([D_x, controller.C])
+    B_s = np.vstack([plant.B_u, B_wu])
+    A_cl = np.block([[plant.A, np.zeros((n_x, n_w))], [B_wx, controller.A]]) + B_s @ C_uf
+    B_cl = np.block([[np.zeros((n_x, n_x)), plant.B_u, np.zeros((n_x, n_u)), plant.B_d],
+                     [B_wx, np.zeros((n_w, n_u)), B_wu, np.zeros((n_w, n_d))]])
+    B_cl[:, :n_x] += B_s @ D_x
+    states = _recursion(A_cl, B_cl, d_s, s0)
+    u_f = _apply(C_uf, states) + _apply(D_x, d_s[:, :n_x])
+    u = u_f + d_s[:, n_x:n_x + n_u]
+    # the controller-state disturbance rides only on the reported copy of w
+    w = states[:, n_x:] + beta_w
+    return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (states[:, :n_x], u_f, u, w)),
+                     signals.start_index, signals.seed, "monolithic")
 
 
 def _stack_padded(rows, pad: int):
@@ -389,7 +386,8 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
         signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
     beta_w = _reported_state_noise(signals, T, n_w).reshape(T, n_w, S)
     X, UF, W = (np.empty((T, dim, S)) for dim in (n_x, n_u, n_w))
-    A, B_u, B_d = plant.A, plant.B_u, plant.B_d
+    # the plant's exogenous input, taken over the whole trace
+    ext = _apply(plant.B_u, beta_u[:T]) + _apply(plant.B_d, d[:T])
     for k in range(T):
         X[k], W[k] = x, z[:n_w]
         z[state_slots] = x + beta_x[k]
@@ -397,7 +395,7 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
         UF[k] = u_f
         z[cmd_slots] = u_f + beta_f[k]
         z[:n_w] = np.matmul(P2, z[G2]).reshape(-1, S)[to_w]
-        x = A @ x + B_u @ (u_f + beta_u[k]) + B_d @ d[k]
+        x = plant.A @ x + plant.B_u @ u_f + ext[k]
     # the controller-state disturbance rides only on the reported copy of w
     U, W = UF + beta_u[:T], W + beta_w
     return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (X, UF, U, W)),

@@ -7,7 +7,9 @@ assembled by factor algebra, the traces by stepping the loop.
 
 Scenarios are stepped together as columns of one batch (the equivalence
 check in blocks of ``EQUIVALENCE_BLOCK`` to bound memory), each generated just
-before its block from the suite's generator.  The sparsity closure evaluates
+before its block from the suite's generator.  The identity check rebuilds
+all its scenarios from the maps with one batched forced recursion and one
+batched initial-condition recursion.  The sparsity closure evaluates
 each random draw's controller pointwise from the coprime factors; one draw
 is also formed as a realized pair to cross-check that route.
 """
@@ -138,21 +140,18 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
 
     # closed-loop identity: simulation vs map reconstruction
     n_w = maps.n_w
-    scenarios, sig, x_c, w_c = _scenario_batch(
+    sig, x_c, w_c = _scenario_batch(
         rng, identity_scenarios, 200, plant, n_w,
         {"d": 0.5, "zeta": 0.1, "u_s1": 0.3, "u_s2": 0.2, "beta_f": 0.05, "beta_s2": 0.05})
     tr = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
-    worst = 0.0
-    for s, one in enumerate(scenarios):
-        rec = reconstructed_response(maps, one.stacked_disturbance(), x_c[:, s], w_c[:, s])
-        sim = np.hstack([tr.x[:, :, s], tr.u_f[:, :, s]])
-        worst = max(worst, float(np.max(np.abs(sim - rec.samples))))
+    rec = reconstructed_response(maps, sig.stacked_disturbance(), x_c, w_c)
+    worst = float(np.max(np.abs(tr.outputs().samples - rec.samples)))
     records.append(_rec("closed_loop_identity", worst, 1e-6,
                         f"{identity_scenarios} scenarios x 200 steps"))
 
     worst = 0.0
     for start in range(0, equivalence_scenarios, EQUIVALENCE_BLOCK):
-        _, sig, x_c, w_c = _scenario_batch(
+        sig, x_c, w_c = _scenario_batch(
             rng, min(EQUIVALENCE_BLOCK, equivalence_scenarios - start), 500, plant, n_w,
             {"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.02})
         tm = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
@@ -194,19 +193,15 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
 
 
 def _scenario_batch(rng, count: int, horizon: int, plant: Plant, n_w: int, amplitudes: dict):
-    """``count`` scenarios drawn from ``rng`` in order, and their stacked batch.
-
-    Returns the single scenarios, the batched signals and the (dim, count)
-    initial states.
-    """
+    """``count`` scenarios drawn from ``rng`` in order: their stacked batch
+    and the (dim, count) initial states."""
     scenarios, x_cs, w_cs = [], [], []
     for _ in range(count):
         scenarios.append(compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
                                          seed=int(rng.integers(2**31)), amplitudes=amplitudes))
         x_cs.append(rng.uniform(-1, 1, plant.n_x))
         w_cs.append(rng.uniform(-1, 1, n_w))
-    return (scenarios, stack_scenarios(scenarios),
-            np.stack(x_cs, axis=-1), np.stack(w_cs, axis=-1))
+    return stack_scenarios(scenarios), np.stack(x_cs, axis=-1), np.stack(w_cs, axis=-1)
 
 
 def _off_pattern_mask(partition: AreaPartition, nb: Neighborhoods) -> np.ndarray:

@@ -12,7 +12,7 @@ from nrf_forge.closed_loop import (
     prediction_model,
     reconstructed_response,
 )
-from nrf_forge.errors import UnboundedTfmError
+from nrf_forge.errors import DimensionMismatchError, UnboundedTfmError
 from nrf_forge.lti import (
     FrequencyGrid,
     SignalTrace,
@@ -28,7 +28,7 @@ from nrf_forge.lti import (
 from nrf_forge.nrf import bank_from_pair, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
-from nrf_forge.sim_net import compose_signals, simulate_monolithic
+from nrf_forge.sim_net import compose_signals, simulate_monolithic, stack_scenarios
 
 ZS = FrequencyGrid.uniform(32).points
 
@@ -175,6 +175,30 @@ def test_reconstruction_identity_random_network(two_area_plant):
     tr = simulate_monolithic(two_area_plant, list(bank), sig, x_c, w_c)
     rec = reconstructed_response(maps, sig.stacked_disturbance(), x_c, w_c)
     assert np.max(np.abs(tr.outputs().samples - rec.samples)) <= 1e-6
+
+
+@pytest.mark.parametrize("network", ["two_area", "mesh"])
+def test_batched_reconstruction_matches_per_scenario(request, two_area_plant, network):
+    if network == "mesh":
+        maps = request.getfixturevalue("grid_design").maps
+    else:
+        maps = two_area_design(two_area_plant, seed=6)[-1]
+    rng = np.random.default_rng(13)
+    singles = [compose_signals(90, maps.n_x, maps.n_u, maps.n_d, seed=s,
+                               amplitudes={"d": 0.5, "zeta": 0.1, "u_s1": 0.2,
+                                           "u_s2": 0.2, "beta_f": 0.1})
+               for s in range(5)]
+    x_c = rng.uniform(-1, 1, (maps.n_x, 5))
+    w_c = rng.uniform(-1, 1, (maps.n_w, 5))
+    batch = stack_scenarios(singles).stacked_disturbance()
+    batched = reconstructed_response(maps, batch, x_c, w_c).samples
+    assert batched.shape == (90, maps.n_x + maps.n_u, 5)
+    for s, one in enumerate(singles):
+        rec = reconstructed_response(maps, one.stacked_disturbance(), x_c[:, s], w_c[:, s])
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(rec.samples))))
+        assert np.max(np.abs(batched[:, :, s] - rec.samples)) <= tol
+    with pytest.raises(DimensionMismatchError):
+        reconstructed_response(maps, batch, x_c[:, :4], w_c[:, :4])
 
 
 def test_decompose_zero_inputs_gives_zero(two_area_plant):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent, unprune
+from nrf_forge import dcf, lti
 from nrf_forge.dcf import (
     DcfBundle,
     build_dcf,
@@ -14,7 +15,14 @@ from nrf_forge.errors import (
     UncontrollableModeError,
 )
 from nrf_forge.grid import build_grid_plant, grid_partition
-from nrf_forge.lti import FrequencyGrid, evaluate, frequency_response, inverse, series
+from nrf_forge.lti import (
+    FrequencyGrid,
+    evaluate,
+    frequency_response,
+    inverse,
+    make_realization,
+    series,
+)
 from nrf_forge.partition import build_partition
 from nrf_forge.plant import Plant
 
@@ -70,7 +78,6 @@ def test_perturbed_complement_breaks_bezout():
     b = deadbeat_bundle(plant)
     D_bad = b.Xt.D.copy()
     D_bad[0, 0] += 0.01
-    from nrf_forge.lti import make_realization
     xt_bad = make_realization(b.Xt.A, b.Xt.B, b.Xt.C, D_bad)
     bad = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt_bad, b.Yt, b.F, b.L,
                     plant, np.inf, 512)
@@ -94,7 +101,6 @@ def test_verify_bezout_equals_every_point(seed, perturb, monkeypatch):
     b = deadbeat_bundle(plant)
     D_bad = b.Xt.D.copy()
     D_bad[0, 0] += perturb
-    from nrf_forge.lti import make_realization
     xt = make_realization(b.Xt.A, b.Xt.B, b.Xt.C, D_bad)
     bundle = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt, b.Yt, b.F, b.L, plant, np.inf, 512)
     grid = FrequencyGrid.uniform(200)
@@ -102,6 +108,55 @@ def test_verify_bezout_equals_every_point(seed, perturb, monkeypatch):
     assert got == bezout_every_point(bundle, grid)
     unprune(monkeypatch)
     assert got == verify_bezout(bundle, grid)
+
+
+def _bundle_of(request, network):
+    """The factor bundle of the mesh, the ring, or the mesh grouped into
+    areas (6, 3), (2, 1), (2, 1)."""
+    if network == "mesh":
+        return request.getfixturevalue("grid_design").pair.bundle
+    if network == "ring":
+        return request.getfixturevalue("ring_design").pair.bundle
+    plant = request.getfixturevalue("grid_setup")[0]
+    F, L = design_gains(plant, build_partition([(6, 3), (2, 1), (2, 1)]))
+    return build_dcf(plant, F, L)
+
+
+def _counting_resolvent(monkeypatch):
+    calls = []
+
+    def counted(A, B, zs):
+        calls.append((A, B))
+        return lti._resolvent(A, B, zs)
+    monkeypatch.setattr(dcf, "_resolvent", counted)
+    return calls
+
+
+@pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
+def test_shared_solves_equal_per_factor_responses(request, monkeypatch, network):
+    bundle = _bundle_of(request, network)
+    calls = _counting_resolvent(monkeypatch)
+    zs = FrequencyGrid.uniform(512).points
+    vals = dcf._factor_values(bundle, zs[:dcf.BEZOUT_CHUNK])
+    assert len(calls) == 4
+    for name, fac in bundle.factors().items():
+        assert np.array_equal(vals[name], frequency_response(fac, zs[:dcf.BEZOUT_CHUNK])), name
+    assert verify_bezout(bundle, FrequencyGrid.uniform(512)) == bundle.bezout_residual <= 1e-8
+
+
+def test_perturbed_input_matrix_gets_its_own_solve(request, monkeypatch):
+    b = _bundle_of(request, "grouped")
+    B_bad = b.Xt.B.copy()
+    B_bad[0, 0] += 1e-3
+    xt = make_realization(b.Xt.A, B_bad, b.Xt.C, b.Xt.D)
+    bad = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt, b.Yt, b.F, b.L, b.plant, np.inf, 512)
+    calls = _counting_resolvent(monkeypatch)
+    zs = FrequencyGrid.uniform(512).points[:dcf.BEZOUT_CHUNK]
+    vals = dcf._factor_values(bad, zs)
+    assert len(calls) == 5
+    assert np.array_equal(vals["Xt"], frequency_response(xt, zs))
+    assert np.array_equal(vals["Mt"], frequency_response(b.Mt, zs))
+    assert verify_bezout(bad, FrequencyGrid.uniform(512)) > 1e-6
 
 
 def test_design_gains_scalar_trivial():

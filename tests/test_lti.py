@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from conftest import shift_nilpotent, unprune
+from nrf_forge.closed_loop import ic_response
 from nrf_forge.errors import (
     DimensionMismatchError,
     NearSingularResolventError,
@@ -17,6 +18,7 @@ from nrf_forge.lti import (
     _bracket,
     _gram,
     _lambda_max,
+    _recursion,
     SignalTrace,
     delay,
     evaluate,
@@ -410,6 +412,73 @@ def test_star_with_initial_state():
         assert np.allclose(y.samples[k], R.C @ x + R.D @ u.samples[k])
         x = R.A @ x + R.B @ u.samples[k]
     assert y.start_index == 3
+
+
+def stepwise_star(R, u, x0):
+    """The per-step loop of the time responses before they were batched,
+    kept as their oracle."""
+    x, y = x0.copy(), np.empty((len(u), R.noutputs))
+    for k, uk in enumerate(u):
+        y[k] = R.C @ x + R.D @ uk
+        x = R.A @ x + R.B @ uk
+    return y
+
+
+def stepwise_ic(R, v, horizon):
+    out, x = np.empty((horizon, R.noutputs)), R.B @ v
+    out[0] = R.D @ v
+    for k in range(1, horizon):
+        out[k] = R.C @ x
+        x = R.A @ x
+    return out
+
+
+def _recursion_case(seed):
+    """A random stable realization (order 0 allowed), a horizon across
+    several recursion chunks and 1-4 scenarios."""
+    rng = np.random.default_rng(seed)
+    R = random_realization(rng, int(rng.integers(0, 7)), int(rng.integers(1, 5)),
+                           int(rng.integers(1, 5)))
+    T, S = int(rng.integers(1, 200)), int(rng.integers(1, 5))
+    return rng, R, T, S
+
+
+@given(st.integers(0, 60000))
+def test_batched_star_matches_columns_and_stepwise_loop(seed):
+    rng, R, T, S = _recursion_case(seed)
+    u = rng.standard_normal((T, R.ninputs, S))
+    x0 = rng.standard_normal((R.order, S))
+    batched = star(R, SignalTrace(u), x0).samples
+    assert batched.shape == (T, R.noutputs, S)
+    for s in range(S):
+        one = star(R, SignalTrace(u[:, :, s]), x0[:, s]).samples
+        ref = stepwise_star(R, u[:, :, s], x0[:, s])
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(batched[:, :, s] - one)) <= tol
+        assert np.max(np.abs(one - ref)) <= tol
+
+
+@given(st.integers(0, 60000))
+def test_batched_ic_response_matches_columns_and_stepwise_loop(seed):
+    rng, R, T, S = _recursion_case(seed)
+    v = rng.standard_normal((R.ninputs, S))
+    batched = ic_response(R, v, T).samples
+    for s in range(S):
+        one = ic_response(R, v[:, s], T).samples
+        ref = stepwise_ic(R, v[:, s], T)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(batched[:, :, s] - one)) <= tol
+        assert np.max(np.abs(one - ref)) <= tol
+
+
+def test_recursion_without_output_map_returns_states():
+    rng = np.random.default_rng(12)
+    R = random_realization(rng, 4, 1, 2)
+    u, x0 = rng.standard_normal((130, 2)), rng.standard_normal(4)
+    states = _recursion(R.A, R.B, u, x0)
+    assert states.shape == (130, 4)
+    y = star(R, SignalTrace(u), x0).samples
+    assert np.max(np.abs(states @ R.C.T + u @ R.D.T - y)) <= 1e-12
 
 
 def test_time_frequency_consistency():

@@ -5,7 +5,7 @@ from conftest import deadbeat_bundle, unequal_ring
 from nrf_forge.closed_loop import build_closed_loop_maps, ic_response
 from nrf_forge.errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
 from nrf_forge.lti import fir_realization, impulse_response
-from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair
+from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair, stacked_bank
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sim_net import (
     ScenarioSignals,
@@ -443,3 +443,76 @@ def test_all_static_bank_runs_both_ways(count):
     assert np.max(np.abs(tm.u_f)) > 0.0
     assert np.max(np.abs(tm.x - td.x)) <= 1e-10
     assert np.max(np.abs(tm.u_f - td.u_f)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# precomposed monolithic loop against the stepwise loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_monolithic(plant, bank, signals, x_c, w_c, horizon=None):
+    """Plant and stacked bank stepped one after the other, about ten
+    products per step: the loop the precomposed one replaced, kept as its
+    oracle."""
+    ctrl = stacked_bank(bank)
+    T = horizon if horizon is not None else signals.horizon
+    n_x, n_u, batch = plant.n_x, plant.n_u, signals.batch
+    D_x = ctrl.D[:, n_u:]
+    x = np.array(x_c, dtype=float)
+    w = np.array(w_c, dtype=float).reshape((ctrl.order,) + batch)
+    beta_w = (signals.beta_w if signals.beta_w is not None
+              else np.zeros((T, ctrl.order) + batch))
+    X, UF, U, W = [], [], [], []
+    for k in range(T):
+        X.append(x)
+        W.append(w + beta_w[k])
+        meas = x + signals.beta_x[k]
+        u_f = ctrl.C @ w + D_x @ meas
+        u = u_f + signals.beta_u[k]
+        UF.append(u_f)
+        U.append(u)
+        w = ctrl.A @ w + ctrl.B @ np.concatenate([u_f + signals.beta_f_full[k], meas])
+        x = plant.A @ x + plant.B_u @ u + plant.B_d @ signals.d_full[k]
+    return tuple(np.array(a) for a in (X, UF, U, W))
+
+
+def _network(request, name):
+    """Plant and bank of the mesh, the ring, the unequal ring (with an
+    order-0 area) or an all-static ring bank."""
+    if name in ("mesh", "ring"):
+        prefix = "grid" if name == "mesh" else "ring"
+        return (request.getfixturevalue(f"{prefix}_setup")[0],
+                list(request.getfixturevalue(f"{prefix}_design").bank))
+    plant, _, _, bank = unequal_ring(12 if name == "unequal" else 6, seed=39,
+                                     static=name == "static")
+    return plant, bank
+
+
+def _noisy_scenarios(plant, n_w, count, horizon, seed):
+    """Like ``_ring_scenarios``, with every channel driven, beta_w included."""
+    rng = np.random.default_rng(seed)
+    amps = {"d": 0.5, "zeta": 0.1, "u_s1": 0.2, "u_s2": 0.2, "beta_s1": 0.05,
+            "beta_s2": 0.05, "beta_f": 0.05}
+    singles = [compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
+                               seed=int(rng.integers(2**31)), amplitudes=amps,
+                               traces={"beta_w": 0.1 * rng.standard_normal((horizon, n_w))})
+               for _ in range(max(count, 1))]
+    shape = (count,) if count else ()
+    return (stack_scenarios(singles) if count else singles[0],
+            rng.uniform(-1, 1, (plant.n_x,) + shape), rng.uniform(-1, 1, (n_w,) + shape))
+
+
+@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("network", ["mesh", "ring", "unequal", "static"])
+def test_precomposed_loop_matches_stepwise_reference(request, network, count):
+    plant, bank = _network(request, network)
+    n_w = sum(c.order for c in bank)
+    sig, x_c, w_c = _noisy_scenarios(plant, n_w, count, 150, seed=40)
+    for horizon in (None, 97):
+        got = simulate_monolithic(plant, bank, sig, x_c, w_c, horizon)
+        want = _reference_monolithic(plant, bank, sig, x_c, w_c, horizon)
+        for name, ref in zip(("x", "u_f", "u", "w"), want):
+            assert getattr(got, name).shape == ref.shape
+            assert ref.shape[0] == (horizon or 150) and ref.shape[2:] == sig.batch
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+            assert np.max(np.abs(getattr(got, name) - ref), initial=0.0) <= tol, name
+    assert np.max(np.abs(got.u_f)) > 0.0
