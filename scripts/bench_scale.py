@@ -10,9 +10,14 @@ certified norms (``constraint_norms``), the surrogate's stored direction
 bytes, its (block, direction) pairs and the share of its evaluations' grid
 points at which a lambda_max was taken (read from the surrogate's
 ``lambda_points`` counter, where the source tree has one).  Each figure is
-the median over 3 runs.  The record is stored under
-``--label`` in ``BENCH_scale.json`` at the repository root; other labels
-already in that file are kept, so two source trees can be compared.
+the median over 3 runs.  One more child per N runs ``design`` alone under
+``tracemalloc`` and records its peak of traced allocations
+(``design_tracemalloc_peak_mb``).  Unlike the peak RSS, which moves by
+about 20 MB between identical ring20 runs, it repeats from run to run; it
+stays out of the timed runs because tracing slows the program.  The record
+is stored under ``--label`` in ``BENCH_scale.json`` at the repository root;
+other labels already in that file are kept, so two source trees can be
+compared.
 
     python3 scripts/bench_scale.py --label after
     python3 scripts/bench_scale.py --label before --src ../parent/src
@@ -34,6 +39,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,14 +55,17 @@ def parse_args(argv=None):
     ap.add_argument("--label", help="key of this record in the output file")
     ap.add_argument("--src", default=str(ROOT / "src"), help="source tree holding nrf_forge")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--trace-memory", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is None and not args.label:
         ap.error("--label is required")
     return args
 
 
-def child(n: int, src: str) -> dict:
-    """Design and verify the n-node ring in this process; return its figures."""
+def child(n: int, src: str, trace_memory: bool = False) -> dict:
+    """Design and verify the n-node ring in this process; return its figures.
+    With ``trace_memory``, run only ``design``, under tracemalloc, and return
+    its peak of traced allocations."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import numpy as np
     import scenarios
@@ -108,13 +117,18 @@ def child(n: int, src: str) -> dict:
             json.dump(cfg, fh)
         out = os.path.join(work, "run")
         times = []
+        steps = [["design", "--config", path, "--out", out], ["verify", "--out", out]]
+        if trace_memory:
+            tracemalloc.start()
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (["design", "--config", path, "--out", out], ["verify", "--out", out]):
+            for argv in steps[:1] if trace_memory else steps:
                 t0 = time.perf_counter()
                 rc = cli.main(argv)
                 times.append(time.perf_counter() - t0)
                 if rc != 0:
                     raise RuntimeError(f"{argv[0]} exited {rc}")
+        if trace_memory:
+            return {"design_tracemalloc_peak_mb": tracemalloc.get_traced_memory()[1] / 2**20}
         with open(os.path.join(out, "synthesis_report.txt")) as fh:
             report = dict(ln.split(": ", 1) for ln in fh.read().splitlines() if ": " in ln)
 
@@ -131,18 +145,20 @@ def child(n: int, src: str) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.child, args.src)))
+        print(json.dumps(child(args.child, args.src, args.trace_memory)))
         return 0
     rows, numpy_version = [], None
     for n in SIZES:
         runs = []
-        for _ in range(REPEATS):
-            proc = subprocess.run([sys.executable, __file__, "--child", str(n), "--src", args.src],
-                                  capture_output=True, text=True, check=True)
+        for extra in [[]] * REPEATS + [["--trace-memory"]]:
+            proc = subprocess.run([sys.executable, __file__, "--child", str(n), "--src", args.src,
+                                   *extra], capture_output=True, text=True, check=True)
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        traced = runs.pop()
         numpy_version = runs[0].pop("numpy")
         row = {**runs[0], **{k: round(statistics.median(r[k] for r in runs), 3) for k in TIMED}}
         row["surrogate_dir_mb"] = round(row["surrogate_dir_mb"], 1)
+        row["design_tracemalloc_peak_mb"] = round(traced["design_tracemalloc_peak_mb"], 2)
         row["runs"] = len(runs)
         rows.append(row)
         print(row)

@@ -7,10 +7,12 @@ communication sets) for N = 8, 20 and 40, and times 2,000-step runs of
 ``simulate_distributed`` and ``simulate_monolithic`` with one BLAS thread,
 then 500-step runs of a batch of 25 scenarios stepped together (the size
 of one ``verify`` equivalence block).  Each figure is the median over 7
-runs, in microseconds per step (per step of the whole batch).  The
-record is stored under ``--label`` in ``BENCH_sim_step.json`` at the
-repository root; other labels already in that file are kept, so two source
-trees can be compared.
+runs, in microseconds per step (per step of the whole batch).  Each record
+also holds ``calibration_us``, the median time of a fixed small batched
+product, so that records made at different times on a shared machine can
+be told apart from a change of the program.  The record is stored under
+``--label`` in ``BENCH_sim_step.json`` at the repository root; other labels
+already in that file are kept, so two source trees can be compared.
 
     python3 scripts/bench_sim_step.py --label after
     python3 scripts/bench_sim_step.py --label before --src ../parent/src
@@ -36,6 +38,7 @@ STEPS = 2000
 BATCH, BATCH_STEPS = 25, 500
 REPEATS = 7
 SEED = 0
+CALIBRATION_REPS, CALIBRATION_CALLS = 51, 200
 
 
 def parse_args(argv=None):
@@ -54,6 +57,23 @@ def step_us(fn, steps=STEPS) -> float:
     return 1e6 * statistics.median(times) / steps
 
 
+def calibration_us() -> float:
+    """Median time of one fixed (40, 4, 14) x (40, 14, 25) batched product,
+    the shape of a distributed step's phase product at N = 40 with 25
+    scenarios; an environment figure, independent of the source tree."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    P, Z = rng.standard_normal((40, 4, 14)), rng.standard_normal((40, 14, 25))
+    out = np.empty((40, 4, 25))
+    times = []
+    for _ in range(CALIBRATION_REPS):
+        t0 = time.perf_counter()
+        for _ in range(CALIBRATION_CALLS):
+            np.matmul(P, Z, out=out)
+        times.append((time.perf_counter() - t0) / CALIBRATION_CALLS)
+    return 1e6 * statistics.median(times)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
@@ -66,6 +86,7 @@ def main(argv=None) -> int:
         stack_scenarios,
     )
 
+    calib = calibration_us()
     rows = []
     for n_areas in SIZES:
         plant, part, nb, bank = unequal_ring(n_areas, SEED)
@@ -102,7 +123,8 @@ def main(argv=None) -> int:
                           f"{REPEATS} repeats, one BLAS thread; scripts/bench_sim_step.py")
     doc.setdefault("records", {})[args.label] = {
         "python": platform.python_version(), "numpy": np.__version__,
-        "machine": platform.machine(), "nproc": os.cpu_count(), "results": rows,
+        "machine": platform.machine(), "nproc": os.cpu_count(),
+        "calibration_us": round(calib, 3), "results": rows,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

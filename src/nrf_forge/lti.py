@@ -720,6 +720,7 @@ def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _recursion(A, B, u, x, C=None, D=None) -> np.ndarray:
     """Outputs y_k = C x_k + D u_k (the states x_k if ``C`` is None) of
     x_{k+1} = A x_k + B u_k over u, (T, m) + batch, from x, (n,) + batch.
+    A tuple ``B`` holds the diagonal blocks of a block-diagonal B.
 
     Only A x_k + drive_k is stepped, one product over all scenarios per
     step; the drive B u and the outputs are taken per chunk of
@@ -730,13 +731,15 @@ def _recursion(A, B, u, x, C=None, D=None) -> np.ndarray:
     u = u.reshape(T, u.shape[1], S)
     x = np.asarray(x, dtype=float).reshape(n, S)
     out = np.empty((T, n if C is None else C.shape[0], S))
+    cuts = np.cumsum([0] + [b.shape[1] for b in B]) if isinstance(B, tuple) else None
     for lo in range(0, T, RECURSION_CHUNK):
         uc = u[lo:lo + RECURSION_CHUNK]
-        drive = _apply(B, uc)
+        drive = _apply(B, uc) if cuts is None else np.concatenate(
+            [_apply(b, uc[:, i:j]) for b, i, j in zip(B, cuts, cuts[1:])], axis=1)
         X = out[lo:lo + RECURSION_CHUNK] if C is None else np.empty(drive.shape)
         X[0] = x
         for xk, xn, dk in zip(X[:-1], X[1:], drive):
-            np.matmul(A, xk, out=xn)
+            np.dot(A, xk, out=xn)
             xn += dk
         x = A @ X[-1] + drive[-1]
         if C is not None:

@@ -9,13 +9,15 @@ u_s1j + beta_s1j) and its command bundle (u_fj + beta_fj), and every
 receiver sees the same values.  For banks that pass the communication
 constraint check the two simulations agree to floating-point reordering.
 
-Message semantics are synchronous lock-step in two phases.  The step reads
-z = [w; state messages; command messages; 0] through one gather row per
-area: its own controller state and the message slots of its communication
-set, padded with the zero slot.  Phase 1, one batched product of every
-area's [C_i | D_i,x], yields all commands, which are then published into z;
-phase 2, one batched product of every [A_i | B_i,u | B_i,x], steps all
-controller states.
+Message semantics are synchronous lock-step in two phases over z = [w |
+x | u_f | exogenous | state messages | command messages | 0], one row per
+step of a chunk buffer reused for every chunk.  Each area reads z through
+one gather row: its own controller state and the message slots of its
+communication set, padded with the zero slot.  Phase 1, one batched
+product of every area's [C_i | D_i,x], writes all commands into their
+slots, which are then published; phase 2, one of every [A_i | B_i,u |
+B_i,x], writes the next controller states, and [A | B_u] [x; u_f] the
+next plant state, into the next row.
 
 Independent scenarios can be stepped together: signal channels may carry a
 trailing scenario axis, (horizon, dim, S), and the initial states are then
@@ -26,12 +28,12 @@ product over all S columns; a single scenario stays one-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
-from .lti import SignalTrace, _apply, _recursion
+from .lti import RECURSION_CHUNK, SignalTrace, _apply, _recursion
 from .nrf import AreaController, stacked_bank
 from .partition import AreaPartition, Neighborhoods
 from .plant import Plant
@@ -95,26 +97,26 @@ class ScenarioSignals:
                 return arr.shape[2:]
         return ()
 
-    def _get(self, name: str, dim: int) -> np.ndarray:
-        arr = getattr(self, name)
-        return arr if arr is not None else np.zeros((self.horizon, dim) + self.batch)
+    def _get(self, dim: int, *names: str) -> np.ndarray:
+        """Sum of the named channels that are present (zeros if none is)."""
+        parts = [getattr(self, n) for n in names if getattr(self, n) is not None]
+        return sum(parts[1:], parts[0]) if parts else np.zeros((self.horizon, dim) + self.batch)
 
     @property
     def beta_x(self) -> np.ndarray:
-        return (self._get("zeta", self.n_x) + self._get("u_s1", self.n_x)
-                + self._get("beta_s1", self.n_x))
+        return self._get(self.n_x, "zeta", "u_s1", "beta_s1")
 
     @property
     def beta_u(self) -> np.ndarray:
-        return self._get("u_s2", self.n_u) + self._get("beta_s2", self.n_u)
+        return self._get(self.n_u, "u_s2", "beta_s2")
 
     @property
     def beta_f_full(self) -> np.ndarray:
-        return self._get("beta_f", self.n_u)
+        return self._get(self.n_u, "beta_f")
 
     @property
     def d_full(self) -> np.ndarray:
-        return self._get("d", self.n_d)
+        return self._get(self.n_d, "d")
 
     def stacked_disturbance(self) -> SignalTrace:
         """d_s = [beta_x; beta_u; beta_f; d] as one trace."""
@@ -125,12 +127,7 @@ class ScenarioSignals:
 
     def exogenous_only(self) -> "ScenarioSignals":
         """Copy with the second-layer commands removed (noise channels kept)."""
-        return ScenarioSignals(
-            self.horizon, self.n_x, self.n_u, self.n_d, self.start_index, self.seed,
-            d=self.d, zeta=self.zeta, u_s1=None, u_s2=None,
-            beta_s1=self.beta_s1, beta_s2=self.beta_s2,
-            beta_f=self.beta_f, beta_w=self.beta_w,
-        )
+        return replace(self, u_s1=None, u_s2=None)
 
 
 #: Noise kinds :func:`compose_signals` can draw.
@@ -213,7 +210,7 @@ def stack_scenarios(scenarios) -> ScenarioSignals:
         present = [getattr(s, name) for s in scenarios if getattr(s, name) is not None]
         if present:
             dim = getattr(first, dim_attr) if dim_attr else present[0].shape[1]
-            channels[name] = np.stack([s._get(name, dim) for s in scenarios], axis=-1)
+            channels[name] = np.stack([s._get(dim, name) for s in scenarios], axis=-1)
     if not channels:
         # an all-zero batch still needs one channel to carry its size
         channels["d"] = np.zeros((first.horizon, first.n_d, len(scenarios)))
@@ -251,14 +248,15 @@ class LoopTrace:
         return SignalTrace(np.hstack([self.x, self.u_f]), self.start_index)
 
 
-def _reported_state_noise(signals: ScenarioSignals, horizon: int, n_w: int) -> np.ndarray:
+def _reported_w(signals: ScenarioSignals, w: np.ndarray) -> np.ndarray:
+    """w, (T, n_w, S), plus beta_w, which rides only on the reported copy."""
     if signals.beta_w is None:
-        return np.zeros((horizon, n_w) + signals.batch)
-    if signals.beta_w.shape[1] != n_w:
+        return w
+    if signals.beta_w.shape[1] != w.shape[1]:
         raise DimensionMismatchError(
-            f"beta_w has dim {signals.beta_w.shape[1]}, controller order is {n_w}"
+            f"beta_w has dim {signals.beta_w.shape[1]}, controller order is {w.shape[1]}"
         )
-    return signals.beta_w[:horizon]
+    return w + signals.beta_w[:w.shape[0]].reshape(w.shape)
 
 
 def _initial_state(v, dim: int, batch: tuple, name: str) -> np.ndarray:
@@ -289,7 +287,9 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
 
     The loop is precomposed: s = [x; w] steps as s_{k+1} = A_cl s_k + B_cl
     d_s[k] over d_s = [beta_x; beta_u; beta_f; d], one product per step
-    (:func:`lti._recursion`), and u_f = [D_x, C_w] s + D_x beta_x.
+    (:func:`lti._recursion`), and u_f = [D_x, C_w] s + D_x beta_x.  The
+    drive B_cl d_s is taken from B_cl's nonzero blocks, sharing D_x beta_x
+    with u_f.
     """
     if isinstance(controller, (list, tuple)):
         controller = stacked_bank(controller)
@@ -304,40 +304,45 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     _check_no_algebraic_loop(controller.D, n_u)
     D_x = controller.D[:, n_u:]
     B_wu, B_wx = controller.B[:, :n_u], controller.B[:, n_u:]
-    n_w, n_d, batch = controller.order, plant.n_d, signals.batch
+    n_w, batch = controller.order, signals.batch
     S = int(np.prod(batch, dtype=int))
     s0 = np.concatenate([_initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S),
                          _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)])
-    beta_w = _reported_state_noise(signals, T, n_w).reshape(T, n_w, S)
-    d_s = signals.stacked_disturbance().samples[:T].reshape(T, n_x + 2 * n_u + n_d, S)
-    # s_{k+1} = A_cl s_k + B_cl d_s[k] over s = [x; w]; u_f enters s through B_s
+    beta_x, beta_u, beta_f, d = (a[:T].reshape(T, a.shape[1], S) for a in (
+        signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
+    # s_{k+1} = A_cl s_k + drive_k over s = [x; w]; u_f enters s through B_s
     C_uf = np.hstack([D_x, controller.C])
     B_s = np.vstack([plant.B_u, B_wu])
     A_cl = np.block([[plant.A, np.zeros((n_x, n_w))], [B_wx, controller.A]]) + B_s @ C_uf
-    B_cl = np.block([[np.zeros((n_x, n_x)), plant.B_u, np.zeros((n_x, n_u)), plant.B_d],
-                     [B_wx, np.zeros((n_w, n_u)), B_wu, np.zeros((n_w, n_d))]])
-    B_cl[:, :n_x] += B_s @ D_x
-    states = _recursion(A_cl, B_cl, d_s, s0)
-    u_f = _apply(C_uf, states) + _apply(D_x, d_s[:, :n_x])
-    u = u_f + d_s[:, n_x:n_x + n_u]
-    # the controller-state disturbance rides only on the reported copy of w
-    w = states[:, n_x:] + beta_w
+    # v = D_x beta_x; x: [B_u | B_d] [v + beta_u; d], w: [B_wu | B_wx] [v + beta_f; beta_x]
+    u_f = _apply(D_x, beta_x)
+    states = _recursion(A_cl, (np.hstack([plant.B_u, plant.B_d]), np.hstack([B_wu, B_wx])),
+                        np.concatenate([u_f + beta_u, d, u_f + beta_f, beta_x], axis=1), s0)
+    u_f += _apply(C_uf, states)
+    u = u_f + beta_u
+    w = _reported_w(signals, states[:, n_x:])
     return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (states[:, :n_x], u_f, u, w)),
                      signals.start_index, signals.seed, "monolithic")
 
 
-def _stack_padded(rows, pad: int):
-    """Per-area (gather row, matrix) pairs as one (N, width) gather array
-    padded with slot ``pad``, one zero-padded (N, height, width) matrix
-    stack, and the flat positions of the real rows among N * height."""
+def _layout(heights, base: int):
+    """Stack position p of each area (tallest first) and its z slots: row j
+    lands on base + j N + p, so each row level's padding trails its rows."""
+    pos = np.argsort(np.argsort(-np.asarray(heights), kind="stable"))
+    return pos, [base + len(heights) * np.arange(h) + pos[i] for i, h in enumerate(heights)]
+
+
+def _stack(rows, pos, pad: int):
+    """Per-area (gather row, matrix) pairs, area i at stack position
+    ``pos[i]``, as one (N, width) gather array padded with slot ``pad`` and
+    one zero-padded (N, height, width) matrix stack."""
     width = max(len(g) for g, _ in rows)
-    height = max(m.shape[0] for _, m in rows)
     G = np.full((len(rows), width), pad)
-    P = np.zeros((len(rows), height, width))
-    for i, (g, m) in enumerate(rows):
-        G[i, :len(g)] = g
-        P[i, :m.shape[0], :m.shape[1]] = m
-    return G, P, np.concatenate([i * height + np.arange(m.shape[0]) for i, (_, m) in enumerate(rows)])
+    P = np.zeros((len(rows), max(m.shape[0] for _, m in rows), width))
+    for p, (g, m) in zip(pos, rows):
+        G[p, :len(g)] = g
+        P[p, :m.shape[0], :m.shape[1]] = m
+    return G, P
 
 
 def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
@@ -346,23 +351,28 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     """Run one subcontroller per area with explicit message passing.
 
     Each step is one gathered product per phase over all areas and
-    scenarios (see the module notes); area i's product reads only its own
-    state and the message slots of its communication set.  Structurally
-    required inputs from outside that set raise before any step.  Batched
-    signals step all their scenarios at once.
+    scenarios, written in place (see the module notes); area i's product
+    reads only its own state and the message slots of its communication
+    set.  Structurally required inputs from outside that set raise before
+    any step.  Batched signals step all their scenarios at once.
     """
     T = horizon if horizon is not None else signals.horizon
     if T > signals.horizon:
         raise DimensionMismatchError("horizon exceeds the provided signal traces")
-    n_x, n_u = plant.n_x, plant.n_u
+    n_x, n_u, N = plant.n_x, plant.n_u, partition.n_areas
     batch = signals.batch
     S = int(np.prod(batch, dtype=int))
-    w_off = np.cumsum([0] + [c.order for c in bank])
-    n_w = int(w_off[-1])
-    zero = n_w + n_x + n_u
+    h_u, h_w = max(c.D.shape[0] for c in bank), max(c.order for c in bank)
+    # z = [w | x | u_f | beta_x | beta_f | e | msg_x | msg_u | 0], e = B_u beta_u + B_d d;
+    # w and the u_f-sized parts are in the row-level layout of _layout
+    xo, uo, bxo, bfo, eo, mxo, muo, zero = np.cumsum(
+        [N * h_w, n_x, N * h_u, n_x, N * h_u, n_x, n_x, N * h_u]).tolist()
+    pos_w, w_rows = _layout([c.order for c in bank], 0)
+    pos_u, u_rows = _layout([c.D.shape[0] for c in bank], uo)
+    w_slots, uf_slots = np.concatenate(w_rows), np.concatenate(u_rows)
     # area owning, and z slot carrying, each controller input [u_f-bundle; x-bundle]
-    owner = np.repeat(np.tile(np.arange(partition.n_areas), 2), partition.u_sizes + partition.x_sizes)
-    in_slot = np.r_[n_w + n_x + np.arange(n_u), n_w + np.arange(n_x)]
+    owner = np.repeat(np.tile(np.arange(N), 2), partition.u_sizes + partition.x_sizes)
+    in_slot = np.r_[uf_slots - uo + muo, mxo + np.arange(n_x)]
     phase1, phase2 = [], []
     for i, ctrl in enumerate(bank):
         _check_no_algebraic_loop(ctrl.D, n_u)
@@ -372,31 +382,42 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
             raise CommConstraintError([(i, int(j)) for j in outside])
         cols = np.flatnonzero(allowed)
         cols_x = cols[cols >= n_u]
-        own = np.arange(w_off[i], w_off[i + 1])
-        phase1.append((np.r_[own, in_slot[cols_x]], np.hstack([ctrl.C, ctrl.D[:, cols_x]])))
-        phase2.append((np.r_[own, in_slot[cols]], np.hstack([ctrl.A, ctrl.B[:, cols]])))
-    G1, P1, to_uf = _stack_padded(phase1, zero)
-    G2, P2, to_w = _stack_padded(phase2, zero)
-
-    z = np.zeros((zero + 1, S))
-    z[:n_w] = _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)
-    x = _initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S)
-    state_slots, cmd_slots = slice(n_w, n_w + n_x), slice(n_w + n_x, zero)
-    beta_x, beta_u, beta_f, d = (a.reshape(a.shape[:2] + (S,)) for a in (
+        phase1.append((np.r_[w_rows[i], in_slot[cols_x]], np.hstack([ctrl.C, ctrl.D[:, cols_x]])))
+        phase2.append((np.r_[w_rows[i], in_slot[cols]], np.hstack([ctrl.A, ctrl.B[:, cols]])))
+    (G1, P1), (G2, P2) = _stack(phase1, pos_u, zero), _stack(phase2, pos_w, zero)
+    # the plant product [A | B_u] reads x and the u_f slots up to the last real one
+    AB = np.zeros((n_x, int(uf_slots.max()) + 1 - xo))
+    AB[:, :n_x], AB[:, uf_slots - xo] = plant.A, plant.B_u
+    beta_x, beta_u, beta_f, d = (a[:T].reshape(T, a.shape[1], S) for a in (
         signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
-    beta_w = _reported_state_noise(signals, T, n_w).reshape(T, n_w, S)
-    X, UF, W = (np.empty((T, dim, S)) for dim in (n_x, n_u, n_w))
-    # the plant's exogenous input, taken over the whole trace
-    ext = _apply(plant.B_u, beta_u[:T]) + _apply(plant.B_d, d[:T])
-    for k in range(T):
-        X[k], W[k] = x, z[:n_w]
-        z[state_slots] = x + beta_x[k]
-        u_f = np.matmul(P1, z[G1]).reshape(-1, S)[to_uf]
-        UF[k] = u_f
-        z[cmd_slots] = u_f + beta_f[k]
-        z[:n_w] = np.matmul(P2, z[G2]).reshape(-1, S)[to_w]
-        x = plant.A @ x + plant.B_u @ u_f + ext[k]
-    # the controller-state disturbance rides only on the reported copy of w
-    U, W = UF + beta_u[:T], W + beta_w
-    return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (X, UF, U, W)),
+    out_slots = np.r_[xo:uo, uf_slots, w_slots]
+    out = np.empty((T, len(out_slots), S))
+    # one row per step of a chunk; the last row carries the state into the next chunk
+    rows = min(T, RECURSION_CHUNK)
+    z = np.zeros((rows + 1, zero + 1, S))
+    z[rows, w_slots] = _initial_state(w_c, len(w_slots), batch, "w_c").reshape(-1, S)
+    z[rows, xo:uo] = _initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S)
+    # each row's views, made once: the (N, h, S) row-level views are the products' outputs
+    uf_lv, w_lv = (z[:, lo:hi].reshape(rows + 1, (hi - lo) // N, N, S).transpose(0, 2, 1, 3)
+                   for lo, hi in ((uo, bxo), (0, xo)))
+    steps = list(zip(z, z[:, xo:uo], z[:, bxo:bfo], z[:, mxo:muo], uf_lv, z[:, uo:bxo],
+                     z[:, bfo:eo], z[:, muo:zero], w_lv[1:], z[:, xo:xo + AB.shape[1]],
+                     z[1:, xo:uo], z[:, eo:mxo]))
+    for lo in range(0, T, RECURSION_CHUNK):
+        n = min(rows, T - lo)
+        z[0, :uo] = z[rows, :uo]
+        z[:n, bxo:bfo], z[:n, uf_slots - uo + bfo] = beta_x[lo:lo + n], beta_f[lo:lo + n]
+        np.matmul(plant.B_u, beta_u[lo:lo + n], out=z[:n, eo:mxo])
+        z[:n, eo:mxo] += np.matmul(plant.B_d, d[lo:lo + n])
+        for zr, x, bx, mx, uf_out, uf, bf, mu, w_next, xu, x_next, e in steps[:n]:
+            np.add(x, bx, out=mx)
+            np.matmul(P1, zr[G1], out=uf_out)
+            np.add(uf, bf, out=mu)
+            np.matmul(P2, zr[G2], out=w_next)
+            np.dot(AB, xu, out=x_next)
+            x_next += e
+        np.take(z[:n], out_slots, axis=1, out=out[lo:lo + n], mode="clip")
+    X, UF, W = np.split(out, [n_x, n_x + n_u], axis=1)
+    W = _reported_w(signals, W)
+    return LoopTrace(*(a.reshape(a.shape[:2] + batch) for a in (X, UF, UF + beta_u, W)),
                      signals.start_index, signals.seed, "distributed")

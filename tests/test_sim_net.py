@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -351,13 +353,14 @@ def _reference_distributed(plant, bank, partition, nb, signals, x_c, w_c, delay_
     cols_x = [np.concatenate([partition.indices("x", j) for j in a]) for a in allowed]
     u_idx = [partition.indices("u", i) for i in range(N)]
     offs = np.cumsum([0] + [c.order for c in bank])
+    beta_w = signals.beta_w if signals.beta_w is not None else np.zeros((T, offs[-1]) + batch)
     w = [np.array(w_c[offs[i]:offs[i + 1]], dtype=float) for i in range(N)]
     x = np.array(x_c, dtype=float)
     X, UF, W = [], [], []
     prev_state, prev_cmd = None, None
     for k in range(T):
         X.append(x)
-        W.append(np.concatenate(w))
+        W.append(np.concatenate(w) + beta_w[k])
         state_msg = x + signals.beta_x[k]
         state_src = prev_state if (delay_messages and k > 0) else state_msg
         u_f = np.empty((n_u,) + batch)
@@ -405,18 +408,57 @@ def test_unequal_ring_distributed_equals_monolithic(count):
 
 @pytest.mark.parametrize("delay", [False, True])
 def test_unequal_ring_matches_per_area_reference(delay):
-    plant, part, nb, bank = unequal_ring(12, seed=33)
-    sig, x_c, w_c = _ring_scenarios(plant, sum(c.order for c in bank), 0, 200, seed=34)
-    X, UF, W = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay)
-    if delay:
-        # negative control: the delayed reference must NOT match the loop
-        tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
-        assert np.max(np.abs(tm.x - X)) > 1e-6
-        return
+    """Three batched scenarios with every channel driven, beta_w included,
+    on the ring with an order-0 area and on an all-static ring, over
+    horizons on both sides of the chunk edges (64 and 128 steps)."""
+    for static in (False, True):
+        plant, part, nb, bank = unequal_ring(6 if static else 12, seed=33, static=static)
+        n_w = sum(c.order for c in bank)
+        assert min(c.order for c in bank) == 0
+        for horizon in (1, 63, 64, 65, 130):
+            sig, x_c, w_c = _noisy_scenarios(plant, n_w, 3, horizon, seed=34 + horizon)
+            X, UF, W = _reference_distributed(plant, bank, part, nb, sig, x_c, w_c, delay)
+            if delay:
+                # negative control: the delayed reference must NOT match the loop
+                if horizon > 1:
+                    tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+                    assert np.max(np.abs(tm.x - X)) > 1e-6
+                continue
+            td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+            assert td.x.shape == X.shape == (horizon, plant.n_x, 3)
+            assert td.w.shape == W.shape == (horizon, n_w, 3)
+            assert np.max(np.abs(td.x - X)) <= 1e-12
+            assert np.max(np.abs(td.u_f - UF)) <= 1e-12
+            assert np.max(np.abs(td.w - W), initial=0.0) <= 1e-12
+            assert np.max(np.abs(td.u - (UF + sig.beta_u))) <= 1e-12
+
+
+def test_message_locality_under_nan():
+    """A NaN in one area's measurement noise at k = 0 reaches only the areas
+    that read that area's messages: gathered reads never multiply an
+    out-of-set slot, while a dense product spreads the NaN through its
+    zeros.  The plant itself is one dense product, so only step 0's commands
+    and the controller states it writes are checked."""
+    plant, part, nb, bank = unequal_ring(12, seed=41)
+    N, n_w = part.n_areas, sum(c.order for c in bank)
+    source = 5
+    sig, x_c, w_c = _noisy_scenarios(plant, n_w, 0, 4, seed=42)
+    zeta = np.array(sig.zeta)
+    zeta[0, part.indices("x", source)] = np.nan
+    sig = replace(sig, zeta=zeta)
     td = simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
-    assert np.max(np.abs(td.x - X)) <= 1e-12
-    assert np.max(np.abs(td.u_f - UF)) <= 1e-12
-    assert np.max(np.abs(td.w - W)) <= 1e-12
+    tm = simulate_monolithic(plant, bank, sig, x_c, w_c)
+    offs = np.cumsum([0] + [c.order for c in bank])
+    hops = [min((i - source) % N, (source - i) % N) for i in range(N)]
+    for i in range(N):
+        u_f0 = td.u_f[0, part.indices("u", i)]
+        w1 = td.w[1, offs[i]:offs[i + 1]]
+        assert np.all(np.isfinite(u_f0)) == (hops[i] > 1), i
+        if hops[i] > 2:
+            assert np.all(np.isfinite(w1)), i
+        # the dense monolithic product turns every command NaN at once
+        assert np.all(np.isnan(tm.u_f[0, part.indices("u", i)])), i
+    assert np.all(np.isfinite(td.x[0])) and np.any(np.isnan(td.w[1]))
 
 
 @pytest.mark.parametrize("matrix", ["B", "D"])
