@@ -2,15 +2,18 @@
 """Record how design and verify cost grows with the size of a ring network.
 
 Designs and verifies ``perfbench/scenarios.ring_config(N, 8)`` (an N-node
-swing ring, slack 0, default optimizer settings) for N = 8, 12 and 20, each
-run in a fresh child process with one BLAS thread.  A run records the
+swing ring, slack 0, default optimizer settings) for N = 8, 12, 20 and 30,
+each run in a fresh child process with one BLAS thread.  A run records the
 wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
 time spent building the search surrogate, in the pattern search and in the
 certified norms (``constraint_norms``), the surrogate's stored direction
 bytes, its (block, direction) pairs and the share of its evaluations' grid
 points at which a lambda_max was taken (read from the surrogate's
-``lambda_points`` counter, where the source tree has one).  Each figure is
-the median over 3 runs.  One more child per N runs ``design`` alone under
+``lambda_points`` counter, where the source tree has one), the largest and
+the median number of lockstep steps per batch of the certificates' peak
+refinement (where the tree refines through ``lti._brent_max``) and the
+count of structurally zero blocks (where ``synthesis_report.txt`` has
+one).  Each time is the median over 3 runs.  One more child per N runs ``design`` alone under
 ``tracemalloc`` and records its peak of traced allocations
 (``design_tracemalloc_peak_mb``).  Unlike the peak RSS, which moves by
 about 20 MB between identical ring20 runs, it repeats from run to run; it
@@ -45,7 +48,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_scale.json"
 RING_SEED = 8
-SIZES = (8, 12, 20)
+SIZES = (8, 12, 20, 30)
 REPEATS = 3
 TIMED = ("design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s", "certify_s")
 
@@ -69,7 +72,7 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import numpy as np
     import scenarios
-    from nrf_forge import cli, match_synth
+    from nrf_forge import cli, lti, match_synth
 
     spent = {"surrogate_build_s": 0.0, "search_s": 0.0, "certify_s": 0.0}
     model = {}   # figures of the surrogate, read as it is built
@@ -105,6 +108,17 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
             model["lambda_share"] = round(float(taken / bracketed), 4)
         return out
 
+    refine_steps = []   # lockstep steps of each refinement batch
+    if hasattr(lti, "_brent_max"):
+        refine = lti._brent_max
+
+        def brent_max(*args, **kwargs):
+            out = refine(*args, **kwargs)
+            refine_steps.append(out[1])
+            return out
+
+        lti._brent_max = brent_max
+
     match_synth._SurrogateModel.__init__ = timed(init, "surrogate_build_s")
     match_synth._pattern_search = timed(pattern_search, "search_s")
     match_synth.constraint_norms = timed(match_synth.constraint_norms, "certify_s")
@@ -137,6 +151,10 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **spent, **model,
         "surrogate_evals": int(report["surrogate evaluations"]),
+        "refine_steps_max": max(refine_steps) if refine_steps else None,
+        "refine_steps_median": statistics.median(refine_steps) if refine_steps else None,
+        "structural_zeros": (int(report["structurally zero blocks"].split()[0])
+                             if "structurally zero blocks" in report else None),
         "objective": float(report["objective (certified)"]),
         "numpy": np.__version__,
     }

@@ -300,6 +300,7 @@ def _write_synthesis_report(result, out: str) -> None:
         fh.write("step,surrogate_objective\n")
         for k, v in enumerate(result.objective_log):
             fh.write(f"{k},{v:.17g}\n")
+    zeros = 0 if result.support is None else int(np.sum(~result.support))
     report = [
         "first-layer synthesis report",
         f"objective (certified): {result.objective:.12g}",
@@ -307,6 +308,7 @@ def _write_synthesis_report(result, out: str) -> None:
         f"surrogate evaluations: {result.n_evals}",
         "surrogate direction pairs kept: {} of {}".format(*result.surrogate_pairs),
         f"search point certified: {'yes' if result.search_certified else 'no (returned x = 0)'}",
+        f"structurally zero blocks: {zeros} of {N + 2 * N * N}",
         f"x: {np.array2string(result.x, precision=6, max_line_width=100)}",
         "constraints at their admissible bounds:",
     ]

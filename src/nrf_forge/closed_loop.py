@@ -17,6 +17,9 @@ cross-check of this algebra.
         [ X J1 + M Q J1 | M J2 ]     J2 = Yqd C_w (zI - A_w)^{-1} z
 
 Properness of J1/J2 uses (zI - A)^{-1} z = I + (zI - A)^{-1} A.
+
+The same formulas give each area block's support, which holds at every
+value of the Youla parameter (:func:`block_support`).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .lti import (
 )
 from .nrf import NrfPair, stacked_bank
 from .partition import AreaPartition, Neighborhoods
+from .sparse_param import QParametrization
 
 
 @dataclass(frozen=True)
@@ -216,6 +220,84 @@ def kd_responses(bundle: DcfBundle, taps_seq, zs):
         yq = yt + q_nt
         inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
         yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_mt)], axis=-1)
+
+
+def _area_support(M: np.ndarray, row_sizes, col_sizes) -> np.ndarray:
+    """Which area blocks of M hold an exact nonzero, for contiguous index
+    sets of the given sizes: (len(row_sizes), len(col_sizes)) booleans."""
+    out = np.zeros((len(row_sizes), len(col_sizes)), dtype=bool)
+    rows, cols = np.nonzero(M)
+    out[np.repeat(np.arange(len(row_sizes)), row_sizes)[rows],
+        np.repeat(np.arange(len(col_sizes)), col_sizes)[cols]] = True
+    return out
+
+
+def _product_support(*factors: np.ndarray) -> np.ndarray:
+    """Support of a product from its factors' supports: (X Y)_ij is zero
+    unless some X_ik and Y_kj are both nonzero."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out.astype(np.int64) @ f.astype(np.int64)) > 0
+    return out
+
+
+def _realization_support(R: Realization, row_sizes, state_sizes, col_sizes) -> np.ndarray:
+    """Area support of C (zI - A)^{-1} B + D: the resolvent's is the
+    reflexive transitive closure of A's (its Neumann series)."""
+    reach = _area_support(R.A, state_sizes, state_sizes) | np.eye(len(state_sizes), dtype=bool)
+    while True:
+        wider = _product_support(reach, reach)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return (_product_support(_area_support(R.C, row_sizes, state_sizes), reach,
+                             _area_support(R.B, state_sizes, col_sizes))
+            | _area_support(R.D, row_sizes, col_sizes))
+
+
+def block_support(bundle: DcfBundle, param: QParametrization,
+                  partition: AreaPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which area-level matching blocks can be nonzero for any x:
+    (disturbance (N,), coupling (N, N), init (N, N)) booleans, laid out
+    like (gamma_d, gamma_u, gamma_c).
+
+    Each factor's support comes from the exact zeros of its realization's
+    area blocks (so from A + B_u F and A + L for the resolvents, and for
+    J1 = z (zI - A_L)^{-1}), Q's from the exact nonzeros of Q0 and every
+    basis tap within the family's recorded support, Yq and Xq keep to the
+    family's communication pattern, and J2 is block-diagonal by area, as the
+    stacked bank is.  The module docstring's formulas combine them with
+    support(X Y) within support(X) support(Y), and an area's rows are its x
+    and its u rows.  No tolerance enters, so where some exact zero is
+    missing (say with ``user_supplied`` gains) the support only grows, up to
+    every block.
+    """
+    N, xs, us = partition.n_areas, partition.x_sizes, partition.u_sizes
+    eye = np.eye(N, dtype=bool)
+    # every factor's state is the plant's
+    n, m, x, y = (_realization_support(f, rows, xs, cols) for f, rows, cols in (
+        (bundle.N, xs, us), (bundle.M, us, us), (bundle.X, us, xs), (bundle.Y, xs, xs)))
+    nt, mt, xt, yt = (_realization_support(f, rows, xs, cols) for f, rows, cols in (
+        (bundle.Nt, xs, us), (bundle.Mt, xs, xs), (bundle.Xt, us, xs), (bundle.Yt, us, us)))
+    taps = np.concatenate([param.q0_taps[None], param.basis]).reshape(-1, param.n_u, param.n_x)
+    q_nonzero = np.any(taps != 0, axis=0)
+    if param.support is not None:
+        q_nonzero &= param.support
+    q = _area_support(q_nonzero, us, xs)
+    yq, xq = yt | _product_support(q, nt), xt | _product_support(q, mt)
+    if param.pattern is not None:
+        yq &= _area_support(param.pattern.matrix[:, :param.n_u], us, us) | eye
+        xq &= _area_support(param.pattern.matrix[:, param.n_u:], us, xs)
+    plant = bundle.plant
+    j1 = _realization_support(_resolvent_times_z(bundle.observer_pencil(), np.eye(plant.n_x)), xs, xs, xs)
+    gd = _product_support(j1, _area_support(plant.B_d, xs, [plant.n_d]))   # Mt G_d
+    nm = np.concatenate([n, m])
+    left = np.concatenate([y | _product_support(n, q), x | _product_support(m, q)])
+    by_yq = _product_support(nm, yq)   # the beta_u and beta_f columns; (Yqd - Yq) is within Yq
+    coupling = _product_support(nm, xq) | by_yq | np.concatenate([np.zeros_like(eye), eye])
+    init = _product_support(left, j1) | nm   # plant ICs through J1, controller ICs through J2
+    disturbance = by_yq.any(axis=1) | _product_support(left, gd).any(axis=1)
+    return tuple(s[:N] | s[N:] for s in (disturbance, coupling, init))
 
 
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:

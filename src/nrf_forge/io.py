@@ -43,6 +43,10 @@ def _write_value(obj, out: list, indent: int) -> None:
         if not seq:
             out.append("[]")
             return
+        if all(type(v) is float for v in seq):
+            # the rows of exported matrices: one format per value, as _scalar would
+            out.append("[" + ", ".join([format(v, ".17g") for v in seq]) + "]")
+            return
         simple = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
         if simple:
             out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
@@ -81,6 +85,8 @@ def _plainify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return list(obj)
         return [_plainify(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)

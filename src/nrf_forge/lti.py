@@ -573,6 +573,100 @@ class _SchurForm:
         return out
 
 
+#: Cap on the lockstep steps of :func:`_brent_max`; golden steps alone shrink a
+#: bracket by 0.618 each, so about 30 of them reach the tolerance from a grid step.
+_BRENT_STEPS = 100
+
+#: Relative rise (64 units in the last place) below which two samples of
+#: :func:`_brent_max` count as equal: singular values sampled tol apart near a
+#: peak differ by round-off alone.
+_ROUNDOFF = 2.0 ** -46
+
+
+def _brent_max(value_at, a: np.ndarray, b: np.ndarray, pts: np.ndarray, vals: np.ndarray,
+               tol: float) -> tuple[np.ndarray, int]:
+    """Maximise n functions at once, each on its own bracket [a, b], by Brent's
+    safeguarded parabolic search (Brent 1973, ch. 5), seeded with three
+    samples ``pts`` (3, n) of values ``vals`` in place of golden steps.
+
+    ``value_at(u, which)`` returns the values of the functions ``which`` at
+    the points ``u``.  A parabolic step is taken when the parabola through the
+    three best points has its vertex inside the bracket and moves less than
+    half the step before last, a golden step into the larger side otherwise.
+    Once a vertex lies within tol of the best point x, the parabola fails
+    after a step shorter than tol, or a sample within 4 tol of x equals its
+    value to within :data:`_ROUNDOFF`, the function is closing: each step
+    probes x - tol / 4 and x + tol / 4 (where the bracket is still open), and
+    x moves only to a strictly higher sample, so the probes close the bracket
+    at the peak even where values differ by round-off alone.  A probe that
+    rises by more than round-off reopens the search.  A function stops once
+    its bracket lies within tol / 2 of x on both sides (so b - a <= tol);
+    each lockstep step evaluates only the functions still live.  Returns
+    every function's largest value seen, the seeds included, and the number
+    of steps taken.
+    """
+    h, probe = 0.5 * tol, 0.25 * tol
+    best = vals.max(axis=0)
+    order = np.argsort(-vals, axis=0, kind="stable")
+    x, w, v = np.take_along_axis(pts, order, axis=0)
+    fx, fw, fv = np.take_along_axis(vals, order, axis=0)
+    # the last two steps start at the bracket width, so the seeds' parabola goes first
+    d = e = b - a
+    which = np.arange(best.size)
+    closing = np.zeros(best.size, dtype=bool)
+
+    def take(u, fu, m=True):
+        """Move the bracket, the best point x and the parabola's points w and v
+        of the functions ``m`` to a new sample (u, fu) inside their brackets."""
+        nonlocal a, b, x, w, v, fx, fw, fv
+        up = fu > fx
+        a = np.where(m & (up ^ (u < x)), np.where(up, x, u), a)
+        b = np.where(m & (up ^ (u >= x)), np.where(up, x, u), b)
+        to_w = m & ~up & ((fu >= fw) | (w == x))
+        to_v = m & ~up & ~to_w & ((fu >= fv) | (v == x) | (v == w))
+        mv = m & (up | to_w)
+        v, fv = np.where(mv, w, np.where(to_v, u, v)), np.where(mv, fw, np.where(to_v, fu, fv))
+        w, fw = np.where(m & up, x, np.where(to_w, u, w)), np.where(m & up, fx, np.where(to_w, fu, fw))
+        x, fx = np.where(m & up, u, x), np.where(m & up, fu, fx)
+
+    for steps in range(_BRENT_STEPS + 1):
+        live = np.maximum(x - a, b - x) > h
+        if not live.all():
+            a, b, x, w, v, fx, fw, fv, d, e, closing, which = (
+                arr[live] for arr in (a, b, x, w, v, fx, fw, fv, d, e, closing, which))
+        if not which.size or steps == _BRENT_STEPS:
+            break
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p = np.where(q > 0, -p, p)
+        q = np.abs(q)
+        para = (np.abs(p) < np.abs(0.5 * q * e)) & (p > q * (a - x)) & (p < q * (b - x))
+        gold = np.where(x >= 0.5 * (a + b), a - x, b - x)
+        step = np.where(para, p / np.where(para, q, 1.0), (1.0 - _GOLDEN) * gold)
+        closing |= np.abs(np.where(para, step, d)) < tol
+        e, d = np.where(para, d, gold), step
+        left, right = x - a > h, b - x > h
+        u = np.where(closing, np.where(left, x - probe, x + probe), x + step)
+        both = np.flatnonzero(closing & left & right)
+        f = value_at(np.concatenate([u, x[both] + probe]), np.concatenate([which, which[both]]))
+        fu, f2 = f[:u.size], f[u.size:]
+        flat = ~closing & (np.abs(u - x) < 4.0 * tol) & (np.abs(fu - fx) <= _ROUNDOFF * np.abs(fx))
+        best[which] = np.maximum(best[which], fu)
+        best[which[both]] = np.maximum(best[which[both]], f2)
+        # the right probe counts only where the left one left x in place
+        second, u2, fx0 = np.zeros(u.size, dtype=bool), x + probe, fx
+        second[both] = fu[both] <= fx[both]
+        take(u, fu)
+        fu[both] = f2
+        take(u2, fu, second)
+        # a probe that rises above round-off shows x is not at the peak: the
+        # function reopens, and its next parabola may step anywhere in the bracket
+        rose = closing & (fx - fx0 > _ROUNDOFF * np.abs(fx0))
+        closing = (closing & ~rose) | flat
+        e = np.where(rose, b - a, e)
+    return best, steps
+
+
 def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: int) -> np.ndarray:
     """Lower bounds on the peak largest singular value over the unit circle
     of blocks (rows, cols, target) = R[rows, cols] - target of one map
@@ -585,10 +679,13 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
     points ranked by the largest eigenvalue of the smaller-side Gram matrix.
     The ranking is bracketed (:func:`_bracket`, diagonals sum |value|^2),
     which picks the points a ranking of every point would from a few percent
-    of their lambda_max.  The top ``refine_passes`` points of every block of
-    a batch of one shape are refined by lockstep golden-section searches on
-    [theta_k - step, theta_k + step],
-    each step one back-substitution of the blocks' smaller side and one
+    of their lambda_max.  Each of a block's top ``refine_passes`` points
+    theta_k is refined on [theta_k - step, theta_k + step] by
+    :func:`_brent_max`, seeded with the grid's values at theta_k and its two
+    neighbours, to a bracket of step * 1e-6; a point with a higher neighbour
+    that is itself a top point stops at once, as that neighbour's interval
+    holds the peak.  The searches of a batch of one shape run in lockstep,
+    each step one back-substitution of the live blocks' smaller side and one
     batched SVD.  The ranking only decides where to look: each value is the
     largest SVD sample seen, a lower bound.
     """
@@ -615,59 +712,54 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
         wide = c > r
         rows, cols = (np.array([blocks[k][side] for k in members]) for side in (0, 1))
         form, big, small = (schur_t, cols, rows) if wide else (schur, rows, cols)
-        targets = [blocks[k][2] for k in members]
+        targets = [(b, blocks[k][2]) for b, k in enumerate(members) if blocks[k][2] is not None]
 
-        def minus_targets(vals, z):
-            """Subtract the targets from block values vals (B, K, t, s) at z (B, K)."""
-            for b, target in enumerate(targets):
-                if target is not None:
-                    tv = frequency_response(target, z[b])
-                    vals[b] -= tv.transpose(0, 2, 1) if wide else tv
+        def minus_targets(vals, z, owner):
+            """Subtract from the values vals (n, K, t, s) at z (n, K) the targets of blocks owner (n,)."""
+            for b, target in targets:
+                sel = np.flatnonzero(owner == b)
+                if sel.size:
+                    tv = frequency_response(target, z[sel].ravel()).reshape(sel.size, z.shape[1], *target.shape)
+                    vals[sel] -= tv.transpose(0, 1, 3, 2) if wide else tv
             return vals
-
-        def sigma(th):
-            z = np.exp(1j * th)
-            vals = minus_targets(form.blocks_at(big, small, z), z)
-            return np.linalg.svd(vals, compute_uv=False)[..., 0]
 
         oriented = sweep.transpose(0, 2, 1) if wide else sweep
         S = oriented[:, big[:, :, None], small[:, None, :]].transpose(1, 0, 2, 3)
-        S = minus_targets(S, np.broadcast_to(zs, S.shape[:2]))
+        B = len(members)
+        S = minus_targets(S, np.broadcast_to(zs, S.shape[:2]), np.arange(B))
 
         def lam_at(flat):
             cols = S[flat // zs.size, flat % zs.size].transpose(2, 1, 0)
             return _lambda_max(_gram(cols, cols))
 
         top = _bracket((np.abs(S) ** 2).sum(axis=2).transpose(2, 0, 1), lam_at, top=max(1, refine_passes))
-        best = np.linalg.svd(S[np.arange(len(members))[:, None], top],
-                             compute_uv=False)[..., 0].max(axis=1)
-        # golden-section maximisation on every candidate interval at once;
-        # the intervals share one width, so they stop together below tol
-        tol = step * 1e-6
-        a, b = theta[top] - step, theta[top] + step
-        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        f1, f2 = np.split(sigma(np.concatenate([x1, x2], axis=1)), 2, axis=1)
-        best = np.maximum(best, np.maximum(f1, f2).max(axis=1))
-        for _ in range(80):
-            if np.all(b - a < tol):
-                break
-            up = f1 < f2
-            a, b = np.where(up, x1, a), np.where(up, b, x2)
-            x1, x2 = (np.where(up, x2, b - _GOLDEN * (b - a)),
-                      np.where(up, a + _GOLDEN * (b - a), x1))
-            f = sigma(np.where(up, x2, x1))
-            f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
-            best = np.maximum(best, f.max(axis=1))
-        peaks[members] = best
+        # each top point with its grid neighbours, which past either end of
+        # the half circle are conjugates of grid points
+        near = top + np.array([-1, 0, 1])[:, None, None]
+        near = np.where(near < 0, -1 - near, np.where(near >= zs.size, grid_points - 1 - near, near))
+        seeds = np.linalg.svd(S[np.arange(B)[:, None], near], compute_uv=False)[..., 0]
+        higher_top = (seeds[[0, 2]] > seeds[1]) & (near[[0, 2], :, :, None] == top[:, None, :]).any(axis=-1)
+        go = np.flatnonzero(~higher_top.any(axis=0))
+        owner = go // top.shape[1]
+
+        def sigma(th, which):
+            z = np.exp(1j * th)[:, None]
+            vals = minus_targets(form.blocks_at(big[owner[which]], small[owner[which]], z), z, owner[which])
+            return np.linalg.svd(vals[:, 0], compute_uv=False)[:, 0]
+
+        pts = theta[top].ravel()[go] + step * np.array([-1.0, 0.0, 1.0])[:, None]
+        best = seeds.max(axis=0).ravel()
+        best[go] = _brent_max(sigma, pts[0], pts[2], pts, seeds.reshape(3, -1)[:, go], step * 1e-6)[0]
+        peaks[members] = best.reshape(top.shape).max(axis=1)
     return peaks
 
 
 def hinf_norm(R: Realization, grid_points: int = 4096, refine_passes: int = 3,
               check_bounded: bool = True) -> float:
     """Lower bound on the peak largest singular value over the unit circle:
-    the one-block case of :func:`_block_peaks`, whose refinement drives the
-    gap far below the grid's for smooth desk-scale maps.  An order-zero map
-    returns sigma_max(D)."""
+    the one-block case of :func:`_block_peaks`, whose seeded parabolic
+    refinement (:func:`_brent_max`) drives the gap far below the grid's for
+    smooth desk-scale maps.  An order-zero map returns sigma_max(D)."""
     if min(R.shape) == 0:
         return 0.0
     if check_bounded and not is_cb_bounded(R):

@@ -25,6 +25,7 @@ import numpy as np
 from .closed_loop import (
     ClosedLoopMaps,
     block_indices,
+    block_support,
     build_closed_loop_maps,
     q_linear_responses,
 )
@@ -181,10 +182,20 @@ class MapsBuilder:
 
 
 def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
-                     builder: MapsBuilder):
-    """Certified matching norms at one x, read from the whole closed-loop maps."""
+                     builder: MapsBuilder, support=None):
+    """Certified matching norms at one x, read from the whole closed-loop maps.
+    ``support`` is :func:`closed_loop.block_support` of this design (formed
+    here when not given); blocks outside it are certified as exact zeros."""
     maps = builder(q_from_x(param, x))
-    return _norms_from_maps(maps, spec, builder.partition), maps
+    if support is None:
+        support = block_support(builder.bundle, param, builder.partition)
+    return _norms_from_maps(maps, spec, builder.partition, support), maps
+
+
+def _flat(support) -> np.ndarray:
+    """The (disturbance, coupling, init) support as one flag per slot of
+    [gamma_d; gamma_u; gamma_c]."""
+    return np.concatenate([np.ravel(part) for part in support])
 
 
 def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoopMaps) -> list:
@@ -209,20 +220,25 @@ def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoo
 
 
 def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
-                     partition: AreaPartition):
+                     partition: AreaPartition, support=None):
     """(gamma_d, gamma_u, gamma_c) at the realized maps: the H-infinity norm
-    of each matching block minus its target.  No block realization is
-    formed: every block is read from one Schur form of the whole forced map
-    or of the whole initial-condition map (:func:`lti._block_peaks`), which
-    have the blocks' transfer functions.  Each value is the largest SVD
+    of each matching block minus its target.  A block outside ``support``
+    (:func:`closed_loop.block_support`; None keeps every block) is zero at
+    every x, and is certified as exactly 0 with no sweep, ranking or
+    refinement.  No block realization is formed: every other block is read
+    from one Schur form of the whole forced map or of the whole
+    initial-condition map (:func:`lti._block_peaks`), which have the
+    blocks' transfer functions.  Each of their values is the largest SVD
     sample seen, a lower bound on the true norm."""
     opts, N = spec.optimizer, spec.n_areas
     layout = _block_layout(spec, partition, maps)
-    vals = np.empty(N + 2 * N * N)
+    keep = np.ones(len(layout), dtype=bool) if support is None else _flat(support)
+    vals = np.zeros(N + 2 * N * N)
     for src, R in enumerate((maps.forced, maps.initial)):
-        mine = [blk for blk in layout if blk[1] == src]
-        vals[[blk[0] for blk in mine]] = _block_peaks(
-            R, [blk[2:] for blk in mine], opts.norm_grid, opts.refine_passes)
+        mine = [blk for blk in layout if blk[1] == src and keep[blk[0]]]
+        if mine:
+            vals[[blk[0] for blk in mine]] = _block_peaks(
+                R, [blk[2:] for blk in mine], opts.norm_grid, opts.refine_passes)
     return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
 
@@ -328,6 +344,9 @@ class _SurrogateModel:
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise.  Blocks are grouped by stacked shape; each direction keeps
     per group only the blocks it moves (:data:`DROP_REL`), in one stack.
+    Blocks outside ``support`` (:func:`closed_loop.block_support`, formed
+    here when not given; kept flat per slot as ``self.support``) are zero at
+    every x and are left out of the groups.
     Only the plant-IC columns of the initial map move with x here: the
     controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
     side is the rows they enter as a constant Gram term.  That is exact only
@@ -337,19 +356,23 @@ class _SurrogateModel:
     controller-IC columns the surrogate leaves out (the two-area toy of the
     tests has 0 controller states at x = 0 and 3 at a random x).
     ``n_evals`` counts calls of :meth:`objective`; ``n_pairs`` is (kept,
-    blocks x directions); ``lambda_points`` is (points whose lambda_max the
-    evaluations took, points they bracketed).
+    blocks x directions), the structural zeros counted among the blocks;
+    ``lambda_points`` is (points whose lambda_max the evaluations took,
+    points they bracketed).
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
-                 maps0: ClosedLoopMaps, active: np.ndarray):
+                 maps0: ClosedLoopMaps, active: np.ndarray, support=None):
         opts = spec.optimizer
         self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
         self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
+        if support is None:
+            support = block_support(bundle, param, partition)
+        self.support = _flat(support)
         self.groups = self._base_groups(partition, maps0)
         G = self.zs.size
         self.dirs = []   # per direction: (group, kept blocks, their stack) triples
@@ -360,17 +383,21 @@ class _SurrogateModel:
                      for g in self.groups]
             self.dirs.append([(gi, idx, _gather(forced_k, ic_k, g.gather[:, :, idx]))
                               for gi, (g, idx) in enumerate(zip(self.groups, moved)) if idx.size])
-        n_blocks = sum(len(g.blocks) for g in self.groups)
-        self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept), len(self.dirs) * n_blocks)
+        N = spec.n_areas
+        self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept),
+                        len(self.dirs) * (N + 2 * N * N))
 
     def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
-        """Lay out every matching block, stack its response at x = 0 minus its
-        target, and group the blocks by stacked shape.  A direction's flat
-        responses are forced, plant-IC, then a zero row for controller ICs."""
+        """Lay out every matching block in ``self.support``, stack its
+        response at x = 0 minus its target, and group the blocks by stacked
+        shape.  A direction's flat responses are forced, plant-IC, then a
+        zero row for controller ICs."""
         zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
         base_resp = (frequency_response(maps0.forced, zs), frequency_response(maps0.initial, zs))
         grouped: dict = {}
         for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
+            if not self.support[slot]:
+                continue
             blk = base_resp[src][:, rows[:, None], cols]
             if target is not None:
                 blk = blk - frequency_response(target, zs)
@@ -417,9 +444,9 @@ class _SurrogateModel:
     def gammas_from(self, peaks: list, slots: list, at: np.ndarray | None = None, t: float = 0.0):
         """(gamma_d, gamma_u, gamma_c): the blocks ``slots[i]`` from
         ``peaks[i]`` (of :func:`_gram_sum`) at t, every other block from the
-        flat vector ``at``."""
+        flat vector ``at`` (structural zeros, in no group, are 0)."""
         N = self.spec.n_areas
-        vals = np.empty(N + 2 * N * N) if at is None else at.copy()
+        vals = np.zeros(N + 2 * N * N) if at is None else at.copy()
         for block_peaks, s in zip(peaks, slots):
             vals[s] = block_peaks(t, self.lambda_points)
         return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
@@ -516,6 +543,7 @@ class SynthesisResult:
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
     surrogate_pairs: tuple = (0, 0)  # (kept, all) (block, direction) pairs of the search surrogate
+    support: np.ndarray | None = None  # per slot of [gamma_d; gamma_u; gamma_c]: False = structural zero
 
     @property
     def bank(self):
@@ -538,7 +566,7 @@ def _within_bounds(spec: SynthesisSpec, gd, gu, gc, tol: float = 1e-9) -> bool:
 
 
 def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
-          partition: AreaPartition, bootstrap=None) -> SynthesisResult:
+          partition: AreaPartition, bootstrap=None, support=None) -> SynthesisResult:
     """Minimise the weighted matching objective over the free coefficients.
 
     Requires admissible bounds to be set (run the bootstrap first, e.g.
@@ -551,7 +579,9 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     most one certificate beyond the search point.
     ``bootstrap`` is the ``constraint_norms`` result at x = 0 under this
     spec's targets, when the caller already has it: its maps seed the
-    surrogate, and a certificate at x = 0 reuses its norms.
+    surrogate, and a certificate at x = 0 reuses its norms.  ``support`` is
+    the design's :func:`closed_loop.block_support`, formed here when not
+    given; the surrogate and every certificate share it.
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
@@ -560,24 +590,27 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     n_free = param.n_free
     active = np.arange(min(n_free, opts.max_free_dims))
     zero = np.zeros(n_free)
+    if support is None:
+        support = block_support(bundle, param, partition)
 
     def certify(x):
         if bootstrap is not None and not np.any(x):
             return bootstrap
-        return constraint_norms(param, x, spec, builder)
+        return constraint_norms(param, x, spec, builder, support)
 
     def result(x, certificate, log, n_evals, search_certified, pairs=(0, 0)):
         (gd, gu, gc), maps = certificate
         obj = _objective_value(spec, gd, gu, gc)
+        flat = _flat(support)
         return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
-                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc),
-                               search_certified, pairs)
+                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc, flat),
+                               search_certified, pairs, flat)
 
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
         return result(zero, certify(zero), None, 1, True)
 
     maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
-    model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
+    model = _SurrogateModel(bundle, param, partition, spec, maps0, active, support)
     log: list[float] = []
     x_act, f_star = _pattern_search(model, np.zeros(active.size), opts, log)
     x_full = zero.copy()
@@ -668,19 +701,21 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
     return x, fx
 
 
-def _bound_hints(spec: SynthesisSpec, gd, gu, gc) -> list:
-    """Name the constraints sitting at their admissible bounds (1-based)."""
+def _bound_hints(spec: SynthesisSpec, gd, gu, gc, support=None) -> list:
+    """Name the constraints sitting at their admissible bounds (1-based),
+    leaving out the structural zeros (False in the flat ``support``)."""
     hints = []
     if not spec.bounds_set():
         return hints
-    tol = 1e-6
-    for i in range(spec.n_areas):
-        if gd[i] >= spec.gamma_bar_d[i] * (1 - tol) - 1e-12:
+    N, tol = spec.n_areas, 1e-6
+    keep = np.ones(N + 2 * N * N, dtype=bool) if support is None else support
+    for i in range(N):
+        if keep[i] and gd[i] >= spec.gamma_bar_d[i] * (1 - tol) - 1e-12:
             hints.append(f"gamma_d[{i + 1}] at bound {spec.gamma_bar_d[i]:.6g}")
-        for j in range(spec.n_areas):
-            if gu[i, j] >= spec.gamma_bar_u[i, j] * (1 - tol) - 1e-12:
+        for j in range(N):
+            if keep[N + i * N + j] and gu[i, j] >= spec.gamma_bar_u[i, j] * (1 - tol) - 1e-12:
                 hints.append(f"gamma_u[{i + 1},{j + 1}] at bound {spec.gamma_bar_u[i, j]:.6g}")
-            if gc[i, j] >= spec.gamma_bar_c[i, j] * (1 - tol) - 1e-12:
+            if keep[N + N * N + i * N + j] and gc[i, j] >= spec.gamma_bar_c[i, j] * (1 - tol) - 1e-12:
                 hints.append(f"gamma_c[{i + 1},{j + 1}] at bound {spec.gamma_bar_c[i, j]:.6g}")
     return hints
 
@@ -744,9 +779,9 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
             detail=param,
         )
 
-    bootstrap = None
+    bootstrap, support = None, block_support(bundle, param, partition)
     if not spec.bounds_set():
         bootstrap = constraint_norms(param, np.zeros(param.n_free), spec,
-                                     MapsBuilder(bundle, partition))
+                                     MapsBuilder(bundle, partition), support)
         spec = spec.with_bounds(*bootstrap[0])
-    return solve(spec, param, bundle, partition, bootstrap)
+    return solve(spec, param, bundle, partition, bootstrap, support)

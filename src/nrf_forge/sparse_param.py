@@ -16,7 +16,9 @@ whose Yt has unit diagonal this pins all controller poles at zero and fixes
 each row's characteristic polynomial to a pure power of z.  The particular
 solution is the least-norm solution of the stacked system; the free
 directions are an orthonormal basis of its null space, both stated as Q's
-own tap tensors.
+own tap tensors.  The entries of Q that the equations pin to zero in every
+member (an equation in one unknown with a zero right-hand side, repeated as
+pinned unknowns drop out) are recorded as the family's structural support.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ class QParametrization:
 
     The basis is orthonormal in tap-coefficient space and Q0 is orthogonal to
     it, so the particular solution is the least-norm member of the family.
+    Where known, ``pattern`` is the communication pattern every member's Yq
+    and Xq satisfy, and ``support`` (n_u, n_x) marks the entries of Q that
+    some member can make nonzero; elsewhere the taps hold only round-off.
     """
 
     q0_taps: np.ndarray          # (q, n_u, n_x)
@@ -118,6 +123,8 @@ class QParametrization:
     residual: float
     constraint_rank: int
     n_constraints: int
+    pattern: SparsityPattern | None = None
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("q0_taps", "basis"):
@@ -253,6 +260,20 @@ def _to_q_taps(p_flat: np.ndarray, q: int, n_u: int, n_x: int, A_L: np.ndarray) 
     return out
 
 
+def _pinned_zero(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Unknowns that every solution of mat v = rhs sets to zero: an equation
+    with a zero right-hand side whose only unknown not yet pinned has a
+    nonzero coefficient pins it, until no equation pins a new one."""
+    nonzero = mat[rhs == 0] != 0
+    pinned = np.zeros(mat.shape[1], dtype=bool)
+    while True:
+        free = nonzero & ~pinned
+        new = free[free.sum(axis=1) == 1].any(axis=0)
+        if not new.any():
+            return pinned
+        pinned |= new
+
+
 def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int):
     """Solve the matching system once and package particular + basis.
 
@@ -291,4 +312,8 @@ def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int):
         flat_b = basis.reshape(basis.shape[0], -1)
         q0_flat = q0.ravel()
         q0 = (q0_flat - flat_b.T @ (flat_b @ q0_flat)).reshape(q, n_u, n_x)
-    return QParametrization(q0, basis, q, residual, int(rank), mat.shape[0])
+    # Q_t = P_t - P_{t-1} A_L is zero wherever P_t and the P_{t-1} entries
+    # that A_L carries there are pinned
+    free = (~_pinned_zero(mat, vec)).reshape(q - 1, n_u, n_x).any(axis=0)
+    support = free | ((free.astype(float) @ (A_L != 0)) > 0)
+    return QParametrization(q0, basis, q, residual, int(rank), mat.shape[0], pattern, support)

@@ -36,7 +36,13 @@ from .lti import (
     is_minimal,
     spectral_radius,
 )
-from .nrf import check_comm_constraints, extract_row, form_nrf_pair, verify_sparsity_inheritance
+from .nrf import (
+    check_comm_constraints,
+    extract_row,
+    form_nrf_pair,
+    stacked_bank,
+    verify_sparsity_inheritance,
+)
 from .partition import AreaPartition, Neighborhoods
 from .plant import Plant
 from .sim_net import compose_signals, simulate_distributed, simulate_monolithic, stack_scenarios
@@ -138,12 +144,13 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     probe = np.max(np.abs(maps.forced.eval(1e6)))
     records.append(_rec("forced_map_proper_probe", 0.0 if np.isfinite(probe) else 1.0, 0.0))
 
-    # closed-loop identity: simulation vs map reconstruction
-    n_w = maps.n_w
+    # closed-loop identity: simulation vs map reconstruction; every monolithic
+    # run below steps the one stacked realization of the bank
+    n_w, ctrl = maps.n_w, stacked_bank(bank)
     sig, x_c, w_c = _scenario_batch(
         rng, identity_scenarios, 200, plant, n_w,
         {"d": 0.5, "zeta": 0.1, "u_s1": 0.3, "u_s2": 0.2, "beta_f": 0.05, "beta_s2": 0.05})
-    tr = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
+    tr = simulate_monolithic(plant, ctrl, sig, x_c, w_c)
     rec = reconstructed_response(maps, sig.stacked_disturbance(), x_c, w_c)
     worst = float(np.max(np.abs(tr.outputs().samples - rec.samples)))
     records.append(_rec("closed_loop_identity", worst, 1e-6,
@@ -154,7 +161,7 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
         sig, x_c, w_c = _scenario_batch(
             rng, min(EQUIVALENCE_BLOCK, equivalence_scenarios - start), 500, plant, n_w,
             {"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.02})
-        tm = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
+        tm = simulate_monolithic(plant, ctrl, sig, x_c, w_c)
         td = simulate_distributed(plant, list(bank), partition, nb, sig, x_c, w_c)
         worst = max(worst, float(np.max(np.abs(tm.x - td.x))),
                     float(np.max(np.abs(tm.u_f - td.u_f))),
@@ -187,7 +194,7 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
         records.append(CheckRecord("prediction_model_feedthrough", 1.0, 0.0, False, str(exc)))
     if models is not None:
         records.append(_rec("response_decomposition",
-                            _decomposition_residual(plant, partition, nb, maps, models, rng),
+                            _decomposition_residual(plant, partition, nb, maps, ctrl, models, rng),
                             1e-8))
     return records
 
@@ -218,8 +225,9 @@ def _off_pattern_mask(partition: AreaPartition, nb: Neighborhoods) -> np.ndarray
 
 
 def _decomposition_residual(plant: Plant, partition: AreaPartition, nb: Neighborhoods,
-                            maps: ClosedLoopMaps, models, rng) -> float:
-    """Reconstruct each area's simulated response from xi/psi/theta/delta."""
+                            maps: ClosedLoopMaps, ctrl, models, rng) -> float:
+    """Reconstruct each area's response, simulated against the stacked bank
+    ``ctrl``, from xi/psi/theta/delta."""
     n_x, n_u, n_d = plant.n_x, plant.n_u, plant.n_d
     horizon = 120
     sig = compose_signals(horizon, n_x, n_u, n_d, seed=int(rng.integers(2**31)),
@@ -227,7 +235,7 @@ def _decomposition_residual(plant: Plant, partition: AreaPartition, nb: Neighbor
                                       "beta_s1": 0.03, "beta_s2": 0.03, "beta_f": 0.02})
     x_c = rng.uniform(-1, 1, n_x)
     w_c = rng.uniform(-1, 1, maps.n_w)
-    trace = simulate_monolithic(plant, list(maps.bank), sig, x_c, w_c)
+    trace = simulate_monolithic(plant, ctrl, sig, x_c, w_c)
     exo = sig.exogenous_only().stacked_disturbance()
     u_s1 = sig.u_s1 if sig.u_s1 is not None else np.zeros((horizon, n_x))
     u_s2 = sig.u_s2 if sig.u_s2 is not None else np.zeros((horizon, n_u))

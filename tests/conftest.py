@@ -80,6 +80,21 @@ def unprune(monkeypatch):
         monkeypatch.setattr(module, "_bracket", bracket_every_point)
 
 
+def refine_steps(monkeypatch) -> list:
+    """The lockstep step counts of every peak refinement (``lti._brent_max``)
+    from here on."""
+    from nrf_forge import lti
+    steps, real = [], lti._brent_max
+
+    def counting(*args):
+        out = real(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(lti, "_brent_max", counting)
+    return steps
+
+
 def deadbeat_bundle(plant, F=None, grid_size=512):
     """Bundle with zero (or given) feedback and a shift-nilpotent observer pencil."""
     F = F if F is not None else np.zeros((plant.n_u, plant.n_x))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle, shift_nilpotent
+from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent
+from nrf_forge import cli
 from nrf_forge.closed_loop import (
     area_block,
+    block_support,
     build_closed_loop_maps,
     build_fq,
     build_iq,
@@ -12,6 +14,7 @@ from nrf_forge.closed_loop import (
     prediction_model,
     reconstructed_response,
 )
+from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.errors import DimensionMismatchError, UnboundedTfmError
 from nrf_forge.lti import (
     FrequencyGrid,
@@ -25,10 +28,17 @@ from nrf_forge.lti import (
     spectral_radius,
     star,
 )
+from nrf_forge.match_synth import MapsBuilder, _norms_from_maps, default_targets
 from nrf_forge.nrf import bank_from_pair, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
 from nrf_forge.sim_net import compose_signals, simulate_monolithic, stack_scenarios
+from nrf_forge.sparse_param import (
+    QParametrization,
+    build_parametrization,
+    pattern_from_neighborhoods,
+    q_from_x,
+)
 
 ZS = FrequencyGrid.uniform(32).points
 
@@ -260,3 +270,110 @@ def test_maps_are_stable_and_proper(two_area_plant):
     assert spectral_radius(maps.initial) < 1.0
     assert np.all(np.isfinite(evaluate(maps.forced, 1e6)))
     assert np.all(np.isfinite(evaluate(maps.initial, 1e6)))
+
+
+# ---------------------------------------------------------------------------
+# structural support of the matching blocks
+# ---------------------------------------------------------------------------
+
+def structured_network(seed):
+    """2-4 areas whose couplings enter only actuated states (each area's B_u
+    is [0; I]), so that the block-diagonalising gains make A + B_u F and
+    A + L exactly block-diagonal; a random coupling graph and random
+    communication sets that contain it."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 5))
+    x_sizes = [int(v) for v in rng.integers(1, 4, N)]
+    u_sizes = [int(rng.integers(1, nx + 1)) for nx in x_sizes]
+    part = build_partition(list(zip(x_sizes, u_sizes)))
+    A, B_u = np.zeros((part.n_x, part.n_x)), np.zeros((part.n_x, part.n_u))
+    coupled = rng.random((N, N)) < 0.5
+    for i in range(N):
+        xi, ui = part.indices("x", i), part.indices("u", i)
+        A[np.ix_(xi, xi)] = rng.standard_normal((xi.size, xi.size))
+        B_u[xi[-ui.size:], ui] = 1.0
+        for j in np.flatnonzero(coupled[i]):
+            if j != i:
+                A[np.ix_(xi[-ui.size:], part.indices("x", j))] = rng.standard_normal((ui.size, x_sizes[j]))
+    A *= 0.8 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6)
+    nb = Neighborhoods(tuple(frozenset({i} | {j for j in range(N) if coupled[i, j] or coupled[j, i]
+                                             or rng.random() < 0.3}) for i in range(N)))
+    return Plant(A, B_u, rng.standard_normal((part.n_x, 1))), part, nb
+
+
+def numeric_norms(bundle, param, part, x):
+    """Every block's certified norm through the numeric path (no support)."""
+    maps = MapsBuilder(bundle, part)(q_from_x(param, x))
+    gammas = _norms_from_maps(maps, default_targets(part, bundle.plant.n_d), part)
+    return np.concatenate([np.ravel(g) for g in gammas])
+
+
+def flat_support(bundle, param, part):
+    return np.concatenate([np.ravel(s) for s in block_support(bundle, param, part)])
+
+
+@pytest.mark.parametrize("network", ["grid", "ring"])
+def test_structural_zeros_read_zero_on_designs(request, network):
+    res = request.getfixturevalue(f"{network}_design")
+    part = request.getfixturevalue(f"{network}_setup")[1]
+    bundle, param = res.pair.bundle, res.param
+    zero = ~flat_support(bundle, param, part)
+    assert np.array_equal(zero, ~res.support)
+    for x in (res.x, 0.3 * np.random.default_rng(5).standard_normal(param.n_free)):
+        assert np.max(numeric_norms(bundle, param, part, x)[zero], initial=0.0) <= 1e-9
+
+
+def test_structural_zeros_read_zero_on_random_networks():
+    """On random 2-4-area networks, every block the support calls zero reads
+    round-off through the numeric path at x = 0 and at a random x.  The maps'
+    round-off grows with their size, so it is measured against their largest
+    block."""
+    zeros = designs = 0
+    for seed in range(16):
+        plant, part, nb = structured_network(seed)
+        F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
+        bundle = build_dcf(plant, F, L)
+        param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), 2 + seed % 2)
+        if not isinstance(param, QParametrization):
+            continue
+        designs += 1
+        zero = ~flat_support(bundle, param, part)
+        zeros += int(zero.sum())
+        for x in (np.zeros(param.n_free), np.random.default_rng(seed).standard_normal(param.n_free)):
+            vals = numeric_norms(bundle, param, part, x)
+            assert np.max(vals[zero], initial=0.0) <= 1e-9 * max(1.0, np.max(vals))
+    assert designs >= 8 and zeros >= 20
+
+
+def test_user_supplied_gains_give_the_all_true_support():
+    # zero feedback leaves A + B_u F = A, whose random coupling reaches every area
+    rng = np.random.default_rng(3)
+    plant = random_stable_plant(rng, n=4, m=2, n_d=1)
+    part = build_partition([(2, 1), (2, 1)])
+    bundle = deadbeat_bundle(plant)
+    param = build_parametrization(
+        bundle, pattern_from_neighborhoods(part, Neighborhoods((frozenset({0}), frozenset({0, 1})))), 3)
+    assert isinstance(param, QParametrization)
+    assert all(np.all(s) for s in block_support(bundle, param, part))
+
+
+def test_ring_support_names_exactly_the_far_blocks(ring_setup, ring_design):
+    part = ring_setup[1]
+    N = part.n_areas
+    disturbance, coupling, init = block_support(ring_design.pair.bundle, ring_design.param, part)
+    far = np.array([[min(abs(i - j), N - abs(i - j)) >= 3 for j in range(N)] for i in range(N)])
+    assert far.sum() == 24
+    assert np.all(disturbance)
+    assert np.array_equal(~coupling, far) and np.array_equal(~init, far)
+
+
+def test_ring_report_counts_the_structural_zeros(ring_setup, ring_design, tmp_path):
+    cli._write_synthesis_report(ring_design, str(tmp_path))
+    report = (tmp_path / "synthesis_report.txt").read_text()
+    assert "structurally zero blocks: 48 of 136\n" in report
+    # ring distance 3 from area 1: areas 4 and 6 (1-based)
+    assert "gamma_u[1,4]" not in report and "gamma_c[1,6]" not in report
+    assert "gamma_u[1,2] at bound" in report
+    rows = (tmp_path / "gamma_table.csv").read_text().splitlines()[1:]
+    zero = ~ring_design.support
+    assert all((row.split(",")[1] == "0") == z for row, z in zip(rows, zero))

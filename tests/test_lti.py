@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from conftest import shift_nilpotent, unprune
+from conftest import refine_steps, shift_nilpotent, unprune
+from nrf_forge import lti
 from nrf_forge.closed_loop import ic_response
 from nrf_forge.errors import (
     DimensionMismatchError,
@@ -301,6 +302,45 @@ def test_hinf_first_order_lag_closed_form(a, grid_points):
     # ||1/(z - a)|| peaks at z = sign(a) with value 1/(1 - |a|)
     R = make_realization([[a]], [[1.0]], [[1.0]], [[0.0]])
     assert abs(hinf_norm(R, grid_points=grid_points) * (1.0 - abs(a)) - 1.0) <= 1e-10
+
+
+def second_order_section(r, phi):
+    """1 / ((z - p)(z - conj(p))) for p = r e^(i phi).  On the unit circle
+    |(z - p)(z - conj(p))|^2 = (1 + r^2)^2 - 4 r (1 + r^2) cos(phi) c
+    + 4 r^2 (c^2 - sin(phi)^2) for c = cos(theta), least at
+    c = (1 + r^2) cos(phi) / (2 r), so the peak is 1 / (sin(phi) (1 - r^2))."""
+    A = np.array([[2.0 * r * np.cos(phi), -r * r], [1.0, 0.0]])
+    return make_realization(A, [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]), 1.0 / (np.sin(phi) * (1.0 - r * r))
+
+
+@pytest.mark.parametrize("grid_points", [256, 257, 2048])
+@pytest.mark.parametrize("case", ["lag at 0", "lag at pi", "lightly damped"])
+def test_refinement_reaches_closed_form_peaks_in_few_steps(case, grid_points, monkeypatch):
+    # ||1/(z - a)|| peaks at z = sign(a) with value 1/(1 - |a|)
+    R, peak = {
+        "lag at 0": (make_realization([[0.9]], [[1.0]], [[1.0]], [[0.0]]), 10.0),
+        "lag at pi": (make_realization([[-0.9]], [[1.0]], [[1.0]], [[0.0]]), 10.0),
+        "lightly damped": second_order_section(0.98, 1.0),
+    }[case]
+    steps = refine_steps(monkeypatch)
+    assert abs(hinf_norm(R, grid_points=grid_points) / peak - 1.0) <= 1e-12
+    assert steps and max(steps) <= 12
+
+
+def test_refinement_brackets_kinked_peaks():
+    """Unimodal functions with a kink at t0, where parabolas mislead: only
+    the bracket's closing puts the best sample within tol / 2 of t0 (so
+    below the peak by at most the steeper slope, 1.3, times tol / 2)."""
+    t0 = np.random.default_rng(0).uniform(-0.9, 0.9, 50)
+    tol = 1e-6
+
+    def value_at(u, which):
+        return 1.0 - np.abs(u - t0[which]) - 0.3 * np.maximum(u - t0[which], 0.0)
+
+    pts = np.array([-1.0, 0.0, 1.0])[:, None] * np.ones(t0.size)
+    vals = value_at(pts, np.broadcast_to(np.arange(t0.size), pts.shape))
+    best, _ = lti._brent_max(value_at, pts[0].copy(), pts[2].copy(), pts, vals, tol)
+    assert np.all(1.0 - best <= 1.3 * tol / 2)
 
 
 def norm_test_realizations():

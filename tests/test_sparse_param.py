@@ -224,3 +224,15 @@ def test_left_factor_taps_match_realizations():
         for z in (2.0, -1.3, 0.4 + 1.1j):
             series_val = sum(taps[name][t] / z ** t for t in range(nu + 1))
             assert np.allclose(evaluate(fac, z), series_val, atol=1e-10)
+
+
+@pytest.mark.parametrize("network", ["grid", "ring"])
+def test_recorded_support_leaves_only_round_off_outside(request, network):
+    param = request.getfixturevalue(f"{network}_design").param
+    taps = np.concatenate([param.q0_taps[None], param.basis]).reshape(-1, param.n_u, param.n_x)
+    peak = np.max(np.abs(taps), axis=0)
+    assert param.support.shape == (param.n_u, param.n_x) and param.pattern is not None
+    assert np.max(peak[~param.support], initial=0.0) <= 1e-14
+    assert np.min(peak[param.support]) >= 1e-3
+    if network == "ring":
+        assert not np.all(param.support)
