@@ -300,7 +300,7 @@ def _write_synthesis_report(result, out: str) -> None:
         fh.write("step,surrogate_objective\n")
         for k, v in enumerate(result.objective_log):
             fh.write(f"{k},{v:.17g}\n")
-    zeros = 0 if result.support is None else int(np.sum(~result.support))
+    zeros = int(np.sum(~result.support))
     report = [
         "first-layer synthesis report",
         f"objective (certified): {result.objective:.12g}",

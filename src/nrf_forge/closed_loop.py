@@ -263,14 +263,13 @@ def block_support(bundle: DcfBundle, param: QParametrization,
 
     Each factor's support comes from the exact zeros of its realization's
     area blocks (so from A + B_u F and A + L for the resolvents, and for
-    J1 = z (zI - A_L)^{-1}), Q's from the exact nonzeros of Q0 and every
-    basis tap within the family's recorded support, Yq and Xq keep to the
-    family's communication pattern, and J2 is block-diagonal by area, as the
-    stacked bank is.  The module docstring's formulas combine them with
-    support(X Y) within support(X) support(Y), and an area's rows are its x
-    and its u rows.  No tolerance enters, so where some exact zero is
-    missing (say with ``user_supplied`` gains) the support only grows, up to
-    every block.
+    J1 = z (zI - A_L)^{-1}), Q's is the family's recorded support, Yq and
+    Xq keep to the family's communication pattern, and J2 is block-diagonal
+    by area, as the stacked bank is.  The module docstring's formulas
+    combine them with support(X Y) within support(X) support(Y), and an
+    area's rows are its x and its u rows.  No tolerance enters, so where
+    some exact zero is missing (say with ``user_supplied`` gains) the
+    support only grows, up to every block.
     """
     N, xs, us = partition.n_areas, partition.x_sizes, partition.u_sizes
     eye = np.eye(N, dtype=bool)
@@ -279,15 +278,10 @@ def block_support(bundle: DcfBundle, param: QParametrization,
         (bundle.N, xs, us), (bundle.M, us, us), (bundle.X, us, xs), (bundle.Y, xs, xs)))
     nt, mt, xt, yt = (_realization_support(f, rows, xs, cols) for f, rows, cols in (
         (bundle.Nt, xs, us), (bundle.Mt, xs, xs), (bundle.Xt, us, xs), (bundle.Yt, us, us)))
-    taps = np.concatenate([param.q0_taps[None], param.basis]).reshape(-1, param.n_u, param.n_x)
-    q_nonzero = np.any(taps != 0, axis=0)
-    if param.support is not None:
-        q_nonzero &= param.support
-    q = _area_support(q_nonzero, us, xs)
+    q = _area_support(param.support, us, xs)
     yq, xq = yt | _product_support(q, nt), xt | _product_support(q, mt)
-    if param.pattern is not None:
-        yq &= _area_support(param.pattern.matrix[:, :param.n_u], us, us) | eye
-        xq &= _area_support(param.pattern.matrix[:, param.n_u:], us, xs)
+    yq &= _area_support(param.pattern.matrix[:, :param.n_u], us, us) | eye
+    xq &= _area_support(param.pattern.matrix[:, param.n_u:], us, xs)
     plant = bundle.plant
     j1 = _realization_support(_resolvent_times_z(bundle.observer_pencil(), np.eye(plant.n_x)), xs, xs, xs)
     gd = _product_support(j1, _area_support(plant.B_d, xs, [plant.n_d]))   # Mt G_d

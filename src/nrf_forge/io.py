@@ -18,7 +18,7 @@ from .lti import Realization, make_realization
 from .nrf import AreaController
 from .partition import AreaPartition, Neighborhoods
 from .plant import Plant
-from .sparse_param import QParametrization
+from .sparse_param import QParametrization, SparsityPattern
 
 
 def _fmt(x: float) -> str:
@@ -43,13 +43,11 @@ def _write_value(obj, out: list, indent: int) -> None:
         if not seq:
             out.append("[]")
             return
-        if all(type(v) is float for v in seq):
-            # the rows of exported matrices: one format per value, as _scalar would
-            out.append("[" + ", ".join([format(v, ".17g") for v in seq]) + "]")
-            return
-        simple = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
+        # floats, the bulk of every document, are tested and formatted first
+        simple = all(type(v) is float or isinstance(v, (int, float, bool, str)) or v is None for v in seq)
         if simple:
-            out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
+            items = [format(v, ".17g") if type(v) is float else _scalar(v) for v in seq]
+            out.append("[" + ", ".join(items) + "]")
             return
         out.append("[\n")
         for idx, v in enumerate(seq):
@@ -85,9 +83,7 @@ def _plainify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return list(obj)
-        return [_plainify(v) for v in obj]
+        return [v if type(v) is float else _plainify(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -238,6 +234,8 @@ def export_parametrization(param: QParametrization, x: np.ndarray, dirpath: str)
         "basis": [[matrix_doc(param.basis[k][t]) for t in range(param.fir_degree)]
                   for k in range(param.n_free)],
         "x": list(np.asarray(x, dtype=float)),
+        "pattern": matrix_doc(param.pattern.matrix),
+        "support": matrix_doc(param.support),
     }
     dump_document(doc, os.path.join(dirpath, "parametrization.json"))
 
@@ -251,8 +249,12 @@ def load_parametrization(dirpath: str):
     else:
         basis = np.zeros((0,) + q0.shape)
     # older run directories also carry a "mode" key, which is ignored
+    pattern = matrix_from_doc(doc["pattern"])
+    n_u = pattern.shape[0]
     param = QParametrization(q0, basis, q, float(doc["residual"]),
-                             int(doc["constraint_rank"]), int(doc["n_constraints"]))
+                             int(doc["constraint_rank"]), int(doc["n_constraints"]),
+                             SparsityPattern(pattern, n_u, pattern.shape[1] - n_u),
+                             matrix_from_doc(doc["support"]) != 0)
     return param, np.asarray(doc["x"], dtype=float)
 
 

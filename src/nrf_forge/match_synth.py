@@ -42,6 +42,7 @@ from .lti import (
     frequency_response,
     is_cb_bounded,
     minimal,  # noqa: F401  (unused here; perfbench's tracer test rebinds match_synth.minimal)
+    transpose,
 )
 from .nrf import bank_from_pair, form_nrf_pair
 from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
@@ -182,13 +183,11 @@ class MapsBuilder:
 
 
 def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
-                     builder: MapsBuilder, support=None):
-    """Certified matching norms at one x, read from the whole closed-loop maps.
-    ``support`` is :func:`closed_loop.block_support` of this design (formed
-    here when not given); blocks outside it are certified as exact zeros."""
+                     builder: MapsBuilder):
+    """Certified matching norms at one x, read from the whole closed-loop maps;
+    the blocks outside :func:`closed_loop.block_support` are exact zeros."""
     maps = builder(q_from_x(param, x))
-    if support is None:
-        support = block_support(builder.bundle, param, builder.partition)
+    support = block_support(builder.bundle, param, builder.partition)
     return _norms_from_maps(maps, spec, builder.partition, support), maps
 
 
@@ -335,6 +334,13 @@ def _gram_sum(members: list):
     return peaks
 
 
+def _map_responses(maps: ClosedLoopMaps, zs: np.ndarray) -> tuple:
+    """Values of the forced and the initial map on ``zs``, each solved on
+    its smaller side (the forced map is wide)."""
+    return tuple(frequency_response(transpose(R), zs).transpose(0, 2, 1) if R.ninputs > R.noutputs
+                 else frequency_response(R, zs) for R in (maps.forced, maps.initial))
+
+
 class _SurrogateModel:
     """Grid responses of the matching blocks as affine functions of x.
 
@@ -344,9 +350,8 @@ class _SurrogateModel:
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise.  Blocks are grouped by stacked shape; each direction keeps
     per group only the blocks it moves (:data:`DROP_REL`), in one stack.
-    Blocks outside ``support`` (:func:`closed_loop.block_support`, formed
-    here when not given; kept flat per slot as ``self.support``) are zero at
-    every x and are left out of the groups.
+    Blocks outside :func:`closed_loop.block_support` (kept flat per slot as
+    ``self.support``) are zero at every x and are left out of the groups.
     Only the plant-IC columns of the initial map move with x here: the
     controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
     side is the rows they enter as a constant Gram term.  That is exact only
@@ -363,16 +368,14 @@ class _SurrogateModel:
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
-                 maps0: ClosedLoopMaps, active: np.ndarray, support=None):
+                 maps0: ClosedLoopMaps, active: np.ndarray):
         opts = spec.optimizer
         self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
         self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
-        if support is None:
-            support = block_support(bundle, param, partition)
-        self.support = _flat(support)
+        self.support = _flat(block_support(bundle, param, partition))
         self.groups = self._base_groups(partition, maps0)
         G = self.zs.size
         self.dirs = []   # per direction: (group, kept blocks, their stack) triples
@@ -393,7 +396,7 @@ class _SurrogateModel:
         shape.  A direction's flat responses are forced, plant-IC, then a
         zero row for controller ICs."""
         zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
-        base_resp = (frequency_response(maps0.forced, zs), frequency_response(maps0.initial, zs))
+        base_resp = _map_responses(maps0, zs)
         grouped: dict = {}
         for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
             if not self.support[slot]:
@@ -542,8 +545,8 @@ class SynthesisResult:
     feasible: bool
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
-    surrogate_pairs: tuple = (0, 0)  # (kept, all) (block, direction) pairs of the search surrogate
-    support: np.ndarray | None = None  # per slot of [gamma_d; gamma_u; gamma_c]: False = structural zero
+    surrogate_pairs: tuple  # (kept, all) (block, direction) pairs of the search surrogate
+    support: np.ndarray     # per slot of [gamma_d; gamma_u; gamma_c]: False = structural zero
 
     @property
     def bank(self):
@@ -566,7 +569,7 @@ def _within_bounds(spec: SynthesisSpec, gd, gu, gc, tol: float = 1e-9) -> bool:
 
 
 def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
-          partition: AreaPartition, bootstrap=None, support=None) -> SynthesisResult:
+          partition: AreaPartition, bootstrap=None) -> SynthesisResult:
     """Minimise the weighted matching objective over the free coefficients.
 
     Requires admissible bounds to be set (run the bootstrap first, e.g.
@@ -579,9 +582,7 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     most one certificate beyond the search point.
     ``bootstrap`` is the ``constraint_norms`` result at x = 0 under this
     spec's targets, when the caller already has it: its maps seed the
-    surrogate, and a certificate at x = 0 reuses its norms.  ``support`` is
-    the design's :func:`closed_loop.block_support`, formed here when not
-    given; the surrogate and every certificate share it.
+    surrogate, and a certificate at x = 0 reuses its norms.
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
@@ -590,27 +591,24 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     n_free = param.n_free
     active = np.arange(min(n_free, opts.max_free_dims))
     zero = np.zeros(n_free)
-    if support is None:
-        support = block_support(bundle, param, partition)
 
     def certify(x):
         if bootstrap is not None and not np.any(x):
             return bootstrap
-        return constraint_norms(param, x, spec, builder, support)
+        return constraint_norms(param, x, spec, builder)
 
     def result(x, certificate, log, n_evals, search_certified, pairs=(0, 0)):
         (gd, gu, gc), maps = certificate
         obj = _objective_value(spec, gd, gu, gc)
-        flat = _flat(support)
         return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
-                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc, flat),
-                               search_certified, pairs, flat)
+                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc),
+                               search_certified, pairs, _flat(block_support(bundle, param, partition)))
 
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
         return result(zero, certify(zero), None, 1, True)
 
     maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
-    model = _SurrogateModel(bundle, param, partition, spec, maps0, active, support)
+    model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
     log: list[float] = []
     x_act, f_star = _pattern_search(model, np.zeros(active.size), opts, log)
     x_full = zero.copy()
@@ -701,21 +699,21 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
     return x, fx
 
 
-def _bound_hints(spec: SynthesisSpec, gd, gu, gc, support=None) -> list:
-    """Name the constraints sitting at their admissible bounds (1-based),
-    leaving out the structural zeros (False in the flat ``support``)."""
+def _bound_hints(spec: SynthesisSpec, gd, gu, gc) -> list:
+    """Name the constraints sitting at their admissible bounds (1-based).
+    A block certified at exactly 0, as every structural zero is (its bound
+    is then 0 too), is not named."""
     hints = []
     if not spec.bounds_set():
         return hints
-    N, tol = spec.n_areas, 1e-6
-    keep = np.ones(N + 2 * N * N, dtype=bool) if support is None else support
-    for i in range(N):
-        if keep[i] and gd[i] >= spec.gamma_bar_d[i] * (1 - tol) - 1e-12:
+    tol = 1e-6
+    for i in range(spec.n_areas):
+        if gd[i] > 0 and gd[i] >= spec.gamma_bar_d[i] * (1 - tol) - 1e-12:
             hints.append(f"gamma_d[{i + 1}] at bound {spec.gamma_bar_d[i]:.6g}")
-        for j in range(N):
-            if keep[N + i * N + j] and gu[i, j] >= spec.gamma_bar_u[i, j] * (1 - tol) - 1e-12:
+        for j in range(spec.n_areas):
+            if gu[i, j] > 0 and gu[i, j] >= spec.gamma_bar_u[i, j] * (1 - tol) - 1e-12:
                 hints.append(f"gamma_u[{i + 1},{j + 1}] at bound {spec.gamma_bar_u[i, j]:.6g}")
-            if keep[N + N * N + i * N + j] and gc[i, j] >= spec.gamma_bar_c[i, j] * (1 - tol) - 1e-12:
+            if gc[i, j] > 0 and gc[i, j] >= spec.gamma_bar_c[i, j] * (1 - tol) - 1e-12:
                 hints.append(f"gamma_c[{i + 1},{j + 1}] at bound {spec.gamma_bar_c[i, j]:.6g}")
     return hints
 
@@ -779,9 +777,9 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
             detail=param,
         )
 
-    bootstrap, support = None, block_support(bundle, param, partition)
+    bootstrap = None
     if not spec.bounds_set():
         bootstrap = constraint_norms(param, np.zeros(param.n_free), spec,
-                                     MapsBuilder(bundle, partition), support)
+                                     MapsBuilder(bundle, partition))
         spec = spec.with_bounds(*bootstrap[0])
-    return solve(spec, param, bundle, partition, bootstrap, support)
+    return solve(spec, param, bundle, partition, bootstrap)

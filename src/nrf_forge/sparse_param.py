@@ -112,9 +112,9 @@ class QParametrization:
 
     The basis is orthonormal in tap-coefficient space and Q0 is orthogonal to
     it, so the particular solution is the least-norm member of the family.
-    Where known, ``pattern`` is the communication pattern every member's Yq
-    and Xq satisfy, and ``support`` (n_u, n_x) marks the entries of Q that
-    some member can make nonzero; elsewhere the taps hold only round-off.
+    ``pattern`` is the communication pattern every member's Yq and Xq
+    satisfy, and ``support`` (n_u, n_x) marks the entries of Q that some
+    member can make nonzero; elsewhere the taps hold only round-off.
     """
 
     q0_taps: np.ndarray          # (q, n_u, n_x)
@@ -123,12 +123,12 @@ class QParametrization:
     residual: float
     constraint_rank: int
     n_constraints: int
-    pattern: SparsityPattern | None = None
-    support: np.ndarray | None = None
+    pattern: SparsityPattern
+    support: np.ndarray          # (n_u, n_x) booleans
 
     def __post_init__(self):
-        for name in ("q0_taps", "basis"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, dtype in (("q0_taps", float), ("basis", float), ("support", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -192,7 +192,8 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
     bundle = deadbeat_bundle(two_area_plant)
     param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q=3)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
-                              param.residual, param.constraint_rank, param.n_constraints)
+                              param.residual, param.constraint_rank, param.n_constraints,
+                              param.pattern, param.support)
     opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     spec = replace(default_targets(part, two_area_plant.n_d, optimizer=opts),
                    bound_slack=np.inf)

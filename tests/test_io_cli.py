@@ -76,6 +76,8 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     param2, x2 = artifact_io.load_parametrization(str(tmp_path / "param"))
     assert np.array_equal(param2.q0_taps, param.q0_taps)
     assert np.array_equal(param2.basis, param.basis)
+    assert np.array_equal(param2.pattern.matrix, param.pattern.matrix)
+    assert np.array_equal(param2.support, param.support)
     assert np.array_equal(x2, x)
     # older run directories also carry the parametrization's "mode"
     doc_path = str(tmp_path / "param" / "parametrization.json")

@@ -30,6 +30,7 @@ from nrf_forge.match_synth import (
     DROP_REL,
     _SurrogateModel,
     _block_layout,
+    _map_responses,
     _norms_from_maps,
     constraint_norms,
     default_targets,
@@ -450,7 +451,7 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
     """
     zs, n_x = model.zs, maps0.n_x
     layout = _block_layout(model.spec, part, maps0)
-    at_x = [frequency_response(m, zs) for m in (maps0.forced, maps0.initial)]
+    at_x = list(_map_responses(maps0, zs))
     along = {}
     rel = np.empty((param.n_free, len(layout)))
     for k, (forced_k, ic_k) in enumerate(q_linear_responses(bundle, param.basis, zs)):
@@ -556,6 +557,7 @@ def test_sparse_surrogate_matches_dense_reference(request, network):
         phi = model.line(x, k)
         for t in (-0.4, 0.02, 0.7):
             assert phi(t) == pytest.approx(weights @ on_line(k, t), rel=1e-12, abs=0.0)
+            assert np.max(on_line(k, t)[zero], initial=0.0) <= 1e-9
         y = x.copy()
         y[k] += 0.02  # an accepted move along k; the next line moves back
         assert model.line(y, k)(0.0) == pytest.approx(weights @ on_line(k, 0.02), rel=1e-12, abs=0.0)
@@ -663,7 +665,8 @@ def test_zero_weights_return_bootstrap():
 def test_one_basis_toy_matches_brute_force_scan():
     plant, part, nb, bundle, param = toy_setup(seed=8)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
-                              param.residual, param.constraint_rank, param.n_constraints)
+                              param.residual, param.constraint_rank, param.n_constraints,
+                              param.pattern, param.support)
     opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
     # unboxed problem: this toy's bootstrap controller is empty, so finite
     # boxes built at x = 0 would not be comparable across the family
