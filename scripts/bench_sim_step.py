@@ -6,11 +6,15 @@ with unequal (n_xi, n_ui) and controller orders, one order-0 area, ring
 communication sets) for N = 8, 20 and 40, and times 2,000-step runs of
 ``simulate_distributed`` and ``simulate_monolithic`` with one BLAS thread,
 then 500-step runs of a batch of 25 scenarios stepped together (the size
-of one ``verify`` equivalence block).  Each figure is the median over 7
-runs, in microseconds per step (per step of the whole batch).  Each record
-also holds ``calibration_us``, the median time of a fixed small batched
-product, so that records made at different times on a shared machine can
-be told apart from a change of the program.  The record is stored under
+of one ``verify`` equivalence block).  Each process takes the median over 7
+runs, in microseconds per step (per step of the whole batch).  The whole
+measurement runs in 5 fresh child processes one after another, so that
+drift between processes shows: each figure is stored as the median across
+the processes, with its interquartile range under ``iqr``.  Each record
+also holds ``calibration_us``, the time of a fixed small batched product
+(median and range across the processes alike), so that records made at
+different times on a shared machine can be told apart from a change of the
+program.  The record is stored under
 ``--label`` in ``BENCH_sim_step.json`` at the repository root; other labels
 already in that file are kept, so two source trees can be compared.
 
@@ -27,6 +31,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -37,8 +42,11 @@ SIZES = (8, 20, 40)
 STEPS = 2000
 BATCH, BATCH_STEPS = 25, 500
 REPEATS = 7
+PROCESSES = 5
 SEED = 0
 CALIBRATION_REPS, CALIBRATION_CALLS = 51, 200
+# one child's measurement: its figures as one JSON line
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import bench_sim_step as b; b.measure(sys.argv[2])"
 
 
 def parse_args(argv=None):
@@ -74,9 +82,9 @@ def calibration_us() -> float:
     return 1e6 * statistics.median(times)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+def measure(src: str) -> None:
+    """Print this process's figures of the source tree ``src`` as one JSON line."""
+    sys.path[:0] = [src, str(ROOT / "tests")]
     import numpy as np
     from conftest import unequal_ring
     from nrf_forge.sim_net import (
@@ -116,15 +124,45 @@ def main(argv=None) -> int:
             "max_abs_gap": float(max(np.max(np.abs(dist.x - mono.x)),
                                      np.max(np.abs(dist.u_f - mono.u_f)))),
         })
-        print(rows[-1])
+    print(json.dumps({"numpy": np.__version__, "calibration_us": calib, "results": rows}))
+
+
+def spread(values, digits: int) -> tuple:
+    """(median, interquartile range) of ``values``, rounded."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return round(statistics.median(values), digits), round(q3 - q1, digits)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    runs = []
+    for k in range(PROCESSES):
+        child = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
+                                str(Path(args.src).resolve())],
+                               check=True, capture_output=True, text=True)
+        runs.append(json.loads(child.stdout.splitlines()[-1]))
+        print(f"process {k + 1}/{PROCESSES}: calibration {runs[-1]['calibration_us']:.3f} us")
+    rows = []
+    for per_run in zip(*(r["results"] for r in runs)):
+        row, iqr = dict(per_run[0]), {}
+        for key in row:
+            if key.endswith("_us_per_step"):
+                row[key], iqr[key] = spread([r[key] for r in per_run], 1)
+        row["max_abs_gap"] = max(r["max_abs_gap"] for r in per_run)
+        row["iqr"] = iqr
+        rows.append(row)
+        print(row)
+    calib, calib_iqr = spread([r["calibration_us"] for r in runs], 3)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["description"] = (f"median wall time per step of {STEPS}-step runs and of "
-                          f"{BATCH_STEPS}-step runs of {BATCH} batched scenarios over "
-                          f"{REPEATS} repeats, one BLAS thread; scripts/bench_sim_step.py")
+    doc["description"] = (f"wall time per step of {STEPS}-step runs and of {BATCH_STEPS}-step "
+                          f"runs of {BATCH} batched scenarios, one BLAS thread: the median over "
+                          f"{REPEATS} repeats in each of {PROCESSES} fresh processes, stored as the "
+                          "median across the processes with its interquartile range (records "
+                          "without 'iqr' come from one process); scripts/bench_sim_step.py")
     doc.setdefault("records", {})[args.label] = {
-        "python": platform.python_version(), "numpy": np.__version__,
-        "machine": platform.machine(), "nproc": os.cpu_count(),
-        "calibration_us": round(calib, 3), "results": rows,
+        "python": platform.python_version(), "numpy": runs[0]["numpy"],
+        "machine": platform.machine(), "nproc": os.cpu_count(), "processes": PROCESSES,
+        "calibration_us": calib, "calibration_iqr_us": calib_iqr, "results": rows,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

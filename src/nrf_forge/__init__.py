@@ -26,7 +26,6 @@ from .sim_net import ScenarioSignals, LoopTrace, simulate_monolithic, simulate_d
 from .match_synth import (
     AlgorithmConfig,
     AlgorithmReport,
-    OptimizerSettings,
     SynthesisResult,
     SynthesisSpec,
     default_targets,
@@ -45,7 +44,6 @@ __all__ = [
     "LoopTrace",
     "Neighborhoods",
     "NrfPair",
-    "OptimizerSettings",
     "Plant",
     "PredictionModel",
     "QParametrization",

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 design infeasibility,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -33,12 +32,7 @@ from .grid import (
     surrogate_coefficients,
 )
 from .lti import frequency_response, FrequencyGrid
-from .match_synth import (
-    AlgorithmConfig,
-    AlgorithmReport,
-    OptimizerSettings,
-    run_algorithm1,
-)
+from .match_synth import AlgorithmConfig, AlgorithmReport, run_algorithm1
 from .nrf import form_nrf_pair
 from .partition import Neighborhoods, build_partition, validate_neighborhoods
 from .plant import Plant
@@ -165,37 +159,15 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
                else "is unknown")
         raise ConfigError(f"gain_strategy {strategy!r} {why}; "
                           f"a config may only use {STRATEGY_BLOCK_DEADBEAT!r}")
-    return AlgorithmConfig(
-        q=q,
-        gain_strategy=strategy,
-        bezout_grid=_setting("synthesis.bezout_grid", syn.get("bezout_grid", 512),
-                             int, "a positive int", lambda v: v > 0),
-        bound_slack=_setting("synthesis.bound_slack", syn.get("bound_slack", 0.0),
-                             float, "a finite float >= 0", lambda v: 0 <= v < float("inf")),
-    )
-
-
-REMOVED_OPTIMIZER_KEYS = ("n_starts", "start_scale", "seed")
-
-
-def _optimizer_settings(cfg: dict) -> OptimizerSettings:
-    """The config's ``synthesis.optimizer`` over the defaults.  Every value
-    must be a positive finite number of the field's type; the removed
-    restart keys are noted and ignored."""
-    opt = _object(cfg.get("synthesis", {}), "synthesis", "optimizer")
-    base = OptimizerSettings()
-    names = sorted(f.name for f in dataclasses.fields(base))
-    chosen = {}
-    for key, value in opt.items():
-        if key in REMOVED_OPTIMIZER_KEYS:
-            print(f"note: synthesis.optimizer.{key} is no longer used; the search is deterministic")
-            continue
-        if key not in names:
-            raise ConfigError(f"unknown synthesis.optimizer key {key!r}; expected one of {names}")
-        kind = type(getattr(base, key))
-        chosen[key] = _setting(f"synthesis.optimizer.{key}", value, kind,
-                               f"a positive {kind.__name__}", lambda v: 0 < v < float("inf"))
-    return dataclasses.replace(base, **chosen)
+    bound_slack = _setting("synthesis.bound_slack", syn.get("bound_slack", 0.0),
+                           float, "a finite float >= 0", lambda v: 0 <= v < float("inf"))
+    # the optimizer's and the Bezout grid's keys name settings the design no longer has
+    removed = [f"synthesis.optimizer.{key}" for key in _object(syn, "synthesis", "optimizer")]
+    if "bezout_grid" in syn:
+        removed.append("synthesis.bezout_grid")
+    for name in removed:
+        print(f"note: {name} is no longer used; the design method is fixed")
+    return AlgorithmConfig(q=q, gain_strategy=strategy, bound_slack=bound_slack)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -249,12 +221,8 @@ def cmd_design(args) -> int:
     plant = _plant_from_config(cfg, args.coeffs)
     partition, nb = _partition_from_config(cfg)
     algo = _algorithm_config(cfg, args.q)
-    opts = _optimizer_settings(cfg)
-
-    from .match_synth import default_targets
-    spec = default_targets(partition, plant.n_d, optimizer=opts)
     try:
-        result = run_algorithm1(plant, partition, nb, spec, algo)
+        result = run_algorithm1(plant, partition, nb, config=algo)
     except (UncontrollableModeError, NonStabilizingGainsError) as exc:
         print(f"design infeasible: {exc}")
         return EXIT_INFEASIBLE
@@ -323,20 +291,28 @@ def _write_synthesis_report(result, out: str) -> None:
 
 
 def _load_run(out: str):
-    plant = artifact_io.load_plant(os.path.join(out, "plant.json"))
-    partition, nb = artifact_io.load_partition(os.path.join(out, "partition.json"))
-    bundle = artifact_io.load_bundle(os.path.join(out, "bundle"), plant)
-    bank = artifact_io.load_bank(os.path.join(out, "bank"), partition)
-    param, x = artifact_io.load_parametrization(os.path.join(out, "param"))
+    """(plant, partition, nb, bundle, bank, param, x) of a run directory, or
+    None once it has said why they cannot be loaded.  Malformed JSON is left
+    to :func:`main`."""
+    try:
+        plant = artifact_io.load_plant(os.path.join(out, "plant.json"))
+        partition, nb = artifact_io.load_partition(os.path.join(out, "partition.json"))
+        bundle = artifact_io.load_bundle(os.path.join(out, "bundle"), plant)
+        bank = artifact_io.load_bank(os.path.join(out, "bank"), partition)
+        param, x = artifact_io.load_parametrization(os.path.join(out, "param"))
+    except json.JSONDecodeError:
+        raise
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"cannot load run directory {out}: {exc}")
+        return None
     return plant, partition, nb, bundle, bank, param, x
 
 
 def cmd_verify(args) -> int:
-    try:
-        plant, partition, nb, bundle, bank, param, x = _load_run(args.out)
-    except (OSError, KeyError) as exc:
-        print(f"cannot load run directory {args.out}: {exc}")
+    run = _load_run(args.out)
+    if run is None:
         return EXIT_CONFIG
+    plant, partition, nb, bundle, bank, param, x = run
     from .sparse_param import q_from_x
     maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
 
@@ -368,11 +344,10 @@ def _roundtrip_record(maps, out: str):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config) if args.config else _load_config(
         os.path.join(args.out, "config.json"))
-    try:
-        plant, partition, nb, bundle, bank, param, x = _load_run(args.out)
-    except (OSError, KeyError) as exc:
-        print(f"cannot load run directory {args.out}: {exc}")
+    run = _load_run(args.out)
+    if run is None:
         return EXIT_CONFIG
+    plant, partition, nb, bundle, bank, param, x = run
     sim = dict(cfg.get("simulation", {}))
     horizon = _setting("simulation.horizon", sim.get("horizon", 500), int, "a positive int",
                        lambda v: v > 0)

@@ -382,8 +382,7 @@ class PredictionModel:
         return star(self.realization(), both)
 
 
-def prediction_model(maps: ClosedLoopMaps, partition: AreaPartition, i: int,
-                     feedthrough_tol: float = 1e-9) -> PredictionModel:
+def prediction_model(maps: ClosedLoopMaps, partition: AreaPartition, i: int) -> PredictionModel:
     """Extract area i's prediction model from the forced map.
 
     The block is strictly proper whenever the factorization is normalised at
@@ -392,7 +391,7 @@ def prediction_model(maps: ClosedLoopMaps, partition: AreaPartition, i: int,
     """
     block = area_block(maps, partition, "coupling", i, i)
     dmax = float(np.max(np.abs(block.D), initial=0.0))
-    if dmax > feedthrough_tol:
+    if dmax > 1e-9:
         raise NonzeroFeedthroughError(
             f"prediction model of area {i + 1} has feedthrough {dmax:.3e}; "
             "expected a strictly proper block"

@@ -91,7 +91,7 @@ class DcfBundle:
     def observer_pencil(self) -> np.ndarray:
         return self.plant.A + self.L
 
-    def is_deadbeat(self, tol: float = 1e-8) -> bool:
+    def is_deadbeat(self) -> bool:
         """True when A + L is (numerically) nilpotent."""
         A_L = self.observer_pencil()
         n = A_L.shape[0]
@@ -99,7 +99,7 @@ class DcfBundle:
             return True
         P = np.linalg.matrix_power(A_L, n)
         scale = max(1.0, np.linalg.norm(A_L, 2)) ** n
-        return bool(np.linalg.norm(P, 2) <= tol * scale)
+        return bool(np.linalg.norm(P, 2) <= 1e-8 * scale)
 
 
 def _char_poly(M: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .dcf import DcfBundle
+from .errors import DimensionMismatchError
 from .lti import Realization, make_realization
 from .nrf import AreaController
 from .partition import AreaPartition, Neighborhoods
@@ -255,7 +256,11 @@ def load_parametrization(dirpath: str):
                              int(doc["constraint_rank"]), int(doc["n_constraints"]),
                              SparsityPattern(pattern, n_u, pattern.shape[1] - n_u),
                              matrix_from_doc(doc["support"]) != 0)
-    return param, np.asarray(doc["x"], dtype=float)
+    x = np.asarray(doc["x"], dtype=float)
+    if x.shape != (param.n_free,):
+        raise DimensionMismatchError(
+            f"x has shape {x.shape}, the parametrization has {param.n_free} free coefficients")
+    return param, x
 
 
 def export_maps(maps, dirpath: str) -> None:

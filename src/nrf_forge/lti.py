@@ -116,10 +116,6 @@ def from_gain(D) -> Realization:
     return make_realization(np.zeros((0, 0)), np.zeros((0, D.shape[1])), np.zeros((D.shape[0], 0)), D)
 
 
-def zeros_tfm(p: int, m: int) -> Realization:
-    return from_gain(np.zeros((p, m)))
-
-
 def delay(p: int = 1) -> Realization:
     """Realization of ``z^{-1} I_p``."""
     return make_realization(np.zeros((p, p)), np.eye(p), np.eye(p), np.zeros((p, p)))
@@ -321,7 +317,7 @@ def select_cols(R: Realization, idx) -> Realization:
     return make_realization(R.A, R.B[:, idx], R.C, R.D[:, idx])
 
 
-def inverse(R: Realization, cond_bound: float = 1e12) -> Realization:
+def inverse(R: Realization) -> Realization:
     """Realize ``R(z)^{-1}``; needs a square, well-conditioned feedthrough."""
     p, m = R.shape
     if p != m:
@@ -329,10 +325,10 @@ def inverse(R: Realization, cond_bound: float = 1e12) -> Realization:
     if p == 0:
         return R
     sv = np.linalg.svd(R.D, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > cond_bound:
+    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
         raise NonInvertibleFeedthroughError(
             f"feedthrough condition number {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3e} "
-            f"exceeds bound {cond_bound:.1e}; inverse would not be proper"
+            "exceeds bound 1.0e+12; inverse would not be proper"
         )
     Dinv = np.linalg.inv(R.D)
     A = R.A - R.B @ Dinv @ R.C
@@ -345,7 +341,7 @@ def inverse(R: Realization, cond_bound: float = 1e12) -> Realization:
 # structure: rank tools, minimality, PBH
 # ---------------------------------------------------------------------------
 
-def _orth(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _orth(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, SVD-based and deterministic."""
     if M.shape[1] == 0 or M.shape[0] == 0:
         return np.zeros((M.shape[0], 0))
@@ -355,27 +351,25 @@ def _orth(M: np.ndarray, tol: float | None = None) -> np.ndarray:
         # gesdd occasionally fails on extreme dynamic ranges; gesvd is slower
         # but dependable
         U, s, _ = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
-    if tol is None:
-        tol = RANK_TOL * (1.0 + (s[0] if s.size else 0.0))
-    r = int(np.sum(s > tol))
+    r = int(np.sum(s > RANK_TOL * (1.0 + (s[0] if s.size else 0.0))))
     return U[:, :r]
 
 
-def _reachable_basis(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _reachable_basis(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the smallest A-invariant subspace containing range(B)."""
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    V = _orth(B, tol)
+    V = _orth(B)
     while V.shape[1] < n:
-        W = _orth(np.hstack([V, A @ V]), tol)
+        W = _orth(np.hstack([V, A @ V]))
         if W.shape[1] == V.shape[1]:
             break
         V = W
     return V
 
 
-def minimal(R: Realization, rank_tol: float | None = None) -> Realization:
+def minimal(R: Realization) -> Realization:
     """Minimal realization via reachable-then-observable reduction.
 
     The returned map matches ``R`` exactly as a transfer matrix; the state
@@ -383,22 +377,20 @@ def minimal(R: Realization, rank_tol: float | None = None) -> Realization:
     benign for the desk-scale orders used here.
     """
     A, B, C, D = R.A, R.B, R.C, R.D
-    scale_tol = rank_tol
     # reachable part
-    V = _reachable_basis(A, B, scale_tol)
+    V = _reachable_basis(A, B)
     A1 = V.T @ A @ V
     B1 = V.T @ B
     C1 = C @ V
     # observable part (reachable subspace of the transposed pair)
-    W = _reachable_basis(A1.T, C1.T, scale_tol)
+    W = _reachable_basis(A1.T, C1.T)
     A2 = W.T @ A1 @ W
     B2 = W.T @ B1
     C2 = C1 @ W
     return make_realization(A2, B2, C2, D, R.stability_domain)
 
 
-def pbh_test(R: Realization, z: complex, mode: str = "controllable",
-             rank_tol: float | None = None) -> bool:
+def pbh_test(R: Realization, z: complex, mode: str = "controllable") -> bool:
     """Popov-Belevitch-Hautus rank test at one complex point."""
     n = R.order
     if n == 0:
@@ -410,18 +402,17 @@ def pbh_test(R: Realization, z: complex, mode: str = "controllable",
     else:
         raise ValueError(f"unknown PBH mode {mode!r}")
     s = np.linalg.svd(M, compute_uv=False)
-    tol = rank_tol if rank_tol is not None else RANK_TOL * (1.0 + float(s[0]))
-    return int(np.sum(s > tol)) == n
+    return int(np.sum(s > RANK_TOL * (1.0 + float(s[0])))) == n
 
 
-def is_minimal(R: Realization, rank_tol: float | None = None) -> bool:
+def is_minimal(R: Realization) -> bool:
     """PBH controllability and observability at every eigenvalue of A."""
     if R.order == 0:
         return True
     for lam in np.linalg.eigvals(R.A):
-        if not pbh_test(R, lam, "controllable", rank_tol):
+        if not pbh_test(R, lam, "controllable"):
             return False
-        if not pbh_test(R, lam, "observable", rank_tol):
+        if not pbh_test(R, lam, "observable"):
             return False
     return True
 
@@ -869,16 +860,16 @@ def impulse_response(R: Realization, length: int) -> np.ndarray:
     return out
 
 
-def fir_support(R: Realization, tol: float = 1e-12, max_len: int | None = None) -> int | None:
+def fir_support(R: Realization, max_len: int | None = None) -> int | None:
     """Degree of the impulse response support, or None if not FIR.
 
     Returns the smallest q with h[k] = 0 for all k > q, judged against
-    ``tol`` times the response scale, scanning up to order + 1 samples.
+    1e-12 times the response scale, scanning up to order + 1 samples.
     """
     horizon = (max_len if max_len is not None else R.order + 1) + 1
     h = impulse_response(R, horizon + 1)
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    nz = [k for k in range(horizon + 1) if np.max(np.abs(h[k])) > tol * scale] or [0]
+    nz = [k for k in range(horizon + 1) if np.max(np.abs(h[k])) > 1e-12 * scale] or [0]
     q = nz[-1]
     # FIR iff the state matrix is (numerically) nilpotent
     if R.order and spectral_radius_raw(R) > 1e-6:

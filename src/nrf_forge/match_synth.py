@@ -18,7 +18,7 @@ point whose certificate fails a bound is replaced by the certified origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,19 +51,20 @@ from .sparse_param import QParametrization, q_from_x
 MODE_DECOUPLE_ONLY = "decouple_only"
 MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Knobs of the pattern search and the certified norms; the search is
-    deterministic, so equal settings give equal designs."""
-
-    search_grid: int = 256
-    max_free_dims: int = 12
-    max_sweeps: int = 3
-    sweep_tol: float = 1e-6
-    initial_step: float = 0.25
-    norm_grid: int = 2048
-    refine_passes: int = 3
+# The one design method: the search is deterministic, so equal inputs give
+# equal designs.
+#: Upper-half-circle points of the search surrogate.
+SEARCH_GRID = 256
+#: Leading free coefficients the search moves (uncapped: mesh5 4.6x evaluations, -0.35 %; ring8 fails its certificate).
+MAX_FREE_DIMS = 12
+#: Coordinate sweeps of the pattern search, and the gain a sweep must make.
+MAX_SWEEPS = 3
+SWEEP_TOL = 1e-6
+#: First probe of a line search, relative to max(1, |x_k|).
+INITIAL_STEP = 0.25
+#: Sweep points and refinement passes of the certified norms.
+NORM_GRID = 2048
+REFINE_PASSES = 3
 
 
 @dataclass
@@ -85,15 +86,8 @@ class SynthesisSpec:
     gamma_bar_d: np.ndarray | None = None
     gamma_bar_u: np.ndarray | None = None
     gamma_bar_c: np.ndarray | None = None
-    bound_slack: float = 0.0
-    norm: str = "hinf"
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
-        if self.norm != "hinf":
-            raise ValueError(
-                f"norm {self.norm!r} is not supported at v1; only 'hinf' is implemented"
-            )
         N = self.n_areas
         self.tau_d = np.asarray(self.tau_d, dtype=float)
         self.tau_u = np.asarray(self.tau_u, dtype=float)
@@ -115,8 +109,9 @@ class SynthesisSpec:
     def bounds_set(self) -> bool:
         return self.gamma_bar_d is not None
 
-    def with_bounds(self, gd, gu, gc) -> "SynthesisSpec":
-        s = 1.0 + self.bound_slack
+    def with_bounds(self, gd, gu, gc, slack: float) -> "SynthesisSpec":
+        """The bounds (gd, gu, gc) widened by the factor 1 + slack."""
+        s = 1.0 + slack
         new = replace(self)
         if np.isfinite(s):
             new.gamma_bar_d = np.asarray(gd, dtype=float) * s
@@ -131,8 +126,7 @@ class SynthesisSpec:
 
 
 def default_targets(partition: AreaPartition, n_d: int,
-                    mode: str = MODE_DECOUPLE_ONLY, t_d=None,
-                    optimizer: OptimizerSettings | None = None) -> SynthesisSpec:
+                    mode: str = MODE_DECOUPLE_ONLY, t_d=None) -> SynthesisSpec:
     """Decoupling-first defaults: unit-delay own-command response, zero rest.
 
     decouple_only zeroes the disturbance targets; decouple_and_track accepts
@@ -165,7 +159,6 @@ def default_targets(partition: AreaPartition, n_d: int,
         tau_d=np.ones(N),
         tau_u=np.ones((N, N)),
         tau_c=np.zeros((N, N)),
-        optimizer=optimizer if optimizer is not None else OptimizerSettings(),
     )
 
 
@@ -229,7 +222,7 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
     initial-condition map (:func:`lti._block_peaks`), which have the
     blocks' transfer functions.  Each of their values is the largest SVD
     sample seen, a lower bound on the true norm."""
-    opts, N = spec.optimizer, spec.n_areas
+    N = spec.n_areas
     layout = _block_layout(spec, partition, maps)
     keep = np.ones(len(layout), dtype=bool) if support is None else _flat(support)
     vals = np.zeros(N + 2 * N * N)
@@ -237,7 +230,7 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
         mine = [blk for blk in layout if blk[1] == src and keep[blk[0]]]
         if mine:
             vals[[blk[0] for blk in mine]] = _block_peaks(
-                R, [blk[2:] for blk in mine], opts.norm_grid, opts.refine_passes)
+                R, [blk[2:] for blk in mine], NORM_GRID, REFINE_PASSES)
     return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
 
 
@@ -369,8 +362,7 @@ class _SurrogateModel:
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
                  maps0: ClosedLoopMaps, active: np.ndarray):
-        opts = spec.optimizer
-        self.zs = np.exp(1j * np.pi * (np.arange(opts.search_grid) + 0.5) / opts.search_grid)
+        self.zs = np.exp(1j * np.pi * (np.arange(SEARCH_GRID) + 0.5) / SEARCH_GRID)
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
@@ -509,18 +501,16 @@ class _SurrogateModel:
 
 
 def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
-                             bundle: DcfBundle, partition: AreaPartition,
-                             n_active: int | None = None):
-    """Standalone surrogate objective over the leading free coefficients.
+                             bundle: DcfBundle, partition: AreaPartition):
+    """Standalone surrogate objective over every free coefficient.
 
-    Exactly the function the pattern search minimises (+inf outside the
-    admissible bounds); exposed so tests and experiment scripts can
+    Exactly the function the pattern search minimises over its first
+    :data:`MAX_FREE_DIMS` coefficients (+inf outside the admissible bounds); exposed so tests and experiment scripts can
     brute-force it independently of the solver.
     """
     builder = MapsBuilder(bundle, partition)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
-    k = param.n_free if n_active is None else min(n_active, param.n_free)
-    return _SurrogateModel(bundle, param, partition, spec, maps0, np.arange(k)).objective_at
+    return _SurrogateModel(bundle, param, partition, spec, maps0, np.arange(param.n_free)).objective_at
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +532,6 @@ class SynthesisResult:
     spec: SynthesisSpec
     param: QParametrization
     n_evals: int
-    feasible: bool
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
     surrogate_pairs: tuple  # (kept, all) (block, direction) pairs of the search surrogate
@@ -586,10 +575,9 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
-    opts = spec.optimizer
     builder = MapsBuilder(bundle, partition)
     n_free = param.n_free
-    active = np.arange(min(n_free, opts.max_free_dims))
+    active = np.arange(min(n_free, MAX_FREE_DIMS))
     zero = np.zeros(n_free)
 
     def certify(x):
@@ -601,7 +589,7 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
         (gd, gu, gc), maps = certificate
         obj = _objective_value(spec, gd, gu, gc)
         return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
-                               spec, param, n_evals, True, _bound_hints(spec, gd, gu, gc),
+                               spec, param, n_evals, _bound_hints(spec, gd, gu, gc),
                                search_certified, pairs, _flat(block_support(bundle, param, partition)))
 
     if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
@@ -610,10 +598,10 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
     model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
     log: list[float] = []
-    x_act, f_star = _pattern_search(model, np.zeros(active.size), opts, log)
+    x_act, f_star = _pattern_search(model, np.zeros(active.size), log)
     x_full = zero.copy()
     x_full[active] = x_act
-    if f_star >= log[0] - opts.sweep_tol:
+    if f_star >= log[0] - SWEEP_TOL:
         x_full = zero  # no real progress; keep the certified origin
     # the surrogate's direction stacks are not needed past this point; free
     # them before the certificate allocates its sweeps
@@ -625,25 +613,23 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     return result(zero, certify(zero), log, n_evals, False, pairs)
 
 
-def _pattern_search(model, x0: np.ndarray, opts: OptimizerSettings,
-                    log: list) -> tuple[np.ndarray, float]:
+def _pattern_search(model, x0: np.ndarray, log: list) -> tuple[np.ndarray, float]:
     """Coordinate descent with golden-section line searches; appends the
     objective at the start and after every line search to ``log``."""
     x = x0.copy()
     fx = model.objective_at(x)
     log.append(fx)
-    for _ in range(opts.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         f_before = fx
         for k in range(x.size):
-            x, fx = _line_search_coord(model, x, k, fx, opts)
+            x, fx = _line_search_coord(model, x, k, fx)
             log.append(fx)
-        if f_before - fx < opts.sweep_tol:
+        if f_before - fx < SWEEP_TOL:
             break
     return x, fx
 
 
-def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
-                       opts: OptimizerSettings) -> tuple[np.ndarray, float]:
+def _line_search_coord(model, x: np.ndarray, k: int, fx: float) -> tuple[np.ndarray, float]:
     """Golden-section minimisation along coordinate k (infeasible = +inf).
 
     Each probe evaluates the model's ``phi(t)``, whose Gram stacks are
@@ -651,7 +637,7 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float,
     """
     phi = model.line(x, k)
 
-    step = opts.initial_step * max(1.0, abs(x[k]))
+    step = INITIAL_STEP * max(1.0, abs(x[k]))
     f_plus, f_minus = phi(step), phi(-step)
     if fx <= f_plus and fx <= f_minus:
         # try a smaller probe before giving up on this coordinate
@@ -730,7 +716,6 @@ class AlgorithmConfig:
     gain_strategy: str = "block_diagonalizing_F_deadbeat_L"
     F: np.ndarray | None = None
     L: np.ndarray | None = None
-    bezout_grid: int = 512
     bound_slack: float = 0.0
 
 
@@ -761,11 +746,9 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     pattern = pattern_from_neighborhoods(partition, nb)
     if spec is None:
         spec = default_targets(partition, plant.n_d)
-    if spec.bound_slack != config.bound_slack:
-        spec = replace(spec, bound_slack=config.bound_slack)
 
     F, L = design_gains(plant, partition, config.gain_strategy, config.F, config.L)
-    bundle = build_dcf(plant, F, L, config.bezout_grid)
+    bundle = build_dcf(plant, F, L)
     param = build_parametrization(bundle, pattern, config.q)
     from .sparse_param import InfeasibilityReport
     if isinstance(param, InfeasibilityReport):
@@ -781,5 +764,5 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     if not spec.bounds_set():
         bootstrap = constraint_norms(param, np.zeros(param.n_free), spec,
                                      MapsBuilder(bundle, partition))
-        spec = spec.with_bounds(*bootstrap[0])
+        spec = spec.with_bounds(*bootstrap[0], config.bound_slack)
     return solve(spec, param, bundle, partition, bootstrap)

@@ -32,7 +32,6 @@ from .errors import (
 from .lti import (
     DEFAULT_ZERO_GRID,
     ZERO_TOL,
-    FrequencyGrid,
     Realization,
     frequency_response,
     impulse_response,
@@ -111,7 +110,7 @@ class AreaController:
         return make_realization(self.A, self.B, self.C, self.D)
 
 
-def diagonal_part(R: Realization, rank_tol=None) -> Realization:
+def diagonal_part(R: Realization) -> Realization:
     """Realize diag(elm_11(R), ..., elm_pp(R)) of a square map."""
     p, m = R.shape
     if p != m:
@@ -129,14 +128,13 @@ def diagonal_part(R: Realization, rank_tol=None) -> Realization:
     return make_realization(A, B, C, np.diag(diag_D))
 
 
-def form_nrf_pair(bundle: DcfBundle, q: Realization,
-                  strict_tol: float = 1e-10) -> NrfPair:
+def form_nrf_pair(bundle: DcfBundle, q: Realization) -> NrfPair:
     """Form the pair from a bundle and a strictly proper Youla parameter."""
     if q.shape != (bundle.n_u, bundle.n_x):
         raise DimensionMismatchError(
             f"Q has shape {q.shape}, expected {(bundle.n_u, bundle.n_x)}"
         )
-    if np.max(np.abs(q.D), initial=0.0) > strict_tol:
+    if np.max(np.abs(q.D), initial=0.0) > 1e-10:
         raise NotStrictlyProperError(
             f"Q feedthrough has magnitude {np.max(np.abs(q.D)):.3e}; must be strictly proper"
         )
@@ -181,9 +179,7 @@ def _schur_char_coeffs(A: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def extract_row(kd: Realization, row: int, rank_tol=None,
-                zero_grid: FrequencyGrid = DEFAULT_ZERO_GRID,
-                zero_tol: float = ZERO_TOL) -> ControllerRow:
+def extract_row(kd: Realization, row: int) -> ControllerRow:
     """Observable companion canonical realization of one controller row.
 
     The minimal row realization is reduced, its characteristic polynomial is
@@ -194,13 +190,13 @@ def extract_row(kd: Realization, row: int, rank_tol=None,
     """
     if not 0 <= row < kd.noutputs:
         raise DimensionMismatchError(f"row {row} out of range for {kd.noutputs} outputs")
-    r_min = minimal(select_rows(kd, [row]), rank_tol)
+    r_min = minimal(select_rows(kd, [row]))
     n_r = r_min.order
     width = kd.ninputs
     # grid classification of structurally zero entries
-    resp = frequency_response(select_rows(kd, [row]), zero_grid.points)
+    resp = frequency_response(select_rows(kd, [row]), DEFAULT_ZERO_GRID.points)
     col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
-    zero_cols = tuple(int(j) for j in range(width) if col_max[j] <= zero_tol)
+    zero_cols = tuple(int(j) for j in range(width) if col_max[j] <= ZERO_TOL)
     D_row = r_min.D.copy()
     if n_r == 0:
         D_row[0, list(zero_cols)] = 0.0
@@ -225,15 +221,13 @@ def extract_row(kd: Realization, row: int, rank_tol=None,
     return ControllerRow(row, A_r, B_r, C_r, D_row, coeffs, K, zero_cols)
 
 
-def verify_sparsity_inheritance(row: ControllerRow, kd: Realization,
-                                zero_grid: FrequencyGrid = DEFAULT_ZERO_GRID,
-                                zero_tol: float = ZERO_TOL) -> None:
+def verify_sparsity_inheritance(row: ControllerRow, kd: Realization) -> None:
     """Check that B/D columns are exactly zero wherever the row entry is zero."""
-    resp = frequency_response(select_rows(kd, [row.index]), zero_grid.points)
+    resp = frequency_response(select_rows(kd, [row.index]), DEFAULT_ZERO_GRID.points)
     col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
     offending = []
     for j in range(kd.ninputs):
-        if col_max[j] <= zero_tol:
+        if col_max[j] <= ZERO_TOL:
             b_col = row.B[:, j] if row.order else np.zeros(0)
             if np.any(b_col != 0.0) or row.D[0, j] != 0.0:
                 offending.append((row.index, j))
@@ -300,9 +294,7 @@ def stacked_bank(bank) -> Realization:
     return make_realization(A, B, C, D)
 
 
-def check_comm_constraints(bank, partition: AreaPartition, nb: Neighborhoods,
-                           zero_grid: FrequencyGrid = DEFAULT_ZERO_GRID,
-                           zero_tol: float = ZERO_TOL) -> None:
+def check_comm_constraints(bank, partition: AreaPartition, nb: Neighborhoods) -> None:
     """Verify each area's subcontroller ignores variables outside its sets.
 
     Checks both the exact structural zeros of the stacked (B, D) columns and
@@ -322,8 +314,8 @@ def check_comm_constraints(bank, partition: AreaPartition, nb: Neighborhoods,
                 violations.append((i, j))
                 continue
             resp = frequency_response(make_realization(R.A, R.B[:, cols], R.C, R.D[:, cols]),
-                                      zero_grid.points)
-            if resp.size and np.max(np.abs(resp)) > zero_tol:
+                                      DEFAULT_ZERO_GRID.points)
+            if resp.size and np.max(np.abs(resp)) > ZERO_TOL:
                 violations.append((i, j))
     if violations:
         raise CommConstraintError(violations)

@@ -48,6 +48,11 @@ from .plant import Plant
 from .sim_net import compose_signals, simulate_distributed, simulate_monolithic, stack_scenarios
 from .sparse_param import QParametrization, q_from_x
 
+# the suite's generator seed and scenario counts, which are part of the certificate
+SEED = 20240
+IDENTITY_SCENARIOS = 20
+EQUIVALENCE_SCENARIOS = 100
+CLOSURE_DRAWS = 100
 # scenarios per batch of the distributed-equivalence check
 EQUIVALENCE_BLOCK = 25
 
@@ -73,13 +78,10 @@ def _rec(name, measured, threshold, note="") -> CheckRecord:
 
 def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhoods,
                         bundle: DcfBundle, bank, maps: ClosedLoopMaps,
-                        param: QParametrization | None = None,
-                        seed: int = 20240, identity_scenarios: int = 20,
-                        equivalence_scenarios: int = 100,
-                        closure_draws: int = 100) -> list[CheckRecord]:
+                        param: QParametrization) -> list[CheckRecord]:
     """Full verification battery; returns one record per certificate."""
     records: list[CheckRecord] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     pair = maps.pair
     n_u = plant.n_u
     grid64 = FrequencyGrid.chebyshev(64)
@@ -148,18 +150,18 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     # run below steps the one stacked realization of the bank
     n_w, ctrl = maps.n_w, stacked_bank(bank)
     sig, x_c, w_c = _scenario_batch(
-        rng, identity_scenarios, 200, plant, n_w,
+        rng, IDENTITY_SCENARIOS, 200, plant, n_w,
         {"d": 0.5, "zeta": 0.1, "u_s1": 0.3, "u_s2": 0.2, "beta_f": 0.05, "beta_s2": 0.05})
     tr = simulate_monolithic(plant, ctrl, sig, x_c, w_c)
     rec = reconstructed_response(maps, sig.stacked_disturbance(), x_c, w_c)
     worst = float(np.max(np.abs(tr.outputs().samples - rec.samples)))
     records.append(_rec("closed_loop_identity", worst, 1e-6,
-                        f"{identity_scenarios} scenarios x 200 steps"))
+                        f"{IDENTITY_SCENARIOS} scenarios x 200 steps"))
 
     worst = 0.0
-    for start in range(0, equivalence_scenarios, EQUIVALENCE_BLOCK):
+    for start in range(0, EQUIVALENCE_SCENARIOS, EQUIVALENCE_BLOCK):
         sig, x_c, w_c = _scenario_batch(
-            rng, min(EQUIVALENCE_BLOCK, equivalence_scenarios - start), 500, plant, n_w,
+            rng, min(EQUIVALENCE_BLOCK, EQUIVALENCE_SCENARIOS - start), 500, plant, n_w,
             {"d": 0.4, "zeta": 0.05, "u_s1": 0.2, "u_s2": 0.2, "beta_f": 0.02})
         tm = simulate_monolithic(plant, ctrl, sig, x_c, w_c)
         td = simulate_distributed(plant, list(bank), partition, nb, sig, x_c, w_c)
@@ -167,10 +169,10 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
                     float(np.max(np.abs(tm.u_f - td.u_f))),
                     float(np.max(np.abs(tm.w - td.w), initial=0.0)))
     records.append(_rec("distributed_equivalence", worst, 1e-10,
-                        f"{equivalence_scenarios} scenarios x 500 steps"))
+                        f"{EQUIVALENCE_SCENARIOS} scenarios x 500 steps"))
 
-    if param is not None and param.n_free:
-        draws = [rng.standard_normal(param.n_free) for _ in range(closure_draws)]
+    if param.n_free:
+        draws = [rng.standard_normal(param.n_free) for _ in range(CLOSURE_DRAWS)]
         mask = _off_pattern_mask(partition, nb)
         worst = 0.0
         kds = kd_responses(bundle, (param.taps_from_x(xr) for xr in draws), zs)
@@ -183,7 +185,7 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
                 worst = max(worst, float(np.max(np.abs(realized[:, mask]), initial=0.0)),
                             float(np.max(np.abs(kd - realized))) / scale)
         records.append(_rec("sparsity_closure", worst, 1e-8,
-                            f"{closure_draws} random draws"))
+                            f"{CLOSURE_DRAWS} random draws"))
 
     # prediction models: zero feedthrough and response decomposition
     try:

@@ -103,6 +103,10 @@ def deadbeat_bundle(plant, F=None, grid_size=512):
     return build_dcf(plant, F, L, grid_size)
 
 
+#: Bound slack of the designs below, by network.
+DESIGN_SLACK = {"grid": 0.25, "ring": 0.0}
+
+
 @pytest.fixture(scope="session")
 def grid_setup():
     plant = build_grid_plant()
@@ -112,7 +116,7 @@ def grid_setup():
 @pytest.fixture(scope="session")
 def grid_design(grid_setup):
     plant, part, nb = grid_setup
-    result = run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.25))
+    result = run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=DESIGN_SLACK["grid"]))
     assert not isinstance(result, tuple)
     return result
 
@@ -143,7 +147,7 @@ def ring_setup():
 def ring_design(ring_setup):
     """The ring designed with no bound slack."""
     plant, part, nb = ring_setup
-    return run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.0))
+    return run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=DESIGN_SLACK["ring"]))
 
 
 @pytest.fixture(scope="session")

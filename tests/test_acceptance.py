@@ -8,7 +8,6 @@ environment variable and is skipped with an explicit notice otherwise.
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from nrf_forge.lti import FrequencyGrid, frequency_response, is_minimal, spectra
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     MapsBuilder,
-    OptimizerSettings,
     constraint_norms,
     default_targets,
     make_surrogate_objective,
@@ -194,12 +192,10 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
                               param.residual, param.constraint_rank, param.n_constraints,
                               param.pattern, param.support)
-    opts = OptimizerSettings(max_free_dims=1, max_sweeps=4)
-    spec = replace(default_targets(part, two_area_plant.n_d, optimizer=opts),
-                   bound_slack=np.inf)
+    spec = default_targets(part, two_area_plant.n_d)
     builder = MapsBuilder(bundle, part)
     (gd, gu, gc), _ = constraint_norms(single, np.zeros(1), spec, builder)
-    spec = spec.with_bounds(gd, gu, gc)
+    spec = spec.with_bounds(gd, gu, gc, np.inf)
     res = solve(spec, single, bundle, part)
     objective = make_surrogate_objective(spec, single, bundle, part)
     ts = np.linspace(-2.0, 2.0, 10_001)

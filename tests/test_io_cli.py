@@ -128,12 +128,7 @@ def test_trace_csv_headers_and_values(tmp_path):
 def cli_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_run"))
     assert main(["example-grid", "--out", out]) == 0
-    cfg_path = os.path.join(out, "config.json")
-    cfg = artifact_io.load_document(cfg_path)
-    cfg["synthesis"]["optimizer"] = {"max_free_dims": 4, "max_sweeps": 1,
-                                     "search_grid": 96, "norm_grid": 512}
-    artifact_io.dump_document(cfg, cfg_path)
-    assert main(["design", "--config", cfg_path, "--out", out]) == 0
+    assert main(["design", "--config", os.path.join(out, "config.json"), "--out", out]) == 0
     return out
 
 
@@ -194,7 +189,7 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "empty")]) == 2
 
 
-def two_area_config(path, optimizer):
+def two_area_config(path, synthesis=None):
     """A small stable two-area plant whose design takes well under a second."""
     A = np.diag([0.5, 0.4, 0.3, 0.2])
     A[0, 2] = A[2, 1] = 0.1
@@ -202,29 +197,37 @@ def two_area_config(path, optimizer):
            "plant": {"A": A.tolist(), "B_u": np.eye(4)[:, [0, 2]].tolist(),
                      "B_d": np.ones((4, 1)).tolist()},
            "partition": [[2, 1], [2, 1]], "neighborhoods": [[1, 2], [1, 2]],
-           "synthesis": {"optimizer": optimizer}}
+           "synthesis": synthesis or {}}
     artifact_io.dump_document(cfg, str(path))
     return str(path)
 
 
+#: Every key of the former optimizer settings, with a value each once took.
+FORMER_OPTIMIZER_KEYS = {"search_grid": 64, "max_free_dims": 1, "max_sweeps": 1, "sweep_tol": 0.5,
+                         "initial_step": 2.0, "norm_grid": 16, "refine_passes": 1,
+                         "n_starts": 3, "start_scale": 0.1, "seed": 1}
+
+
 def test_cli_removed_optimizer_keys_are_noted_and_ignored(tmp_path, capsys):
+    plain = two_area_config(tmp_path / "plain.json")
+    assert main(["design", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
     path = two_area_config(tmp_path / "cfg.json",
-                           {"n_starts": 3, "start_scale": 0.1, "seed": 1, "search_grid": 64})
+                           {"optimizer": FORMER_OPTIMIZER_KEYS, "bezout_grid": 8})
     assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 0
     notes = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("note:")]
-    assert notes == [f"note: synthesis.optimizer.{key} is no longer used; the search is deterministic"
-                     for key in ("n_starts", "start_scale", "seed")]
+    assert notes == [f"note: {name} is no longer used; the design method is fixed"
+                     for name in [f"synthesis.optimizer.{key}" for key in FORMER_OPTIMIZER_KEYS]
+                     + ["synthesis.bezout_grid"]]
+    for rel in ("gamma_table.csv", "synthesis_report.txt"):
+        assert (tmp_path / "out" / rel).read_bytes() == (tmp_path / "plain" / rel).read_bytes(), rel
 
 
 @pytest.mark.parametrize("optimizer, cause", [
-    ({"serach_grid": 64}, "unknown synthesis.optimizer key 'serach_grid'"),
-    ({"search_grid": "abc"}, "synthesis.optimizer.search_grid must be a positive int, got 'abc'"),
-    ({"search_grid": 0}, "synthesis.optimizer.search_grid must be a positive int, got 0"),
-    ({"norm_grid": -4}, "synthesis.optimizer.norm_grid must be a positive int, got -4"),
     (5, "synthesis.optimizer must be an object, got 5"),
 ])
 def test_cli_bad_optimizer_setting_is_config_error(tmp_path, capsys, optimizer, cause):
-    path = two_area_config(tmp_path / "cfg.json", optimizer)
+    path = two_area_config(tmp_path / "cfg.json", {"optimizer": optimizer})
     assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
@@ -237,14 +240,14 @@ def test_cli_bad_optimizer_setting_is_config_error(tmp_path, capsys, optimizer, 
     ({"bound_slack": "x"}, "synthesis.bound_slack must be a finite float >= 0, got 'x'"),
     ({"bound_slack": -0.5}, "synthesis.bound_slack must be a finite float >= 0, got -0.5"),
     ({"bound_slack": float("inf")}, "synthesis.bound_slack must be a finite float >= 0, got inf"),
-    ({"bezout_grid": 0}, "synthesis.bezout_grid must be a positive int, got 0"),
+    ({"q": 1}, "FIR degree q = 1 is too small; the parametrization needs q >= 2"),
     ({"param_mode": "fir"}, "synthesis.param_mode must be \"factored\", got 'fir'; "
                             "the factored, diagonal-preserving parametrization is the only one"),
     ({"preserve_diagonal": False}, "synthesis.preserve_diagonal must be true, got False; "
                                    "the factored, diagonal-preserving parametrization is the only one"),
 ])
 def test_cli_bad_synthesis_value_is_config_error(tmp_path, capsys, synthesis, cause):
-    path = two_area_config(tmp_path / "cfg.json", {})
+    path = two_area_config(tmp_path / "cfg.json")
     cfg = artifact_io.load_document(path)
     cfg["synthesis"].update(synthesis)
     with open(path, "w") as fh:
@@ -314,6 +317,24 @@ def test_cli_malformed_json_is_config_error(cli_run, tmp_path, capsys):
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error: malformed JSON in") and "plant.json" in lines[0]
+
+
+@pytest.mark.parametrize("rel, corrupt, cause", [
+    ("bank/area_1.json", lambda doc: doc["row_orders"].append(1), "cannot reshape"),
+    ("param/parametrization.json", lambda doc: doc["x"].pop(), "free coefficients"),
+], ids=["extra_row_order", "short_x"])
+def test_cli_broken_run_directory_cannot_be_loaded(cli_run, tmp_path, capsys, rel, corrupt, cause):
+    run = str(tmp_path / "run")
+    shutil.copytree(cli_run, run)
+    doc = artifact_io.load_document(os.path.join(run, rel))
+    corrupt(doc)
+    artifact_io.dump_document(doc, os.path.join(run, rel))
+    capsys.readouterr()
+    for cmd in ("verify", "simulate"):
+        assert main([cmd, "--out", run]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"cannot load run directory {run}: ") and cause in lines[0]
 
 
 def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):

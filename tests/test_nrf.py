@@ -11,10 +11,10 @@ from nrf_forge.errors import (
 from nrf_forge.lti import (
     FrequencyGrid,
     fir_realization,
+    from_gain,
     frequency_response,
     is_minimal,
     make_realization,
-    zeros_tfm,
 )
 from nrf_forge.nrf import (
     ControllerRow,
@@ -96,7 +96,7 @@ def test_diagonal_part_extraction():
 # ---------------------------------------------------------------------------
 
 def test_constant_row_gives_order_zero():
-    kd = zeros_tfm(1, 3)
+    kd = from_gain(np.zeros((1, 3)))
     kd = make_realization(kd.A, kd.B, kd.C, np.array([[0.0, 1.0, 0.0]]))
     row = extract_row(kd, 0)
     assert row.order == 0
