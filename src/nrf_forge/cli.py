@@ -23,7 +23,13 @@ import numpy as np
 from . import io as artifact_io
 from .closed_loop import build_closed_loop_maps, prediction_model
 from .dcf import STRATEGY_BLOCK_DEADBEAT, STRATEGY_USER
-from .errors import DimensionMismatchError, NonStabilizingGainsError, UncontrollableModeError
+from .errors import (
+    AlgebraicLoopError,
+    CommConstraintError,
+    DimensionMismatchError,
+    NonStabilizingGainsError,
+    UncontrollableModeError,
+)
 from .grid import (
     build_grid_plant,
     coefficients_from_dict,
@@ -34,7 +40,6 @@ from .grid import (
 from .lti import frequency_response, FrequencyGrid
 from .match_synth import AlgorithmConfig, AlgorithmReport, run_algorithm1
 from .nrf import form_nrf_pair
-from .partition import Neighborhoods, build_partition, validate_neighborhoods
 from .plant import Plant
 from .sim_net import NOISE_KINDS, compose_signals, simulate_distributed, simulate_monolithic
 from .sparse_param import MIN_FIR_DEGREE
@@ -104,13 +109,9 @@ def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
 
 def _partition_from_config(cfg: dict):
     try:
-        part = build_partition([tuple(s) for s in cfg["partition"]])
-        nb = Neighborhoods(tuple(frozenset(int(j) - 1 for j in s)
-                                 for s in cfg["neighborhoods"]))
-        validate_neighborhoods(nb, part.n_areas)
+        return artifact_io.partition_from_doc(cfg["partition"], cfg["neighborhoods"])
     except (KeyError, ValueError, DimensionMismatchError) as exc:
         raise ConfigError(f"invalid partition/neighborhoods: {exc}") from exc
-    return part, nb
 
 
 def _setting(name: str, value, kind: type, need: str, ok=lambda v: True):
@@ -291,33 +292,35 @@ def _write_synthesis_report(result, out: str) -> None:
 
 
 def _load_run(out: str):
-    """(plant, partition, nb, bundle, bank, param, x) of a run directory, or
-    None once it has said why they cannot be loaded.  Malformed JSON is left
-    to :func:`main`."""
+    """(plant, partition, nb, bundle, bank, param, x, exported forced and
+    initial maps) of a run directory, or None once it has said why they
+    cannot be loaded.  Malformed JSON is left to :func:`main`."""
     try:
         plant = artifact_io.load_plant(os.path.join(out, "plant.json"))
         partition, nb = artifact_io.load_partition(os.path.join(out, "partition.json"))
         bundle = artifact_io.load_bundle(os.path.join(out, "bundle"), plant)
         bank = artifact_io.load_bank(os.path.join(out, "bank"), partition)
         param, x = artifact_io.load_parametrization(os.path.join(out, "param"))
+        exported = [artifact_io.realization_from_doc(artifact_io.load_document(
+            os.path.join(out, "maps", f"{name}.json"))) for name in ("forced", "initial")]
     except json.JSONDecodeError:
         raise
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load run directory {out}: {exc}")
         return None
-    return plant, partition, nb, bundle, bank, param, x
+    return plant, partition, nb, bundle, bank, param, x, exported
 
 
 def cmd_verify(args) -> int:
     run = _load_run(args.out)
     if run is None:
         return EXIT_CONFIG
-    plant, partition, nb, bundle, bank, param, x = run
+    plant, partition, nb, bundle, bank, param, x, exported = run
     from .sparse_param import q_from_x
     maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
 
     records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param)
-    records.append(_roundtrip_record(maps, args.out))
+    records.append(_roundtrip_record(maps, exported))
     lines = [r.line() for r in records]
     report_path = os.path.join(args.out, "verify_report.txt")
     with open(report_path, "w") as fh:
@@ -329,15 +332,11 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else 0
 
 
-def _roundtrip_record(maps, out: str):
+def _roundtrip_record(maps, exported):
     from .verify import CheckRecord
     zs = FrequencyGrid.uniform(32).points
-    worst = 0.0
-    for name, built in (("forced", maps.forced), ("initial", maps.initial)):
-        doc = artifact_io.load_document(os.path.join(out, "maps", f"{name}.json"))
-        loaded = artifact_io.realization_from_doc(doc)
-        worst = max(worst, float(np.max(np.abs(
-            frequency_response(loaded, zs) - frequency_response(built, zs)))))
+    worst = max(float(np.max(np.abs(frequency_response(loaded, zs) - frequency_response(built, zs))))
+                for loaded, built in zip(exported, (maps.forced, maps.initial)))
     return CheckRecord("artifact_roundtrip_eval", worst, 1e-12, worst <= 1e-12)
 
 
@@ -347,7 +346,7 @@ def cmd_simulate(args) -> int:
     run = _load_run(args.out)
     if run is None:
         return EXIT_CONFIG
-    plant, partition, nb, bundle, bank, param, x = run
+    plant, partition, nb, bundle, bank, param, x, _ = run
     sim = dict(cfg.get("simulation", {}))
     horizon = _setting("simulation.horizon", sim.get("horizon", 500), int, "a positive int",
                        lambda v: v > 0)
@@ -368,8 +367,12 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed + 1)
     x_c = rng.uniform(-1.0, 1.0, plant.n_x)
     w_c = np.zeros(n_w)
-    mono = simulate_monolithic(plant, list(bank), signals, x_c, w_c)
-    dist = simulate_distributed(plant, list(bank), partition, nb, signals, x_c, w_c)
+    try:
+        mono = simulate_monolithic(plant, list(bank), signals, x_c, w_c)
+        dist = simulate_distributed(plant, list(bank), partition, nb, signals, x_c, w_c)
+    except (AlgebraicLoopError, CommConstraintError) as exc:
+        print(f"cannot simulate the bank in {args.out}: {exc}")
+        return EXIT_CONFIG
     tdir = os.path.join(args.out, "traces")
     os.makedirs(tdir, exist_ok=True)
     artifact_io.export_trace_csv(mono, os.path.join(tdir, "monolithic.csv"))

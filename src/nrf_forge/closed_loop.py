@@ -152,8 +152,8 @@ def build_iq(pair: NrfPair, bank) -> tuple[Realization, Realization, Realization
     right_cols = minimal(series(nm, j2))
     iq = minimal(stack_cols_many([left_cols, right_cols]))
     _assert_stable(iq, "initial-condition map")
-    _assert_stable(minimal(j1), "plant resolvent factor")
-    _assert_stable(minimal(j2), "controller resolvent factor")
+    _assert_stable(j1, "plant resolvent factor")
+    _assert_stable(j2, "controller resolvent factor")
     return iq, j1, j2
 
 

@@ -17,7 +17,7 @@ from .dcf import DcfBundle
 from .errors import DimensionMismatchError
 from .lti import Realization, make_realization
 from .nrf import AreaController
-from .partition import AreaPartition, Neighborhoods
+from .partition import AreaPartition, Neighborhoods, build_partition, input_areas, readable
 from .plant import Plant
 from .sparse_param import QParametrization, SparsityPattern
 
@@ -184,14 +184,10 @@ def export_bank(bank, partition: AreaPartition, dirpath: str) -> None:
     """One document per area plus a manifest mapping input columns to their
     (signal kind, source area), 1-based, exactly as deployment wires them."""
     os.makedirs(dirpath, exist_ok=True)
-    n_u = partition.n_u
-    columns = []
-    for col in range(n_u):
-        src = next(i for i in range(partition.n_areas) if col in partition.indices("u", i))
-        columns.append({"column": col + 1, "kind": "command_feedforward", "source_area": src + 1})
-    for col in range(partition.n_x):
-        src = next(i for i in range(partition.n_areas) if col in partition.indices("x", i))
-        columns.append({"column": n_u + col + 1, "kind": "state_feedback", "source_area": src + 1})
+    columns = [{"column": col + 1,
+                "kind": "command_feedforward" if col < partition.n_u else "state_feedback",
+                "source_area": int(src) + 1}
+               for col, src in enumerate(input_areas(partition))]
     dump_document({"n_areas": partition.n_areas, "input_columns": columns},
                   os.path.join(dirpath, "manifest.json"))
     for ctrl in bank:
@@ -315,11 +311,18 @@ def export_partition(partition: AreaPartition, nb: Neighborhoods, path: str) -> 
     }, path)
 
 
+def partition_from_doc(sizes, neighborhoods):
+    """(partition, nb) from (n_xi, n_ui) pairs and 1-based neighborhood
+    lists; raises unless there is one valid set per area."""
+    part = build_partition([tuple(s) for s in sizes])
+    nb = Neighborhoods(tuple(frozenset(int(j) - 1 for j in s) for s in neighborhoods))
+    readable(part, nb)
+    return part, nb
+
+
 def load_partition(path: str):
     doc = load_document(path)
-    from .partition import build_partition
-    part = build_partition([tuple(s) for s in doc["sizes"]])
+    part, nb = partition_from_doc(doc["sizes"], doc["neighborhoods"])
     if doc.get("w_sizes") is not None:
         part = part.with_w_sizes(doc["w_sizes"])
-    nb = Neighborhoods(tuple(frozenset(int(j) - 1 for j in s) for s in doc["neighborhoods"]))
     return part, nb

@@ -45,7 +45,7 @@ from .lti import (
     transpose,
 )
 from .nrf import bank_from_pair, form_nrf_pair
-from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
+from .partition import AreaPartition, Neighborhoods
 from .sparse_param import QParametrization, q_from_x
 
 MODE_DECOUPLE_ONLY = "decouple_only"
@@ -742,7 +742,6 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     from .sparse_param import build_parametrization, pattern_from_neighborhoods
 
     config = config if config is not None else AlgorithmConfig()
-    validate_neighborhoods(nb, partition.n_areas)
     pattern = pattern_from_neighborhoods(partition, nb)
     if spec is None:
         spec = default_targets(partition, plant.n_d)

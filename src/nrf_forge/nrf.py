@@ -44,7 +44,7 @@ from .lti import (
     series,
     stack_cols,
 )
-from .partition import AreaPartition, Neighborhoods
+from .partition import AreaPartition, Neighborhoods, input_areas, readable
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,10 @@ def extract_row(kd: Realization, row: int) -> ControllerRow:
     r_min = minimal(select_rows(kd, [row]))
     n_r = r_min.order
     width = kd.ninputs
-    # grid classification of structurally zero entries
-    resp = frequency_response(select_rows(kd, [row]), DEFAULT_ZERO_GRID.points)
-    col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
-    zero_cols = tuple(int(j) for j in range(width) if col_max[j] <= ZERO_TOL)
+    zero_cols = _grid_zero_columns(kd, row)
     D_row = r_min.D.copy()
+    D_row[0, list(zero_cols)] = 0.0
     if n_r == 0:
-        D_row[0, list(zero_cols)] = 0.0
         return ControllerRow(row, np.zeros((0, 0)), np.zeros((0, width)),
                              np.zeros((1, 0)), D_row, np.array([1.0]),
                              np.zeros((0, width)), zero_cols)
@@ -217,20 +214,20 @@ def extract_row(kd: Realization, row: int) -> ControllerRow:
     C_r = np.zeros((1, n_r))
     C_r[0, 0] = 1.0
     B_r[:, list(zero_cols)] = 0.0
-    D_row[0, list(zero_cols)] = 0.0
     return ControllerRow(row, A_r, B_r, C_r, D_row, coeffs, K, zero_cols)
+
+
+def _grid_zero_columns(kd: Realization, row: int) -> tuple[int, ...]:
+    """Columns of one row of ``kd`` that test identically zero on the grid."""
+    resp = frequency_response(select_rows(kd, [row]), DEFAULT_ZERO_GRID.points)
+    col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
+    return tuple(int(j) for j in np.flatnonzero(col_max <= ZERO_TOL))
 
 
 def verify_sparsity_inheritance(row: ControllerRow, kd: Realization) -> None:
     """Check that B/D columns are exactly zero wherever the row entry is zero."""
-    resp = frequency_response(select_rows(kd, [row.index]), DEFAULT_ZERO_GRID.points)
-    col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
-    offending = []
-    for j in range(kd.ninputs):
-        if col_max[j] <= ZERO_TOL:
-            b_col = row.B[:, j] if row.order else np.zeros(0)
-            if np.any(b_col != 0.0) or row.D[0, j] != 0.0:
-                offending.append((row.index, j))
+    offending = [(row.index, j) for j in _grid_zero_columns(kd, row.index)
+                 if np.any(row.B[:, j] != 0.0) or row.D[0, j] != 0.0]
     if offending:
         raise SparsityInheritanceError(offending)
 
@@ -247,22 +244,15 @@ def stack_area(rows, partition: AreaPartition, area: int) -> AreaController:
         raise DimensionMismatchError(
             f"area {area} needs rows {expected}, got {got}"
         )
-    width = rows[0].B.shape[1] if rows[0].order else rows[0].D.shape[1]
-    A = scipy.linalg.block_diag(*[r.A for r in rows]) if rows else np.zeros((0, 0))
-    if A.size == 0:
-        A = A.reshape(0, 0)
-    B = np.vstack([r.B for r in rows]) if rows else np.zeros((0, width))
-    C = scipy.linalg.block_diag(*[r.C for r in rows])
-    # block_diag of (1 x 0) rows degenerates; rebuild explicitly
-    n_w = sum(r.order for r in rows)
-    C = np.zeros((len(rows), n_w))
-    off = 0
-    for k, r in enumerate(rows):
-        if r.order:
-            C[k, off] = 1.0
-        off += r.order
-    D = np.vstack([r.D for r in rows])
-    return AreaController(area, A, B, C, D, tuple(r.order for r in rows), np.zeros(n_w))
+    A, B, C, D = _diag_stack(rows)
+    return AreaController(area, A, B, C, D, tuple(r.order for r in rows), np.zeros(A.shape[0]))
+
+
+def _diag_stack(parts):
+    """(A, B, C, D) of realizations that share one input: A and C
+    block-diagonal, B and D stacked by rows."""
+    return (scipy.linalg.block_diag(*[p.A for p in parts]), np.vstack([p.B for p in parts]),
+            scipy.linalg.block_diag(*[p.C for p in parts]), np.vstack([p.D for p in parts]))
 
 
 def bank_from_pair(pair: NrfPair, partition: AreaPartition):
@@ -277,45 +267,22 @@ def bank_from_pair(pair: NrfPair, partition: AreaPartition):
 
 def stacked_bank(bank) -> Realization:
     """Global controller realization diag-stacked over areas (shared input)."""
-    A = scipy.linalg.block_diag(*[c.A for c in bank])
-    if A.size == 0:
-        A = A.reshape(0, 0)
-    B = np.vstack([c.B for c in bank])
-    n_w = sum(c.order for c in bank)
-    n_u = sum(c.C.shape[0] for c in bank)
-    C = np.zeros((n_u, n_w))
-    r_off = 0
-    c_off = 0
-    for c in bank:
-        C[r_off:r_off + c.C.shape[0], c_off:c_off + c.order] = c.C
-        r_off += c.C.shape[0]
-        c_off += c.order
-    D = np.vstack([c.D for c in bank])
-    return make_realization(A, B, C, D)
+    return make_realization(*_diag_stack(bank))
 
 
 def check_comm_constraints(bank, partition: AreaPartition, nb: Neighborhoods) -> None:
     """Verify each area's subcontroller ignores variables outside its sets.
 
-    Checks both the exact structural zeros of the stacked (B, D) columns and
-    a grid-zero test of the corresponding transfer-matrix columns.
+    The test is exact: area i reads source area j when any B or D column
+    that carries one of j's signals holds a nonzero entry.  Every such pair
+    outside the communication map (:func:`partition.readable`) is listed,
+    over all areas at once, in one :class:`CommConstraintError`.
     """
-    n_u = partition.n_u
+    source, may = input_areas(partition), readable(partition, nb)
     violations = []
     for i, ctrl in enumerate(bank):
-        R = ctrl.realization()
-        for j in range(partition.n_areas):
-            if j in nb.of(i):
-                continue
-            cols = np.concatenate([partition.indices("u", j),
-                                   n_u + partition.indices("x", j)])
-            structural = (np.any(ctrl.B[:, cols]) if ctrl.order else False) or np.any(ctrl.D[:, cols])
-            if structural:
-                violations.append((i, j))
-                continue
-            resp = frequency_response(make_realization(R.A, R.B[:, cols], R.C, R.D[:, cols]),
-                                      DEFAULT_ZERO_GRID.points)
-            if resp.size and np.max(np.abs(resp)) > ZERO_TOL:
-                violations.append((i, j))
+        reads = np.any(ctrl.B, axis=0) | np.any(ctrl.D, axis=0)
+        outside = reads & ~may[partition.offset("u", i)]
+        violations += [(i, int(j)) for j in np.unique(source[outside])]
     if violations:
         raise CommConstraintError(violations)

@@ -4,7 +4,9 @@ Index sets are contiguous, ascending and cover the global index range
 exactly; plants whose natural ordering interleaves areas must be permuted
 before entering the toolkit (the CLI offers a documented pre-permutation
 helper).  Internally everything is 0-based; file formats and reports are
-1-based.
+1-based.  :func:`readable` states which input columns each controller row
+may read; the parametrization's pattern, the bank checks, the distributed
+simulation and the bank manifest all take it from there.
 """
 
 from __future__ import annotations
@@ -16,13 +18,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 _KINDS = ("x", "u", "w")
-
-
-def _offsets(sizes):
-    off = [0]
-    for s in sizes[:-1]:
-        off.append(off[-1] + s)
-    return tuple(off)
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,7 @@ class AreaPartition:
 
     @property
     def n_w(self) -> int:
-        if self.w_sizes is None:
-            raise ValueError("controller state sizes not set; call with_w_sizes first")
-        return sum(self.w_sizes)
+        return sum(self._sizes("w"))
 
     def with_w_sizes(self, w_sizes) -> "AreaPartition":
         return AreaPartition(self.x_sizes, self.u_sizes, tuple(int(s) for s in w_sizes))
@@ -87,7 +80,7 @@ class AreaPartition:
         return self._sizes(kind)[self._check_area(i)]
 
     def offset(self, kind: str, i: int) -> int:
-        return _offsets(self._sizes(kind))[self._check_area(i)]
+        return sum(self._sizes(kind)[:self._check_area(i)])
 
     def indices(self, kind: str, i: int) -> np.ndarray:
         """0-based global indices of area ``i``'s variables of one kind."""
@@ -108,12 +101,20 @@ def build_partition(sizes) -> AreaPartition:
 
 @dataclass(frozen=True)
 class Neighborhoods:
-    """For each area, the set of areas allowed to send it information."""
+    """For each area, the set of areas allowed to send it information; each
+    set must hold its own area and only areas 0 to N - 1, N sets in all."""
 
     sets: tuple[frozenset, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(frozenset(int(j) for j in s) for s in self.sets))
+        sets = tuple(frozenset(int(j) for j in s) for s in self.sets)
+        for i, s in enumerate(sets):
+            if i not in s:
+                raise ValueError(f"area {i} is missing from its own neighborhood")
+            bad = [j for j in s if not 0 <= j < len(sets)]
+            if bad:
+                raise ValueError(f"neighborhood of area {i} has out-of-range members {sorted(bad)}")
+        object.__setattr__(self, "sets", sets)
 
     @property
     def n_areas(self) -> int:
@@ -122,22 +123,22 @@ class Neighborhoods:
     def of(self, i: int) -> frozenset:
         return self.sets[i]
 
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return j in self.sets[i]
-
     @classmethod
     def complete(cls, n: int) -> "Neighborhoods":
         return cls(tuple(frozenset(range(n)) for _ in range(n)))
 
 
-def validate_neighborhoods(nb: Neighborhoods, n_areas: int) -> None:
-    """Check self-membership and index ranges; raises on violation."""
-    if nb.n_areas != n_areas:
-        raise DimensionMismatchError(f"{nb.n_areas} neighborhood sets for {n_areas} areas")
-    for i, s in enumerate(nb.sets):
-        if i not in s:
-            raise ValueError(f"area {i} is missing from its own neighborhood")
-        bad = [j for j in s if not 0 <= j < n_areas]
-        if bad:
-            raise ValueError(f"neighborhood of area {i} has out-of-range members {sorted(bad)}")
+def input_areas(partition: AreaPartition) -> np.ndarray:
+    """The area owning each controller input column: commands, then states."""
+    return np.repeat(np.tile(np.arange(partition.n_areas), 2), partition.u_sizes + partition.x_sizes)
+
+
+def readable(partition: AreaPartition, nb: Neighborhoods) -> np.ndarray:
+    """The communication map: (n_u, n_u + n_x) booleans, True where the
+    controller row may read the input column, that is where the column's
+    area is in the set of the row's area."""
+    if nb.n_areas != partition.n_areas:
+        raise DimensionMismatchError(f"{nb.n_areas} neighborhood sets for {partition.n_areas} areas")
+    allowed = np.array([[j in s for j in range(nb.n_areas)] for s in nb.sets])
+    areas = input_areas(partition)
+    return allowed[np.ix_(areas[:partition.n_u], areas)]

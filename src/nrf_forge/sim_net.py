@@ -4,10 +4,13 @@ The monolithic form precomposes the plant and the stacked controller bank
 into one loop matrix and steps s = [x; w] with one product per step; inputs
 and outputs are products over the trace.  The distributed form runs one
 subcontroller per area and exchanges exactly the messages the communication
-sets allow: each area j broadcasts its measured state bundle (x_j + zeta_j +
-u_s1j + beta_s1j) and its command bundle (u_fj + beta_fj), and every
-receiver sees the same values.  For banks that pass the communication
-constraint check the two simulations agree to floating-point reordering.
+map (:func:`partition.readable`) allows: each area j broadcasts its measured
+state bundle (x_j + zeta_j + u_s1j + beta_s1j) and its command bundle
+(u_fj + beta_fj), and every receiver sees the same values.  It first runs
+the bank's exact communication check (:func:`nrf.check_comm_constraints`),
+which raises CommConstraintError with every violating (area, source) pair;
+for banks that pass it the two simulations agree to floating-point
+reordering.
 
 Message semantics are synchronous lock-step in two phases over z = [w |
 x | u_f | exogenous | state messages | command messages | 0], one row per
@@ -32,10 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
+from .errors import AlgebraicLoopError, DimensionMismatchError
 from .lti import RECURSION_CHUNK, SignalTrace, _apply, _recursion
-from .nrf import AreaController, stacked_bank
-from .partition import AreaPartition, Neighborhoods
+from .nrf import check_comm_constraints, stacked_bank
+from .partition import AreaPartition, Neighborhoods, readable
 from .plant import Plant
 
 
@@ -352,9 +355,10 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
 
     Each step is one gathered product per phase over all areas and
     scenarios, written in place (see the module notes); area i's product
-    reads only its own state and the message slots of its communication
-    set.  Structurally required inputs from outside that set raise before
-    any step.  Batched signals step all their scenarios at once.
+    reads only its own state and the message slots of its row of the
+    communication map.  A bank that reads outside its sets fails
+    :func:`nrf.check_comm_constraints` before any step.  Batched signals
+    step all their scenarios at once.
     """
     T = horizon if horizon is not None else signals.horizon
     if T > signals.horizon:
@@ -370,17 +374,14 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     pos_w, w_rows = _layout([c.order for c in bank], 0)
     pos_u, u_rows = _layout([c.D.shape[0] for c in bank], uo)
     w_slots, uf_slots = np.concatenate(w_rows), np.concatenate(u_rows)
-    # area owning, and z slot carrying, each controller input [u_f-bundle; x-bundle]
-    owner = np.repeat(np.tile(np.arange(N), 2), partition.u_sizes + partition.x_sizes)
+    # z slot carrying each controller input [u_f-bundle; x-bundle]
     in_slot = np.r_[uf_slots - uo + muo, mxo + np.arange(n_x)]
+    check_comm_constraints(bank, partition, nb)
+    may = readable(partition, nb)
     phase1, phase2 = [], []
     for i, ctrl in enumerate(bank):
         _check_no_algebraic_loop(ctrl.D, n_u)
-        allowed = np.isin(owner, list(nb.of(i)))
-        outside = np.unique(owner[~allowed & (np.any(ctrl.B, axis=0) | np.any(ctrl.D, axis=0))])
-        if outside.size:
-            raise CommConstraintError([(i, int(j)) for j in outside])
-        cols = np.flatnonzero(allowed)
+        cols = np.flatnonzero(may[partition.offset("u", i)])
         cols_x = cols[cols >= n_u]
         phase1.append((np.r_[w_rows[i], in_slot[cols_x]], np.hstack([ctrl.C, ctrl.D[:, cols_x]])))
         phase2.append((np.r_[w_rows[i], in_slot[cols]], np.hstack([ctrl.A, ctrl.B[:, cols]])))

@@ -31,7 +31,7 @@ import scipy.linalg
 from .dcf import DcfBundle
 from .errors import DimensionMismatchError, NonFirDcfError
 from .lti import Realization, fir_realization
-from .partition import AreaPartition, Neighborhoods, validate_neighborhoods
+from .partition import AreaPartition, Neighborhoods, readable
 
 FEASIBILITY_TOL = 1e-9
 
@@ -80,19 +80,10 @@ class SparsityPattern:
 
 
 def pattern_from_neighborhoods(partition: AreaPartition, nb: Neighborhoods) -> SparsityPattern:
-    """Zero the (i, j) area blocks for every j outside area i's sets."""
-    validate_neighborhoods(nb, partition.n_areas)
-    n_u, n_x = partition.n_u, partition.n_x
-    M = np.ones((n_u, n_u + n_x), dtype=np.int8)
-    for i in range(partition.n_areas):
-        rows = partition.indices("u", i)
-        for j in range(partition.n_areas):
-            if j in nb.of(i):
-                continue
-            M[np.ix_(rows, partition.indices("u", j))] = 0
-            M[np.ix_(rows, n_u + partition.indices("x", j))] = 0
-    np.fill_diagonal(M[:, :n_u], 0)
-    return SparsityPattern(M, n_u, n_x)
+    """The communication map with the input-side diagonal cleared."""
+    M = readable(partition, nb).astype(np.int8)
+    np.fill_diagonal(M[:, :partition.n_u], 0)
+    return SparsityPattern(M, partition.n_u, partition.n_x)
 
 
 @dataclass(frozen=True)

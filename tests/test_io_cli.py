@@ -322,19 +322,57 @@ def test_cli_malformed_json_is_config_error(cli_run, tmp_path, capsys):
 @pytest.mark.parametrize("rel, corrupt, cause", [
     ("bank/area_1.json", lambda doc: doc["row_orders"].append(1), "cannot reshape"),
     ("param/parametrization.json", lambda doc: doc["x"].pop(), "free coefficients"),
-], ids=["extra_row_order", "short_x"])
+    ("maps/forced.json", None, "No such file"),
+    ("maps/forced.json", lambda doc: doc["D"]["data"].pop(), "cannot reshape"),
+    ("partition.json", lambda doc: doc["neighborhoods"][0].append(9), "out-of-range members [8]"),
+    ("partition.json", lambda doc: doc["neighborhoods"][1].remove(2), "area 1 is missing"),
+], ids=["extra_row_order", "short_x", "no_forced_map", "short_forced_d", "set_out_of_range",
+        "set_without_own_area"])
 def test_cli_broken_run_directory_cannot_be_loaded(cli_run, tmp_path, capsys, rel, corrupt, cause):
     run = str(tmp_path / "run")
     shutil.copytree(cli_run, run)
-    doc = artifact_io.load_document(os.path.join(run, rel))
-    corrupt(doc)
-    artifact_io.dump_document(doc, os.path.join(run, rel))
+    if corrupt is None:
+        os.remove(os.path.join(run, rel))
+    else:
+        doc = artifact_io.load_document(os.path.join(run, rel))
+        corrupt(doc)
+        artifact_io.dump_document(doc, os.path.join(run, rel))
     capsys.readouterr()
     for cmd in ("verify", "simulate"):
         assert main([cmd, "--out", run]) == 2
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"cannot load run directory {run}: ") and cause in lines[0]
+
+
+@pytest.mark.parametrize("column, failing, cause", [
+    # 0-based column 11 is area 4's first state, outside area 1's set {1, 2, 3, 5}
+    (11, ("communication_constraints", "distributed_equivalence"), "communication constraint violated"),
+    # column 1 is area 2's command: a feedthrough the loop cannot order
+    (1, ("closed_loop_identity", "distributed_equivalence", "response_decomposition"), "feedthrough"),
+], ids=["reads_outside_its_set", "command_feedthrough"])
+def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, failing, cause):
+    run = str(tmp_path / "run")
+    shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
+    path = os.path.join(run, "bank", "area_1.json")
+    doc = artifact_io.load_document(path)
+    for row in doc["D"]["data"]:
+        row[column] = 0.5
+    artifact_io.dump_document(doc, path)
+    capsys.readouterr()
+    assert main(["verify", "--out", run]) == 4
+    report = open(os.path.join(run, "verify_report.txt")).read().strip().splitlines()
+    assert len(report) == 19
+    for name in failing:
+        line = next(r for r in report if f" {name}:" in r)
+        assert line.startswith("FAIL") and cause in line, line
+    assert any(r.startswith("PASS  bezout_residual") for r in report)
+    capsys.readouterr()
+    assert main(["simulate", "--out", run]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"cannot simulate the bank in {run}: ") and cause in lines[0]
+    assert not os.path.exists(os.path.join(run, "traces"))
 
 
 def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):

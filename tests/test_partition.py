@@ -1,12 +1,19 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from nrf_forge import io as artifact_io
+from nrf_forge.errors import DimensionMismatchError
 from nrf_forge.partition import (
     Neighborhoods,
     build_partition,
-    validate_neighborhoods,
+    input_areas,
+    readable,
 )
+from nrf_forge.sparse_param import pattern_from_neighborhoods
 
 
 def test_twelve_state_seven_input_partition():
@@ -91,20 +98,89 @@ def test_w_sizes_attach():
 
 
 def test_grid_neighborhoods_valid():
-    from nrf_forge.grid import grid_neighborhoods
+    from nrf_forge.grid import grid_neighborhoods, grid_partition
     nb = grid_neighborhoods()
-    validate_neighborhoods(nb, 5)
+    assert readable(grid_partition(), nb).shape == (5, 15)
     assert sorted(nb.of(0)) == [0, 1, 2, 4]
     assert sorted(nb.of(4)) == [0, 1, 2, 3, 4]
 
 
 def test_neighborhood_missing_self():
-    nb = Neighborhoods((frozenset({1}), frozenset({0, 1})))
     with pytest.raises(ValueError, match="missing from its own"):
-        validate_neighborhoods(nb, 2)
+        Neighborhoods((frozenset({1}), frozenset({0, 1})))
 
 
 def test_neighborhood_out_of_range():
-    nb = Neighborhoods((frozenset({0, 6}), frozenset({1})))
     with pytest.raises(ValueError, match="out-of-range"):
-        validate_neighborhoods(nb, 2)
+        Neighborhoods((frozenset({0, 6}), frozenset({1})))
+
+
+def test_neighborhood_count_must_match_partition():
+    with pytest.raises(DimensionMismatchError, match="2 neighborhood sets for 3 areas"):
+        readable(build_partition([(1, 1)] * 3), Neighborhoods.complete(2))
+
+
+# the communication structure as it was once derived in each consumer, loop by loop
+
+def _loop_pattern(part, nb):
+    """Target pattern: (i, j) area blocks zeroed for j outside i's set."""
+    n_u = part.n_u
+    M = np.ones((n_u, n_u + part.n_x), dtype=np.int8)
+    for i in range(part.n_areas):
+        rows = part.indices("u", i)
+        for j in range(part.n_areas):
+            if j in nb.of(i):
+                continue
+            M[np.ix_(rows, part.indices("u", j))] = 0
+            M[np.ix_(rows, n_u + part.indices("x", j))] = 0
+    np.fill_diagonal(M[:, :n_u], 0)
+    return M
+
+
+def _loop_off_mask(part, nb):
+    """Entries of [Phi, Gamma] that the sets force to zero."""
+    n_u = part.n_u
+    mask = np.zeros((n_u, n_u + part.n_x), dtype=bool)
+    for i in range(part.n_areas):
+        rows = part.indices("u", i)[:, None]
+        for j in range(part.n_areas):
+            if j not in nb.of(i):
+                mask[rows, part.indices("u", j)] = True
+                mask[rows, n_u + part.indices("x", j)] = True
+    return mask
+
+
+def _loop_source_areas(part):
+    """The 1-based source area of each input column, searched per column."""
+    return ([next(i for i in range(part.n_areas) if c in part.indices("u", i)) + 1
+             for c in range(part.n_u)]
+            + [next(i for i in range(part.n_areas) if c in part.indices("x", i)) + 1
+               for c in range(part.n_x)])
+
+
+@st.composite
+def _partition_and_sets(draw):
+    sizes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=6))
+    n = len(sizes)
+    sets = [draw(st.sets(st.integers(0, n - 1))) | {i} for i in range(n)]
+    return build_partition(sizes), Neighborhoods(tuple(sets))
+
+
+@settings(max_examples=15)
+@given(_partition_and_sets())
+def test_communication_map_matches_the_per_consumer_loops(case):
+    part, nb = case
+    may = readable(part, nb)
+    assert may.shape == (part.n_u, part.n_u + part.n_x) and may.dtype == bool
+    assert np.array_equal(pattern_from_neighborhoods(part, nb).matrix, _loop_pattern(part, nb))
+    assert np.array_equal(~may, _loop_off_mask(part, nb))
+    with tempfile.TemporaryDirectory() as d:
+        artifact_io.export_bank([], part, d)
+        manifest = artifact_io.load_document(os.path.join(d, "manifest.json"))
+    sources = _loop_source_areas(part)
+    assert [c["source_area"] for c in manifest["input_columns"]] == sources
+    assert list(input_areas(part) + 1) == sources
+    # the distributed step's columns of area i: every input whose owner is in i's set
+    owner = np.array(sources) - 1
+    for ell, i in enumerate(owner[:part.n_u]):
+        assert np.array_equal(may[ell], np.isin(owner, list(nb.of(i))))

@@ -7,7 +7,7 @@ from conftest import deadbeat_bundle, unequal_ring
 from nrf_forge.closed_loop import build_closed_loop_maps, ic_response
 from nrf_forge.errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
 from nrf_forge.lti import fir_realization, impulse_response
-from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair, stacked_bank
+from nrf_forge.nrf import AreaController, bank_from_pair, check_comm_constraints, form_nrf_pair, stacked_bank
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sim_net import (
     ScenarioSignals,
@@ -472,6 +472,22 @@ def test_out_of_set_column_raises_for_a_single_scenario(matrix):
     with pytest.raises(CommConstraintError) as err:
         simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
     assert err.value.pairs == [(i, j)]
+
+
+def test_violations_in_two_areas_are_listed_together():
+    plant, part, nb, bank = unequal_ring(8, seed=35)
+    # area 5 is outside area 0's set {7, 0, 1}; area 0's command is outside area 3's {2, 3, 4}
+    for i, col, matrix in ((0, plant.n_u + part.indices("x", 5)[0], "B"),
+                           (3, part.indices("u", 0)[0], "D")):
+        bad = np.array(getattr(bank[i], matrix))
+        bad[0, col] = 1e-3
+        bank[i] = AreaController(**{**bank[i].__dict__, matrix: bad})
+    with pytest.raises(CommConstraintError) as checked:
+        check_comm_constraints(bank, part, nb)
+    sig, x_c, w_c = _ring_scenarios(plant, sum(c.order for c in bank), 0, 10, seed=36)
+    with pytest.raises(CommConstraintError) as simulated:
+        simulate_distributed(plant, bank, part, nb, sig, x_c, w_c)
+    assert checked.value.pairs == simulated.value.pairs == [(0, 5), (3, 0)]
 
 
 @pytest.mark.parametrize("count", [0, 3])
