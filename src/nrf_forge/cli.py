@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import io as artifact_io
-from .closed_loop import build_closed_loop_maps, prediction_model
+from .closed_loop import build_closed_loop_maps, matching_slots, prediction_model, slot_name
 from .dcf import STRATEGY_BLOCK_DEADBEAT, STRATEGY_USER
 from .errors import (
     AlgebraicLoopError,
@@ -251,18 +251,9 @@ def cmd_design(args) -> int:
 
 
 def _write_synthesis_report(result, out: str) -> None:
-    N = result.spec.n_areas
-    lines = ["constraint,achieved,bound"]
-    for i in range(N):
-        lines.append(f"gamma_d[{i + 1}],{result.gamma_d[i]:.17g},{result.spec.gamma_bar_d[i]:.17g}")
-    for i in range(N):
-        for j in range(N):
-            lines.append(f"gamma_u[{i + 1};{j + 1}],{result.gamma_u[i, j]:.17g},"
-                         f"{result.spec.gamma_bar_u[i, j]:.17g}")
-    for i in range(N):
-        for j in range(N):
-            lines.append(f"gamma_c[{i + 1};{j + 1}],{result.gamma_c[i, j]:.17g},"
-                         f"{result.spec.gamma_bar_c[i, j]:.17g}")
+    lines = ["constraint,achieved,bound"] + [
+        f"{slot_name(slot, ';')},{gamma:.17g},{bar:.17g}" for slot, gamma, bar in
+        zip(matching_slots(result.spec.n_areas), result.gamma, result.spec.gamma_bar)]
     with open(os.path.join(out, "gamma_table.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out, "objective_trace.csv"), "w") as fh:
@@ -277,7 +268,7 @@ def _write_synthesis_report(result, out: str) -> None:
         f"surrogate evaluations: {result.n_evals}",
         "surrogate direction pairs kept: {} of {}".format(*result.surrogate_pairs),
         f"search point certified: {'yes' if result.search_certified else 'no (returned x = 0)'}",
-        f"structurally zero blocks: {zeros} of {N + 2 * N * N}",
+        f"structurally zero blocks: {zeros} of {result.support.size}",
         f"x: {np.array2string(result.x, precision=6, max_line_width=100)}",
         "constraints at their admissible bounds:",
     ]
@@ -291,15 +282,18 @@ def _write_synthesis_report(result, out: str) -> None:
         fh.write("\n".join(report) + "\n")
 
 
-def _load_run(out: str):
-    """(plant, partition, nb, bundle, bank, param, x, exported forced and
-    initial maps) of a run directory, or None once it has said why they
-    cannot be loaded.  Malformed JSON is left to :func:`main`."""
+def _load_run(out: str, designed: bool = True):
+    """(plant, partition, nb, bank) of a run directory, followed when
+    ``designed`` by (bundle, param, x, exported forced and initial maps), or
+    None once it has said why they cannot be loaded.  Malformed JSON is left
+    to :func:`main`."""
     try:
         plant = artifact_io.load_plant(os.path.join(out, "plant.json"))
         partition, nb = artifact_io.load_partition(os.path.join(out, "partition.json"))
-        bundle = artifact_io.load_bundle(os.path.join(out, "bundle"), plant)
         bank = artifact_io.load_bank(os.path.join(out, "bank"), partition)
+        if not designed:
+            return plant, partition, nb, bank
+        bundle = artifact_io.load_bundle(os.path.join(out, "bundle"), plant)
         param, x = artifact_io.load_parametrization(os.path.join(out, "param"))
         exported = [artifact_io.realization_from_doc(artifact_io.load_document(
             os.path.join(out, "maps", f"{name}.json"))) for name in ("forced", "initial")]
@@ -308,14 +302,14 @@ def _load_run(out: str):
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load run directory {out}: {exc}")
         return None
-    return plant, partition, nb, bundle, bank, param, x, exported
+    return plant, partition, nb, bank, bundle, param, x, exported
 
 
 def cmd_verify(args) -> int:
     run = _load_run(args.out)
     if run is None:
         return EXIT_CONFIG
-    plant, partition, nb, bundle, bank, param, x, exported = run
+    plant, partition, nb, bank, bundle, param, x, exported = run
     from .sparse_param import q_from_x
     maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
 
@@ -343,10 +337,11 @@ def _roundtrip_record(maps, exported):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config) if args.config else _load_config(
         os.path.join(args.out, "config.json"))
-    run = _load_run(args.out)
+    # the simulation needs only the deployed network, not the design's factors or maps
+    run = _load_run(args.out, designed=False)
     if run is None:
         return EXIT_CONFIG
-    plant, partition, nb, bundle, bank, param, x, _ = run
+    plant, partition, nb, bank = run
     sim = dict(cfg.get("simulation", {}))
     horizon = _setting("simulation.horizon", sim.get("horizon", 500), int, "a positive int",
                        lambda v: v > 0)

@@ -107,16 +107,18 @@ def _assert_stable(R: Realization, label: str) -> Realization:
     return R
 
 
-def _stabilized_ic_rows(bundle: DcfBundle, q: Realization) -> Realization:
+def stabilized_ic_rows(pair: NrfPair) -> Realization:
     """Realize [Y + N Q; X + M Q], the left factor shared by the
     disturbance column and the plant-IC columns."""
-    top = parallel(bundle.Y, minimal(series(bundle.N, q)))
-    bot = parallel(bundle.X, minimal(series(bundle.M, q)))
+    bundle = pair.bundle
+    top = parallel(bundle.Y, minimal(series(bundle.N, pair.q)))
+    bot = parallel(bundle.X, minimal(series(bundle.M, pair.q)))
     return minimal(stack_rows(top, bot))
 
 
-def build_fq(pair: NrfPair) -> Realization:
-    """Assemble and minimalize the forced closed-loop map.
+def build_fq(pair: NrfPair, ic_rows: Realization) -> Realization:
+    """Assemble and minimalize the forced closed-loop map; ``ic_rows`` is
+    :func:`stabilized_ic_rows` of ``pair``.
 
     The disturbance column is built through the Bezout identity
     (N Xq + I) G_d = (Y + N Q) Mt G_d with Mt G_d = (zI - A - L)^{-1} B_d,
@@ -129,15 +131,16 @@ def build_fq(pair: NrfPair) -> Realization:
     cols123 = series(nm, stack_cols_many([pair.xq, pair.yq, diag_gap]))
     a_l = bundle.observer_pencil()
     gd_obs = make_realization(a_l, bundle.plant.B_d, np.eye(n_x), np.zeros((n_x, n_d)))
-    col4 = series(_stabilized_ic_rows(bundle, pair.q), gd_obs)
+    col4 = series(ic_rows, gd_obs)
     corr = np.zeros((n_x + n_u, n_x + 2 * n_u + n_d))
     corr[n_x:, n_x:n_x + n_u] = -np.eye(n_u)
     fq = minimal(parallel(stack_cols_many([cols123, col4]), from_gain(corr)))
     return _assert_stable(fq, "forced closed-loop map")
 
 
-def build_iq(pair: NrfPair, bank) -> tuple[Realization, Realization, Realization]:
-    """Assemble the initial-condition map; returns (I, J1, J2).
+def build_iq(pair: NrfPair, bank, ic_rows: Realization) -> tuple[Realization, Realization, Realization]:
+    """Assemble the initial-condition map; returns (I, J1, J2).  ``ic_rows``
+    is :func:`stabilized_ic_rows` of ``pair``.
 
     J1 = Mt (zI - A)^{-1} z collapses to I + (zI - A - L)^{-1} (A + L) for
     this factorization, which is stable by construction.
@@ -148,7 +151,7 @@ def build_iq(pair: NrfPair, bank) -> tuple[Realization, Realization, Realization
     ctrl = stacked_bank(bank)
     j2 = minimal(series(pair.yq_diag, _resolvent_times_z(ctrl.A, ctrl.C)))
     nm = stack_rows(bundle.N, bundle.M)
-    left_cols = minimal(series(_stabilized_ic_rows(bundle, pair.q), j1))
+    left_cols = minimal(series(ic_rows, j1))
     right_cols = minimal(series(nm, j2))
     iq = minimal(stack_cols_many([left_cols, right_cols]))
     _assert_stable(iq, "initial-condition map")
@@ -159,8 +162,9 @@ def build_iq(pair: NrfPair, bank) -> tuple[Realization, Realization, Realization
 
 def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> ClosedLoopMaps:
     """One-stop construction of every closed-loop map for a designed bank."""
-    fq = build_fq(pair)
-    iq, j1, j2 = build_iq(pair, bank)
+    ic_rows = stabilized_ic_rows(pair)
+    fq = build_fq(pair, ic_rows)
+    iq, j1, j2 = build_iq(pair, bank, ic_rows)
     part_w = partition.with_w_sizes([c.order for c in bank])
     return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
 
@@ -256,10 +260,9 @@ def _realization_support(R: Realization, row_sizes, state_sizes, col_sizes) -> n
 
 
 def block_support(bundle: DcfBundle, param: QParametrization,
-                  partition: AreaPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which area-level matching blocks can be nonzero for any x:
-    (disturbance (N,), coupling (N, N), init (N, N)) booleans, laid out
-    like (gamma_d, gamma_u, gamma_c).
+                  partition: AreaPartition) -> np.ndarray:
+    """Which area-level matching blocks can be nonzero for any x: one
+    boolean per slot of :func:`matching_slots`, False for a structural zero.
 
     Each factor's support comes from the exact zeros of its realization's
     area blocks (so from A + B_u F and A + L for the resolvents, and for
@@ -291,7 +294,10 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     coupling = _product_support(nm, xq) | by_yq | np.concatenate([np.zeros_like(eye), eye])
     init = _product_support(left, j1) | nm   # plant ICs through J1, controller ICs through J2
     disturbance = by_yq.any(axis=1) | _product_support(left, gd).any(axis=1)
-    return tuple(s[:N] | s[N:] for s in (disturbance, coupling, init))
+    kinds = {kind: s[:N] | s[N:] for kind, s in
+             (("disturbance", disturbance), ("coupling", coupling), ("init", init))}
+    return np.array([kinds[kind][i] if j is None else kinds[kind][i, j]
+                     for kind, i, j in matching_slots(N)])
 
 
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:
@@ -321,6 +327,24 @@ def reconstructed_response(maps: ClosedLoopMaps, d_s: SignalTrace, x_c, w_c) -> 
 
 def _z_rows(partition: AreaPartition, i: int, n_x: int) -> np.ndarray:
     return np.concatenate([partition.indices("x", i), n_x + partition.indices("u", i)])
+
+
+def matching_slots(n_areas: int) -> list:
+    """The matching blocks as (kind, i, j), in the one order every gamma,
+    bound, weight, target and support flag of the design is stored in (the
+    rows of ``gamma_table.csv``): each area's disturbance block (j None),
+    then coupling (i, j) and then init (i, j), row by row.  ``kind`` and
+    (i, j) are as in :func:`block_indices`."""
+    pairs = [(i, j) for i in range(n_areas) for j in range(n_areas)]
+    return ([("disturbance", i, None) for i in range(n_areas)]
+            + [("coupling", i, j) for i, j in pairs] + [("init", i, j) for i, j in pairs])
+
+
+def slot_name(slot: tuple, sep: str = ",") -> str:
+    """A slot's 1-based name: gamma_d[i], gamma_u[i<sep>j] or gamma_c[i<sep>j]."""
+    kind, i, j = slot
+    name = {"disturbance": "gamma_d", "coupling": "gamma_u", "init": "gamma_c"}[kind]
+    return f"{name}[{i + 1}]" if j is None else f"{name}[{i + 1}{sep}{j + 1}]"
 
 
 def block_indices(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,

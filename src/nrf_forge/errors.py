@@ -58,11 +58,13 @@ class SparsityInheritanceError(ValueError):
 
 
 class CommConstraintError(ValueError):
-    """A controller bank reads signals from outside its communication sets."""
+    """A controller bank reads signals from outside its communication sets.
+    ``pairs`` are 0-based; the message numbers areas from 1, as reports do."""
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
-        super().__init__(f"communication constraint violated for (area, source) pairs: {self.pairs}")
+        super().__init__("communication constraint violated for (area, source) pairs: "
+                         f"{[(i + 1, j + 1) for i, j in self.pairs]}")
 
 
 class AlgebraicLoopError(ValueError):

@@ -7,11 +7,13 @@ is affine in the free coefficient vector x, so each matching norm
     gamma_uij(x) = || area i response to area j commands  - T_uij ||
     gamma_cij(x) = || area i response to area j's ICs     - T_cij ||
 
-is a convex function of x.  The solver is a coordinate pattern search from
-x = 0 with golden-section line searches on a frequency-sampled surrogate;
-candidates violating the admissible upper bounds are rejected outright
-(feasible-point method; the bootstrap at x = 0 supplies a feasible start by
-construction).  Reported constraint values are never taken from the search:
+is a convex function of x.  These N + 2 N^2 blocks have one order,
+:func:`closed_loop.matching_slots`, and every gamma, bound, weight, target
+and structural-zero flag here is one flat vector in it.  The solver is a
+coordinate pattern search from x = 0 with golden-section line searches on a
+frequency-sampled surrogate; candidates violating the admissible upper
+bounds are rejected outright (feasible-point method; the bootstrap at x = 0
+supplies a feasible start by construction).  Reported constraint values are never taken from the search:
 they are recomputed post-hoc through the certified norm path, and a search
 point whose certificate fails a bound is replaced by the certified origin.
 """
@@ -27,7 +29,9 @@ from .closed_loop import (
     block_indices,
     block_support,
     build_closed_loop_maps,
+    matching_slots,
     q_linear_responses,
+    slot_name,
 )
 from .dcf import DcfBundle
 from .errors import DimensionMismatchError
@@ -69,60 +73,42 @@ REFINE_PASSES = 3
 
 @dataclass
 class SynthesisSpec:
-    """Targets, weights and admissible bounds of the matching problem.
+    """Targets, weights and admissible bounds of the matching problem, one
+    of each per slot of :func:`closed_loop.matching_slots`.
 
-    Target maps stored as None are identically zero.  Cross-area command
-    targets and out-of-neighborhood initial-condition targets are zero by
-    structure and cannot be overridden.
+    A target stored as None is identically zero.  Cross-area command
+    targets are zero by structure and cannot be set.
     """
 
     n_areas: int
-    t_d: tuple            # per-area Realization | None
-    t_u_diag: tuple       # per-area Realization | None (the (i, i) targets)
-    t_c: dict             # {(i, j): Realization}; missing = zero target
-    tau_d: np.ndarray
-    tau_u: np.ndarray
-    tau_c: np.ndarray
-    gamma_bar_d: np.ndarray | None = None
-    gamma_bar_u: np.ndarray | None = None
-    gamma_bar_c: np.ndarray | None = None
+    targets: tuple                       # per slot: Realization | None
+    tau: np.ndarray                      # per slot: weight in the objective
+    gamma_bar: np.ndarray | None = None  # per slot: admissible bound
 
     def __post_init__(self):
-        N = self.n_areas
-        self.tau_d = np.asarray(self.tau_d, dtype=float)
-        self.tau_u = np.asarray(self.tau_u, dtype=float)
-        self.tau_c = np.asarray(self.tau_c, dtype=float)
-        if self.tau_d.shape != (N,) or self.tau_u.shape != (N, N) or self.tau_c.shape != (N, N):
-            raise DimensionMismatchError("weight arrays must be (N,), (N,N), (N,N)")
-        if np.any(self.tau_d < 0) or np.any(self.tau_u < 0) or np.any(self.tau_c < 0):
+        slots = matching_slots(self.n_areas)
+        self.targets = tuple(self.targets)
+        self.tau = np.asarray(self.tau, dtype=float)
+        if len(self.targets) != len(slots) or self.tau.shape != (len(slots),):
+            raise DimensionMismatchError(f"targets and weights need one entry per slot, {len(slots)} in all")
+        if np.any(self.tau < 0):
             raise ValueError("weights must be nonnegative")
-        for t in list(self.t_d) + list(self.t_u_diag) + list(self.t_c.values()):
+        for (kind, i, j), t in zip(slots, self.targets):
+            if t is not None and kind == "coupling" and i != j:
+                raise ValueError(f"{slot_name((kind, i, j))} is a cross-area command block; its target is zero")
             if t is not None and not is_cb_bounded(t):
                 raise ValueError("target maps must be bounded outside the unit disc")
 
-    def target_u(self, i: int, j: int):
-        return self.t_u_diag[i] if i == j else None
-
-    def target_c(self, i: int, j: int):
-        return self.t_c.get((i, j))
-
     def bounds_set(self) -> bool:
-        return self.gamma_bar_d is not None
+        return self.gamma_bar is not None
 
-    def with_bounds(self, gd, gu, gc, slack: float) -> "SynthesisSpec":
-        """The bounds (gd, gu, gc) widened by the factor 1 + slack."""
+    def with_bounds(self, gamma, slack: float) -> "SynthesisSpec":
+        """The bounds ``gamma`` widened by the factor 1 + slack; an infinite
+        slack drops the admissible boxes (a structural zero's 0 * inf would
+        be NaN)."""
         s = 1.0 + slack
-        new = replace(self)
-        if np.isfinite(s):
-            new.gamma_bar_d = np.asarray(gd, dtype=float) * s
-            new.gamma_bar_u = np.asarray(gu, dtype=float) * s
-            new.gamma_bar_c = np.asarray(gc, dtype=float) * s
-        else:
-            # an infinite slack drops the admissible boxes entirely
-            new.gamma_bar_d = np.full(np.shape(gd), np.inf)
-            new.gamma_bar_u = np.full(np.shape(gu), np.inf)
-            new.gamma_bar_c = np.full(np.shape(gc), np.inf)
-        return new
+        gamma = np.asarray(gamma, dtype=float)
+        return replace(self, gamma_bar=gamma * s if np.isfinite(s) else np.full(gamma.shape, np.inf))
 
 
 def default_targets(partition: AreaPartition, n_d: int,
@@ -130,9 +116,10 @@ def default_targets(partition: AreaPartition, n_d: int,
     """Decoupling-first defaults: unit-delay own-command response, zero rest.
 
     decouple_only zeroes the disturbance targets; decouple_and_track accepts
-    user disturbance targets instead (rejected unless bounded).  Admissible
-    bounds are left unset; the feasibility bootstrap fills them with the
-    values achieved at x = 0.
+    user disturbance targets instead (rejected unless bounded).  The
+    disturbance and command blocks weigh 1, the initial-condition blocks 0.
+    Admissible bounds are left unset; the feasibility bootstrap fills them
+    with the values achieved at x = 0.
     """
     N = partition.n_areas
     if mode not in (MODE_DECOUPLE_ONLY, MODE_DECOUPLE_AND_TRACK):
@@ -150,16 +137,11 @@ def default_targets(partition: AreaPartition, n_d: int,
                     raise DimensionMismatchError(
                         f"disturbance target {i} has shape {t.shape}, expected {expected}"
                     )
-    t_u_diag = [delay(partition.size("x", i) + partition.size("u", i)) for i in range(N)]
-    return SynthesisSpec(
-        n_areas=N,
-        t_d=tuple(t_d_list),
-        t_u_diag=tuple(t_u_diag),
-        t_c={},
-        tau_d=np.ones(N),
-        tau_u=np.ones((N, N)),
-        tau_c=np.zeros((N, N)),
-    )
+    slots = matching_slots(N)
+    targets = [t_d_list[i] if kind == "disturbance"
+               else delay(partition.size("x", i) + partition.size("u", i)) if kind == "coupling" and i == j
+               else None for kind, i, j in slots]
+    return SynthesisSpec(N, tuple(targets), [0.0 if kind == "init" else 1.0 for kind, _, _ in slots])
 
 
 @dataclass(frozen=True)
@@ -184,26 +166,12 @@ def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
     return _norms_from_maps(maps, spec, builder.partition, support), maps
 
 
-def _flat(support) -> np.ndarray:
-    """The (disturbance, coupling, init) support as one flag per slot of
-    [gamma_d; gamma_u; gamma_c]."""
-    return np.concatenate([np.ravel(part) for part in support])
-
-
 def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoopMaps) -> list:
     """Every matching block as (slot, source, rows, cols, target), ``slot``
-    its place in the flat [gamma_d; gamma_u; gamma_c] vector and (source,
-    rows, cols) as in :func:`closed_loop.block_indices`.  The blocks tile
-    both maps."""
-    N = spec.n_areas
-    layout = []
-    for i in range(N):
-        layout.append((i, *block_indices(maps, partition, "disturbance", i), spec.t_d[i]))
-        for j in range(N):
-            layout.append((N + i * N + j, *block_indices(maps, partition, "coupling", i, j),
-                           spec.target_u(i, j)))
-            layout.append((N + N * N + i * N + j, *block_indices(maps, partition, "init", i, j),
-                           spec.target_c(i, j)))
+    its index in :func:`closed_loop.matching_slots` and (source, rows, cols)
+    as in :func:`closed_loop.block_indices`.  The blocks tile both maps."""
+    layout = [(s, *block_indices(maps, partition, *slot), spec.targets[s])
+              for s, slot in enumerate(matching_slots(spec.n_areas))]
     for _, _, rows, cols, target in layout:
         if target is not None and target.shape != (rows.size, cols.size):
             raise DimensionMismatchError(
@@ -213,8 +181,8 @@ def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoo
 
 def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
                      partition: AreaPartition, support=None):
-    """(gamma_d, gamma_u, gamma_c) at the realized maps: the H-infinity norm
-    of each matching block minus its target.  A block outside ``support``
+    """The gamma vector at the realized maps: the H-infinity norm of each
+    matching block minus its target, per slot.  A block outside ``support``
     (:func:`closed_loop.block_support`; None keeps every block) is zero at
     every x, and is certified as exactly 0 with no sweep, ranking or
     refinement.  No block realization is formed: every other block is read
@@ -222,16 +190,15 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
     initial-condition map (:func:`lti._block_peaks`), which have the
     blocks' transfer functions.  Each of their values is the largest SVD
     sample seen, a lower bound on the true norm."""
-    N = spec.n_areas
     layout = _block_layout(spec, partition, maps)
-    keep = np.ones(len(layout), dtype=bool) if support is None else _flat(support)
-    vals = np.zeros(N + 2 * N * N)
+    keep = np.ones(len(layout), dtype=bool) if support is None else support
+    vals = np.zeros(len(layout))
     for src, R in enumerate((maps.forced, maps.initial)):
         mine = [blk for blk in layout if blk[1] == src and keep[blk[0]]]
         if mine:
             vals[[blk[0] for blk in mine]] = _block_peaks(
                 R, [blk[2:] for blk in mine], NORM_GRID, REFINE_PASSES)
-    return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +209,7 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
 class _Block:
     """Where one matching block sits in the closed-loop maps.
 
-    ``slot`` is its place in the flat [gamma_d; gamma_u; gamma_c] vector and
+    ``slot`` is its index in :func:`closed_loop.matching_slots` and
     ``source`` 0 for the forced map, 1 for the initial-condition map.  The
     stacks hold the ``cols`` of ``rows`` (transposed when the block has fewer
     columns than rows, so the Gram side comes first); ``fixed_cols`` never
@@ -343,8 +310,8 @@ class _SurrogateModel:
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise.  Blocks are grouped by stacked shape; each direction keeps
     per group only the blocks it moves (:data:`DROP_REL`), in one stack.
-    Blocks outside :func:`closed_loop.block_support` (kept flat per slot as
-    ``self.support``) are zero at every x and are left out of the groups.
+    Blocks outside :func:`closed_loop.block_support` (``self.support``, per
+    slot) are zero at every x and are left out of the groups.
     Only the plant-IC columns of the initial map move with x here: the
     controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
     side is the rows they enter as a constant Gram term.  That is exact only
@@ -367,7 +334,7 @@ class _SurrogateModel:
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
         self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
-        self.support = _flat(block_support(bundle, param, partition))
+        self.support = block_support(bundle, param, partition)
         self.groups = self._base_groups(partition, maps0)
         G = self.zs.size
         self.dirs = []   # per direction: (group, kept blocks, their stack) triples
@@ -378,9 +345,8 @@ class _SurrogateModel:
                      for g in self.groups]
             self.dirs.append([(gi, idx, _gather(forced_k, ic_k, g.gather[:, :, idx]))
                               for gi, (g, idx) in enumerate(zip(self.groups, moved)) if idx.size])
-        N = spec.n_areas
         self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept),
-                        len(self.dirs) * (N + 2 * N * N))
+                        len(self.dirs) * self.support.size)
 
     def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
         """Lay out every matching block in ``self.support``, stack its
@@ -437,32 +403,30 @@ class _SurrogateModel:
         return _gram(B, B) if g.fixed is None else _gram(B, B) + _take(g.fixed, idx)
 
     def gammas_from(self, peaks: list, slots: list, at: np.ndarray | None = None, t: float = 0.0):
-        """(gamma_d, gamma_u, gamma_c): the blocks ``slots[i]`` from
-        ``peaks[i]`` (of :func:`_gram_sum`) at t, every other block from the
-        flat vector ``at`` (structural zeros, in no group, are 0)."""
-        N = self.spec.n_areas
-        vals = np.zeros(N + 2 * N * N) if at is None else at.copy()
+        """The gamma vector: the blocks ``slots[i]`` from ``peaks[i]`` (of
+        :func:`_gram_sum`) at t, every other block from the gamma vector
+        ``at`` (structural zeros, in no group, are 0)."""
+        vals = np.zeros(self.support.size) if at is None else at.copy()
         for block_peaks, s in zip(peaks, slots):
             vals[s] = block_peaks(t, self.lambda_points)
-        return vals[:N], vals[N:N + N * N].reshape(N, N), vals[N + N * N:].reshape(N, N)
+        return vals
 
-    def objective(self, gammas) -> float:
-        """Weighted surrogate objective of (gamma_d, gamma_u, gamma_c); +inf
-        outside the admissible bounds."""
+    def objective(self, gamma: np.ndarray) -> float:
+        """Weighted surrogate objective of the gamma vector; +inf outside
+        the admissible bounds."""
         self.n_evals += 1
-        if not _within_bounds(self.spec, *gammas):
+        if not _within_bounds(self.spec, gamma):
             return np.inf
-        return _objective_value(self.spec, *gammas)
+        return _objective_value(self.spec, gamma)
 
     def objective_at(self, x_active) -> float:
         """:meth:`objective` at the active coefficients, which become the held x of :meth:`line`."""
         self._x = np.array(x_active, dtype=float).ravel()
         self._stacks = self.stacks_at(self._x)
         self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
-        gammas = self.gammas_from([_gram_sum([((H, np.arange(H.shape[2])),)]) for H in self._grams],
-                                  [g.slots for g in self.groups])
-        self._vals = np.concatenate([g.ravel() for g in gammas])
-        return self.objective(gammas)
+        self._vals = self.gammas_from([_gram_sum([((H, np.arange(H.shape[2])),)]) for H in self._grams],
+                                      [g.slots for g in self.groups])
+        return self.objective(self._vals)
 
     def line(self, x_active: np.ndarray, k: int):
         """phi(t) = :meth:`objective` at x + t e_k, valid until the next line.
@@ -522,9 +486,7 @@ class SynthesisResult:
     """Outcome of one matching run, with certified post-hoc constraint values."""
 
     x: np.ndarray
-    gamma_d: np.ndarray
-    gamma_u: np.ndarray
-    gamma_c: np.ndarray
+    gamma: np.ndarray       # per slot of closed_loop.matching_slots
     objective: float
     objective_log: list
     q: Realization
@@ -535,7 +497,7 @@ class SynthesisResult:
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
     surrogate_pairs: tuple  # (kept, all) (block, direction) pairs of the search surrogate
-    support: np.ndarray     # per slot of [gamma_d; gamma_u; gamma_c]: False = structural zero
+    support: np.ndarray     # per slot: False = structural zero
 
     @property
     def bank(self):
@@ -546,15 +508,12 @@ class SynthesisResult:
         return self.maps.pair
 
 
-def _objective_value(spec: SynthesisSpec, gd, gu, gc) -> float:
-    return float(np.sum(spec.tau_d * gd) + np.sum(spec.tau_u * gu) + np.sum(spec.tau_c * gc))
+def _objective_value(spec: SynthesisSpec, gamma: np.ndarray) -> float:
+    return float(np.sum(spec.tau * gamma))
 
 
-def _within_bounds(spec: SynthesisSpec, gd, gu, gc, tol: float = 1e-9) -> bool:
-    def ok(g, bar):
-        return bool(np.all(g <= bar + tol * (1.0 + bar)))
-    return (ok(gd, spec.gamma_bar_d) and ok(gu, spec.gamma_bar_u)
-            and ok(gc, spec.gamma_bar_c))
+def _within_bounds(spec: SynthesisSpec, gamma: np.ndarray, tol: float = 1e-9) -> bool:
+    return bool(np.all(gamma <= spec.gamma_bar + tol * (1.0 + spec.gamma_bar)))
 
 
 def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
@@ -586,13 +545,13 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
         return constraint_norms(param, x, spec, builder)
 
     def result(x, certificate, log, n_evals, search_certified, pairs=(0, 0)):
-        (gd, gu, gc), maps = certificate
-        obj = _objective_value(spec, gd, gu, gc)
-        return SynthesisResult(x, gd, gu, gc, obj, log or [obj], q_from_x(param, x), maps,
-                               spec, param, n_evals, _bound_hints(spec, gd, gu, gc),
-                               search_certified, pairs, _flat(block_support(bundle, param, partition)))
+        gamma, maps = certificate
+        obj = _objective_value(spec, gamma)
+        return SynthesisResult(x, gamma, obj, log or [obj], q_from_x(param, x), maps,
+                               spec, param, n_evals, _bound_hints(spec, gamma),
+                               search_certified, pairs, block_support(bundle, param, partition))
 
-    if n_free == 0 or float(np.sum(spec.tau_d) + np.sum(spec.tau_u) + np.sum(spec.tau_c)) == 0.0:
+    if n_free == 0 or not np.any(spec.tau):
         return result(zero, certify(zero), None, 1, True)
 
     maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
@@ -608,7 +567,7 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     n_evals, pairs = model.n_evals, model.n_pairs
     del model
     certificate = certify(x_full)
-    if not np.any(x_full) or _within_bounds(spec, *certificate[0]):
+    if not np.any(x_full) or _within_bounds(spec, certificate[0]):
         return result(x_full, certificate, log, n_evals, True, pairs)
     return result(zero, certify(zero), log, n_evals, False, pairs)
 
@@ -685,23 +644,19 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float) -> tuple[np.ndar
     return x, fx
 
 
-def _bound_hints(spec: SynthesisSpec, gd, gu, gc) -> list:
-    """Name the constraints sitting at their admissible bounds (1-based).
-    A block certified at exactly 0, as every structural zero is (its bound
-    is then 0 too), is not named."""
-    hints = []
+def _bound_hints(spec: SynthesisSpec, gamma: np.ndarray) -> list:
+    """Name the constraints sitting at their admissible bounds (1-based),
+    grouped by area: gamma_d[i], then gamma_u[i,j] and gamma_c[i,j] for
+    each j.  A block certified at exactly 0, as every structural zero is
+    (its bound is then 0 too), is not named."""
     if not spec.bounds_set():
-        return hints
-    tol = 1e-6
-    for i in range(spec.n_areas):
-        if gd[i] > 0 and gd[i] >= spec.gamma_bar_d[i] * (1 - tol) - 1e-12:
-            hints.append(f"gamma_d[{i + 1}] at bound {spec.gamma_bar_d[i]:.6g}")
-        for j in range(spec.n_areas):
-            if gu[i, j] > 0 and gu[i, j] >= spec.gamma_bar_u[i, j] * (1 - tol) - 1e-12:
-                hints.append(f"gamma_u[{i + 1},{j + 1}] at bound {spec.gamma_bar_u[i, j]:.6g}")
-            if gc[i, j] > 0 and gc[i, j] >= spec.gamma_bar_c[i, j] * (1 - tol) - 1e-12:
-                hints.append(f"gamma_c[{i + 1},{j + 1}] at bound {spec.gamma_bar_c[i, j]:.6g}")
-    return hints
+        return []
+    bar = spec.gamma_bar
+    at_bound = (gamma > 0) & (gamma >= bar * (1 - 1e-6) - 1e-12)
+    # a stable sort by (i, j) keeps each coupling slot before its init slot
+    by_area = sorted(enumerate(matching_slots(spec.n_areas)),
+                     key=lambda e: (e[1][1], -1 if e[1][2] is None else e[1][2]))
+    return [f"{slot_name(slot)} at bound {bar[s]:.6g}" for s, slot in by_area if at_bound[s]]
 
 
 # ---------------------------------------------------------------------------
@@ -763,5 +718,5 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     if not spec.bounds_set():
         bootstrap = constraint_norms(param, np.zeros(param.n_free), spec,
                                      MapsBuilder(bundle, partition))
-        spec = spec.with_bounds(*bootstrap[0], config.bound_slack)
+        spec = spec.with_bounds(bootstrap[0], config.bound_slack)
     return solve(spec, param, bundle, partition, bootstrap)

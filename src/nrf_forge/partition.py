@@ -102,7 +102,8 @@ def build_partition(sizes) -> AreaPartition:
 @dataclass(frozen=True)
 class Neighborhoods:
     """For each area, the set of areas allowed to send it information; each
-    set must hold its own area and only areas 0 to N - 1, N sets in all."""
+    set must hold its own area and only areas 0 to N - 1, N sets in all.
+    The messages of a refused set number areas from 1, as reports do."""
 
     sets: tuple[frozenset, ...]
 
@@ -110,10 +111,11 @@ class Neighborhoods:
         sets = tuple(frozenset(int(j) for j in s) for s in self.sets)
         for i, s in enumerate(sets):
             if i not in s:
-                raise ValueError(f"area {i} is missing from its own neighborhood")
+                raise ValueError(f"area {i + 1} is missing from its own neighborhood")
             bad = [j for j in s if not 0 <= j < len(sets)]
             if bad:
-                raise ValueError(f"neighborhood of area {i} has out-of-range members {sorted(bad)}")
+                raise ValueError(f"neighborhood of area {i + 1} has out-of-range members "
+                                 f"{sorted(j + 1 for j in bad)}")
         object.__setattr__(self, "sets", sets)
 
     @property

@@ -139,20 +139,20 @@ NOISE_KINDS = ("uniform", "gauss")
 
 def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
                     seed: int = 0, amplitudes: dict | None = None,
-                    kinds: dict | None = None, start_index: int = 0,
-                    traces: dict | None = None) -> ScenarioSignals:
-    """Generate (or load) one scenario's exogenous traces, reproducibly.
+                    kinds: dict | None = None, start_index: int = 0) -> ScenarioSignals:
+    """Generate one scenario's exogenous traces, reproducibly.
 
     Generated channels use a single PCG64 generator seeded per scenario;
     identical (seed, horizon, amplitudes) always yield identical traces.
-    ``traces`` entries override generation for the named channels.  An
-    ``amplitudes`` or ``kinds`` key that names no channel raises ValueError.
+    Traces read from elsewhere (beta_w, whose dimension is the design's,
+    among them) are passed to :class:`ScenarioSignals` directly, or set on a
+    composed scenario with ``dataclasses.replace``.  An ``amplitudes`` or
+    ``kinds`` key that names no channel raises ValueError.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     amplitudes = dict(amplitudes or {})
     kinds = dict(kinds or {})
-    traces = dict(traces or {})
     rng = np.random.default_rng(seed)
     dims = {"d": n_d, "zeta": n_x, "u_s1": n_x, "u_s2": n_u,
             "beta_s1": n_x, "beta_s2": n_u, "beta_f": n_u}
@@ -161,24 +161,7 @@ def compose_signals(horizon: int, n_x: int, n_u: int, n_d: int,
             if name not in dims:
                 raise ValueError(f"{what}.{name} is not a channel; the channels are {list(dims)}")
     channels = {}
-    if "beta_w" in traces:
-        # the controller-state dimension is design-dependent, so this channel
-        # is only ever file-provided
-        bw = np.asarray(traces.pop("beta_w"), dtype=float)
-        if bw.shape[0] != horizon:
-            raise DimensionMismatchError(
-                f"provided trace 'beta_w' has horizon {bw.shape[0]}, expected {horizon}"
-            )
-        channels["beta_w"] = bw
     for name, dim in dims.items():
-        if name in traces:
-            arr = np.asarray(traces[name], dtype=float)
-            if arr.shape != (horizon, dim):
-                raise DimensionMismatchError(
-                    f"provided trace {name!r} has shape {arr.shape}, expected {(horizon, dim)}"
-                )
-            channels[name] = arr
-            continue
         amp = float(amplitudes.get(name, 0.0))
         kind = kinds.get(name, "uniform")
         if amp == 0.0:
@@ -259,7 +242,7 @@ def _reported_w(signals: ScenarioSignals, w: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"beta_w has dim {signals.beta_w.shape[1]}, controller order is {w.shape[1]}"
         )
-    return w + signals.beta_w[:w.shape[0]].reshape(w.shape)
+    return w + signals.beta_w.reshape(w.shape)
 
 
 def _initial_state(v, dim: int, batch: tuple, name: str) -> np.ndarray:
@@ -280,7 +263,7 @@ def _check_no_algebraic_loop(D: np.ndarray, n_u: int) -> None:
 
 
 def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
-                        x_c, w_c, horizon: int | None = None) -> LoopTrace:
+                        x_c, w_c) -> LoopTrace:
     """Step the plant against the stacked bank realization, exactly.
 
     ``controller`` is either the stacked bank realization (inputs ordered
@@ -296,10 +279,7 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     """
     if isinstance(controller, (list, tuple)):
         controller = stacked_bank(controller)
-    T = horizon if horizon is not None else signals.horizon
-    if T > signals.horizon:
-        raise DimensionMismatchError("horizon exceeds the provided signal traces")
-    n_x, n_u = plant.n_x, plant.n_u
+    T, n_x, n_u = signals.horizon, plant.n_x, plant.n_u
     if controller.ninputs != n_u + n_x or controller.noutputs != n_u:
         raise DimensionMismatchError(
             f"controller is {controller.shape}, expected {(n_u, n_u + n_x)}"
@@ -311,7 +291,7 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     S = int(np.prod(batch, dtype=int))
     s0 = np.concatenate([_initial_state(x_c, n_x, batch, "x_c").reshape(n_x, S),
                          _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)])
-    beta_x, beta_u, beta_f, d = (a[:T].reshape(T, a.shape[1], S) for a in (
+    beta_x, beta_u, beta_f, d = (a.reshape(T, a.shape[1], S) for a in (
         signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
     # s_{k+1} = A_cl s_k + drive_k over s = [x; w]; u_f enters s through B_s
     C_uf = np.hstack([D_x, controller.C])
@@ -350,7 +330,7 @@ def _stack(rows, pos, pad: int):
 
 def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
                          nb: Neighborhoods, signals: ScenarioSignals,
-                         x_c, w_c, horizon: int | None = None) -> LoopTrace:
+                         x_c, w_c) -> LoopTrace:
     """Run one subcontroller per area with explicit message passing.
 
     Each step is one gathered product per phase over all areas and
@@ -360,10 +340,7 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     :func:`nrf.check_comm_constraints` before any step.  Batched signals
     step all their scenarios at once.
     """
-    T = horizon if horizon is not None else signals.horizon
-    if T > signals.horizon:
-        raise DimensionMismatchError("horizon exceeds the provided signal traces")
-    n_x, n_u, N = plant.n_x, plant.n_u, partition.n_areas
+    T, n_x, n_u, N = signals.horizon, plant.n_x, plant.n_u, partition.n_areas
     batch = signals.batch
     S = int(np.prod(batch, dtype=int))
     h_u, h_w = max(c.D.shape[0] for c in bank), max(c.order for c in bank)
@@ -389,7 +366,7 @@ def simulate_distributed(plant: Plant, bank, partition: AreaPartition,
     # the plant product [A | B_u] reads x and the u_f slots up to the last real one
     AB = np.zeros((n_x, int(uf_slots.max()) + 1 - xo))
     AB[:, :n_x], AB[:, uf_slots - xo] = plant.A, plant.B_u
-    beta_x, beta_u, beta_f, d = (a[:T].reshape(T, a.shape[1], S) for a in (
+    beta_x, beta_u, beta_f, d = (a.reshape(T, a.shape[1], S) for a in (
         signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
     out_slots = np.r_[xo:uo, uf_slots, w_slots]
     out = np.empty((T, len(out_slots), S))

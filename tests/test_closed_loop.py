@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from nrf_forge.closed_loop import (
     build_iq,
     decompose_response,
     ic_response,
+    matching_slots,
     prediction_model,
     reconstructed_response,
+    slot_name,
+    stabilized_ic_rows,
 )
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.errors import DimensionMismatchError, UnboundedTfmError
@@ -66,7 +71,7 @@ def two_area_design(plant, seed=0, q_scale=0.05):
 
 def test_scalar_forced_map_blocks():
     plant, bundle, q, pair = scalar_setup()
-    fq = build_fq(pair)
+    fq = build_fq(pair, stabilized_ic_rows(pair))
     assert fq.shape == (2, 4)
     vals = frequency_response(fq, ZS)
     # state from beta_x: N Xq = 0; command from beta_u: M Yq - 1 = 0;
@@ -87,7 +92,7 @@ def test_scalar_ic_map_upper_left_is_one():
     row = extract_row(pair.kd, 0)
     bank = [AreaController(0, row.A, row.B, row.C, row.D, (row.order,),
                            np.zeros(row.order))]
-    iq, j1, j2 = build_iq(pair, bank)
+    iq, j1, j2 = build_iq(pair, bank, stabilized_ic_rows(pair))
     vals = frequency_response(iq, ZS)
     assert np.max(np.abs(vals[:, 0, 0] - 1.0)) <= 1e-12
     assert np.max(np.abs(vals[:, 1, 0])) <= 1e-12
@@ -113,7 +118,7 @@ def test_fully_deadbeat_ic_map_is_fir():
     q = fir_realization([0.1 * np.ones((2, 4))])
     pair = form_nrf_pair(bundle, q)
     _, bank = bank_from_pair(pair, part)
-    iq, _, _ = build_iq(pair, bank)
+    iq, _, _ = build_iq(pair, bank, stabilized_ic_rows(pair))
     total_degree = iq.order + 1
     h = impulse_response(iq, total_degree + 6)
     assert np.max(np.abs(h[total_degree + 1])) <= 1e-12
@@ -123,8 +128,9 @@ def test_fully_deadbeat_ic_map_is_fir():
 def test_unstable_parameter_rejected():
     plant, bundle, q, pair = scalar_setup()
     q_bad = make_realization([[1.5]], [[1.0]], [[1.0]], [[0.0]])
+    pair = form_nrf_pair(bundle, q_bad)
     with pytest.raises(UnboundedTfmError):
-        build_fq(form_nrf_pair(bundle, q_bad))
+        build_fq(pair, stabilized_ic_rows(pair))
 
 
 def test_area_blocks_select_expected_submaps(two_area_plant):
@@ -304,12 +310,7 @@ def structured_network(seed):
 def numeric_norms(bundle, param, part, x):
     """Every block's certified norm through the numeric path (no support)."""
     maps = MapsBuilder(bundle, part)(q_from_x(param, x))
-    gammas = _norms_from_maps(maps, default_targets(part, bundle.plant.n_d), part)
-    return np.concatenate([np.ravel(g) for g in gammas])
-
-
-def flat_support(bundle, param, part):
-    return np.concatenate([np.ravel(s) for s in block_support(bundle, param, part)])
+    return _norms_from_maps(maps, default_targets(part, bundle.plant.n_d), part)
 
 
 @pytest.mark.parametrize("network", ["grid", "ring"])
@@ -317,7 +318,7 @@ def test_structural_zeros_read_zero_on_designs(request, network):
     res = request.getfixturevalue(f"{network}_design")
     part = request.getfixturevalue(f"{network}_setup")[1]
     bundle, param = res.pair.bundle, res.param
-    zero = ~flat_support(bundle, param, part)
+    zero = ~block_support(bundle, param, part)
     assert np.array_equal(zero, ~res.support)
     for x in (res.x, 0.3 * np.random.default_rng(5).standard_normal(param.n_free)):
         assert np.max(numeric_norms(bundle, param, part, x)[zero], initial=0.0) <= 1e-9
@@ -337,7 +338,7 @@ def test_structural_zeros_read_zero_on_random_networks():
         if not isinstance(param, QParametrization):
             continue
         designs += 1
-        zero = ~flat_support(bundle, param, part)
+        zero = ~block_support(bundle, param, part)
         zeros += int(zero.sum())
         for x in (np.zeros(param.n_free), np.random.default_rng(seed).standard_normal(param.n_free)):
             vals = numeric_norms(bundle, param, part, x)
@@ -354,17 +355,17 @@ def test_user_supplied_gains_give_the_all_true_support():
     param = build_parametrization(
         bundle, pattern_from_neighborhoods(part, Neighborhoods((frozenset({0}), frozenset({0, 1})))), 3)
     assert isinstance(param, QParametrization)
-    assert all(np.all(s) for s in block_support(bundle, param, part))
+    assert np.all(block_support(bundle, param, part))
 
 
 def test_ring_support_names_exactly_the_far_blocks(ring_setup, ring_design):
     part = ring_setup[1]
     N = part.n_areas
-    disturbance, coupling, init = block_support(ring_design.pair.bundle, ring_design.param, part)
+    support = block_support(ring_design.pair.bundle, ring_design.param, part)
     far = np.array([[min(abs(i - j), N - abs(i - j)) >= 3 for j in range(N)] for i in range(N)])
     assert far.sum() == 24
-    assert np.all(disturbance)
-    assert np.array_equal(~coupling, far) and np.array_equal(~init, far)
+    # every disturbance block is nonzero; a coupling or init block is zero exactly when far
+    assert np.array_equal(support, [j is None or not far[i, j] for _, i, j in matching_slots(N)])
 
 
 def test_ring_report_counts_the_structural_zeros(ring_setup, ring_design, tmp_path):
@@ -377,3 +378,17 @@ def test_ring_report_counts_the_structural_zeros(ring_setup, ring_design, tmp_pa
     rows = (tmp_path / "gamma_table.csv").read_text().splitlines()[1:]
     zero = ~ring_design.support
     assert all((row.split(",")[1] == "0") == z for row, z in zip(rows, zero))
+    # at slack 0 and x = 0 every nonzero block is at its bound; the hints stay
+    # grouped by area: gamma_d[i], then gamma_u[i,j] and gamma_c[i,j] for each j
+    hints = [(int(i), int(j or 0), "duc".index(kind)) for kind, i, j in
+             re.findall(r"  - gamma_(\w)\[(\d+)(?:,(\d+))?\] at bound", report)]
+    assert len(hints) == 136 - 48 and hints == sorted(hints)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_slot_names_follow_the_gamma_table_rows(N):
+    rows = ([f"gamma_d[{i + 1}]" for i in range(N)]
+            + [f"gamma_u[{i + 1};{j + 1}]" for i in range(N) for j in range(N)]
+            + [f"gamma_c[{i + 1};{j + 1}]" for i in range(N) for j in range(N)])
+    assert [slot_name(slot, ";") for slot in matching_slots(N)] == rows
+    assert [slot_name(slot) for slot in matching_slots(N)] == [r.replace(";", ",") for r in rows]

@@ -319,18 +319,32 @@ def test_cli_malformed_json_is_config_error(cli_run, tmp_path, capsys):
         assert lines[0].startswith("configuration error: malformed JSON in") and "plant.json" in lines[0]
 
 
+def tree_bytes(path):
+    return {name: open(os.path.join(path, name), "rb").read() for name in sorted(os.listdir(path))}
+
+
+@pytest.fixture(scope="module")
+def intact_traces(cli_run, tmp_path_factory):
+    """The traces/ files that simulate writes on an intact copy of the run."""
+    run = str(tmp_path_factory.mktemp("intact") / "run")
+    shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
+    assert main(["simulate", "--out", run]) == 0
+    return tree_bytes(os.path.join(run, "traces"))
+
+
 @pytest.mark.parametrize("rel, corrupt, cause", [
     ("bank/area_1.json", lambda doc: doc["row_orders"].append(1), "cannot reshape"),
     ("param/parametrization.json", lambda doc: doc["x"].pop(), "free coefficients"),
     ("maps/forced.json", None, "No such file"),
     ("maps/forced.json", lambda doc: doc["D"]["data"].pop(), "cannot reshape"),
-    ("partition.json", lambda doc: doc["neighborhoods"][0].append(9), "out-of-range members [8]"),
-    ("partition.json", lambda doc: doc["neighborhoods"][1].remove(2), "area 1 is missing"),
+    ("partition.json", lambda doc: doc["neighborhoods"][0].append(9), "out-of-range members [9]"),
+    ("partition.json", lambda doc: doc["neighborhoods"][1].remove(2), "area 2 is missing"),
 ], ids=["extra_row_order", "short_x", "no_forced_map", "short_forced_d", "set_out_of_range",
         "set_without_own_area"])
-def test_cli_broken_run_directory_cannot_be_loaded(cli_run, tmp_path, capsys, rel, corrupt, cause):
+def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_path, capsys,
+                                                   rel, corrupt, cause):
     run = str(tmp_path / "run")
-    shutil.copytree(cli_run, run)
+    shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
     if corrupt is None:
         os.remove(os.path.join(run, rel))
     else:
@@ -338,16 +352,22 @@ def test_cli_broken_run_directory_cannot_be_loaded(cli_run, tmp_path, capsys, re
         corrupt(doc)
         artifact_io.dump_document(doc, os.path.join(run, rel))
     capsys.readouterr()
-    for cmd in ("verify", "simulate"):
+    # simulate reads only the deployed network: the plant, the partition and the bank
+    deployed = rel.startswith(("bank/", "partition.json"))
+    for cmd in ("verify", "simulate") if deployed else ("verify",):
         assert main([cmd, "--out", run]) == 2
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"cannot load run directory {run}: ") and cause in lines[0]
+    if not deployed:
+        assert main(["simulate", "--out", run]) == 0
+        assert tree_bytes(os.path.join(run, "traces")) == intact_traces
 
 
 @pytest.mark.parametrize("column, failing, cause", [
     # 0-based column 11 is area 4's first state, outside area 1's set {1, 2, 3, 5}
-    (11, ("communication_constraints", "distributed_equivalence"), "communication constraint violated"),
+    (11, ("communication_constraints", "distributed_equivalence"),
+     "communication constraint violated for (area, source) pairs: [(1, 4)]"),
     # column 1 is area 2's command: a feedthrough the loop cannot order
     (1, ("closed_loop_identity", "distributed_equivalence", "response_decomposition"), "feedthrough"),
 ], ids=["reads_outside_its_set", "command_feedthrough"])

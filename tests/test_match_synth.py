@@ -8,7 +8,7 @@ from conftest import DESIGN_SLACK, deadbeat_bundle, random_stable_plant, refine_
 from nrf_forge import cli
 from nrf_forge import io as artifact_io
 from nrf_forge.dcf import build_dcf, design_gains
-from nrf_forge.closed_loop import area_block, q_linear_responses
+from nrf_forge.closed_loop import area_block, matching_slots, q_linear_responses
 from nrf_forge.lti import (
     _gram,
     _lambda_max,
@@ -68,8 +68,8 @@ def toy_setup(seed=0, forbid=True):
 def bootstrap_spec(plant, part, bundle, param, slack=1.0):
     spec = default_targets(part, plant.n_d)
     builder = MapsBuilder(bundle, part)
-    (gd, gu, gc), _ = constraint_norms(param, np.zeros(param.n_free), spec, builder)
-    return spec.with_bounds(gd, gu, gc, slack), builder
+    gamma, _ = constraint_norms(param, np.zeros(param.n_free), spec, builder)
+    return spec.with_bounds(gamma, slack), builder
 
 
 # ---------------------------------------------------------------------------
@@ -79,27 +79,38 @@ def bootstrap_spec(plant, part, bundle, param, slack=1.0):
 def test_default_targets_decoupling_settings():
     part = build_partition([(2, 1)] * 5)
     spec = default_targets(part, n_d=5)
-    assert all(t is None for t in spec.t_d)
-    for i in range(5):
-        t = spec.t_u_diag[i]
+    slots = matching_slots(5)
+    assert len(spec.targets) == spec.tau.size == len(slots) == 55
+    for (kind, i, j), t, tau in zip(slots, spec.targets, spec.tau):
+        assert tau == (0.0 if kind == "init" else 1.0)
+        if (kind, i) != ("coupling", j):
+            assert t is None
+            continue
         assert t.shape == (3, 3)
         for z in (2.0, -1.5):
             assert np.allclose(evaluate(t, z), np.eye(3) / z)
-        for j in range(5):
-            if i != j:
-                assert spec.target_u(i, j) is None
-            assert spec.target_c(i, j) is None
-    assert np.all(spec.tau_d == 1.0)
-    assert np.all(spec.tau_u == 1.0)
-    assert np.all(spec.tau_c == 0.0)
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda targets, tau: (targets[:-1], tau), "one entry per slot"),
+    (lambda targets, tau: (targets, tau[:-1]), "one entry per slot"),
+    (lambda targets, tau: (targets, tau.reshape(2, 5)), "one entry per slot"),
+    (lambda targets, tau: (targets, np.where(np.arange(10) == 3, -0.5, tau)), "nonnegative"),
+    # slot 3 is coupling (1, 2): area 1's response to area 2's commands
+    (lambda targets, tau: (targets[:3] + (delay(3),) + targets[4:], tau), r"gamma_u\[1,2\] is a cross-area"),
+], ids=["short_targets", "short_weights", "weight_matrix", "negative_weight", "cross_area_target"])
+def test_spec_rejects_what_no_slot_can_hold(change, error):
+    spec = default_targets(build_partition([(2, 1), (2, 1)]), n_d=1)
+    assert matching_slots(2)[3] == ("coupling", 0, 1)
+    with pytest.raises(ValueError, match=error):
+        SynthesisSpec(2, *change(spec.targets, spec.tau))
 
 
 def test_default_targets_rejects_unbounded_tracking_target():
-    part = build_partition([(2, 1), (2, 1)])
+    spec = default_targets(build_partition([(2, 1), (2, 1)]), n_d=1)
     bad = make_realization([[1.4]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(ValueError, match="bounded"):
-        SynthesisSpec(2, (bad, None), (delay(3), delay(3)), {},
-                      np.ones(2), np.ones((2, 2)), np.zeros((2, 2)))
+        SynthesisSpec(2, (bad,) + spec.targets[1:], spec.tau)
 
 
 def test_quadratic_norm_rejected_clearly(tmp_path, capsys):
@@ -130,10 +141,8 @@ def test_decouple_and_track_validates_shapes():
 def test_bootstrap_is_always_feasible():
     plant, part, nb, bundle, param = toy_setup(seed=1)
     spec, builder = bootstrap_spec(plant, part, bundle, param, slack=0.0)
-    (gd, gu, gc), _ = constraint_norms(param, np.zeros(param.n_free), spec, builder)
-    assert np.all(gd <= spec.gamma_bar_d + 1e-12)
-    assert np.all(gu <= spec.gamma_bar_u + 1e-12)
-    assert np.all(gc <= spec.gamma_bar_c + 1e-12)
+    gamma, _ = constraint_norms(param, np.zeros(param.n_free), spec, builder)
+    assert np.all(gamma <= spec.gamma_bar + 1e-12)
 
 
 def test_perfect_target_gives_zero_norm():
@@ -141,32 +150,31 @@ def test_perfect_target_gives_zero_norm():
     spec, builder = bootstrap_spec(plant, part, bundle, param)
     maps = builder(q_from_x(param, np.zeros(param.n_free)))
     achieved = area_block(maps, part, "disturbance", 0)
-    spec2 = replace(spec, t_d=(achieved, spec.t_d[1]))
-    (gd, _, _), _ = constraint_norms(param, np.zeros(param.n_free), spec2, builder)
-    assert gd[0] <= 1e-10
+    assert matching_slots(2)[0] == ("disturbance", 0, None)
+    spec2 = replace(spec, targets=(achieved,) + spec.targets[1:])
+    gamma, _ = constraint_norms(param, np.zeros(param.n_free), spec2, builder)
+    assert gamma[0] <= 1e-10
 
 
 def test_norm_matches_dense_grid_oracle():
     plant, part, nb, bundle, param = toy_setup(seed=3)
     spec, builder = bootstrap_spec(plant, part, bundle, param)
     x = 0.1 * np.ones(param.n_free)
-    (gd, gu, gc), maps = constraint_norms(param, x, spec, builder)
+    gamma, maps = constraint_norms(param, x, spec, builder)
     # independent dense-grid evaluation of one coupling norm
     blk = area_block(maps, part, "coupling", 0, 1)
     zs = np.exp(2j * np.pi * np.arange(8192) / 8192)
     vals = frequency_response(blk, zs)
     brute = float(np.max(np.linalg.svd(vals, compute_uv=False)[:, 0]))
-    assert gu[0, 1] == pytest.approx(brute, rel=1e-6, abs=1e-9)
+    assert gamma[matching_slots(2).index(("coupling", 0, 1))] == pytest.approx(brute, rel=1e-6, abs=1e-9)
 
 
 def test_reported_values_equal_recomputation():
     plant, part, nb, bundle, param = toy_setup(seed=4)
     spec, builder = bootstrap_spec(plant, part, bundle, param)
     res = solve(spec, param, bundle, part)
-    (gd, gu, gc), _ = constraint_norms(param, res.x, spec, builder)
-    assert np.max(np.abs(res.gamma_d - gd)) <= 1e-9
-    assert np.max(np.abs(res.gamma_u - gu)) <= 1e-9
-    assert np.max(np.abs(res.gamma_c - gc)) <= 1e-9
+    gamma, _ = constraint_norms(param, res.x, spec, builder)
+    assert np.max(np.abs(res.gamma - gamma)) <= 1e-9
 
 
 def test_convexity_of_constraint_norms():
@@ -176,12 +184,10 @@ def test_convexity_of_constraint_norms():
     x1 = 0.2 * rng.standard_normal(param.n_free)
     x2 = 0.2 * rng.standard_normal(param.n_free)
     lam = 0.37
-    (gd1, gu1, gc1), _ = constraint_norms(param, x1, spec, builder)
-    (gd2, gu2, gc2), _ = constraint_norms(param, x2, spec, builder)
-    (gdm, gum, gcm), _ = constraint_norms(param, lam * x1 + (1 - lam) * x2, spec, builder)
-    assert np.all(gdm <= lam * gd1 + (1 - lam) * gd2 + 1e-8)
-    assert np.all(gum <= lam * gu1 + (1 - lam) * gu2 + 1e-8)
-    assert np.all(gcm <= lam * gc1 + (1 - lam) * gc2 + 1e-8)
+    g1, _ = constraint_norms(param, x1, spec, builder)
+    g2, _ = constraint_norms(param, x2, spec, builder)
+    gm, _ = constraint_norms(param, lam * x1 + (1 - lam) * x2, spec, builder)
+    assert np.all(gm <= lam * g1 + (1 - lam) * g2 + 1e-8)
 
 
 def mesh_maps(grid_setup, grid_design, scale, seed=21):
@@ -190,19 +196,14 @@ def mesh_maps(grid_setup, grid_design, scale, seed=21):
     _, part, _ = grid_setup
     res = grid_design
     x = scale * np.random.default_rng(seed).standard_normal(res.param.n_free)
-    gammas, maps = constraint_norms(res.param, x, res.spec, MapsBuilder(res.pair.bundle, part))
-    return np.concatenate([gammas[0], gammas[1].ravel(), gammas[2].ravel()]), maps, part, res.spec
+    gamma, maps = constraint_norms(res.param, x, res.spec, MapsBuilder(res.pair.bundle, part))
+    return gamma, maps, part, res.spec
 
 
 def block_difference(maps, part, spec, slot):
     """A minimal realization of the block in ``slot`` minus its target."""
-    N = spec.n_areas
-    if slot < N:
-        blk = area_block(maps, part, "disturbance", slot)
-    else:
-        i, j = divmod((slot - N) % (N * N), N)
-        blk = area_block(maps, part, "coupling" if slot < N + N * N else "init", i, j)
-    target = block_target(spec, slot)
+    blk = area_block(maps, part, *matching_slots(spec.n_areas)[slot])
+    target = spec.targets[slot]
     return blk if target is None else minimal(parallel(blk, negate(target)))
 
 
@@ -218,13 +219,13 @@ def test_certificate_matches_per_block_route_on_mesh(grid_setup, grid_design, sc
 
 def test_certificate_matches_dense_scan_on_mesh(grid_setup, grid_design):
     got, maps, part, spec = mesh_maps(grid_setup, grid_design, 1e-3)
-    N = spec.n_areas
     # the upper half (both ends included) of a 2^17-point circle grid: a real
     # map repeats its singular values at conjugate points
     zs = np.exp(2j * np.pi * np.arange(2 ** 16 + 1) / 2 ** 17)
     # a disturbance block, an own-command block with its delay target, a
     # cross-coupling block and an initial-condition block
-    for slot in (2, N + 1 * N + 1, N + 3 * N + 4, N + N * N + 2 * N + 1):
+    for slot in map(matching_slots(spec.n_areas).index, [
+            ("disturbance", 2, None), ("coupling", 1, 1), ("coupling", 3, 4), ("init", 2, 1)]):
         resp = frequency_response(block_difference(maps, part, spec, slot), zs)
         scan = np.max(np.linalg.svd(resp, compute_uv=False)[:, 0])
         assert abs(got[slot] - scan) <= 1e-6 * scan
@@ -299,15 +300,6 @@ def test_lambda_max_repeated_largest_eigenvalue(r):
     assert np.max(np.abs(_lambda_max(stacked(mats)) - want) / want) <= 1e-7
 
 
-def block_target(spec, slot):
-    """The target of the block in ``slot`` of [gamma_d; gamma_u; gamma_c]."""
-    N = spec.n_areas
-    if slot < N:
-        return spec.t_d[slot]
-    i, j = divmod((slot - N) % (N * N), N)
-    return spec.target_u(i, j) if slot < N + N * N else spec.target_c(i, j)
-
-
 def surrogate_model(bundle, part, param, spec):
     builder = MapsBuilder(bundle, part)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
@@ -335,7 +327,7 @@ def realized_gaps(model, maps):
         parts, grams = [], []
         for b in g.blocks:
             blk = resp[b.source][:, b.rows[:, None], b.cols]
-            target = block_target(model.spec, b.slot)
+            target = model.spec.targets[b.slot]
             if target is not None:
                 assert b.fixed_cols.size == 0
                 blk = blk - frequency_response(target, model.zs)
@@ -398,9 +390,9 @@ def test_surrogate_objective_matches_realized_grid_peaks_on_mesh(grid_setup, mes
     # of grid-peak singular values of the realized blocks at x
     _, part, _ = grid_setup
     _, builder, maps0, res = mesh_model
-    N = part.n_areas
-    spec = replace(res.spec, tau_c=np.ones((N, N)))
-    spec = spec.with_bounds(np.zeros(N), np.zeros((N, N)), np.zeros((N, N)), np.inf)
+    N, slots = part.n_areas, matching_slots(part.n_areas)
+    spec = replace(res.spec, tau=np.ones(len(slots)))
+    spec = spec.with_bounds(np.zeros(len(slots)), np.inf)
     model = _SurrogateModel(res.pair.bundle, res.param, part, spec, maps0,
                             np.arange(res.param.n_free))
     x = 0.3 * np.random.default_rng(14).standard_normal(res.param.n_free)
@@ -416,10 +408,12 @@ def test_surrogate_objective_matches_realized_grid_peaks_on_mesh(grid_setup, mes
         rows = area(part, i, "u")
         want += grid_peak(forced, rows, np.concatenate([maps.column_block("beta_f"),
                                                         maps.column_block("d")]),
-                          spec.t_d[i], zs)
+                          spec.targets[slots.index(("disturbance", i, None))], zs)
         for j in range(N):
-            want += grid_peak(forced, rows, area(part, j, "u"), spec.target_u(i, j), zs)
-            want += grid_peak(initial, rows, area(maps.partition, j, "w"), spec.target_c(i, j), zs)
+            want += grid_peak(forced, rows, area(part, j, "u"),
+                              spec.targets[slots.index(("coupling", i, j))], zs)
+            want += grid_peak(initial, rows, area(maps.partition, j, "w"),
+                              spec.targets[slots.index(("init", i, j))], zs)
     assert model.objective_at(x) == pytest.approx(want, rel=1e-6)
 
 
@@ -449,7 +443,7 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
     """The affine surrogate built straight from ``q_linear_responses``,
     keeping every (block, direction) pair.
 
-    Returns the flat [gamma_d; gamma_u; gamma_c] peaks at x, the peaks at
+    Returns the gamma vector of peaks at x, the peaks at
     x + t e_k as a function of (k, t) for k in ``lines``, and rel[k, slot]:
     the block's largest |entry| along direction k over the largest |entry| of
     all of k's responses.  Direction responses leave the controller-IC
@@ -490,7 +484,7 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
 
 
 def model_gammas(model, x):
-    """The model's flat [gamma_d; gamma_u; gamma_c] at x, from a full evaluation."""
+    """The model's gamma vector at x, from a full evaluation."""
     model.objective_at(x)
     return model._vals.copy()
 
@@ -498,9 +492,9 @@ def model_gammas(model, x):
 def build_dense_case(part, bundle, param, spec):
     """A surrogate over every free direction, every block weighted and no
     boxes, at a random x, with its dense reference."""
-    N, K = part.n_areas, param.n_free
-    spec = replace(spec, tau_c=np.ones((N, N)))
-    spec = spec.with_bounds(np.zeros(N), np.zeros((N, N)), np.zeros((N, N)), np.inf)
+    K = param.n_free
+    spec = replace(spec, tau=np.ones_like(spec.tau))
+    spec = spec.with_bounds(np.zeros_like(spec.tau), np.inf)
     model, _, maps0 = surrogate_model(bundle, part, param, spec)
     x = 0.3 * np.random.default_rng(15).standard_normal(K)
     lines = (0, K // 2, K - 1)
@@ -552,8 +546,7 @@ def test_sparse_surrogate_matches_dense_reference(request, network):
     _, model, x, lines, (want, on_line, _) = request.getfixturevalue(f"{network}_dense")
     # the reference reads the structural zeros at round-off; the model holds them at 0
     zero = ~model.support
-    weights = np.concatenate([model.spec.tau_d, model.spec.tau_u.ravel(),
-                              model.spec.tau_c.ravel()]) * model.support
+    weights = model.spec.tau * model.support
     got = model_gammas(model, x)
     assert np.all(got[zero] == 0.0) and np.max(want[zero], initial=0.0) <= 1e-9
     assert np.max(np.abs(got - want * model.support)) <= 1e-12 * np.max(want)
@@ -593,11 +586,8 @@ def test_sparse_surrogate_stores_only_kept_pairs(dense_case):
 def test_ring_far_blocks_keep_no_pair(ring_dense):
     part, model, _, _, _ = ring_dense
     N = part.n_areas
-    far = set()
-    for i in range(N):
-        for j in range(N):
-            if min(abs(i - j), N - abs(i - j)) >= 3:
-                far |= {N + i * N + j, N + N * N + i * N + j}
+    far = {s for s, (_, i, j) in enumerate(matching_slots(N))
+           if j is not None and min(abs(i - j), N - abs(i - j)) >= 3}
     assert len(far) == 48
     assert not far & {slot for _, slot in kept_pairs(model)}
 
@@ -661,8 +651,7 @@ def test_design_equals_unpruned_design_byte_for_byte(request, network, monkeypat
 def test_zero_weights_return_bootstrap():
     plant, part, nb, bundle, param = toy_setup(seed=7)
     spec, _ = bootstrap_spec(plant, part, bundle, param)
-    spec = replace(spec, tau_d=np.zeros(2), tau_u=np.zeros((2, 2)),
-                   tau_c=np.zeros((2, 2)))
+    spec = replace(spec, tau=np.zeros_like(spec.tau))
     res = solve(spec, param, bundle, part)
     assert np.all(res.x == 0.0)
     assert res.objective == 0.0
@@ -698,21 +687,16 @@ def test_decoupling_dominance_on_grid(grid_design):
     spec = grid_design.spec
     # admissible bounds came from the bootstrap; the box constraints keep
     # every cross-coupling norm at or below its bootstrap value
-    offdiag = grid_design.gamma_u.copy()
-    np.fill_diagonal(offdiag, 0.0)
-    bars = spec.gamma_bar_u / (1.0 + DESIGN_SLACK["grid"])
-    bootstrap_offdiag = bars.copy()
-    np.fill_diagonal(bootstrap_offdiag, 0.0)
-    assert np.sum(offdiag) <= np.sum(bootstrap_offdiag) + 1e-9
+    cross = np.array([kind == "coupling" and i != j for kind, i, j in matching_slots(spec.n_areas)])
+    bootstrap = spec.gamma_bar / (1.0 + DESIGN_SLACK["grid"])
+    assert np.sum(grid_design.gamma[cross]) <= np.sum(bootstrap[cross]) + 1e-9
 
 
 def test_bounds_respected_at_solution():
     plant, part, nb, bundle, param = toy_setup(seed=10)
     spec, _ = bootstrap_spec(plant, part, bundle, param, slack=0.2)
     res = solve(spec, param, bundle, part)
-    assert np.all(res.gamma_d <= spec.gamma_bar_d * (1 + 1e-9) + 1e-12)
-    assert np.all(res.gamma_u <= spec.gamma_bar_u * (1 + 1e-9) + 1e-12)
-    assert np.all(res.gamma_c <= spec.gamma_bar_c * (1 + 1e-9) + 1e-12)
+    assert np.all(res.gamma <= spec.gamma_bar * (1 + 1e-9) + 1e-12)
 
 
 def test_rejected_search_point_costs_one_origin_certificate(monkeypatch):
@@ -762,12 +746,13 @@ def test_run_algorithm1_trivial_network_zero_gap():
     res = run_algorithm1(plant, part, nb, config=AlgorithmConfig(q=2))
     builder = MapsBuilder(res.pair.bundle, part)
     maps = builder(res.q)
-    t_d = tuple(area_block(maps, part, "disturbance", i) for i in range(2))
-    t_u = tuple(area_block(maps, part, "coupling", i, i) for i in range(2))
-    spec2 = replace(res.spec, t_d=t_d, t_u_diag=t_u)
-    (gd, gu, gc), _ = constraint_norms(res.param, res.x, spec2, builder)
-    assert np.max(gd) <= 1e-9
-    assert gu[0, 0] <= 1e-9 and gu[1, 1] <= 1e-9
+    slots = matching_slots(2)
+    own = [s for s, (kind, i, j) in enumerate(slots) if kind == "disturbance" or (kind, i) == ("coupling", j)]
+    targets = list(res.spec.targets)
+    for s in own:
+        targets[s] = area_block(maps, part, *slots[s])
+    gamma, _ = constraint_norms(res.param, res.x, replace(res.spec, targets=tuple(targets)), builder)
+    assert len(own) == 4 and np.max(gamma[own]) <= 1e-9
 
 
 def test_run_algorithm1_grid_passes_all_hooks(grid_design):

@@ -45,7 +45,7 @@ def test_zero_amplitude_gives_zero_signals():
 
 def test_file_provided_disturbance_only():
     d = np.ones((20, 2))
-    sig = compose_signals(20, 4, 2, 2, seed=0, traces={"d": d})
+    sig = ScenarioSignals(20, 4, 2, 2, seed=0, d=d)
     assert np.allclose(sig.d_full, d)
     assert np.max(np.abs(sig.beta_x)) == 0.0
     assert np.max(np.abs(sig.beta_u)) == 0.0
@@ -115,7 +115,7 @@ def test_disturbance_impulse_matches_forced_column(loop):
     horizon = 50
     d = np.zeros((horizon, 2))
     d[0, 1] = 1.0
-    sig = compose_signals(horizon, 4, 2, 2, seed=0, traces={"d": d})
+    sig = ScenarioSignals(horizon, 4, 2, 2, seed=0, d=d)
     tr = simulate_monolithic(plant, list(bank), sig, np.zeros(4), np.zeros(maps.n_w))
     col = maps.column_block("d")[1]
     imp = impulse_response(maps.forced, horizon)[:, :, col]
@@ -230,8 +230,7 @@ def test_controller_state_noise_only_shifts_reported_states(loop):
     rng = np.random.default_rng(14)
     base = compose_signals(60, 4, 2, 2, seed=14, amplitudes={"d": 0.4})
     bw = rng.standard_normal((60, maps.n_w))
-    noisy = compose_signals(60, 4, 2, 2, seed=14, amplitudes={"d": 0.4},
-                            traces={"beta_w": bw})
+    noisy = replace(base, beta_w=bw)
     x_c = rng.uniform(-1, 1, 4)
     w_c = rng.uniform(-1, 1, maps.n_w)
     t0 = simulate_monolithic(plant, list(bank), base, x_c, w_c)
@@ -257,10 +256,10 @@ def test_metadata_carried_on_traces(loop):
 def _grid_batch(design, count, horizon, seed):
     rng = np.random.default_rng(seed)
     n_w = design.maps.n_w
-    singles = [compose_signals(horizon, 10, 5, 5, seed=int(rng.integers(2**31)),
-                               amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2,
-                                           "u_s2": 0.2, "beta_f": 0.02},
-                               traces={"beta_w": rng.standard_normal((horizon, n_w))})
+    singles = [replace(compose_signals(horizon, 10, 5, 5, seed=int(rng.integers(2**31)),
+                                       amplitudes={"d": 0.4, "zeta": 0.05, "u_s1": 0.2,
+                                                   "u_s2": 0.2, "beta_f": 0.02}),
+                       beta_w=rng.standard_normal((horizon, n_w)))
                for _ in range(count)]
     x_c = rng.uniform(-1, 1, (10, count))
     w_c = rng.uniform(-1, 1, (n_w, count))
@@ -507,13 +506,12 @@ def test_all_static_bank_runs_both_ways(count):
 # precomposed monolithic loop against the stepwise loop it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_monolithic(plant, bank, signals, x_c, w_c, horizon=None):
+def _reference_monolithic(plant, bank, signals, x_c, w_c):
     """Plant and stacked bank stepped one after the other, about ten
     products per step: the loop the precomposed one replaced, kept as its
     oracle."""
     ctrl = stacked_bank(bank)
-    T = horizon if horizon is not None else signals.horizon
-    n_x, n_u, batch = plant.n_x, plant.n_u, signals.batch
+    T, n_x, n_u, batch = signals.horizon, plant.n_x, plant.n_u, signals.batch
     D_x = ctrl.D[:, n_u:]
     x = np.array(x_c, dtype=float)
     w = np.array(w_c, dtype=float).reshape((ctrl.order,) + batch)
@@ -550,9 +548,9 @@ def _noisy_scenarios(plant, n_w, count, horizon, seed):
     rng = np.random.default_rng(seed)
     amps = {"d": 0.5, "zeta": 0.1, "u_s1": 0.2, "u_s2": 0.2, "beta_s1": 0.05,
             "beta_s2": 0.05, "beta_f": 0.05}
-    singles = [compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
-                               seed=int(rng.integers(2**31)), amplitudes=amps,
-                               traces={"beta_w": 0.1 * rng.standard_normal((horizon, n_w))})
+    singles = [replace(compose_signals(horizon, plant.n_x, plant.n_u, plant.n_d,
+                                       seed=int(rng.integers(2**31)), amplitudes=amps),
+                       beta_w=0.1 * rng.standard_normal((horizon, n_w)))
                for _ in range(max(count, 1))]
     shape = (count,) if count else ()
     return (stack_scenarios(singles) if count else singles[0],
@@ -565,12 +563,11 @@ def test_precomposed_loop_matches_stepwise_reference(request, network, count):
     plant, bank = _network(request, network)
     n_w = sum(c.order for c in bank)
     sig, x_c, w_c = _noisy_scenarios(plant, n_w, count, 150, seed=40)
-    for horizon in (None, 97):
-        got = simulate_monolithic(plant, bank, sig, x_c, w_c, horizon)
-        want = _reference_monolithic(plant, bank, sig, x_c, w_c, horizon)
-        for name, ref in zip(("x", "u_f", "u", "w"), want):
-            assert getattr(got, name).shape == ref.shape
-            assert ref.shape[0] == (horizon or 150) and ref.shape[2:] == sig.batch
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
-            assert np.max(np.abs(getattr(got, name) - ref), initial=0.0) <= tol, name
+    got = simulate_monolithic(plant, bank, sig, x_c, w_c)
+    want = _reference_monolithic(plant, bank, sig, x_c, w_c)
+    for name, ref in zip(("x", "u_f", "u", "w"), want):
+        assert getattr(got, name).shape == ref.shape
+        assert ref.shape[0] == 150 and ref.shape[2:] == sig.batch
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        assert np.max(np.abs(getattr(got, name) - ref), initial=0.0) <= tol, name
     assert np.max(np.abs(got.u_f)) > 0.0
