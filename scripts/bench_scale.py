@@ -9,11 +9,10 @@ time spent building the search surrogate, in the pattern search and in the
 certified norms (``constraint_norms``), the surrogate's stored direction
 bytes, its (block, direction) pairs and the share of its evaluations' grid
 points at which a lambda_max was taken (read from the surrogate's
-``lambda_points`` counter, where the source tree has one), the largest and
-the median number of lockstep steps per batch of the certificates' peak
-refinement (where the tree refines through ``lti._brent_max``) and the
-count of structurally zero blocks (where ``synthesis_report.txt`` has
-one).  Each time is the median over 3 runs.  One more child per N runs ``design`` alone under
+``lambda_points`` counter), the largest and the median number of lockstep
+steps per batch of the certificates' peak refinement (``lti._brent_max``)
+and the count of structurally zero blocks.  Each time is the median over
+3 runs.  One more child per N runs ``design`` alone under
 ``tracemalloc`` and records its peak of traced allocations
 (``design_tracemalloc_peak_mb``).  Unlike the peak RSS, which moves by
 about 20 MB between identical ring20 runs, it repeats from run to run; it
@@ -90,34 +89,26 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
 
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
-        n_blocks = sum(len(g.blocks) for g in self.groups)
-        if hasattr(self, "n_pairs"):
-            dirs = [d for kept in self.dirs for _, _, d in kept]
-            model["pairs_stored"], model["pairs_total"] = self.n_pairs
-        else:  # a dense surrogate stores every pair
-            dirs = [g.dirs for g in self.groups]
-            model["pairs_stored"] = model["pairs_total"] = self.groups[0].dirs.shape[0] * n_blocks
-        model["surrogate_dir_mb"] = sum(d.nbytes for d in dirs) / 2**20
+        model["pairs_stored"], model["pairs_total"] = self.n_pairs
+        model["surrogate_dir_mb"] = sum(d.nbytes for kept in self.dirs for _, _, d in kept) / 2**20
 
     search = match_synth._pattern_search
 
     def pattern_search(surrogate, *args, **kwargs):
         out = search(surrogate, *args, **kwargs)
-        if hasattr(surrogate, "lambda_points"):
-            taken, bracketed = surrogate.lambda_points
-            model["lambda_share"] = round(float(taken / bracketed), 4)
+        taken, bracketed = surrogate.lambda_points
+        model["lambda_share"] = round(float(taken / bracketed), 4)
         return out
 
     refine_steps = []   # lockstep steps of each refinement batch
-    if hasattr(lti, "_brent_max"):
-        refine = lti._brent_max
+    refine = lti._brent_max
 
-        def brent_max(*args, **kwargs):
-            out = refine(*args, **kwargs)
-            refine_steps.append(out[1])
-            return out
+    def brent_max(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        refine_steps.append(out[1])
+        return out
 
-        lti._brent_max = brent_max
+    lti._brent_max = brent_max
 
     match_synth._SurrogateModel.__init__ = timed(init, "surrogate_build_s")
     match_synth._pattern_search = timed(pattern_search, "search_s")
@@ -151,10 +142,9 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **spent, **model,
         "surrogate_evals": int(report["surrogate evaluations"]),
-        "refine_steps_max": max(refine_steps) if refine_steps else None,
-        "refine_steps_median": statistics.median(refine_steps) if refine_steps else None,
-        "structural_zeros": (int(report["structurally zero blocks"].split()[0])
-                             if "structurally zero blocks" in report else None),
+        "refine_steps_max": max(refine_steps),
+        "refine_steps_median": statistics.median(refine_steps),
+        "structural_zeros": int(report["structurally zero blocks"].split()[0]),
         "objective": float(report["objective (certified)"]),
         "numpy": np.__version__,
     }

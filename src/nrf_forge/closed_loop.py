@@ -6,9 +6,9 @@ The loop of plant and controller bank admits the explicit response
 
 where d_s stacks the compound disturbances [beta_x; beta_u; beta_f; d].  The
 forced map F and the initial-condition map I are assembled here from the
-coprime factors and the Youla parameter by realization composition, never by
-simulating the loop; the time-domain simulator is the independent
-cross-check of this algebra.
+right factor R = [N Y; M X], the left factor Lt = [-Xt Yt; Mt -Nt] and the
+Youla parameter by realization composition, never by simulating the loop;
+the time-domain simulator is the independent cross-check of this algebra.
 
     F = [ N Xq | N Yq     | N (Yqd - Yq) | (N Xq + I) G_d ]
         [ M Xq | M Yq - I | M (Yqd - Yq) | M Xq G_d       ]
@@ -16,7 +16,10 @@ cross-check of this algebra.
     I = [ Y J1 + N Q J1 | N J2 ]     J1 = Mt (zI - A)^{-1} z
         [ X J1 + M Q J1 | M J2 ]     J2 = Yqd C_w (zI - A_w)^{-1} z
 
-Properness of J1/J2 uses (zI - A)^{-1} z = I + (zI - A)^{-1} A.
+Every column reads R through its two Youla forms: [N; M] is R's first
+n_u columns, and [Y + N Q; X + M Q] = R [Q; I], while [-Xq, Yq] =
+[I, -Q] Lt comes with the pair (:mod:`nrf`).  Properness of J1/J2 uses
+(zI - A)^{-1} z = I + (zI - A)^{-1} A.
 
 The same formulas give each area block's support, which holds at every
 value of the Youla parameter (:func:`block_support`).
@@ -108,12 +111,15 @@ def _assert_stable(R: Realization, label: str) -> Realization:
 
 
 def stabilized_ic_rows(pair: NrfPair) -> Realization:
-    """Realize [Y + N Q; X + M Q], the left factor shared by the
-    disturbance column and the plant-IC columns."""
-    bundle = pair.bundle
-    top = parallel(bundle.Y, minimal(series(bundle.N, pair.q)))
-    bot = parallel(bundle.X, minimal(series(bundle.M, pair.q)))
-    return minimal(stack_rows(top, bot))
+    """Realize [Y + N Q; X + M Q] = R [Q; I], which the disturbance column
+    and the plant-IC columns share."""
+    q_i = stack_rows(pair.q, from_gain(np.eye(pair.n_x)))
+    return minimal(series(pair.bundle.right, q_i))
+
+
+def _nm(bundle: DcfBundle) -> Realization:
+    """[N; M], the first n_u columns of R."""
+    return select_cols(bundle.right, np.arange(bundle.n_u))
 
 
 def build_fq(pair: NrfPair, ic_rows: Realization) -> Realization:
@@ -126,7 +132,7 @@ def build_fq(pair: NrfPair, ic_rows: Realization) -> Realization:
     """
     bundle = pair.bundle
     n_x, n_u, n_d = bundle.n_x, bundle.n_u, bundle.plant.n_d
-    nm = stack_rows(bundle.N, bundle.M)
+    nm = _nm(bundle)
     diag_gap = minimal(parallel(pair.yq_diag, negate(pair.yq)))
     cols123 = series(nm, stack_cols_many([pair.xq, pair.yq, diag_gap]))
     a_l = bundle.observer_pencil()
@@ -150,7 +156,7 @@ def build_iq(pair: NrfPair, bank, ic_rows: Realization) -> tuple[Realization, Re
     j1 = minimal(_resolvent_times_z(a_l, np.eye(bundle.n_x)))
     ctrl = stacked_bank(bank)
     j2 = minimal(series(pair.yq_diag, _resolvent_times_z(ctrl.A, ctrl.C)))
-    nm = stack_rows(bundle.N, bundle.M)
+    nm = _nm(bundle)
     left_cols = minimal(series(ic_rows, j1))
     right_cols = minimal(series(nm, j2))
     iq = minimal(stack_cols_many([left_cols, right_cols]))
@@ -169,11 +175,18 @@ def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> Clo
     return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
 
 
-def _q_responses(bundle: DcfBundle, taps_seq, zs: np.ndarray):
+def _left_responses(bundle: DcfBundle, zs: np.ndarray):
+    """Xt, Yt, Mt and Nt on the flat complex grid ``zs``, sliced from one
+    response of Lt = [-Xt Yt; Mt -Nt]."""
+    m, n = bundle.n_u, bundle.n_x
+    lt = frequency_response(bundle.left, zs)
+    return -lt[:, :m, :n], lt[:, :m, n:], lt[:, m:, :n], -lt[:, m:, n:]
+
+
+def _q_responses(mt: np.ndarray, nt: np.ndarray, taps_seq, zs: np.ndarray):
     """Q, Q Mt and Q Nt on the flat complex grid ``zs`` for each tap tensor
-    (q, n_u, n_x) in ``taps_seq``, with Q(z) = sum_t taps[t] z^{-t-1}.  The
-    factors Mt and Nt are evaluated once."""
-    mt, nt = frequency_response(bundle.Mt, zs), frequency_response(bundle.Nt, zs)
+    (q, n_u, n_x) in ``taps_seq``, with Q(z) = sum_t taps[t] z^{-t-1}, from
+    the responses ``mt`` and ``nt`` on ``zs``."""
     for taps in taps_seq:
         powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
         q_resp = np.einsum("gt,tij->gij", powers, taps)
@@ -194,15 +207,16 @@ def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
                                 diag(Yq) and the bank)
 
     Yields one pair per tap tensor, of shapes (G, n_x + n_u, n_x + 2 n_u + n_d)
-    and (G, n_x + n_u, n_x); the factor responses are evaluated once.
+    and (G, n_x + n_u, n_x); [N; M] and Lt are evaluated once.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    nm = np.concatenate([frequency_response(bundle.N, zs), frequency_response(bundle.M, zs)], axis=1)
+    nm = frequency_response(_nm(bundle), zs)
+    _, _, mt, nt = _left_responses(bundle, zs)
     res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
     gd_l = res_l @ bundle.plant.B_d
     j1 = zs[:, None, None] * res_l
     diag = np.arange(bundle.n_u)
-    for q_resp, q_mt, q_nt in _q_responses(bundle, taps, zs):
+    for q_resp, q_mt, q_nt in _q_responses(mt, nt, taps, zs):
         gap = -q_nt
         gap[:, diag, diag] = 0.0
         right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
@@ -214,13 +228,13 @@ def kd_responses(bundle: DcfBundle, taps_seq, zs):
 
     Each element of ``taps_seq`` is an FIR tap tensor as in
     :func:`q_linear_responses`; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is the
-    diagonal of Yq.  The factor responses are evaluated once; yields one
+    diagonal of Yq.  Lt is evaluated once; yields one
     (G, n_u, n_u + n_x) stack per tap tensor.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    yt, xt = frequency_response(bundle.Yt, zs), frequency_response(bundle.Xt, zs)
+    xt, yt, mt, nt = _left_responses(bundle, zs)
     eye = np.eye(bundle.n_u)
-    for _, q_mt, q_nt in _q_responses(bundle, taps_seq, zs):
+    for _, q_mt, q_nt in _q_responses(mt, nt, taps_seq, zs):
         yq = yt + q_nt
         inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
         yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_mt)], axis=-1)
@@ -264,9 +278,9 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     """Which area-level matching blocks can be nonzero for any x: one
     boolean per slot of :func:`matching_slots`, False for a structural zero.
 
-    Each factor's support comes from the exact zeros of its realization's
-    area blocks (so from A + B_u F and A + L for the resolvents, and for
-    J1 = z (zI - A_L)^{-1}), Q's is the family's recorded support, Yq and
+    The supports of R, Lt and J1 = z (zI - A_L)^{-1} come from the exact
+    zeros of their realizations' area blocks (so from A + B_u F and A + L
+    for the resolvents), Q's is the family's recorded support, Yq and
     Xq keep to the family's communication pattern, and J2 is block-diagonal
     by area, as the stacked bank is.  The module docstring's formulas
     combine them with support(X Y) within support(X) support(Y), and an
@@ -276,11 +290,10 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     """
     N, xs, us = partition.n_areas, partition.x_sizes, partition.u_sizes
     eye = np.eye(N, dtype=bool)
-    # every factor's state is the plant's
-    n, m, x, y = (_realization_support(f, rows, xs, cols) for f, rows, cols in (
-        (bundle.N, xs, us), (bundle.M, us, us), (bundle.X, us, xs), (bundle.Y, xs, xs)))
-    nt, mt, xt, yt = (_realization_support(f, rows, xs, cols) for f, rows, cols in (
-        (bundle.Nt, xs, us), (bundle.Mt, xs, xs), (bundle.Xt, us, xs), (bundle.Yt, us, us)))
+    r = _realization_support(bundle.right, xs + us, xs, us + xs)   # R = [N Y; M X]
+    lt = _realization_support(bundle.left, us + xs, xs, xs + us)   # Lt = [-Xt Yt; Mt -Nt]
+    nm = r[:, :N]
+    xt, yt, mt, nt = lt[:N, :N], lt[:N, N:], lt[N:, :N], lt[N:, N:]
     q = _area_support(param.support, us, xs)
     yq, xq = yt | _product_support(q, nt), xt | _product_support(q, mt)
     yq &= _area_support(param.pattern.matrix[:, :param.n_u], us, us) | eye
@@ -288,12 +301,11 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     plant = bundle.plant
     j1 = _realization_support(_resolvent_times_z(bundle.observer_pencil(), np.eye(plant.n_x)), xs, xs, xs)
     gd = _product_support(j1, _area_support(plant.B_d, xs, [plant.n_d]))   # Mt G_d
-    nm = np.concatenate([n, m])
-    left = np.concatenate([y | _product_support(n, q), x | _product_support(m, q)])
+    ic_rows = _product_support(nm, q) | r[:, N:]   # R [Q; I]
     by_yq = _product_support(nm, yq)   # the beta_u and beta_f columns; (Yqd - Yq) is within Yq
     coupling = _product_support(nm, xq) | by_yq | np.concatenate([np.zeros_like(eye), eye])
-    init = _product_support(left, j1) | nm   # plant ICs through J1, controller ICs through J2
-    disturbance = by_yq.any(axis=1) | _product_support(left, gd).any(axis=1)
+    init = _product_support(ic_rows, j1) | nm   # plant ICs through J1, controller ICs through J2
+    disturbance = by_yq.any(axis=1) | _product_support(ic_rows, gd).any(axis=1)
     kinds = {kind: s[:N] | s[N:] for kind, s in
              (("disturbance", disturbance), ("coupling", coupling), ("init", init))}
     return np.array([kinds[kind][i] if j is None else kinds[kind][i, j]

@@ -1,27 +1,38 @@
 """Doubly coprime factorization of the input-to-state map over the unit disc.
 
 Given gains F (state feedback) and L (output injection; the full state is
-measured, so L acts directly on the state) with A + B_u F and A + L stable,
-the eight factors are realised by the classic observer/feedback formulas
+measured, so L acts directly on the state) with A_F = A + B_u F and
+A_L = A + L stable, the factorization is two realizations of order n: the
+right factor R (rows x, u; columns u, x) and the left factor Lt (rows u, x;
+columns x, u),
+
+    R  = [ N   Y  ] = [ 0    I_n ] + [ I ] (zI - A_F)^{-1} [ B_u, -L ]
+         [ M   X  ]   [ I_m  0   ]   [ F ]
+
+    Lt = [ -Xt  Yt ] = [ 0    I_m ] + [ -F ] (zI - A_L)^{-1} [ -L, B_u ]
+         [ Mt  -Nt ]   [ I_n  0   ]   [ -I ]
+
+so that block by block
 
     N = (zI-A_F)^{-1} B      M = I + F (zI-A_F)^{-1} B
     X = -F (zI-A_F)^{-1} L   Y = I - (zI-A_F)^{-1} L
     Nt = (zI-A_L)^{-1} B     Mt = I + (zI-A_L)^{-1} L
     Xt = -F (zI-A_L)^{-1} L  Yt = I - F (zI-A_L)^{-1} B
 
-with A_F = A + B_u F and A_L = A + L.  They satisfy the Bezout identity
+They satisfy the Bezout identity Lt R = I, that is Yt M - Xt N = I,
+Yt X = Xt Y, Mt N = Nt M and Mt Y - Nt X = I, and the normalisation
+Yt(inf) = I, Xt(inf) = 0 holds by construction.  For a Youla parameter Q,
+with Xq = Xt + Q Mt and Yq = Yt + Q Nt, the two Youla forms are
 
-    [ Yt -Xt ] [ M X ]   [ I  0 ]
-    [ -Nt Mt ] [ N Y ] = [ 0  I ]
+    [ Y + N Q; X + M Q ] = R [ Q; I ]        [ -Xq, Yq ] = [ I, -Q ] Lt
 
-and the normalisation Yt(inf) = I, Xt(inf) = 0.  Published factor tables
-differ in sign conventions; this one is fixed once and the mandatory Bezout
-residual post-check is the arbiter (a failed residual is a constructor bug,
-never a warning).
+Published factor tables differ in sign conventions; this one is fixed once
+and the mandatory Bezout residual post-check is the arbiter (a failed
+residual is a constructor bug, never a warning).
 
-With the deadbeat choice of L (A + L nilpotent) the four left factors are
-FIR, which the sparsity-constrained parametrization exploits for exact
-linear algebra.
+With the deadbeat choice of L (A + L nilpotent) the left factor is FIR,
+which the sparsity-constrained parametrization exploits for exact linear
+algebra.
 """
 
 from __future__ import annotations
@@ -34,23 +45,14 @@ from .errors import (
     BezoutResidualError,
     DimensionMismatchError,
     NonStabilizingGainsError,
-    NormalizationError,
     UncontrollableModeError,
 )
-from .lti import (
-    FrequencyGrid,
-    Realization,
-    _bracket,
-    _resolvent,
-    fir_support,
-    make_realization,
-    pbh_test,
-    spectral_radius_raw,
-)
+from .lti import FrequencyGrid, Realization, _bracket, frequency_response, make_realization, pbh_test
 from .partition import AreaPartition
 from .plant import Plant
 
 BEZOUT_TOL = 1e-8
+BEZOUT_GRID = FrequencyGrid.uniform(512)  # the grid of build_dcf's residual check
 BEZOUT_CHUNK = 64  # grid points per chunk of verify_bezout's residual
 
 STRATEGY_BLOCK_DEADBEAT = "block_diagonalizing_F_deadbeat_L"
@@ -59,22 +61,15 @@ STRATEGY_USER = "user_supplied"
 
 @dataclass(frozen=True)
 class DcfBundle:
-    """Eight coprime factors, the generating gains, and the residual certificate."""
+    """The right and left factors, the generating gains, and the residual
+    certificate."""
 
-    N: Realization
-    M: Realization
-    X: Realization
-    Y: Realization
-    Nt: Realization
-    Mt: Realization
-    Xt: Realization
-    Yt: Realization
+    right: Realization   # R = [N Y; M X]
+    left: Realization    # Lt = [-Xt Yt; Mt -Nt]
     F: np.ndarray
     L: np.ndarray
     plant: Plant
     bezout_residual: float
-    grid_size: int
-    fir_orders: dict | None = None
 
     @property
     def n_x(self) -> int:
@@ -83,10 +78,6 @@ class DcfBundle:
     @property
     def n_u(self) -> int:
         return self.plant.n_u
-
-    def factors(self) -> dict:
-        return {"N": self.N, "M": self.M, "X": self.X, "Y": self.Y,
-                "Nt": self.Nt, "Mt": self.Mt, "Xt": self.Xt, "Yt": self.Yt}
 
     def observer_pencil(self) -> np.ndarray:
         return self.plant.A + self.L
@@ -100,6 +91,10 @@ class DcfBundle:
         P = np.linalg.matrix_power(A_L, n)
         scale = max(1.0, np.linalg.norm(A_L, 2)) ** n
         return bool(np.linalg.norm(P, 2) <= 1e-8 * scale)
+
+
+def _spectral_radius(M: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(M)), initial=0.0))
 
 
 def _char_poly(M: np.ndarray) -> np.ndarray:
@@ -153,7 +148,7 @@ def design_gains(plant: Plant, partition: AreaPartition | None,
 
     The default strategy block-diagonalises A + B_u F toward diag(A_ii) and
     places every observer pole at zero with a per-area deadbeat block, so the
-    left factors come out FIR.  Both pencils are verified stable; failures
+    left factor comes out FIR.  Both pencils are verified stable; failures
     raise rather than return unusable gains.
     """
     A, B = plant.A, plant.B_u
@@ -189,8 +184,7 @@ def design_gains(plant: Plant, partition: AreaPartition | None,
         raise DimensionMismatchError(f"F has shape {F.shape}, expected {(plant.n_u, n)}")
     if L.shape != (n, n):
         raise DimensionMismatchError(f"L has shape {L.shape}, expected {(n, n)}")
-    rho_f = spectral_radius_raw(make_realization(A + B @ F, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))))
-    rho_l = spectral_radius_raw(make_realization(A + L, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))))
+    rho_f, rho_l = _spectral_radius(A + B @ F), _spectral_radius(A + L)
     if rho_f >= 1.0 - 1e-10:
         raise NonStabilizingGainsError(
             f"A + B_u F has spectral radius {rho_f:.6g}; supply gains explicitly"
@@ -200,8 +194,14 @@ def design_gains(plant: Plant, partition: AreaPartition | None,
     return F, L
 
 
-def build_dcf(plant: Plant, F, L, grid_size: int = 512) -> DcfBundle:
-    """Construct and certify the eight-factor bundle for the given gains."""
+def _swap(p: int, q: int) -> np.ndarray:
+    """[0 I_p; I_q 0], the feedthrough of both factors."""
+    return np.block([[np.zeros((p, q)), np.eye(p)], [np.eye(q), np.zeros((q, p))]])
+
+
+def build_dcf(plant: Plant, F, L) -> DcfBundle:
+    """Construct the right and left factors for the given gains and certify
+    their Bezout identity on :data:`BEZOUT_GRID`."""
     F = np.asarray(F, dtype=float)
     L = np.asarray(L, dtype=float)
     n, m = plant.n_x, plant.n_u
@@ -212,81 +212,37 @@ def build_dcf(plant: Plant, F, L, grid_size: int = 512) -> DcfBundle:
     A, B = plant.A, plant.B_u
     A_F = A + B @ F
     A_L = A + L
-    if spectral_radius_raw(make_realization(A_F, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)))) >= 1:
+    if _spectral_radius(A_F) >= 1:
         raise NonStabilizingGainsError("A + B_u F is not stable")
-    if spectral_radius_raw(make_realization(A_L, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)))) >= 1:
+    if _spectral_radius(A_L) >= 1:
         raise NonStabilizingGainsError("A + L is not stable")
 
-    I_n, I_m = np.eye(n), np.eye(m)
-    Zmn = np.zeros((m, n))
-    N = make_realization(A_F, B, I_n, np.zeros((n, m)))
-    M = make_realization(A_F, B, F, I_m)
-    X = make_realization(A_F, L, -F, Zmn)
-    Y = make_realization(A_F, L, -I_n, I_n)
-    Nt = make_realization(A_L, B, I_n, np.zeros((n, m)))
-    Mt = make_realization(A_L, L, I_n, I_n)
-    Xt = make_realization(A_L, L, -F, Zmn)
-    Yt = make_realization(A_L, B, -F, I_m)
-
-    # normalisation at infinity is structural here, but check anyway
-    if not np.allclose(Yt.D, I_m) or not np.allclose(Xt.D, 0.0):
-        raise NormalizationError("left complements violate Yt(inf)=I, Xt(inf)=0")
-    if np.any(N.D) or np.any(Nt.D):
-        raise NormalizationError("numerator factors must be strictly proper")
-
-    bundle = DcfBundle(N, M, X, Y, Nt, Mt, Xt, Yt, F, L, plant,
-                       bezout_residual=np.inf, grid_size=grid_size)
-    residual = verify_bezout(bundle, FrequencyGrid.uniform(grid_size))
+    right = make_realization(A_F, np.hstack([B, -L]), np.vstack([np.eye(n), F]), _swap(n, m))
+    left = make_realization(A_L, np.hstack([-L, B]), np.vstack([-F, -np.eye(n)]), _swap(m, n))
+    residual = _bezout_residual(left, right, BEZOUT_GRID)
     if residual > BEZOUT_TOL:
         raise BezoutResidualError(
             f"Bezout residual {residual:.3e} exceeds {BEZOUT_TOL:.1e}; "
             "sign-convention or stability bug in the constructor"
         )
-    fir_orders = None
-    if bundle.is_deadbeat():
-        fir_orders = {}
-        for name, fac in bundle.factors().items():
-            fir_orders[name] = fir_support(fac, max_len=n)
-    return DcfBundle(N, M, X, Y, Nt, Mt, Xt, Yt, F, L, plant,
-                     bezout_residual=residual, grid_size=grid_size,
-                     fir_orders=fir_orders)
-
-
-def _factor_values(bundle: DcfBundle, zs: np.ndarray) -> dict:
-    """Every factor's values at ``zs``.  Factors with exactly equal (A, B)
-    share one resolvent solve: four for (N, M), (X, Y), (Nt, Yt), (Mt, Xt)."""
-    solved, vals = [], {}
-    for name, fac in bundle.factors().items():
-        X = next((X for A, B, X in solved
-                  if np.array_equal(A, fac.A) and np.array_equal(B, fac.B)), None)
-        if X is None:
-            X = _resolvent(fac.A, fac.B, zs)
-            solved.append((fac.A, fac.B, X))
-        vals[name] = fac.C @ X + fac.D
-    return vals
+    return DcfBundle(right, left, F, L, plant, residual)
 
 
 def verify_bezout(bundle: DcfBundle, grid: FrequencyGrid) -> float:
-    """Largest singular value of (left block) (right block) - I over the grid,
-    formed in chunks of :data:`BEZOUT_CHUNK` points.  It lies between the
-    largest column norm and the Frobenius norm, so an SVD is taken only at
-    the points :func:`lti._bracket` keeps; the value is that of every point."""
-    n, m = bundle.n_x, bundle.n_u
-    zs = grid.points
+    """Largest singular value of Lt R - I over the grid (see :func:`_bezout_residual`)."""
+    return _bezout_residual(bundle.left, bundle.right, grid)
+
+
+def _bezout_residual(left: Realization, right: Realization, grid: FrequencyGrid) -> float:
+    """Largest singular value of left right - I over the grid, formed in
+    chunks of :data:`BEZOUT_CHUNK` points, one resolvent solve per factor
+    and point.  It lies between the largest column norm and the Frobenius
+    norm, so an SVD is taken only at the points :func:`lti._bracket` keeps;
+    the value is that of every point."""
+    zs, eye = grid.points, np.eye(left.noutputs)
 
     def residual(z):
-        vals = _factor_values(bundle, z)
-        left = np.empty((z.size, m + n, m + n), dtype=complex)
-        right = np.empty((z.size, m + n, m + n), dtype=complex)
-        left[:, :m, :m] = vals["Yt"]
-        left[:, :m, m:] = -vals["Xt"]
-        left[:, m:, :m] = -vals["Nt"]
-        left[:, m:, m:] = vals["Mt"]
-        right[:, :m, :m] = vals["M"]
-        right[:, :m, m:] = vals["X"]
-        right[:, m:, :m] = vals["N"]
-        right[:, m:, m:] = vals["Y"]
-        return left @ right - np.eye(m + n)
+        return frequency_response(left, z) @ frequency_response(right, z) - eye
 
     col_sq = np.concatenate([(np.abs(residual(zs[lo:lo + BEZOUT_CHUNK])) ** 2).sum(axis=1)
                              for lo in range(0, zs.size, BEZOUT_CHUNK)])

@@ -37,10 +37,6 @@ class BezoutResidualError(ValueError):
     """Coprime factor construction failed its Bezout identity post-check."""
 
 
-class NormalizationError(ValueError):
-    """Left Bezout complements violate the required behaviour at infinity."""
-
-
 class NotStrictlyProperError(ValueError):
     """A Youla parameter (or similar) has a nonzero feedthrough."""
 

@@ -103,8 +103,9 @@ def load_document(path: str) -> dict:
 
 
 def matrix_doc(M: np.ndarray) -> dict:
+    """Rows, columns and row-major data; an empty matrix has ``data: []``."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.tolist()}
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.tolist() if M.size else []}
 
 
 def matrix_from_doc(doc: dict) -> np.ndarray:
@@ -119,9 +120,9 @@ def realization_doc(R: Realization) -> dict:
         "outputs": R.noutputs,
         "inputs": R.ninputs,
         "stability_domain": R.stability_domain,
-        "A": matrix_doc(R.A) if R.order else {"rows": 0, "cols": 0, "data": []},
-        "B": matrix_doc(R.B) if R.order else {"rows": 0, "cols": R.ninputs, "data": []},
-        "C": matrix_doc(R.C) if R.order else {"rows": R.noutputs, "cols": 0, "data": []},
+        "A": matrix_doc(R.A),
+        "B": matrix_doc(R.B),
+        "C": matrix_doc(R.C),
         "D": matrix_doc(R.D),
     }
 
@@ -151,33 +152,21 @@ def load_plant(path: str) -> Plant:
 
 
 def export_bundle(bundle: DcfBundle, dirpath: str) -> None:
+    """The left and right factors, and a manifest of the gains and the residual."""
     os.makedirs(dirpath, exist_ok=True)
-    for name, fac in bundle.factors().items():
-        dump_document(realization_doc(fac), os.path.join(dirpath, f"{name}.json"))
-    manifest = {
-        "F": matrix_doc(bundle.F),
-        "L": matrix_doc(bundle.L),
-        "bezout_residual": bundle.bezout_residual,
-        "grid_size": bundle.grid_size,
-        "fir_orders": {k: (int(v) if v is not None else None)
-                       for k, v in (bundle.fir_orders or {}).items()},
-    }
-    dump_document(manifest, os.path.join(dirpath, "manifest.json"))
+    dump_document(realization_doc(bundle.left), os.path.join(dirpath, "left.json"))
+    dump_document(realization_doc(bundle.right), os.path.join(dirpath, "right.json"))
+    dump_document({"F": matrix_doc(bundle.F), "L": matrix_doc(bundle.L),
+                   "bezout_residual": bundle.bezout_residual},
+                  os.path.join(dirpath, "manifest.json"))
 
 
 def load_bundle(dirpath: str, plant: Plant) -> DcfBundle:
     manifest = load_document(os.path.join(dirpath, "manifest.json"))
-    facs = {name: realization_from_doc(load_document(os.path.join(dirpath, f"{name}.json")))
-            for name in ("N", "M", "X", "Y", "Nt", "Mt", "Xt", "Yt")}
-    fir = manifest.get("fir_orders") or None
-    if fir is not None:
-        fir = {k: (int(v) if v is not None else None) for k, v in fir.items()}
-    return DcfBundle(
-        facs["N"], facs["M"], facs["X"], facs["Y"],
-        facs["Nt"], facs["Mt"], facs["Xt"], facs["Yt"],
-        matrix_from_doc(manifest["F"]), matrix_from_doc(manifest["L"]),
-        plant, float(manifest["bezout_residual"]), int(manifest["grid_size"]), fir,
-    )
+    left, right = (realization_from_doc(load_document(os.path.join(dirpath, f"{name}.json")))
+                   for name in ("left", "right"))
+    return DcfBundle(right, left, matrix_from_doc(manifest["F"]), matrix_from_doc(manifest["L"]),
+                     plant, float(manifest["bezout_residual"]))
 
 
 def export_bank(bank, partition: AreaPartition, dirpath: str) -> None:
@@ -194,8 +183,8 @@ def export_bank(bank, partition: AreaPartition, dirpath: str) -> None:
         doc = {
             "area": ctrl.area + 1,
             "row_orders": list(ctrl.row_orders),
-            "A": matrix_doc(ctrl.A) if ctrl.order else {"rows": 0, "cols": 0, "data": []},
-            "B": matrix_doc(ctrl.B) if ctrl.order else {"rows": 0, "cols": ctrl.B.shape[1], "data": []},
+            "A": matrix_doc(ctrl.A),
+            "B": matrix_doc(ctrl.B),
             "C": matrix_doc(ctrl.C),
             "D": matrix_doc(ctrl.D),
             "w0": list(ctrl.w0),
@@ -274,9 +263,9 @@ def export_prediction_models(models, dirpath: str) -> None:
     for pm in models:
         doc = {
             "area": pm.area + 1,
-            "A_s": matrix_doc(pm.A_s) if pm.order else {"rows": 0, "cols": 0, "data": []},
-            "B_s1": matrix_doc(pm.B_s1) if pm.order else {"rows": 0, "cols": pm.B_s1.shape[1], "data": []},
-            "B_s2": matrix_doc(pm.B_s2) if pm.order else {"rows": 0, "cols": pm.B_s2.shape[1], "data": []},
+            "A_s": matrix_doc(pm.A_s),
+            "B_s1": matrix_doc(pm.B_s1),
+            "B_s2": matrix_doc(pm.B_s2),
             "C_x": matrix_doc(pm.C_x),
             "C_u": matrix_doc(pm.C_u),
             "initial_state": [0.0] * pm.order,

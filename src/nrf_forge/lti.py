@@ -858,22 +858,3 @@ def impulse_response(R: Realization, length: int) -> np.ndarray:
         out[k] = R.C @ X
         X = R.A @ X
     return out
-
-
-def fir_support(R: Realization, max_len: int | None = None) -> int | None:
-    """Degree of the impulse response support, or None if not FIR.
-
-    Returns the smallest q with h[k] = 0 for all k > q, judged against
-    1e-12 times the response scale, scanning up to order + 1 samples.
-    """
-    horizon = (max_len if max_len is not None else R.order + 1) + 1
-    h = impulse_response(R, horizon + 1)
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    nz = [k for k in range(horizon + 1) if np.max(np.abs(h[k])) > 1e-12 * scale] or [0]
-    q = nz[-1]
-    # FIR iff the state matrix is (numerically) nilpotent
-    if R.order and spectral_radius_raw(R) > 1e-6:
-        Apow = np.linalg.matrix_power(R.A, R.order)
-        if np.linalg.norm(Apow, 2) > 1e-8 * max(1.0, np.linalg.norm(R.A, 2) ** R.order):
-            return None
-    return q

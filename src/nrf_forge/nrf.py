@@ -4,9 +4,10 @@ A controller K = (I - Phi)^{-1} Gamma is carried as the pair
 (Phi, Gamma): `feedforward` routes other inputs' commands, `feedback` routes
 measured states, and the diagonal of the feedforward part is identically
 zero so each command can be computed locally.  The pair is generated from a
-doubly coprime factorization and a Youla parameter Q through
+doubly coprime factorization and a Youla parameter Q through the left
+factor Lt = [-Xt Yt; Mt -Nt] of :mod:`dcf`,
 
-    Yq  = Yt + Q Nt          Xq  = Xt + Q Mt
+    [ -Xq, Yq ] = [ I, -Q ] Lt,  that is  Yq = Yt + Q Nt,  Xq = Xt + Q Mt
     Phi = I - diag(Yq)^{-1} Yq          Gamma = diag(Yq)^{-1} Xq
 
 Each row of [Phi Gamma] is re-realised in an observable companion canonical
@@ -34,12 +35,14 @@ from .lti import (
     ZERO_TOL,
     Realization,
     frequency_response,
+    from_gain,
     impulse_response,
     inverse,
     make_realization,
     minimal,
     negate,
     parallel,
+    select_cols,
     select_rows,
     series,
     stack_cols,
@@ -138,8 +141,10 @@ def form_nrf_pair(bundle: DcfBundle, q: Realization) -> NrfPair:
         raise NotStrictlyProperError(
             f"Q feedthrough has magnitude {np.max(np.abs(q.D)):.3e}; must be strictly proper"
         )
-    yq = minimal(parallel(bundle.Yt, series(q, bundle.Nt)))
-    xq = minimal(parallel(bundle.Xt, series(q, bundle.Mt)))
+    n_u, n_x = bundle.n_u, bundle.n_x
+    xq_yq = minimal(series(stack_cols(from_gain(np.eye(n_u)), negate(q)), bundle.left))  # [-Xq, Yq]
+    xq = negate(select_cols(xq_yq, np.arange(n_x)))
+    yq = select_cols(xq_yq, np.arange(n_x, n_x + n_u))
     yq_diag = diagonal_part(yq)
     d_diag = np.diag(yq_diag.D)
     if np.min(np.abs(d_diag)) < 1e-9:
@@ -148,15 +153,10 @@ def form_nrf_pair(bundle: DcfBundle, q: Realization) -> NrfPair:
             f"diagonal entry {bad + 1} of Yq vanishes at infinity; its inverse is not proper"
         )
     inv_diag = inverse(yq_diag)
-    n_u = bundle.n_u
-    phi = minimal(parallel(_identity(n_u), negate(series(inv_diag, yq))))
+    phi = minimal(parallel(from_gain(np.eye(n_u)), negate(series(inv_diag, yq))))
     gamma = minimal(series(inv_diag, xq))
     kd = minimal(stack_cols(phi, gamma))
     return NrfPair(phi, gamma, yq, xq, yq_diag, kd, q, bundle)
-
-
-def _identity(p: int) -> Realization:
-    return make_realization(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), np.eye(p))
 
 
 def _schur_char_coeffs(A: np.ndarray) -> np.ndarray:
@@ -224,10 +224,11 @@ def _grid_zero_columns(kd: Realization, row: int) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(col_max <= ZERO_TOL))
 
 
-def verify_sparsity_inheritance(row: ControllerRow, kd: Realization) -> None:
-    """Check that B/D columns are exactly zero wherever the row entry is zero."""
-    offending = [(row.index, j) for j in _grid_zero_columns(kd, row.index)
-                 if np.any(row.B[:, j] != 0.0) or row.D[0, j] != 0.0]
+def verify_sparsity_inheritance(index: int, row: Realization, kd: Realization) -> None:
+    """Check that the B/D columns of controller row ``index`` are exactly
+    zero wherever that row of ``kd`` is identically zero."""
+    offending = [(index, j) for j in _grid_zero_columns(kd, index)
+                 if np.any(row.B[:, j] != 0.0) or np.any(row.D[:, j] != 0.0)]
     if offending:
         raise SparsityInheritanceError(offending)
 

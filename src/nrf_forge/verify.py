@@ -27,18 +27,18 @@ from .closed_loop import (
     prediction_model,
     reconstructed_response,
 )
-from .dcf import DcfBundle, verify_bezout
+from .dcf import BEZOUT_GRID, DcfBundle, verify_bezout
 from .errors import AlgebraicLoopError, CommConstraintError, NonzeroFeedthroughError, SparsityInheritanceError
 from .lti import (
     FrequencyGrid,
     SignalTrace,
     frequency_response,
     is_minimal,
+    make_realization,
     spectral_radius,
 )
 from .nrf import (
     check_comm_constraints,
-    extract_row,
     form_nrf_pair,
     stacked_bank,
     verify_sparsity_inheritance,
@@ -95,13 +95,15 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     n_u = plant.n_u
     grid64 = FrequencyGrid.chebyshev(64)
 
-    records.append(_rec("bezout_residual",
-                        verify_bezout(bundle, FrequencyGrid.uniform(512)), 1e-8))
+    n_x, lt_d, r_d = plant.n_x, bundle.left.D, bundle.right.D
+    records.append(_rec("bezout_residual", verify_bezout(bundle, BEZOUT_GRID), 1e-8))
+    # Yt(inf) = I and Xt(inf) = 0 in Lt = [-Xt Yt; Mt -Nt]
     records.append(_rec("normalization_at_infinity",
-                        max(np.max(np.abs(bundle.Yt.D - np.eye(n_u))),
-                            np.max(np.abs(bundle.Xt.D))), 0.0))
+                        max(np.max(np.abs(lt_d[:n_u, n_x:] - np.eye(n_u))),
+                            np.max(np.abs(lt_d[:n_u, :n_x]))), 0.0))
+    # N(inf) = 0 in R = [N Y; M X] and Nt(inf) = 0
     records.append(_rec("numerators_strictly_proper",
-                        max(np.max(np.abs(bundle.N.D)), np.max(np.abs(bundle.Nt.D))), 0.0))
+                        max(np.max(np.abs(r_d[:n_x, :n_u])), np.max(np.abs(lt_d[n_u:, n_x:]))), 0.0))
 
     # pair identities: Yqd (I - Phi) = Yq and Yqd Gamma = Xq on the grid
     zs = grid64.points
@@ -116,20 +118,21 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     diag_vals = np.abs(np.stack([phi[:, i, i] for i in range(n_u)]))
     records.append(_rec("feedforward_diagonal_zero", np.max(diag_vals), 1e-10))
 
-    # canonical rows: eval match, minimality, inherited zeros
+    # the deployed rows, split from each area's stack: eval match,
+    # minimality, inherited zeros
     kd_resp = frequency_response(pair.kd, zs)
     row_err = 0.0
-    rows = [extract_row(pair.kd, ell) for ell in range(n_u)]
-    for r in rows:
-        resp = frequency_response(r.realization(), zs)[:, 0, :]
-        scale = max(1.0, float(np.max(np.abs(kd_resp[:, r.index, :]))))
-        row_err = max(row_err, float(np.max(np.abs(resp - kd_resp[:, r.index, :]))) / scale)
+    rows = list(_deployed_rows(bank, partition))
+    for ell, r in rows:
+        resp = frequency_response(r, zs)[:, 0, :]
+        scale = max(1.0, float(np.max(np.abs(kd_resp[:, ell, :]))))
+        row_err = max(row_err, float(np.max(np.abs(resp - kd_resp[:, ell, :]))) / scale)
     records.append(_rec("row_canonical_eval_match", row_err, 1e-8))
     records.append(_rec("row_canonical_minimal",
-                        0.0 if all(is_minimal(r.realization()) for r in rows) else 1.0, 0.0))
+                        0.0 if all(is_minimal(r) for _, r in rows) else 1.0, 0.0))
     try:
-        for r in rows:
-            verify_sparsity_inheritance(r, pair.kd)
+        for ell, r in rows:
+            verify_sparsity_inheritance(ell, r, pair.kd)
         records.append(_rec("row_sparsity_inheritance", 0.0, 0.0))
     except SparsityInheritanceError as exc:
         records.append(CheckRecord("row_sparsity_inheritance", 1.0, 0.0, False, str(exc)))
@@ -212,6 +215,17 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
         records.append(_stepped("response_decomposition", lambda: _decomposition_residual(
             plant, partition, nb, maps, ctrl, models, rng), 1e-8))
     return records
+
+
+def _deployed_rows(bank, partition: AreaPartition):
+    """(row index, realization) of every controller row of ``bank``, split
+    from its area's block-diagonal stack by the area's ``row_orders``."""
+    for ctrl in bank:
+        starts = np.cumsum((0,) + ctrl.row_orders)
+        for k, ell in enumerate(partition.indices("u", ctrl.area)):
+            lo, hi = starts[k], starts[k + 1]
+            yield int(ell), make_realization(ctrl.A[lo:hi, lo:hi], ctrl.B[lo:hi],
+                                             ctrl.C[[k], lo:hi], ctrl.D[[k]])
 
 
 def _scenario_batch(rng, count: int, horizon: int, plant: Plant, n_w: int, amplitudes: dict):

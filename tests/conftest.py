@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.grid import GridCoefficients, build_grid_plant, grid_neighborhoods, grid_partition
+from nrf_forge.lti import negate, select_cols, select_rows
 from nrf_forge.match_synth import AlgorithmConfig, run_algorithm1
 from nrf_forge.nrf import AreaController
 from nrf_forge.partition import Neighborhoods, build_partition
@@ -95,12 +96,34 @@ def refine_steps(monkeypatch) -> list:
     return steps
 
 
-def deadbeat_bundle(plant, F=None, grid_size=512):
+def deadbeat_bundle(plant, F=None):
     """Bundle with zero (or given) feedback and a shift-nilpotent observer pencil."""
     F = F if F is not None else np.zeros((plant.n_u, plant.n_x))
     L = shift_nilpotent(plant.n_x) - plant.A
     F, L = design_gains(plant, None, "user_supplied", F=F, L=L)
-    return build_dcf(plant, F, L, grid_size)
+    return build_dcf(plant, F, L)
+
+
+def factor_block(bundle, name):
+    """Where a coprime factor sits: (side, rows, cols, sign) with side
+    "right" for R = [N Y; M X] (rows x, u; columns u, x) or "left" for
+    Lt = [-Xt Yt; Mt -Nt] (rows u, x; columns x, u)."""
+    n, m = bundle.n_x, bundle.n_u
+    head_n, tail_n, head_m, tail_m = np.arange(n), m + np.arange(n), np.arange(m), n + np.arange(m)
+    return {"N": ("right", head_n, head_m, 1), "Y": ("right", head_n, tail_n, 1),
+            "M": ("right", tail_m, head_m, 1), "X": ("right", tail_m, tail_n, 1),
+            "Xt": ("left", head_m, head_n, -1), "Yt": ("left", head_m, tail_m, 1),
+            "Mt": ("left", tail_n, head_n, 1), "Nt": ("left", tail_n, tail_m, -1)}[name]
+
+
+def factor(bundle, name):
+    """One of the eight coprime factors, sliced from R or Lt."""
+    side, rows, cols, sign = factor_block(bundle, name)
+    block = select_cols(select_rows(getattr(bundle, side), rows), cols)
+    return block if sign > 0 else negate(block)
+
+
+FACTORS = ("N", "M", "X", "Y", "Nt", "Mt", "Xt", "Yt")
 
 
 #: Bound slack of the designs below, by network.

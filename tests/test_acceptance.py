@@ -71,7 +71,7 @@ def test_criterion_1_bezout_certification():
         plant = Plant(A, B, rng.standard_normal((n, 1)))
         F = np.zeros((m, n)) if rho_target < 1 else _stabilizing_feedback(A, B)
         L = shift_nilpotent(n) - A  # deadbeat observer pencil
-        bundle = build_dcf(plant, F, L, grid_size=512)
+        bundle = build_dcf(plant, F, L)
         worst = max(worst, bundle.bezout_residual)
         assert bundle.is_deadbeat()
     elapsed = time.perf_counter() - t0

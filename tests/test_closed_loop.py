@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent
-from nrf_forge import cli
+from nrf_forge import cli, closed_loop
 from nrf_forge.closed_loop import (
     area_block,
     block_support,
@@ -392,3 +392,19 @@ def test_slot_names_follow_the_gamma_table_rows(N):
             + [f"gamma_c[{i + 1};{j + 1}]" for i in range(N) for j in range(N)])
     assert [slot_name(slot, ";") for slot in matching_slots(N)] == rows
     assert [slot_name(slot) for slot in matching_slots(N)] == [r.replace(";", ",") for r in rows]
+
+
+def test_minimal_maps_keep_the_composed_transfer_function(grid_setup, grid_design, monkeypatch):
+    # the mesh's maps at x = 0, with and without every minimal() of the
+    # assembly: the reductions of R [Q; I], [N; M] and the pair may drop
+    # no mode that the composed maps need
+    plant, part, _ = grid_setup
+    param = grid_design.param
+    maps = MapsBuilder(grid_design.maps.pair.bundle, part)(q_from_x(param, np.zeros(param.n_free)))
+    monkeypatch.setattr(closed_loop, "minimal", lambda R: R)
+    composed = build_closed_loop_maps(maps.pair, maps.bank, part)
+    zs = FrequencyGrid.chebyshev(256).points
+    for name in ("forced", "initial"):
+        ref = frequency_response(getattr(composed, name), zs)
+        got = frequency_response(getattr(maps, name), zs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name

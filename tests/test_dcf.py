@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent, unprune
-from nrf_forge import dcf, lti
+from conftest import FACTORS, deadbeat_bundle, factor, factor_block, random_stable_plant, shift_nilpotent, unprune
+from nrf_forge import lti
 from nrf_forge.dcf import (
-    DcfBundle,
+    BEZOUT_CHUNK,
+    BEZOUT_GRID,
     build_dcf,
     design_gains,
     nilpotent_completion,
@@ -19,6 +22,7 @@ from nrf_forge.lti import (
     FrequencyGrid,
     evaluate,
     frequency_response,
+    impulse_response,
     inverse,
     make_realization,
     series,
@@ -30,15 +34,16 @@ from nrf_forge.plant import Plant
 def test_scalar_trivial_bundle_exact():
     plant = Plant([[0.0]], [[1.0]], [[1.0]])
     b = build_dcf(plant, np.zeros((1, 1)), np.zeros((1, 1)))
+    f = {name: factor(b, name) for name in FACTORS}
     for z in (2.0, -1.5, 0.7 + 0.7j):
-        assert evaluate(b.M, z)[0, 0] == pytest.approx(1.0)
-        assert evaluate(b.Yt, z)[0, 0] == pytest.approx(1.0)
-        assert evaluate(b.Mt, z)[0, 0] == pytest.approx(1.0)
-        assert evaluate(b.Y, z)[0, 0] == pytest.approx(1.0)
-        assert evaluate(b.N, z)[0, 0] == pytest.approx(1.0 / z)
-        assert evaluate(b.Nt, z)[0, 0] == pytest.approx(1.0 / z)
-        assert abs(evaluate(b.X, z)[0, 0]) == 0.0
-        assert abs(evaluate(b.Xt, z)[0, 0]) == 0.0
+        assert evaluate(f["M"], z)[0, 0] == pytest.approx(1.0)
+        assert evaluate(f["Yt"], z)[0, 0] == pytest.approx(1.0)
+        assert evaluate(f["Mt"], z)[0, 0] == pytest.approx(1.0)
+        assert evaluate(f["Y"], z)[0, 0] == pytest.approx(1.0)
+        assert evaluate(f["N"], z)[0, 0] == pytest.approx(1.0 / z)
+        assert evaluate(f["Nt"], z)[0, 0] == pytest.approx(1.0 / z)
+        assert abs(evaluate(f["X"], z)[0, 0]) == 0.0
+        assert abs(evaluate(f["Xt"], z)[0, 0]) == 0.0
     assert b.bezout_residual <= 1e-15
 
 
@@ -56,40 +61,41 @@ def test_factorization_reproduces_plant_on_grid():
     b = deadbeat_bundle(plant)
     zs = FrequencyGrid.uniform(32).points
     gu = frequency_response(plant.g_u(), zs)
-    right = frequency_response(series(b.N, inverse(b.M)), zs)
-    left = frequency_response(series(inverse(b.Mt), b.Nt), zs)
+    right = frequency_response(series(factor(b, "N"), inverse(factor(b, "M"))), zs)
+    left = frequency_response(series(inverse(factor(b, "Mt")), factor(b, "Nt")), zs)
     assert np.max(np.abs(gu - right)) <= 1e-9
     assert np.max(np.abs(gu - left)) <= 1e-9
 
 
 def test_left_factors_fir_under_deadbeat_gain():
+    # Lt = [-Xt Yt; Mt -Nt] has an impulse response of degree at most n_x
     rng = np.random.default_rng(23)
     plant = random_stable_plant(rng, n=6, m=2)
     b = deadbeat_bundle(plant)
-    assert b.fir_orders is not None
-    for name in ("Nt", "Mt", "Xt", "Yt"):
-        assert b.fir_orders[name] is not None
-        assert b.fir_orders[name] <= plant.n_x
+    assert b.is_deadbeat()
+    h = impulse_response(b.left, plant.n_x + 4)
+    assert np.max(np.abs(h[plant.n_x + 1:])) <= 1e-12 * np.max(np.abs(h))
+
+
+def perturbed_left(b, dD):
+    """The bundle with dD added to Xt(inf)[0, 0], that is to -Lt.D[0, 0]."""
+    D = b.left.D.copy()
+    D[0, 0] -= dD
+    return dataclasses.replace(b, left=make_realization(b.left.A, b.left.B, b.left.C, D),
+                               bezout_residual=np.inf)
 
 
 def test_perturbed_complement_breaks_bezout():
     rng = np.random.default_rng(24)
     plant = random_stable_plant(rng, n=4, m=2)
-    b = deadbeat_bundle(plant)
-    D_bad = b.Xt.D.copy()
-    D_bad[0, 0] += 0.01
-    xt_bad = make_realization(b.Xt.A, b.Xt.B, b.Xt.C, D_bad)
-    bad = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt_bad, b.Yt, b.F, b.L,
-                    plant, np.inf, 512)
+    bad = perturbed_left(deadbeat_bundle(plant), 0.01)
     assert verify_bezout(bad, FrequencyGrid.uniform(512)) >= 0.009
 
 
 def bezout_every_point(bundle, grid):
     """sigma_max of the Bezout residual, with an SVD at every grid point."""
-    m, vals = bundle.n_u, {k: frequency_response(f, grid.points) for k, f in bundle.factors().items()}
-    left = np.block([[vals["Yt"], -vals["Xt"]], [-vals["Nt"], vals["Mt"]]])
-    right = np.block([[vals["M"], vals["X"]], [vals["N"], vals["Y"]]])
-    prod = left @ right - np.eye(m + bundle.n_x)
+    prod = (frequency_response(bundle.left, grid.points) @ frequency_response(bundle.right, grid.points)
+            - np.eye(bundle.n_u + bundle.n_x))
     return float(np.max(np.linalg.svd(prod, compute_uv=False)[:, 0]))
 
 
@@ -98,11 +104,7 @@ def bezout_every_point(bundle, grid):
 def test_verify_bezout_equals_every_point(seed, perturb, monkeypatch):
     rng = np.random.default_rng(60 + seed)
     plant = random_stable_plant(rng, n=int(rng.integers(2, 7)), m=int(rng.integers(1, 3)))
-    b = deadbeat_bundle(plant)
-    D_bad = b.Xt.D.copy()
-    D_bad[0, 0] += perturb
-    xt = make_realization(b.Xt.A, b.Xt.B, b.Xt.C, D_bad)
-    bundle = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt, b.Yt, b.F, b.L, plant, np.inf, 512)
+    bundle = perturbed_left(deadbeat_bundle(plant), perturb)
     grid = FrequencyGrid.uniform(200)
     got = verify_bezout(bundle, grid)
     assert got == bezout_every_point(bundle, grid)
@@ -122,41 +124,48 @@ def _bundle_of(request, network):
     return build_dcf(plant, F, L)
 
 
+def _factor_realizations(bundle):
+    """The eight factors realized one by one from the module docstring's formulas."""
+    A, B, F, L = bundle.plant.A, bundle.plant.B_u, bundle.F, bundle.L
+    n, m = bundle.n_x, bundle.n_u
+    A_F, A_L, I_n, I_m = A + B @ F, A + L, np.eye(n), np.eye(m)
+    return {"N": make_realization(A_F, B, I_n, np.zeros((n, m))),
+            "M": make_realization(A_F, B, F, I_m),
+            "X": make_realization(A_F, L, -F, np.zeros((m, n))),
+            "Y": make_realization(A_F, L, -I_n, I_n),
+            "Nt": make_realization(A_L, B, I_n, np.zeros((n, m))),
+            "Mt": make_realization(A_L, L, I_n, I_n),
+            "Xt": make_realization(A_L, L, -F, np.zeros((m, n))),
+            "Yt": make_realization(A_L, B, -F, I_m)}
+
+
 def _counting_resolvent(monkeypatch):
     calls = []
+    real = lti._resolvent
 
     def counted(A, B, zs):
-        calls.append((A, B))
-        return lti._resolvent(A, B, zs)
-    monkeypatch.setattr(dcf, "_resolvent", counted)
+        calls.append(A)
+        return real(A, B, zs)
+    monkeypatch.setattr(lti, "_resolvent", counted)
     return calls
 
 
 @pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
 def test_shared_solves_equal_per_factor_responses(request, monkeypatch, network):
+    # the blocks of one response of R and one of Lt are, bit for bit, the
+    # responses of the eight factors realized one by one
     bundle = _bundle_of(request, network)
+    zs = BEZOUT_GRID.points[:BEZOUT_CHUNK]
+    resp = {side: frequency_response(getattr(bundle, side), zs) for side in ("right", "left")}
+    for name, fac in _factor_realizations(bundle).items():
+        side, rows, cols, sign = factor_block(bundle, name)
+        assert np.array_equal(sign * resp[side][:, rows][:, :, cols], frequency_response(fac, zs)), name
+    # the residual takes one solve of each factor per point: one per chunk,
+    # and one more at the points the bracket keeps
     calls = _counting_resolvent(monkeypatch)
-    zs = FrequencyGrid.uniform(512).points
-    vals = dcf._factor_values(bundle, zs[:dcf.BEZOUT_CHUNK])
-    assert len(calls) == 4
-    for name, fac in bundle.factors().items():
-        assert np.array_equal(vals[name], frequency_response(fac, zs[:dcf.BEZOUT_CHUNK])), name
-    assert verify_bezout(bundle, FrequencyGrid.uniform(512)) == bundle.bezout_residual <= 1e-8
-
-
-def test_perturbed_input_matrix_gets_its_own_solve(request, monkeypatch):
-    b = _bundle_of(request, "grouped")
-    B_bad = b.Xt.B.copy()
-    B_bad[0, 0] += 1e-3
-    xt = make_realization(b.Xt.A, B_bad, b.Xt.C, b.Xt.D)
-    bad = DcfBundle(b.N, b.M, b.X, b.Y, b.Nt, b.Mt, xt, b.Yt, b.F, b.L, b.plant, np.inf, 512)
-    calls = _counting_resolvent(monkeypatch)
-    zs = FrequencyGrid.uniform(512).points[:dcf.BEZOUT_CHUNK]
-    vals = dcf._factor_values(bad, zs)
-    assert len(calls) == 5
-    assert np.array_equal(vals["Xt"], frequency_response(xt, zs))
-    assert np.array_equal(vals["Mt"], frequency_response(b.Mt, zs))
-    assert verify_bezout(bad, FrequencyGrid.uniform(512)) > 1e-6
+    assert verify_bezout(bundle, BEZOUT_GRID) == bundle.bezout_residual <= 1e-8
+    assert len(calls) == 2 * (BEZOUT_GRID.count // BEZOUT_CHUNK + 1)
+    assert sum(A is bundle.left.A for A in calls) == len(calls) // 2
 
 
 def test_design_gains_scalar_trivial():
@@ -226,9 +235,27 @@ def test_expanded_bezout_identities_on_grid():
     plant = random_stable_plant(rng, n=5, m=2)
     b = deadbeat_bundle(plant)
     zs = FrequencyGrid.uniform(64).points
-    vals = {k: frequency_response(v, zs) for k, v in b.factors().items()}
+    vals = {name: frequency_response(factor(b, name), zs) for name in FACTORS}
     I_m, I_n = np.eye(plant.n_u), np.eye(plant.n_x)
     assert np.max(np.abs(vals["Yt"] @ vals["M"] - vals["Xt"] @ vals["N"] - I_m)) <= 1e-8
     assert np.max(np.abs(vals["Yt"] @ vals["X"] - vals["Xt"] @ vals["Y"])) <= 1e-8
     assert np.max(np.abs(vals["Mt"] @ vals["N"] - vals["Nt"] @ vals["M"])) <= 1e-8
     assert np.max(np.abs(vals["Mt"] @ vals["Y"] - vals["Nt"] @ vals["X"] - I_n)) <= 1e-8
+
+
+def test_user_gains_factors_match_docstring_formulas():
+    # non-deadbeat gains: Lt R = I, and every block of R and Lt is the
+    # docstring's formula for its factor
+    rng = np.random.default_rng(29)
+    plant = random_stable_plant(rng, n=5, m=2)
+    F = 0.05 * rng.standard_normal((2, 5))
+    L = np.diag([0.3, -0.2, 0.1, 0.25, -0.4]) - plant.A
+    F, L = design_gains(plant, None, "user_supplied", F=F, L=L)
+    b = build_dcf(plant, F, L)
+    assert not b.is_deadbeat()
+    zs = FrequencyGrid.uniform(64).points
+    prod = frequency_response(b.left, zs) @ frequency_response(b.right, zs)
+    assert np.max(np.abs(prod - np.eye(plant.n_u + plant.n_x))) <= 1e-12
+    for name, fac in _factor_realizations(b).items():
+        assert np.max(np.abs(frequency_response(factor(b, name), zs)
+                             - frequency_response(fac, zs))) <= 1e-13, name

@@ -8,8 +8,9 @@ import pytest
 from conftest import deadbeat_bundle, random_stable_plant
 from nrf_forge import io as artifact_io
 from nrf_forge.cli import main
-from nrf_forge.lti import FrequencyGrid, frequency_response, make_realization
-from nrf_forge.nrf import bank_from_pair, form_nrf_pair
+from nrf_forge.closed_loop import PredictionModel
+from nrf_forge.lti import FrequencyGrid, frequency_response, from_gain, make_realization
+from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sim_net import LoopTrace
 from nrf_forge.sparse_param import build_parametrization, pattern_from_neighborhoods
@@ -43,6 +44,42 @@ def test_realization_doc_roundtrip(tmp_path):
     assert np.array_equal(frequency_response(R, zs), frequency_response(R2, zs))
 
 
+def test_empty_matrices_roundtrip(tmp_path):
+    # an empty matrix is written as data: [] and loads back with its shape
+    rng = np.random.default_rng(4)
+    gain = from_gain(rng.standard_normal((2, 3)))
+    doc = artifact_io.realization_doc(gain)
+    assert [doc[k]["data"] for k in "ABC"] == [[], [], []]
+    path = str(tmp_path / "r.json")
+    artifact_io.dump_document(doc, path)
+    back = artifact_io.realization_from_doc(artifact_io.load_document(path))
+    assert back.order == 0 and back.B.shape == (0, 3) and back.C.shape == (2, 0)
+    assert np.array_equal(back.D, gain.D)
+
+    part = build_partition([(2, 1), (1, 2)])
+    width = part.n_u + part.n_x
+    bank = [AreaController(0, np.zeros((0, 0)), np.zeros((0, width)), np.zeros((1, 0)),
+                           rng.standard_normal((1, width)), (0,), np.zeros(0)),
+            AreaController(1, np.array([[0.5]]), rng.standard_normal((1, width)),
+                           np.array([[1.0], [0.0]]), rng.standard_normal((2, width)), (1, 0),
+                           np.zeros(1))]
+    artifact_io.export_bank(bank, part, str(tmp_path / "bank"))
+    assert artifact_io.load_document(str(tmp_path / "bank/area_1.json"))["C"]["data"] == []
+    for c1, c2 in zip(bank, artifact_io.load_bank(str(tmp_path / "bank"), part)):
+        for key in ("A", "B", "C", "D"):
+            assert np.array_equal(getattr(c1, key), getattr(c2, key)), key
+        assert c1.row_orders == c2.row_orders
+
+    pm = PredictionModel(0, np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((0, 1)),
+                         np.zeros((2, 0)), np.zeros((1, 0)))
+    artifact_io.export_prediction_models([pm], str(tmp_path / "pm"))
+    doc = artifact_io.load_document(str(tmp_path / "pm/area_1.json"))
+    for key in ("A_s", "B_s1", "B_s2", "C_x", "C_u"):
+        assert doc[key]["data"] == []
+        assert np.array_equal(artifact_io.matrix_from_doc(doc[key]), getattr(pm, key)), key
+    assert doc["initial_state"] == []
+
+
 def test_bundle_and_bank_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     plant = random_stable_plant(rng, n=4, m=2, n_d=1)
@@ -65,9 +102,10 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     assert np.array_equal(plant2.A, plant.A)
     bundle2 = artifact_io.load_bundle(str(tmp_path / "bundle"), plant2)
     zs = FrequencyGrid.uniform(8).points
-    for name, fac in bundle.factors().items():
-        assert np.array_equal(frequency_response(fac, zs),
-                              frequency_response(bundle2.factors()[name], zs))
+    for side in ("left", "right"):
+        assert np.array_equal(frequency_response(getattr(bundle, side), zs),
+                              frequency_response(getattr(bundle2, side), zs))
+    assert np.array_equal(bundle2.F, bundle.F) and np.array_equal(bundle2.L, bundle.L)
     assert bundle2.bezout_residual == bundle.bezout_residual
     bank2 = artifact_io.load_bank(str(tmp_path / "bank"), part)
     for c1, c2 in zip(bank, bank2):
@@ -336,11 +374,12 @@ def intact_traces(cli_run, tmp_path_factory):
     ("bank/area_1.json", lambda doc: doc["row_orders"].append(1), "cannot reshape"),
     ("param/parametrization.json", lambda doc: doc["x"].pop(), "free coefficients"),
     ("maps/forced.json", None, "No such file"),
+    ("bundle/left.json", None, "No such file"),
     ("maps/forced.json", lambda doc: doc["D"]["data"].pop(), "cannot reshape"),
     ("partition.json", lambda doc: doc["neighborhoods"][0].append(9), "out-of-range members [9]"),
     ("partition.json", lambda doc: doc["neighborhoods"][1].remove(2), "area 2 is missing"),
-], ids=["extra_row_order", "short_x", "no_forced_map", "short_forced_d", "set_out_of_range",
-        "set_without_own_area"])
+], ids=["extra_row_order", "short_x", "no_forced_map", "old_format_bundle", "short_forced_d",
+        "set_out_of_range", "set_without_own_area"])
 def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_path, capsys,
                                                    rel, corrupt, cause):
     run = str(tmp_path / "run")

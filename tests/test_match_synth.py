@@ -522,7 +522,7 @@ def grouped_dense(grid_setup):
     plant = grid_setup[0]
     part = build_partition([(6, 3), (2, 1), (2, 1)])
     F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
-    bundle = build_dcf(plant, F, L, 512)
+    bundle = build_dcf(plant, F, L)
     param = build_parametrization(bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
     case = build_dense_case(part, bundle, param, default_targets(part, plant.n_d))
     assert any(b.transposed and b.source == 1 and np.any(b.cols >= plant.n_x)

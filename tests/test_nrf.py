@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle, random_stable_plant
+from conftest import deadbeat_bundle, factor, random_stable_plant
 from nrf_forge.errors import (
     CommConstraintError,
     DimensionMismatchError,
@@ -52,7 +52,7 @@ def test_siso_feedforward_identically_zero():
 
 def test_zero_parameter_reduces_to_bundle_complements():
     bundle, pair = small_pair(q_scale=0.0)
-    for R, ref in ((pair.yq, bundle.Yt), (pair.xq, bundle.Xt)):
+    for R, ref in ((pair.yq, factor(bundle, "Yt")), (pair.xq, factor(bundle, "Xt"))):
         a = frequency_response(R, ZS)
         b = frequency_response(ref, ZS)
         assert np.max(np.abs(a - b)) <= 1e-10
@@ -137,7 +137,7 @@ def test_row_eval_matches_and_minimal():
 def test_sparsity_inheritance_positive_and_negative():
     _, pair = small_pair(seed=6)
     for ell in range(pair.n_u):
-        verify_sparsity_inheritance(extract_row(pair.kd, ell), pair.kd)  # dense: vacuous
+        verify_sparsity_inheritance(ell, extract_row(pair.kd, ell).realization(), pair.kd)  # dense: vacuous
     # a row whose first input column is identically zero but left nonzero in B
     kd = make_realization(np.array([[0.0]]), np.array([[0.0, 1.0]]),
                           np.array([[1.0]]), np.zeros((1, 2)))
@@ -145,7 +145,7 @@ def test_sparsity_inheritance_positive_and_negative():
                         np.array([[1.0]]), np.zeros((1, 2)), np.array([1.0, 0.0]),
                         np.array([[0.5, 1.0]]), zero_columns=(0,))
     with pytest.raises(SparsityInheritanceError) as err:
-        verify_sparsity_inheritance(bad, kd)
+        verify_sparsity_inheritance(0, bad.realization(), kd)
     assert (0, 0) in err.value.entries
 
 

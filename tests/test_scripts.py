@@ -1,6 +1,9 @@
 """Smoke tests of the experiment scripts that read a design's results."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -31,3 +34,15 @@ def test_bound_slack_study_prints_every_slack(capsys):
         "     0.5     0.1353     118.291569               1.355367",
         "     inf     0.1353     118.291569               1.355367",
     ]
+
+
+def test_bench_scale_child_records_every_figure():
+    # one child run of the scaling benchmark on the 8-node ring
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_scale.py"), "--child", "8"],
+                          capture_output=True, text=True, check=True, timeout=600)
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(record) == {
+        "N", "design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s", "certify_s",
+        "pairs_stored", "pairs_total", "surrogate_dir_mb", "lambda_share", "surrogate_evals",
+        "refine_steps_max", "refine_steps_median", "structural_zeros", "objective", "numpy"}
+    assert record["N"] == 8 and record["surrogate_evals"] == 49 and record["structural_zeros"] == 48

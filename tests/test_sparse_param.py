@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import deadbeat_bundle, random_stable_plant
+from conftest import deadbeat_bundle, factor, random_stable_plant
 from nrf_forge.dcf import build_dcf
 from nrf_forge.errors import NonFirDcfError
 from nrf_forge.lti import FrequencyGrid, evaluate, frequency_response
@@ -183,7 +183,7 @@ def test_factored_mode_preserves_unit_diagonal_rows():
     rng = np.random.default_rng(3)
     pair = form_nrf_pair(bundle, q_from_x(param, rng.standard_normal(param.n_free)))
     yq = frequency_response(pair.yq, ZS)
-    yt = frequency_response(bundle.Yt, ZS)
+    yt = frequency_response(factor(bundle, "Yt"), ZS)
     for i in range(plant.n_u):
         assert np.max(np.abs(yq[:, i, i] - yt[:, i, i])) <= 1e-9
 
@@ -220,7 +220,8 @@ def test_left_factor_taps_match_realizations():
     plant, part, nb, bundle = chain_setup(seed=14)
     taps = left_factor_taps(bundle)
     nu = taps["degree"]
-    for name, fac in (("Yt", bundle.Yt), ("Xt", bundle.Xt)):
+    for name in ("Yt", "Xt"):
+        fac = factor(bundle, name)
         for z in (2.0, -1.3, 0.4 + 1.1j):
             series_val = sum(taps[name][t] / z ** t for t in range(nu + 1))
             assert np.allclose(evaluate(fac, z), series_val, atol=1e-10)
