@@ -7,9 +7,9 @@ simulates the distributed implementation against the monolithic loop.
 """
 
 from .lti import (
-    FrequencyGrid,
     Realization,
     SignalTrace,
+    half_circle,
     make_realization,
     minimal,
     hinf_norm,
@@ -40,7 +40,6 @@ __all__ = [
     "ClosedLoopMaps",
     "ControllerRow",
     "DcfBundle",
-    "FrequencyGrid",
     "LoopTrace",
     "Neighborhoods",
     "NrfPair",
@@ -60,6 +59,7 @@ __all__ = [
     "design_gains",
     "extract_row",
     "form_nrf_pair",
+    "half_circle",
     "hinf_norm",
     "make_realization",
     "minimal",

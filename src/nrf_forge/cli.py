@@ -26,8 +26,9 @@ from .dcf import STRATEGY_BLOCK_DEADBEAT, STRATEGY_USER
 from .errors import (
     AlgebraicLoopError,
     CommConstraintError,
-    DimensionMismatchError,
     NonStabilizingGainsError,
+    SingularDiagonalError,
+    UnboundedTfmError,
     UncontrollableModeError,
 )
 from .grid import (
@@ -37,13 +38,13 @@ from .grid import (
     grid_partition,
     surrogate_coefficients,
 )
-from .lti import frequency_response, FrequencyGrid
+from .lti import frequency_response, half_circle
 from .match_synth import AlgorithmConfig, AlgorithmReport, run_algorithm1
 from .nrf import form_nrf_pair
 from .plant import Plant
 from .sim_net import NOISE_KINDS, compose_signals, simulate_distributed, simulate_monolithic
 from .sparse_param import MIN_FIR_DEGREE
-from .verify import run_invariant_suite
+from .verify import CheckRecord, run_invariant_suite
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -91,6 +92,8 @@ def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
         B_d = np.asarray(pl["B_d"], dtype=float)
     except KeyError as exc:
         raise ConfigError(f"plant section is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
+        raise ConfigError(f"plant matrices must be arrays of numbers: {exc}") from exc
     # documented pre-permutation helper: the toolkit needs contiguous
     # ascending area index sets, so interleaved models are reordered here
     sp = pl.get("state_permutation")
@@ -103,15 +106,19 @@ def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
         B_u = _apply_permutation(B_u, None, ip)
     try:
         return Plant(A, B_u, B_d)
-    except DimensionMismatchError as exc:
+    except ValueError as exc:  # mismatched shapes, or NaN or inf entries
         raise ConfigError(str(exc)) from exc
 
 
-def _partition_from_config(cfg: dict):
+def _partition_from_config(cfg: dict, plant: Plant):
     try:
-        return artifact_io.partition_from_doc(cfg["partition"], cfg["neighborhoods"])
-    except (KeyError, ValueError, DimensionMismatchError) as exc:
+        partition, nb = artifact_io.partition_from_doc(cfg["partition"], cfg["neighborhoods"])
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid partition/neighborhoods: {exc}") from exc
+    if (partition.n_x, partition.n_u) != (plant.n_x, plant.n_u):
+        raise ConfigError(f"the partition's area sizes sum to (n_x, n_u) = ({partition.n_x}, "
+                          f"{partition.n_u}), but the plant has ({plant.n_x}, {plant.n_u})")
+    return partition, nb
 
 
 def _setting(name: str, value, kind: type, need: str, ok=lambda v: True):
@@ -220,7 +227,7 @@ def cmd_example_grid(args) -> int:
 def cmd_design(args) -> int:
     cfg = _load_config(args.config)
     plant = _plant_from_config(cfg, args.coeffs)
-    partition, nb = _partition_from_config(cfg)
+    partition, nb = _partition_from_config(cfg, plant)
     algo = _algorithm_config(cfg, args.q)
     try:
         result = run_algorithm1(plant, partition, nb, config=algo)
@@ -311,10 +318,14 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     plant, partition, nb, bank, bundle, param, x, exported = run
     from .sparse_param import q_from_x
-    maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
-
-    records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param)
-    records.append(_roundtrip_record(maps, exported))
+    try:
+        maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
+    except (SingularDiagonalError, UnboundedTfmError) as exc:
+        # factors or a plant that no longer fit together: nothing else can be checked
+        records = [CheckRecord("closed_loop_rebuild", float("inf"), 0.0, False, str(exc))]
+    else:
+        records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param)
+        records.append(_roundtrip_record(maps, exported))
     lines = [r.line() for r in records]
     report_path = os.path.join(args.out, "verify_report.txt")
     with open(report_path, "w") as fh:
@@ -327,8 +338,7 @@ def cmd_verify(args) -> int:
 
 
 def _roundtrip_record(maps, exported):
-    from .verify import CheckRecord
-    zs = FrequencyGrid.uniform(32).points
+    zs = half_circle(16)
     worst = max(float(np.max(np.abs(frequency_response(loaded, zs) - frequency_response(built, zs))))
                 for loaded, built in zip(exported, (maps.forced, maps.initial)))
     return CheckRecord("artifact_roundtrip_eval", worst, 1e-12, worst <= 1e-12)

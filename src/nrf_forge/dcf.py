@@ -27,7 +27,8 @@ with Xq = Xt + Q Mt and Yq = Yt + Q Nt, the two Youla forms are
     [ Y + N Q; X + M Q ] = R [ Q; I ]        [ -Xq, Yq ] = [ I, -Q ] Lt
 
 Published factor tables differ in sign conventions; this one is fixed once
-and the mandatory Bezout residual post-check is the arbiter (a failed
+and the mandatory Bezout residual post-check, on the 256 points
+:data:`BEZOUT_GRID` of :func:`lti.half_circle`, is the arbiter (a failed
 residual is a constructor bug, never a warning).
 
 With the deadbeat choice of L (A + L nilpotent) the left factor is FIR,
@@ -47,12 +48,12 @@ from .errors import (
     NonStabilizingGainsError,
     UncontrollableModeError,
 )
-from .lti import FrequencyGrid, Realization, _bracket, frequency_response, make_realization, pbh_test
+from .lti import Realization, _bracket, frequency_response, half_circle, make_realization, pbh_test
 from .partition import AreaPartition
 from .plant import Plant
 
 BEZOUT_TOL = 1e-8
-BEZOUT_GRID = FrequencyGrid.uniform(512)  # the grid of build_dcf's residual check
+BEZOUT_GRID = half_circle(256)  # the points of every Bezout residual
 BEZOUT_CHUNK = 64  # grid points per chunk of verify_bezout's residual
 
 STRATEGY_BLOCK_DEADBEAT = "block_diagonalizing_F_deadbeat_L"
@@ -219,7 +220,7 @@ def build_dcf(plant: Plant, F, L) -> DcfBundle:
 
     right = make_realization(A_F, np.hstack([B, -L]), np.vstack([np.eye(n), F]), _swap(n, m))
     left = make_realization(A_L, np.hstack([-L, B]), np.vstack([-F, -np.eye(n)]), _swap(m, n))
-    residual = _bezout_residual(left, right, BEZOUT_GRID)
+    residual = _bezout_residual(left, right)
     if residual > BEZOUT_TOL:
         raise BezoutResidualError(
             f"Bezout residual {residual:.3e} exceeds {BEZOUT_TOL:.1e}; "
@@ -228,18 +229,19 @@ def build_dcf(plant: Plant, F, L) -> DcfBundle:
     return DcfBundle(right, left, F, L, plant, residual)
 
 
-def verify_bezout(bundle: DcfBundle, grid: FrequencyGrid) -> float:
-    """Largest singular value of Lt R - I over the grid (see :func:`_bezout_residual`)."""
-    return _bezout_residual(bundle.left, bundle.right, grid)
+def verify_bezout(bundle: DcfBundle) -> float:
+    """Largest singular value of Lt R - I over :data:`BEZOUT_GRID` (see
+    :func:`_bezout_residual`)."""
+    return _bezout_residual(bundle.left, bundle.right)
 
 
-def _bezout_residual(left: Realization, right: Realization, grid: FrequencyGrid) -> float:
-    """Largest singular value of left right - I over the grid, formed in
+def _bezout_residual(left: Realization, right: Realization) -> float:
+    """Largest singular value of left right - I over :data:`BEZOUT_GRID`, formed in
     chunks of :data:`BEZOUT_CHUNK` points, one resolvent solve per factor
     and point.  It lies between the largest column norm and the Frobenius
     norm, so an SVD is taken only at the points :func:`lti._bracket` keeps;
     the value is that of every point."""
-    zs, eye = grid.points, np.eye(left.noutputs)
+    zs, eye = BEZOUT_GRID, np.eye(left.noutputs)
 
     def residual(z):
         return frequency_response(left, z) @ frequency_response(right, z) - eye

@@ -108,10 +108,16 @@ def matrix_doc(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.tolist() if M.size else []}
 
 
-def matrix_from_doc(doc: dict) -> np.ndarray:
-    M = np.asarray(doc["data"], dtype=float)
-    M = M.reshape(int(doc["rows"]), int(doc["cols"]))
+def _finite(values) -> np.ndarray:
+    """``values`` as a float array; a ValueError if any entry is NaN or inf."""
+    M = np.asarray(values, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("a document holds NaN or inf entries")
     return M
+
+
+def matrix_from_doc(doc: dict) -> np.ndarray:
+    return _finite(doc["data"]).reshape(int(doc["rows"]), int(doc["cols"]))
 
 
 def realization_doc(R: Realization) -> dict:
@@ -119,7 +125,6 @@ def realization_doc(R: Realization) -> dict:
         "order": R.order,
         "outputs": R.noutputs,
         "inputs": R.ninputs,
-        "stability_domain": R.stability_domain,
         "A": matrix_doc(R.A),
         "B": matrix_doc(R.B),
         "C": matrix_doc(R.C),
@@ -133,7 +138,8 @@ def realization_from_doc(doc: dict) -> Realization:
     B = matrix_from_doc(doc["B"]).reshape(n, m)
     C = matrix_from_doc(doc["C"]).reshape(p, n)
     D = matrix_from_doc(doc["D"]).reshape(p, m)
-    return make_realization(A, B, C, D, doc.get("stability_domain", "unit_disc"))
+    # older documents also carry a stability-domain tag, which is ignored
+    return make_realization(A, B, C, D)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def load_bank(dirpath: str, partition: AreaPartition):
         C = matrix_from_doc(doc["C"]).reshape(len(orders), n_w)
         D = matrix_from_doc(doc["D"]).reshape(len(orders), width)
         bank.append(AreaController(i, A, B, C, D, tuple(orders),
-                                   np.asarray(doc["w0"], dtype=float)))
+                                   _finite(doc["w0"])))
     return bank
 
 
@@ -241,7 +247,7 @@ def load_parametrization(dirpath: str):
                              int(doc["constraint_rank"]), int(doc["n_constraints"]),
                              SparsityPattern(pattern, n_u, pattern.shape[1] - n_u),
                              matrix_from_doc(doc["support"]) != 0)
-    x = np.asarray(doc["x"], dtype=float)
+    x = _finite(doc["x"])
     if x.shape != (param.n_free,):
         raise DimensionMismatchError(
             f"x has shape {x.shape}, the parametrization has {param.n_free} free coefficients")

@@ -2,9 +2,10 @@
 
 Everything in the toolkit is carried by :class:`Realization`, a plain
 (A, B, C, D) quadruple evaluated as ``C (zI - A)^{-1} B + D``.  The helpers
-here cover construction, composition, evaluation on frequency grids,
-minimality reduction, norms and time responses.  All values are immutable
-after construction and every operation is a pure function.
+here cover construction, composition, evaluation on the unit circle
+(every grid is :func:`half_circle`), minimality reduction, norms and time
+responses.  All values are immutable after construction and every operation
+is a pure function.
 """
 
 from __future__ import annotations
@@ -44,16 +45,13 @@ def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
 class Realization:
     """State-space quadruple of a proper rational matrix.
 
-    ``order == 0`` is allowed and represents a pure gain.  The stability
-    domain tag records which region the "good" poles live in; only the open
-    unit disc is certified by this toolkit.
+    ``order == 0`` is allowed and represents a pure gain.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    stability_domain: str = "unit_disc"
 
     @property
     def order(self) -> int:
@@ -78,7 +76,7 @@ class Realization:
         return f"Realization(order={self.order}, shape={self.shape})"
 
 
-def make_realization(A, B, C, D, stability_domain: str = "unit_disc") -> Realization:
+def make_realization(A, B, C, D) -> Realization:
     """Build a :class:`Realization`, checking dimension consistency.
 
     Raises
@@ -107,7 +105,7 @@ def make_realization(A, B, C, D, stability_domain: str = "unit_disc") -> Realiza
         )
     for M in (A, B, C, D):
         M.setflags(write=False)
-    return Realization(A, B, C, D, stability_domain)
+    return Realization(A, B, C, D)
 
 
 def from_gain(D) -> Realization:
@@ -187,46 +185,22 @@ def frequency_response(R: Realization, zs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """A set of distinct points on the unit circle."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex).ravel()
-        if pts.size == 0:
-            raise DimensionMismatchError("frequency grid must be nonempty")
-        if not np.allclose(np.abs(pts), 1.0, atol=1e-12):
-            raise ValueError("all grid points must satisfy |z| = 1")
-        if np.unique(np.round(pts, 12)).size != pts.size:
-            raise ValueError("grid points must be distinct")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.size
-
-    @classmethod
-    def uniform(cls, count: int) -> "FrequencyGrid":
-        """Uniformly spaced circle points, offset by half a step so that
-        z = +-1 are never sampled exactly."""
-        theta = 2.0 * np.pi * (np.arange(count) + 0.5) / count
-        return cls(np.exp(1j * theta))
-
-    @classmethod
-    def chebyshev(cls, count: int) -> "FrequencyGrid":
-        """Chebyshev-angle points on the upper half circle.
-
-        Real-rational maps satisfy G(conj(z)) = conj(G(z)), so for zero
-        tests and norm bounds the upper half carries full information.
-        """
-        theta = np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count)
-        return cls(np.exp(1j * theta))
+def _half_angle(k, n: int):
+    """The angle pi (k + 1/2) / n of point k of :func:`half_circle`."""
+    return np.pi * (k + 0.5) / n
 
 
-DEFAULT_ZERO_GRID = FrequencyGrid.chebyshev(64)
+def half_circle(n: int) -> np.ndarray:
+    """The n points e^{i pi (k + 1/2) / n}, k < n: the midpoints of n equal
+    arcs of the upper half circle, the one grid of every frequency test.
+
+    A real-rational map satisfies G(conj(z)) = conj(G(z)), so its singular
+    values, its column norms and its zero entries repeat at conjugate points,
+    and the upper half carries every norm bound, residual and zero test.
+    With the conjugates the points are the 2n midpoints of the full circle,
+    and z = +-1 are never sampled.
+    """
+    return np.exp(1j * _half_angle(np.arange(n), n))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +361,7 @@ def minimal(R: Realization) -> Realization:
     A2 = W.T @ A1 @ W
     B2 = W.T @ B1
     C2 = C1 @ W
-    return make_realization(A2, B2, C2, D, R.stability_domain)
+    return make_realization(A2, B2, C2, D)
 
 
 def pbh_test(R: Realization, z: complex, mode: str = "controllable") -> bool:
@@ -435,8 +409,6 @@ def spectral_radius(R: Realization) -> float:
 
 def is_cb_bounded(R: Realization) -> bool:
     """True when the map is bounded outside the open unit disc (stable)."""
-    if R.stability_domain != "unit_disc":
-        raise ValueError(f"only the unit-disc domain is certified, got {R.stability_domain!r}")
     return spectral_radius(R) < 1.0
 
 
@@ -663,14 +635,13 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
     of blocks (rows, cols, target) = R[rows, cols] - target of one map
     (target a Realization, or None for zero), one value per block.
 
-    The grid is the upper half of theta_k = 2 pi (k + 1/2) / grid_points (a
-    real map has equal singular values at conjugate points).  One Schur
-    reduction of R serves every block: the map is swept once on its smaller
-    side, the blocks are sliced from the sweep, grouped by shape, and their
-    points ranked by the largest eigenvalue of the smaller-side Gram matrix.
-    The ranking is bracketed (:func:`_bracket`, diagonals sum |value|^2),
-    which picks the points a ranking of every point would from a few percent
-    of their lambda_max.  Each of a block's top ``refine_passes`` points
+    The grid is :func:`half_circle` (``grid_points``), of step pi /
+    grid_points in theta.  One Schur reduction of R serves every block: the
+    map is swept once on its smaller side, the blocks are sliced from the
+    sweep, grouped by shape, and their points ranked by the largest
+    eigenvalue of the smaller-side Gram matrix.  The ranking is bracketed
+    (:func:`_bracket`, diagonals sum |value|^2), which picks the points a
+    ranking of every point would from a few percent of their lambda_max.  Each of a block's top ``refine_passes`` points
     theta_k is refined on [theta_k - step, theta_k + step] by
     :func:`_brent_max`, seeded with the grid's values at theta_k and its two
     neighbours, to a bracket of step * 1e-6; a point with a higher neighbour
@@ -680,9 +651,7 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
     batched SVD.  The ranking only decides where to look: each value is the
     largest SVD sample seen, a lower bound.
     """
-    step = 2.0 * np.pi / grid_points
-    theta = step * (np.arange((grid_points + 1) // 2) + 0.5)
-    zs = np.exp(1j * theta)
+    zs, step = half_circle(grid_points), np.pi / grid_points
     schur = _SchurForm.of(R)
     schur_t = schur.transpose()
     sweep = (schur.response(zs) if R.noutputs >= R.ninputs
@@ -727,7 +696,7 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
         # each top point with its grid neighbours, which past either end of
         # the half circle are conjugates of grid points
         near = top + np.array([-1, 0, 1])[:, None, None]
-        near = np.where(near < 0, -1 - near, np.where(near >= zs.size, grid_points - 1 - near, near))
+        near = np.where(near < 0, -1 - near, np.where(near >= zs.size, 2 * zs.size - 1 - near, near))
         seeds = np.linalg.svd(S[np.arange(B)[:, None], near], compute_uv=False)[..., 0]
         higher_top = (seeds[[0, 2]] > seeds[1]) & (near[[0, 2], :, :, None] == top[:, None, :]).any(axis=-1)
         go = np.flatnonzero(~higher_top.any(axis=0))
@@ -738,17 +707,18 @@ def _block_peaks(R: Realization, blocks: list, grid_points: int, refine_passes: 
             vals = minus_targets(form.blocks_at(big[owner[which]], small[owner[which]], z), z, owner[which])
             return np.linalg.svd(vals[:, 0], compute_uv=False)[:, 0]
 
-        pts = theta[top].ravel()[go] + step * np.array([-1.0, 0.0, 1.0])[:, None]
+        pts = _half_angle(top.ravel()[go], grid_points) + step * np.array([-1.0, 0.0, 1.0])[:, None]
         best = seeds.max(axis=0).ravel()
         best[go] = _brent_max(sigma, pts[0], pts[2], pts, seeds.reshape(3, -1)[:, go], step * 1e-6)[0]
         peaks[members] = best.reshape(top.shape).max(axis=1)
     return peaks
 
 
-def hinf_norm(R: Realization, grid_points: int = 4096, refine_passes: int = 3,
+def hinf_norm(R: Realization, grid_points: int = 2048, refine_passes: int = 3,
               check_bounded: bool = True) -> float:
     """Lower bound on the peak largest singular value over the unit circle:
-    the one-block case of :func:`_block_peaks`, whose seeded parabolic
+    the one-block case of :func:`_block_peaks` on ``grid_points`` points of
+    :func:`half_circle`, whose seeded parabolic
     refinement (:func:`_brent_max`) drives the gap far below the grid's for
     smooth desk-scale maps.  An order-zero map returns sigma_max(D)."""
     if min(R.shape) == 0:

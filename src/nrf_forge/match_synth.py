@@ -11,10 +11,12 @@ is a convex function of x.  These N + 2 N^2 blocks have one order,
 :func:`closed_loop.matching_slots`, and every gamma, bound, weight, target
 and structural-zero flag here is one flat vector in it.  The solver is a
 coordinate pattern search from x = 0 with golden-section line searches on a
-frequency-sampled surrogate; candidates violating the admissible upper
-bounds are rejected outright (feasible-point method; the bootstrap at x = 0
-supplies a feasible start by construction).  Reported constraint values are never taken from the search:
-they are recomputed post-hoc through the certified norm path, and a search
+surrogate sampled on :data:`SEARCH_GRID` points of :func:`lti.half_circle`
+(the certified norms sweep :data:`NORM_GRID` points of it); candidates
+violating the admissible upper bounds are rejected outright (feasible-point
+method; the bootstrap at x = 0 supplies a feasible start by construction).
+Reported constraint values are never taken from the search: they are
+recomputed post-hoc through the certified norm path, and a search
 point whose certificate fails a bound is replaced by the certified origin.
 """
 
@@ -44,6 +46,7 @@ from .lti import (
     _lambda_max,
     delay,
     frequency_response,
+    half_circle,
     is_cb_bounded,
     minimal,  # noqa: F401  (unused here; perfbench's tracer test rebinds match_synth.minimal)
     transpose,
@@ -57,7 +60,7 @@ MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
 
 # The one design method: the search is deterministic, so equal inputs give
 # equal designs.
-#: Upper-half-circle points of the search surrogate.
+#: Points of :func:`lti.half_circle` in the search surrogate.
 SEARCH_GRID = 256
 #: Leading free coefficients the search moves (uncapped: mesh5 4.6x evaluations, -0.35 %; ring8 fails its certificate).
 MAX_FREE_DIMS = 12
@@ -66,8 +69,8 @@ MAX_SWEEPS = 3
 SWEEP_TOL = 1e-6
 #: First probe of a line search, relative to max(1, |x_k|).
 INITIAL_STEP = 0.25
-#: Sweep points and refinement passes of the certified norms.
-NORM_GRID = 2048
+#: Sweep points (of :func:`lti.half_circle`) and refinement passes of the certified norms.
+NORM_GRID = 1024
 REFINE_PASSES = 3
 
 
@@ -304,8 +307,7 @@ def _map_responses(maps: ClosedLoopMaps, zs: np.ndarray) -> tuple:
 class _SurrogateModel:
     """Grid responses of the matching blocks as affine functions of x.
 
-    Sampling uses only the upper half circle: every map here is
-    real-rational, so singular values repeat at conjugate points.  The base
+    The points are :func:`lti.half_circle` (:data:`SEARCH_GRID`).  The base
     responses come from the realized maps at x = 0; each free direction's
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise.  Blocks are grouped by stacked shape; each direction keeps
@@ -329,7 +331,7 @@ class _SurrogateModel:
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
                  maps0: ClosedLoopMaps, active: np.ndarray):
-        self.zs = np.exp(1j * np.pi * (np.arange(SEARCH_GRID) + 0.5) / SEARCH_GRID)
+        self.zs = half_circle(SEARCH_GRID)
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)

@@ -31,11 +31,11 @@ from .errors import (
     SparsityInheritanceError,
 )
 from .lti import (
-    DEFAULT_ZERO_GRID,
     ZERO_TOL,
     Realization,
     frequency_response,
     from_gain,
+    half_circle,
     impulse_response,
     inverse,
     make_realization,
@@ -218,8 +218,9 @@ def extract_row(kd: Realization, row: int) -> ControllerRow:
 
 
 def _grid_zero_columns(kd: Realization, row: int) -> tuple[int, ...]:
-    """Columns of one row of ``kd`` that test identically zero on the grid."""
-    resp = frequency_response(select_rows(kd, [row]), DEFAULT_ZERO_GRID.points)
+    """Columns of one row of ``kd`` that test identically zero on 64 points
+    of :func:`lti.half_circle`."""
+    resp = frequency_response(select_rows(kd, [row]), half_circle(64))
     col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
     return tuple(int(j) for j in np.flatnonzero(col_max <= ZERO_TOL))
 

@@ -32,6 +32,8 @@ class Plant:
             raise DimensionMismatchError(f"B_u rows {B_u.shape} do not match A {A.shape}")
         if B_d.ndim != 2 or B_d.shape[0] != A.shape[0]:
             raise DimensionMismatchError(f"B_d rows {B_d.shape} do not match A {A.shape}")
+        if not all(np.isfinite(M).all() for M in (A, B_u, B_d)):
+            raise ValueError("plant matrices hold NaN or inf entries")
         for M in (A, B_u, B_d):
             M.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -2,8 +2,10 @@
 
 Every check returns a (name, measured, threshold, passed) record; the CLI
 renders one line per record and fails the run when any record fails.  The
-closed-loop identity check is the non-circular certificate: the maps are
-assembled by factor algebra, the traces by stepping the loop.
+Bezout residual is taken on :data:`dcf.BEZOUT_GRID`, every other frequency
+check on :func:`lti.half_circle` (64).  The closed-loop identity check is the
+non-circular certificate: the maps are assembled by factor algebra, the
+traces by stepping the loop.
 
 Scenarios are stepped together as columns of one batch (the equivalence
 check in blocks of ``EQUIVALENCE_BLOCK`` to bound memory), each generated just
@@ -27,12 +29,12 @@ from .closed_loop import (
     prediction_model,
     reconstructed_response,
 )
-from .dcf import BEZOUT_GRID, DcfBundle, verify_bezout
+from .dcf import DcfBundle, verify_bezout
 from .errors import AlgebraicLoopError, CommConstraintError, NonzeroFeedthroughError, SparsityInheritanceError
 from .lti import (
-    FrequencyGrid,
     SignalTrace,
     frequency_response,
+    half_circle,
     is_minimal,
     make_realization,
     spectral_radius,
@@ -93,10 +95,9 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     rng = np.random.default_rng(SEED)
     pair = maps.pair
     n_u = plant.n_u
-    grid64 = FrequencyGrid.chebyshev(64)
 
     n_x, lt_d, r_d = plant.n_x, bundle.left.D, bundle.right.D
-    records.append(_rec("bezout_residual", verify_bezout(bundle, BEZOUT_GRID), 1e-8))
+    records.append(_rec("bezout_residual", verify_bezout(bundle), 1e-8))
     # Yt(inf) = I and Xt(inf) = 0 in Lt = [-Xt Yt; Mt -Nt]
     records.append(_rec("normalization_at_infinity",
                         max(np.max(np.abs(lt_d[:n_u, n_x:] - np.eye(n_u))),
@@ -105,8 +106,8 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     records.append(_rec("numerators_strictly_proper",
                         max(np.max(np.abs(r_d[:n_x, :n_u])), np.max(np.abs(lt_d[n_u:, n_x:]))), 0.0))
 
-    # pair identities: Yqd (I - Phi) = Yq and Yqd Gamma = Xq on the grid
-    zs = grid64.points
+    # pair identities: Yqd (I - Phi) = Yq and Yqd Gamma = Xq on the half circle
+    zs = half_circle(64)
     yqd = frequency_response(pair.yq_diag, zs)
     phi = frequency_response(pair.feedforward, zs)
     gam = frequency_response(pair.feedback, zs)

@@ -23,7 +23,7 @@ from nrf_forge.grid import (
     grid_partition,
 )
 from nrf_forge.io import load_document
-from nrf_forge.lti import FrequencyGrid, frequency_response, is_minimal, spectral_radius
+from nrf_forge.lti import frequency_response, half_circle, is_minimal, spectral_radius
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     MapsBuilder,
@@ -81,7 +81,7 @@ def test_criterion_1_bezout_certification():
 
 def test_criterion_2_row_canonical_suite(grid_design):
     pair = grid_design.maps.pair
-    zs = FrequencyGrid.chebyshev(64).points
+    zs = half_circle(64)
     kd_resp = frequency_response(pair.kd, zs)
     eval_err = 0.0
     all_minimal = True
@@ -153,7 +153,7 @@ def test_criterion_5_sparsity_closure(grid_design, grid_setup):
     plant, part, nb = grid_setup
     param = grid_design.param
     bundle = grid_design.maps.pair.bundle
-    zs = FrequencyGrid.chebyshev(64).points
+    zs = half_circle(64)
     rng = np.random.default_rng(1005)
     worst = 0.0
     for _ in range(100):

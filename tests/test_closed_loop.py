@@ -22,11 +22,11 @@ from nrf_forge.closed_loop import (
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.errors import DimensionMismatchError, UnboundedTfmError
 from nrf_forge.lti import (
-    FrequencyGrid,
     SignalTrace,
     evaluate,
     fir_realization,
     frequency_response,
+    half_circle,
     impulse_response,
     make_realization,
     select_rows,
@@ -45,7 +45,7 @@ from nrf_forge.sparse_param import (
     q_from_x,
 )
 
-ZS = FrequencyGrid.uniform(32).points
+ZS = half_circle(16)
 
 
 def scalar_setup():
@@ -403,7 +403,7 @@ def test_minimal_maps_keep_the_composed_transfer_function(grid_setup, grid_desig
     maps = MapsBuilder(grid_design.maps.pair.bundle, part)(q_from_x(param, np.zeros(param.n_free)))
     monkeypatch.setattr(closed_loop, "minimal", lambda R: R)
     composed = build_closed_loop_maps(maps.pair, maps.bank, part)
-    zs = FrequencyGrid.chebyshev(256).points
+    zs = half_circle(256)
     for name in ("forced", "initial"):
         ref = frequency_response(getattr(composed, name), zs)
         got = frequency_response(getattr(maps, name), zs)

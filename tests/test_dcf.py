@@ -19,9 +19,9 @@ from nrf_forge.errors import (
 )
 from nrf_forge.grid import build_grid_plant, grid_partition
 from nrf_forge.lti import (
-    FrequencyGrid,
     evaluate,
     frequency_response,
+    half_circle,
     impulse_response,
     inverse,
     make_realization,
@@ -59,7 +59,7 @@ def test_factorization_reproduces_plant_on_grid():
     rng = np.random.default_rng(22)
     plant = random_stable_plant(rng, n=5, m=2)
     b = deadbeat_bundle(plant)
-    zs = FrequencyGrid.uniform(32).points
+    zs = half_circle(16)
     gu = frequency_response(plant.g_u(), zs)
     right = frequency_response(series(factor(b, "N"), inverse(factor(b, "M"))), zs)
     left = frequency_response(series(inverse(factor(b, "Mt")), factor(b, "Nt")), zs)
@@ -89,12 +89,12 @@ def test_perturbed_complement_breaks_bezout():
     rng = np.random.default_rng(24)
     plant = random_stable_plant(rng, n=4, m=2)
     bad = perturbed_left(deadbeat_bundle(plant), 0.01)
-    assert verify_bezout(bad, FrequencyGrid.uniform(512)) >= 0.009
+    assert verify_bezout(bad) >= 0.009
 
 
-def bezout_every_point(bundle, grid):
-    """sigma_max of the Bezout residual, with an SVD at every grid point."""
-    prod = (frequency_response(bundle.left, grid.points) @ frequency_response(bundle.right, grid.points)
+def bezout_every_point(bundle, zs):
+    """sigma_max of the Bezout residual, with an SVD at every point of zs."""
+    prod = (frequency_response(bundle.left, zs) @ frequency_response(bundle.right, zs)
             - np.eye(bundle.n_u + bundle.n_x))
     return float(np.max(np.linalg.svd(prod, compute_uv=False)[:, 0]))
 
@@ -105,11 +105,10 @@ def test_verify_bezout_equals_every_point(seed, perturb, monkeypatch):
     rng = np.random.default_rng(60 + seed)
     plant = random_stable_plant(rng, n=int(rng.integers(2, 7)), m=int(rng.integers(1, 3)))
     bundle = perturbed_left(deadbeat_bundle(plant), perturb)
-    grid = FrequencyGrid.uniform(200)
-    got = verify_bezout(bundle, grid)
-    assert got == bezout_every_point(bundle, grid)
+    got = verify_bezout(bundle)
+    assert got == bezout_every_point(bundle, BEZOUT_GRID)
     unprune(monkeypatch)
-    assert got == verify_bezout(bundle, grid)
+    assert got == verify_bezout(bundle)
 
 
 def _bundle_of(request, network):
@@ -155,7 +154,7 @@ def test_shared_solves_equal_per_factor_responses(request, monkeypatch, network)
     # the blocks of one response of R and one of Lt are, bit for bit, the
     # responses of the eight factors realized one by one
     bundle = _bundle_of(request, network)
-    zs = BEZOUT_GRID.points[:BEZOUT_CHUNK]
+    zs = BEZOUT_GRID[:BEZOUT_CHUNK]
     resp = {side: frequency_response(getattr(bundle, side), zs) for side in ("right", "left")}
     for name, fac in _factor_realizations(bundle).items():
         side, rows, cols, sign = factor_block(bundle, name)
@@ -163,9 +162,17 @@ def test_shared_solves_equal_per_factor_responses(request, monkeypatch, network)
     # the residual takes one solve of each factor per point: one per chunk,
     # and one more at the points the bracket keeps
     calls = _counting_resolvent(monkeypatch)
-    assert verify_bezout(bundle, BEZOUT_GRID) == bundle.bezout_residual <= 1e-8
-    assert len(calls) == 2 * (BEZOUT_GRID.count // BEZOUT_CHUNK + 1)
+    assert verify_bezout(bundle) == bundle.bezout_residual <= 1e-8
+    assert len(calls) == 2 * (BEZOUT_GRID.size // BEZOUT_CHUNK + 1)
     assert sum(A is bundle.left.A for A in calls) == len(calls) // 2
+
+
+@pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
+def test_half_circle_bezout_equals_full_circle(request, network):
+    # the conjugate points the half circle leaves out move the residual by round-off only
+    bundle = _bundle_of(request, network)
+    full = np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512)
+    assert abs(verify_bezout(bundle) - bezout_every_point(bundle, full)) <= 1e-13
 
 
 def test_design_gains_scalar_trivial():
@@ -234,7 +241,7 @@ def test_expanded_bezout_identities_on_grid():
     rng = np.random.default_rng(28)
     plant = random_stable_plant(rng, n=5, m=2)
     b = deadbeat_bundle(plant)
-    zs = FrequencyGrid.uniform(64).points
+    zs = half_circle(32)
     vals = {name: frequency_response(factor(b, name), zs) for name in FACTORS}
     I_m, I_n = np.eye(plant.n_u), np.eye(plant.n_x)
     assert np.max(np.abs(vals["Yt"] @ vals["M"] - vals["Xt"] @ vals["N"] - I_m)) <= 1e-8
@@ -253,7 +260,7 @@ def test_user_gains_factors_match_docstring_formulas():
     F, L = design_gains(plant, None, "user_supplied", F=F, L=L)
     b = build_dcf(plant, F, L)
     assert not b.is_deadbeat()
-    zs = FrequencyGrid.uniform(64).points
+    zs = half_circle(32)
     prod = frequency_response(b.left, zs) @ frequency_response(b.right, zs)
     assert np.max(np.abs(prod - np.eye(plant.n_u + plant.n_x))) <= 1e-12
     for name, fac in _factor_realizations(b).items():

@@ -9,7 +9,7 @@ from conftest import deadbeat_bundle, random_stable_plant
 from nrf_forge import io as artifact_io
 from nrf_forge.cli import main
 from nrf_forge.closed_loop import PredictionModel
-from nrf_forge.lti import FrequencyGrid, frequency_response, from_gain, make_realization
+from nrf_forge.lti import frequency_response, from_gain, half_circle, make_realization
 from nrf_forge.nrf import AreaController, bank_from_pair, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sim_net import LoopTrace
@@ -40,8 +40,14 @@ def test_realization_doc_roundtrip(tmp_path):
     path = tmp_path / "r.json"
     artifact_io.dump_document(artifact_io.realization_doc(R), str(path))
     R2 = artifact_io.realization_from_doc(artifact_io.load_document(str(path)))
-    zs = FrequencyGrid.uniform(16).points
+    zs = half_circle(8)
     assert np.array_equal(frequency_response(R, zs), frequency_response(R2, zs))
+    # documents written before the one-value stability-domain tag was dropped still load
+    doc = artifact_io.load_document(str(path))
+    assert "stability_domain" not in doc
+    doc["stability_domain"] = "unit_disc"
+    R3 = artifact_io.realization_from_doc(doc)
+    assert all(np.array_equal(getattr(R3, k), getattr(R2, k)) for k in "ABCD")
 
 
 def test_empty_matrices_roundtrip(tmp_path):
@@ -101,7 +107,7 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     plant2 = artifact_io.load_plant(str(tmp_path / "plant.json"))
     assert np.array_equal(plant2.A, plant.A)
     bundle2 = artifact_io.load_bundle(str(tmp_path / "bundle"), plant2)
-    zs = FrequencyGrid.uniform(8).points
+    zs = half_circle(4)
     for side in ("left", "right"):
         assert np.array_equal(frequency_response(getattr(bundle, side), zs),
                               frequency_response(getattr(bundle2, side), zs))
@@ -378,8 +384,11 @@ def intact_traces(cli_run, tmp_path_factory):
     ("maps/forced.json", lambda doc: doc["D"]["data"].pop(), "cannot reshape"),
     ("partition.json", lambda doc: doc["neighborhoods"][0].append(9), "out-of-range members [9]"),
     ("partition.json", lambda doc: doc["neighborhoods"][1].remove(2), "area 2 is missing"),
+    ("param/parametrization.json", lambda doc: doc["x"].__setitem__(0, np.nan), "NaN or inf"),
+    ("plant.json", lambda doc: doc["A"]["data"][0].__setitem__(0, np.nan), "NaN or inf"),
+    ("bank/area_1.json", lambda doc: doc["D"]["data"][0].__setitem__(0, np.inf), "NaN or inf"),
 ], ids=["extra_row_order", "short_x", "no_forced_map", "old_format_bundle", "short_forced_d",
-        "set_out_of_range", "set_without_own_area"])
+        "set_out_of_range", "set_without_own_area", "nan_in_x", "nan_in_plant", "inf_in_bank"])
 def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_path, capsys,
                                                    rel, corrupt, cause):
     run = str(tmp_path / "run")
@@ -389,10 +398,11 @@ def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_p
     else:
         doc = artifact_io.load_document(os.path.join(run, rel))
         corrupt(doc)
-        artifact_io.dump_document(doc, os.path.join(run, rel))
+        with open(os.path.join(run, rel), "w") as fh:
+            json.dump(doc, fh)  # writes NaN and Infinity as JSON's parsers read them
     capsys.readouterr()
     # simulate reads only the deployed network: the plant, the partition and the bank
-    deployed = rel.startswith(("bank/", "partition.json"))
+    deployed = rel.startswith(("bank/", "partition.json", "plant.json"))
     for cmd in ("verify", "simulate") if deployed else ("verify",):
         assert main([cmd, "--out", run]) == 2
         lines = capsys.readouterr().out.strip().splitlines()
@@ -432,6 +442,26 @@ def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, fail
     assert len(lines) == 1
     assert lines[0].startswith(f"cannot simulate the bank in {run}: ") and cause in lines[0]
     assert not os.path.exists(os.path.join(run, "traces"))
+
+
+@pytest.mark.parametrize("rel, corrupt, cause", [
+    # Yt(inf) = Lt.D[:n_u, n_x:]; its first diagonal entry set to zero
+    ("bundle/left.json", lambda doc: doc["D"]["data"][0].__setitem__(doc["order"], 0.0),
+     "diagonal entry 1 of Yq vanishes at infinity"),
+    ("plant.json", lambda doc: doc["A"]["data"][0].__setitem__(0, 5.0), "spectral radius"),
+], ids=["singular_yt_diagonal", "plant_unstabilized_by_factors"])
+def test_cli_loop_that_cannot_be_rebuilt_fails_verify(cli_run, tmp_path, capsys, rel, corrupt, cause):
+    run = str(tmp_path / "run")
+    shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
+    doc = artifact_io.load_document(os.path.join(run, rel))
+    corrupt(doc)
+    artifact_io.dump_document(doc, os.path.join(run, rel))
+    capsys.readouterr()
+    assert main(["verify", "--out", run]) == 4
+    report = open(os.path.join(run, "verify_report.txt")).read().strip().splitlines()
+    assert len(report) == 1
+    assert report[0].startswith("FAIL  closed_loop_rebuild:") and cause in report[0], report[0]
+    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("0/1 checks passed")
 
 
 def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):
@@ -509,6 +539,24 @@ def test_plant_pre_permutation_helper():
     # B rows follow the state permutation; columns follow the input order
     assert np.allclose(plant.B_u, B_u[[1, 3, 0, 2], :][:, [1, 0]])
     assert np.allclose(plant.B_d, B_d[[1, 3, 0, 2], :])
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda cfg: cfg["plant"]["A"][1].__setitem__(1, np.nan), "plant matrices hold NaN or inf entries"),
+    (lambda cfg: cfg.__setitem__("partition", [[3, 1], [2, 1]]),
+     "the partition's area sizes sum to (n_x, n_u) = (5, 2), but the plant has (4, 2)"),
+    (lambda cfg: cfg["plant"]["A"][0].pop(), "plant matrices must be arrays of numbers: "),
+], ids=["nan_in_plant", "partition_sizes_mismatch", "ragged_plant"])
+def test_cli_malformed_plant_is_config_error(tmp_path, capsys, edit, cause):
+    path = two_area_config(tmp_path / "cfg.json")
+    cfg = artifact_io.load_document(path)
+    edit(cfg)
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    capsys.readouterr()
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: {cause}"), lines
 
 
 def test_cli_parametrization_keys_at_their_one_value_design(tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,6 @@ from nrf_forge.errors import (
     UnboundedTfmError,
 )
 from nrf_forge.lti import (
-    FrequencyGrid,
     _SchurForm,
     _block_peaks,
     _bracket,
@@ -26,6 +27,7 @@ from nrf_forge.lti import (
     fir_realization,
     frequency_response,
     from_gain,
+    half_circle,
     hinf_norm,
     impulse_response,
     inverse,
@@ -147,7 +149,7 @@ def test_parallel_cancellation_is_zero():
     rng = np.random.default_rng(1)
     G = random_realization(rng, 3, 2, 2)
     Z = parallel(G, negate(G))
-    resp = frequency_response(Z, FrequencyGrid.uniform(64).points)
+    resp = frequency_response(Z, half_circle(32))
     assert np.max(np.abs(resp)) <= 1e-12
 
 
@@ -188,7 +190,7 @@ def test_inverse_product_is_identity():
                          rng.standard_normal((p, n)) * 0.3, np.eye(p))
     Ri = inverse(R)
     prod = series(Ri, R)
-    for z in FrequencyGrid.uniform(64).points:
+    for z in half_circle(32):
         assert np.allclose(evaluate(prod, z), np.eye(p), atol=1e-10)
 
 
@@ -230,7 +232,7 @@ def test_minimal_idempotent_and_eval_preserving(seed):
     R = parallel(R1, R1)  # guaranteed non-minimal
     Rm = minimal(R)
     assert minimal(Rm).order == Rm.order
-    zs = FrequencyGrid.uniform(64).points
+    zs = half_circle(32)
     a, b = frequency_response(R, zs), frequency_response(Rm, zs)
     scale = max(1.0, np.max(np.abs(a)))
     assert np.max(np.abs(a - b)) / scale <= 1e-8
@@ -364,7 +366,7 @@ def test_hinf_matches_dense_scan_on_random_mimo():
 
 
 def test_schur_sweep_matches_frequency_response():
-    zs = np.exp(1j * np.pi * (np.arange(301) + 0.5) / 301)
+    zs = half_circle(301)
     for R in norm_test_realizations():
         for S in (R, transpose(R)):
             want = frequency_response(S, zs)
@@ -538,16 +540,21 @@ def test_time_frequency_consistency():
 # grids
 # ---------------------------------------------------------------------------
 
-@given(st.integers(2, 300))
-def test_uniform_grid_is_on_circle_and_distinct(count):
-    g = FrequencyGrid.uniform(count)
-    assert g.count == count
-    assert np.allclose(np.abs(g.points), 1.0)
+def test_half_circle_and_conjugates_are_the_full_midpoint_circle():
+    for n in (1, 3, 16, 64, 256, 1024, 2048):
+        zs = half_circle(n)
+        full = np.exp(1j * (2.0 * np.pi * (np.arange(2 * n) + 0.5) / (2 * n)))
+        assert np.allclose(np.abs(zs), 1.0, rtol=0.0, atol=1e-15) and np.all(zs.imag > 0)
+        assert np.allclose(np.r_[zs, np.conj(zs[::-1])], full, rtol=0.0, atol=1e-15)
+        # bit for bit the upper half of the former uniform grid and the former Chebyshev-angle grid
+        assert np.array_equal(zs, full[:n])
+        assert np.array_equal(zs, np.exp(1j * (np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))))
 
 
-def test_grid_rejects_off_circle_points():
-    with pytest.raises(ValueError):
-        FrequencyGrid(np.array([0.5 + 0.0j]))
+def test_only_lti_builds_unit_circle_points():
+    src = Path(lti.__file__).parent
+    builders = [p.name for p in sorted(src.glob("*.py")) if p.name != "lti.py" and "exp(1j" in p.read_text()]
+    assert builders == []
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +605,7 @@ def test_bracket_equals_every_point_bit_for_bit(case):
 
 
 def test_bracket_takes_few_points_of_a_smooth_peak():
-    zs = np.exp(1j * np.pi * (np.arange(512) + 0.5) / 512)
+    zs = half_circle(512)
     R = random_realization(np.random.default_rng(4), 6, 3, 3)
     S = frequency_response(R, zs).transpose(1, 2, 0)[:, :, None]
     H, asked = _gram(S, S), []

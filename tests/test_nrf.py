@@ -9,10 +9,10 @@ from nrf_forge.errors import (
     SparsityInheritanceError,
 )
 from nrf_forge.lti import (
-    FrequencyGrid,
     fir_realization,
     from_gain,
     frequency_response,
+    half_circle,
     is_minimal,
     make_realization,
 )
@@ -30,7 +30,7 @@ from nrf_forge.nrf import (
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
 
-ZS = FrequencyGrid.chebyshev(64).points
+ZS = half_circle(64)
 
 
 def small_pair(seed=0, q_scale=0.1):

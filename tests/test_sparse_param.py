@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import deadbeat_bundle, factor, random_stable_plant
 from nrf_forge.dcf import build_dcf
 from nrf_forge.errors import NonFirDcfError
-from nrf_forge.lti import FrequencyGrid, evaluate, frequency_response
+from nrf_forge.lti import evaluate, frequency_response, half_circle
 from nrf_forge.nrf import form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sparse_param import (
@@ -18,7 +18,7 @@ from nrf_forge.sparse_param import (
     q_from_x,
 )
 
-ZS = FrequencyGrid.chebyshev(64).points
+ZS = half_circle(64)
 
 
 def chain_setup(seed=0, forbid=((0, 1),)):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 
 from nrf_forge.closed_loop import build_closed_loop_maps, kd_responses
-from nrf_forge.lti import FrequencyGrid, frequency_response
+from nrf_forge.lti import frequency_response, half_circle
 from nrf_forge.nrf import form_nrf_pair
 from nrf_forge.sparse_param import q_from_x
 from nrf_forge.verify import run_invariant_suite
@@ -12,7 +12,7 @@ from nrf_forge.verify import run_invariant_suite
 def test_pointwise_kd_matches_realized_pair(grid_design):
     param = grid_design.param
     bundle = grid_design.maps.pair.bundle
-    zs = FrequencyGrid.chebyshev(64).points
+    zs = half_circle(64)
     rng = np.random.default_rng(31)
     draws = [rng.standard_normal(param.n_free) for _ in range(3)]
     pointwise = kd_responses(bundle, (param.taps_from_x(x) for x in draws), zs)
