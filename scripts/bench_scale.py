@@ -6,8 +6,11 @@ swing ring, slack 0, the design method's fixed constants) for N = 8, 12, 20
 and 30, each run in a fresh child process with one BLAS thread.  A run records the
 wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
 time spent building the search surrogate, in the pattern search and in the
-certified norms (``constraint_norms``), the surrogate's stored direction
-bytes, its (block, direction) pairs and the share of its evaluations' grid
+certified norms (``constraint_norms``), the bytes of direction responses
+the surrogate holds (its factor responses plus its largest single
+direction's stacks, as it holds one direction at a time; every direction's
+stacks in a source tree that stores them all), its (block, direction)
+pairs and the share of its evaluations' grid
 points at which a lambda_max was taken (read from the surrogate's
 ``lambda_points`` counter), the largest and the median number of lockstep
 steps per batch of the certificates' peak refinement (``lti._brent_max``)
@@ -90,7 +93,13 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
         model["pairs_stored"], model["pairs_total"] = self.n_pairs
-        model["surrogate_dir_mb"] = sum(d.nbytes for kept in self.dirs for _, _, d in kept) / 2**20
+        if hasattr(self, "dirs"):   # a source tree whose surrogate stores every direction
+            held = sum(d.nbytes for kept in self.dirs for _, _, d in kept)
+        else:
+            held = sum(a.nbytes for a in self.factors) + max(
+                sum(self.groups[gi].base.nbytes // self.groups[gi].base.shape[2] * idx.size
+                    for gi, idx in kept) for kept in self.kept)
+        model["surrogate_held_mb"] = held / 2**20
 
     search = match_synth._pattern_search
 
@@ -165,7 +174,7 @@ def main(argv=None) -> int:
         traced = runs.pop()
         numpy_version = runs[0].pop("numpy")
         row = {**runs[0], **{k: round(statistics.median(r[k] for r in runs), 3) for k in TIMED}}
-        row["surrogate_dir_mb"] = round(row["surrogate_dir_mb"], 1)
+        row["surrogate_held_mb"] = round(row["surrogate_held_mb"], 1)
         row["design_tracemalloc_peak_mb"] = round(traced["design_tracemalloc_peak_mb"], 2)
         row["runs"] = len(runs)
         rows.append(row)

@@ -67,13 +67,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _apply_permutation(M: np.ndarray, rows, cols) -> np.ndarray:
-    out = M
-    if rows is not None:
-        out = out[np.asarray(rows, dtype=int) - 1, :]
-    if cols is not None:
-        out = out[:, np.asarray(cols, dtype=int) - 1]
-    return out
+def _permutation(pl: dict, key: str, n: int) -> np.ndarray | None:
+    """0-based indices from ``plant.<key>``, a 1-based permutation of 1..n, or None."""
+    perm = pl.get(key)
+    if perm is None:
+        return None
+    if not (isinstance(perm, list) and all(type(v) is int for v in perm)
+            and sorted(perm) == list(range(1, n + 1))):
+        raise ConfigError(f"plant.{key} must be a permutation of 1..{n}, got {perm!r}")
+    return np.array(perm) - 1
 
 
 def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
@@ -94,20 +96,19 @@ def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
         raise ConfigError(f"plant section is missing {exc}") from exc
     except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
         raise ConfigError(f"plant matrices must be arrays of numbers: {exc}") from exc
-    # documented pre-permutation helper: the toolkit needs contiguous
-    # ascending area index sets, so interleaved models are reordered here
-    sp = pl.get("state_permutation")
-    ip = pl.get("input_permutation")
-    if sp is not None:
-        A = _apply_permutation(_apply_permutation(A, sp, None), None, sp)
-        B_u = _apply_permutation(B_u, sp, None)
-        B_d = _apply_permutation(B_d, sp, None)
-    if ip is not None:
-        B_u = _apply_permutation(B_u, None, ip)
     try:
-        return Plant(A, B_u, B_d)
+        plant = Plant(A, B_u, B_d)
     except ValueError as exc:  # mismatched shapes, or NaN or inf entries
         raise ConfigError(str(exc)) from exc
+    # documented pre-permutation helper: the toolkit needs contiguous
+    # ascending area index sets, so interleaved models are reordered here
+    sp = _permutation(pl, "state_permutation", plant.n_x)
+    ip = _permutation(pl, "input_permutation", plant.n_u)
+    if sp is not None:
+        A, B_u, B_d = A[np.ix_(sp, sp)], B_u[sp], B_d[sp]
+    if ip is not None:
+        B_u = B_u[:, ip]
+    return Plant(A, B_u, B_d)
 
 
 def _partition_from_config(cfg: dict, plant: Plant):

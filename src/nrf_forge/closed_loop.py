@@ -183,58 +183,69 @@ def _left_responses(bundle: DcfBundle, zs: np.ndarray):
     return -lt[:, :m, :n], lt[:, :m, n:], lt[:, m:, :n], -lt[:, m:, n:]
 
 
-def _q_responses(mt: np.ndarray, nt: np.ndarray, taps_seq, zs: np.ndarray):
-    """Q, Q Mt and Q Nt on the flat complex grid ``zs`` for each tap tensor
-    (q, n_u, n_x) in ``taps_seq``, with Q(z) = sum_t taps[t] z^{-t-1}, from
-    the responses ``mt`` and ``nt`` on ``zs``."""
-    for taps in taps_seq:
-        powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
-        q_resp = np.einsum("gt,tij->gij", powers, taps)
-        yield q_resp, q_resp @ mt, q_resp @ nt
+def _q_response(mt: np.ndarray, nt: np.ndarray, taps: np.ndarray, zs: np.ndarray):
+    """Q, Q Mt and Q Nt on the flat complex grid ``zs`` for the tap tensor
+    ``taps`` (q, n_u, n_x), with Q(z) = sum_t taps[t] z^{-t-1}, from the
+    responses ``mt`` and ``nt`` on ``zs``."""
+    powers = zs[:, None] ** -np.arange(1.0, taps.shape[0] + 1)
+    q_resp = np.einsum("gt,tij->gij", powers, taps)
+    return q_resp, q_resp @ mt, q_resp @ nt
 
 
-def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
-    """The parts of F and I that are linear in Q, evaluated pointwise on ``zs``.
+def q_factor_responses(bundle: DcfBundle, zs) -> tuple:
+    """The factors of :func:`q_linear_response`, which no Q enters, on the flat
+    complex grid ``zs``: (zs, [N; M], Mt, Nt, (zI - A_L)^{-1} B_d, J1)."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    _, _, mt, nt = _left_responses(bundle, zs)
+    res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
+    return (zs, frequency_response(_nm(bundle), zs), np.ascontiguousarray(mt), nt,
+            res_l @ bundle.plant.B_d, zs[:, None, None] * res_l)
 
-    ``taps`` stacks K FIR tap tensors of shape (q, n_u, n_x), each the
-    parameter Q(z) = sum_t taps[t] z^{-t-1}.  From the docstring formulas with
+
+def q_linear_response(factors: tuple, taps: np.ndarray):
+    """The parts of F and I that are linear in Q, evaluated pointwise.
+
+    ``taps`` is one FIR tap tensor of shape (q, n_u, n_x), the parameter
+    Q(z) = sum_t taps[t] z^{-t-1}.  From the docstring formulas with
     Xq = Xt + Q Mt, Yq = Yt + Q Nt, Mt G_d = (zI - A_L)^{-1} B_d and
-    J1 = z (zI - A_L)^{-1}, each Q contributes
+    J1 = z (zI - A_L)^{-1}, Q contributes
 
         forced:  [N; M] [ Q Mt | Q Nt | diag(Q Nt) - Q Nt | Q (zI - A_L)^{-1} B_d ]
         initial: [N; M] Q J1   (the plant-IC columns; the controller-IC
                                 columns [N; M] J2 depend on Q only through
                                 diag(Yq) and the bank)
 
-    Yields one pair per tap tensor, of shapes (G, n_x + n_u, n_x + 2 n_u + n_d)
-    and (G, n_x + n_u, n_x); [N; M] and Lt are evaluated once.
+    on the grid of ``factors`` (:func:`q_factor_responses`).  Returns a pair
+    of shapes (G, n_x + n_u, n_x + 2 n_u + n_d) and (G, n_x + n_u, n_x).
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    nm = frequency_response(_nm(bundle), zs)
-    _, _, mt, nt = _left_responses(bundle, zs)
-    res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
-    gd_l = res_l @ bundle.plant.B_d
-    j1 = zs[:, None, None] * res_l
-    diag = np.arange(bundle.n_u)
-    for q_resp, q_mt, q_nt in _q_responses(mt, nt, taps, zs):
-        gap = -q_nt
-        gap[:, diag, diag] = 0.0
-        right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
-        yield nm @ right, nm @ (q_resp @ j1)
+    zs, nm, mt, nt, gd_l, j1 = factors
+    q_resp, q_mt, q_nt = _q_response(mt, nt, taps, zs)
+    diag = np.arange(q_nt.shape[1])
+    gap = -q_nt
+    gap[:, diag, diag] = 0.0
+    right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
+    return nm @ right, nm @ (q_resp @ j1)
+
+
+def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
+    """:func:`q_linear_response` of each tap tensor in ``taps``, factors evaluated once."""
+    factors = q_factor_responses(bundle, zs)
+    return (q_linear_response(factors, t) for t in taps)
 
 
 def kd_responses(bundle: DcfBundle, taps_seq, zs):
     """kd(z) = [I - Yqd^-1 Yq, Yqd^-1 Xq] on ``zs`` for each Q in ``taps_seq``.
 
     Each element of ``taps_seq`` is an FIR tap tensor as in
-    :func:`q_linear_responses`; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is the
+    :func:`q_linear_response`; Yq = Yt + Q Nt, Xq = Xt + Q Mt and Yqd is the
     diagonal of Yq.  Lt is evaluated once; yields one
     (G, n_u, n_u + n_x) stack per tap tensor.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     xt, yt, mt, nt = _left_responses(bundle, zs)
     eye = np.eye(bundle.n_u)
-    for _, q_mt, q_nt in _q_responses(mt, nt, taps_seq, zs):
+    for taps in taps_seq:
+        _, q_mt, q_nt = _q_response(mt, nt, taps, zs)
         yq = yt + q_nt
         inv_diag = 1.0 / np.diagonal(yq, axis1=1, axis2=2)[:, :, None]
         yield np.concatenate([eye - inv_diag * yq, inv_diag * (xt + q_mt)], axis=-1)

@@ -12,7 +12,8 @@ is a convex function of x.  These N + 2 N^2 blocks have one order,
 and structural-zero flag here is one flat vector in it.  The solver is a
 coordinate pattern search from x = 0 with golden-section line searches on a
 surrogate sampled on :data:`SEARCH_GRID` points of :func:`lti.half_circle`
-(the certified norms sweep :data:`NORM_GRID` points of it); candidates
+(the certified norms sweep :data:`NORM_GRID` points of it), which holds one
+direction's responses at a time, formed from fixed factors when needed; candidates
 violating the admissible upper bounds are rejected outright (feasible-point
 method; the bootstrap at x = 0 supplies a feasible start by construction).
 Reported constraint values are never taken from the search: they are
@@ -32,7 +33,8 @@ from .closed_loop import (
     block_support,
     build_closed_loop_maps,
     matching_slots,
-    q_linear_responses,
+    q_factor_responses,
+    q_linear_response,
     slot_name,
 )
 from .dcf import DcfBundle
@@ -310,8 +312,12 @@ class _SurrogateModel:
     The points are :func:`lti.half_circle` (:data:`SEARCH_GRID`).  The base
     responses come from the realized maps at x = 0; each free direction's
     response is the Q-linear part of the closed-loop formulas, evaluated
-    pointwise.  Blocks are grouped by stacked shape; each direction keeps
-    per group only the blocks it moves (:data:`DROP_REL`), in one stack.
+    pointwise from factors no direction enters (``factors``, evaluated once).
+    Blocks are grouped by stacked shape; each direction keeps per group only
+    the blocks it moves (:data:`DROP_REL`; ``kept``, found at build by forming
+    the directions one at a time).  Only the last direction :meth:`direction`
+    formed, for a line along it or a step of the held x, keeps its stacks
+    (``held``), so the resident memory does not grow with the directions.
     Blocks outside :func:`closed_loop.block_support` (``self.support``, per
     slot) are zero at every x and are left out of the groups.
     Only the plant-IC columns of the initial map move with x here: the
@@ -338,67 +344,86 @@ class _SurrogateModel:
         self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
         self.support = block_support(bundle, param, partition)
         self.groups = self._base_groups(partition, maps0)
-        G = self.zs.size
-        self.dirs = []   # per direction: (group, kept blocks, their stack) triples
-        for forced_k, ic_k in q_linear_responses(bundle, param.basis[active], self.zs):
-            forced_k, ic_k = forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T
-            row_max = np.concatenate([np.abs(forced_k).max(axis=1), np.abs(ic_k).max(axis=1), [0.0]])
+        self.factors = q_factor_responses(bundle, self.zs)
+        self.taps = param.basis[active]
+        self.kept = []   # per direction: (group, kept blocks) pairs
+        for k in range(len(self.taps)):
+            row_max = np.concatenate([np.abs(r).max(axis=1) for r in self._responses(k)] + [[0.0]])
             moved = [np.flatnonzero(row_max[g.gather].max(axis=(0, 1)) > DROP_REL * row_max.max())
                      for g in self.groups]
-            self.dirs.append([(gi, idx, _gather(forced_k, ic_k, g.gather[:, :, idx]))
-                              for gi, (g, idx) in enumerate(zip(self.groups, moved)) if idx.size])
-        self.n_pairs = (sum(idx.size for kept in self.dirs for _, idx, _ in kept),
-                        len(self.dirs) * self.support.size)
+            self.kept.append([(gi, idx) for gi, idx in enumerate(moved) if idx.size])
+        self.held = (None, [])   # (direction, its direction() triples)
+        self.n_pairs = (sum(idx.size for kept in self.kept for _, idx in kept),
+                        len(self.kept) * self.support.size)
+
+    def _responses(self, k: int) -> tuple:
+        """Direction k's flat forced and plant-IC responses, (rows, G) each."""
+        G = self.zs.size
+        forced, ic = q_linear_response(self.factors, self.taps[k])
+        return forced.reshape(G, -1).T, ic.reshape(G, -1).T
+
+    def direction(self, k: int) -> list:
+        """Direction k's (group, kept blocks, their stack) triples.  Unless k
+        is the held direction, the held stacks are released and k's formed
+        from the factors; k is then held."""
+        if self.held[0] != k:
+            self.held = (None, [])
+            forced_k, ic_k = self._responses(k)
+            self.held = (k, [(gi, idx, _gather(forced_k, ic_k, self.groups[gi].gather[:, :, idx]))
+                             for gi, idx in self.kept[k]])
+        return self.held[1]
 
     def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
-        """Lay out every matching block in ``self.support``, stack its
-        response at x = 0 minus its target, and group the blocks by stacked
-        shape.  A direction's flat responses are forced, plant-IC, then a
-        zero row for controller ICs."""
+        """Lay out every matching block in ``self.support`` and group the
+        blocks by stacked shape; then write each block's response at x = 0
+        minus its target straight into its group's ``base`` stack, and the
+        Gram of its fixed columns into ``fixed``.  A direction's flat
+        responses are forced, plant-IC, then a zero row for controller ICs."""
         zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
-        base_resp = _map_responses(maps0, zs)
         grouped: dict = {}
         for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
             if not self.support[slot]:
                 continue
-            blk = base_resp[src][:, rows[:, None], cols]
-            if target is not None:
-                blk = blk - frequency_response(target, zs)
             transposed = cols.size < rows.size
-            if transposed:
-                moving = np.ones(cols.size, dtype=bool)
-                stack, fixed = blk.transpose(2, 1, 0), None
-            else:
-                moving = cols < n_x if src == 1 else np.ones(cols.size, dtype=bool)
-                stack = blk[:, :, moving].transpose(1, 2, 0)
-                fixed_part = blk[:, :, ~moving].transpose(1, 2, 0)
-                fixed = _gram(fixed_part, fixed_part) if fixed_part.size else None
+            moving = cols < n_x if src == 1 and not transposed else np.ones(cols.size, dtype=bool)
             block = _Block(slot, src, rows, cols[moving], cols[~moving], transposed)
             r, c = np.ix_(rows, block.cols)
             at = r * n_f + c if src == 0 else np.where(c < n_x, n_r * n_f + r * n_x + c, n_r * (n_f + n_x))
-            grouped.setdefault(stack.shape[:2], []).append((block, stack, fixed, at.T if transposed else at))
+            at = at.T if transposed else at
+            grouped.setdefault(at.shape, []).append((block, cols, moving, target, at))
 
+        base_resp = _map_responses(maps0, zs)
         groups = []
-        for (s, _), members in grouped.items():
-            fixed = None
-            if any(f is not None for _, _, f, _ in members):
-                fixed = np.stack([f if f is not None else np.zeros((s, s, G), dtype=complex)
-                                  for _, _, f, _ in members], axis=2)
-            groups.append(_BlockGroup(
-                blocks=[b for b, _, _, _ in members],
-                slots=np.array([b.slot for b, _, _, _ in members]),
-                base=np.stack([stk for _, stk, _, _ in members], axis=2),
-                fixed=fixed,
-                gather=np.stack([at for _, _, _, at in members], axis=2)))
+        for (s, t), members in grouped.items():
+            blocks = [m[0] for m in members]
+            g = _BlockGroup(blocks, np.array([b.slot for b in blocks]),
+                            base=np.empty((s, t, len(blocks), G), dtype=complex),
+                            fixed=(np.zeros((s, s, len(blocks), G), dtype=complex)
+                                   if any(b.fixed_cols.size for b in blocks) else None),
+                            gather=np.stack([m[4] for m in members], axis=2))
+            for n, (block, cols, moving, target, _) in enumerate(members):
+                blk = base_resp[block.source][:, block.rows[:, None], cols]
+                if target is not None:
+                    blk = blk - frequency_response(target, zs)
+                g.base[:, :, n] = blk.transpose(2, 1, 0) if block.transposed else blk[:, :, moving].transpose(1, 2, 0)
+                if block.fixed_cols.size:   # never on a transposed block
+                    fixed_part = blk[:, :, ~moving].transpose(1, 2, 0)
+                    g.fixed[:, :, n] = _gram(fixed_part, fixed_part)
+            groups.append(g)
         return groups
 
     def stacks_at(self, x_active: np.ndarray) -> list:
         """Per-group block responses, targets subtracted, at the active coefficients."""
         stacks = [g.base.copy() for g in self.groups]
         for k in np.flatnonzero(x_active):
-            for gi, idx, d in self.dirs[k]:
-                stacks[gi][:, :, idx] += x_active[k] * d
+            self._step(stacks, k, x_active[k])
         return stacks
+
+    def _step(self, stacks: list, k: int, t: float) -> list:
+        """Add t times direction k to ``stacks``; returns its (group, blocks) pairs."""
+        for gi, idx, d in self.direction(k):
+            stacks[gi][:, :, idx] += t * d
+        return self.kept[k]
 
     def _gram0(self, g: _BlockGroup, B: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Gram stack, constant term included, of a group's blocks ``idx`` (all when None)."""
@@ -439,18 +464,19 @@ class _SurrogateModel:
         G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here and
         laid end to end per Gram side r; a probe brackets each side's peaks
         in one pass (:func:`_gram_sum`).  Other blocks keep their peak at x.
+        Direction k's stacks d are formed here (:meth:`direction`) and stay
+        held, so the step of the next line along k forms none.
         """
         if self._x is None:
-            self.objective_at(np.zeros(len(self.dirs)))
+            self.objective_at(np.zeros(len(self.kept)))
         step = np.asarray(x_active, dtype=float) - self._x
         for j in np.flatnonzero(step):
-            for gi, idx, d in self.dirs[j]:
-                self._stacks[gi][:, :, idx] += step[j] * d
+            for gi, idx in self._step(self._stacks, j, step[j]):
                 self._grams[gi][:, :, idx] = h = self._gram0(self.groups[gi], _take(self._stacks[gi], idx), idx)
                 self._vals[self.groups[gi].slots[idx]] = _gram_sum([((h, np.arange(idx.size)),)])()
         self._x = np.array(x_active, dtype=float)
         sides: dict = {}
-        for gi, idx, d in self.dirs[k]:
+        for gi, idx, d in self.direction(k):
             cross, own = _gram(_take(self._stacks[gi], idx), d), np.arange(idx.size)
             g1 = cross.conj().swapaxes(0, 1)
             g1 += cross  # G1 = cross + cross^H, with one temporary fewer
@@ -472,7 +498,8 @@ def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
 
     Exactly the function the pattern search minimises over its first
     :data:`MAX_FREE_DIMS` coefficients (+inf outside the admissible bounds); exposed so tests and experiment scripts can
-    brute-force it independently of the solver.
+    brute-force it independently of the solver.  A call forms the stacks of
+    each nonzero coefficient's direction in turn (:class:`_SurrogateModel`).
     """
     builder = MapsBuilder(bundle, partition)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
@@ -564,8 +591,8 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     x_full[active] = x_act
     if f_star >= log[0] - SWEEP_TOL:
         x_full = zero  # no real progress; keep the certified origin
-    # the surrogate's direction stacks are not needed past this point; free
-    # them before the certificate allocates its sweeps
+    # the surrogate's stacks and factors are not needed past this point;
+    # free them before the certificate allocates its sweeps
     n_evals, pairs = model.n_evals, model.n_pairs
     del model
     certificate = certify(x_full)

@@ -541,6 +541,22 @@ def test_plant_pre_permutation_helper():
     assert np.allclose(plant.B_d, B_d[[1, 3, 0, 2], :])
 
 
+@pytest.mark.parametrize("key, perm, n", [
+    ("state_permutation", [1, 2, 3, 5], 4),
+    ("state_permutation", [2, 1, 3], 4),
+    ("input_permutation", [1, 1], 2),
+], ids=["out_of_range", "too_short", "repeated"])
+def test_cli_bad_permutation_is_config_error(tmp_path, capsys, key, perm, n):
+    path = two_area_config(tmp_path / "cfg.json")
+    cfg = artifact_io.load_document(path)
+    cfg["plant"][key] = perm
+    artifact_io.dump_document(cfg, path)
+    capsys.readouterr()
+    assert main(["design", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.strip().splitlines() == [
+        f"configuration error: plant.{key} must be a permutation of 1..{n}, got {perm!r}"]
+
+
 @pytest.mark.parametrize("edit, cause", [
     (lambda cfg: cfg["plant"]["A"][1].__setitem__(1, np.nan), "plant matrices hold NaN or inf entries"),
     (lambda cfg: cfg.__setitem__("partition", [[3, 1], [2, 1]]),

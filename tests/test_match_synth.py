@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -536,9 +538,9 @@ def dense_case(request):
 
 
 def kept_pairs(model):
-    """{(direction, slot)} of the pairs the model stores."""
-    return {(k, int(slot)) for k, kept in enumerate(model.dirs)
-            for gi, idx, _ in kept for slot in model.groups[gi].slots[idx]}
+    """{(direction, slot)} of the pairs the model keeps."""
+    return {(k, int(slot)) for k, kept in enumerate(model.kept)
+            for gi, idx in kept for slot in model.groups[gi].slots[idx]}
 
 
 @pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
@@ -576,10 +578,10 @@ def test_sparse_surrogate_drops_only_round_off_pairs(dense_case):
 def test_sparse_surrogate_stores_only_kept_pairs(dense_case):
     _, model, _, _, _ = dense_case
     assert not any(hasattr(g, "dirs") for g in model.groups)
-    stored = sum(d.nbytes for kept in model.dirs for _, _, d in kept)
-    G = model.zs.size
-    want = sum(idx.size * np.prod(model.groups[gi].base.shape[:2]) * G * 16
-               for kept in model.dirs for gi, idx, _ in kept)
+    G, stored, want = model.zs.size, 0, 0
+    for k, kept in enumerate(model.kept):
+        stored += sum(d.nbytes for _, _, d in model.direction(k))
+        want += sum(idx.size * np.prod(model.groups[gi].base.shape[:2]) * G * 16 for gi, idx in kept)
     assert stored == want
 
 
@@ -590,6 +592,48 @@ def test_ring_far_blocks_keep_no_pair(ring_dense):
            if j is not None and min(abs(i - j), N - abs(i - j)) >= 3}
     assert len(far) == 48
     assert not far & {slot for _, slot in kept_pairs(model)}
+
+
+@pytest.mark.parametrize("network", ["grid", "ring"])
+def test_solve_holds_one_direction_at_a_time(request, monkeypatch, network):
+    """During a whole search the model holds at most one direction's stacks,
+    and each direction's stacks, formed on demand from the factors, equal
+    bit for bit the stacks gathered from ``q_linear_responses``."""
+    part = request.getfixturevalue(f"{network}_setup")[1]
+    res = request.getfixturevalue(f"{network}_design")
+    models, forming, live = [], [], []   # live: (direction, weak reference to a stack)
+    real_direction, real_gather = _SurrogateModel.direction, match_synth._gather
+
+    def held_directions():
+        return {k for k, ref in live if ref() is not None}
+
+    def direction(self, k):
+        models.append(self)
+        forming.append(k)
+        try:
+            return real_direction(self, k)
+        finally:
+            forming.pop()
+            assert held_directions() <= {k}
+
+    def gather(*args):
+        assert held_directions() <= {forming[-1]}
+        out = real_gather(*args)
+        live.append((forming[-1], weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(_SurrogateModel, "direction", direction)
+    monkeypatch.setattr(match_synth, "_gather", gather)
+    again = solve(res.spec, res.param, res.pair.bundle, part)
+    assert np.array_equal(again.x, res.x) and again.n_evals == res.n_evals
+    assert models and all(m is models[0] for m in models) and len({k for k, _ in live}) > 1
+    monkeypatch.undo()
+    model, G = models[0], models[0].zs.size
+    responses = q_linear_responses(res.pair.bundle, res.param.basis[:len(model.kept)], model.zs)
+    for k, (forced_k, ic_k) in enumerate(responses):
+        flat = np.concatenate([forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T, np.zeros((1, G))])
+        for gi, idx, d in model.direction(k):
+            assert np.array_equal(d, flat[model.groups[gi].gather[:, :, idx]])
 
 
 @given(st.integers(1, 4), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
