@@ -7,10 +7,9 @@ and 30, each run in a fresh child process with one BLAS thread.  A run records t
 wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
 time spent building the search surrogate, in the pattern search and in the
 certified norms (``constraint_norms``), the bytes of direction responses
-the surrogate holds (its factor responses plus its largest single
-direction's stacks, as it holds one direction at a time; every direction's
-stacks in a source tree that stores them all), its (block, direction)
-pairs and the share of its evaluations' grid
+the surrogate holds (its factor responses plus one direction's stacks of
+the moving blocks, as it holds one direction at a time), the count of
+blocks that move with x and the share of its evaluations' grid
 points at which a lambda_max was taken (read from the surrogate's
 ``lambda_points`` counter), the largest and the median number of lockstep
 steps per batch of the certificates' peak refinement (``lti._brent_max``)
@@ -92,13 +91,9 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
 
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
-        model["pairs_stored"], model["pairs_total"] = self.n_pairs
-        if hasattr(self, "dirs"):   # a source tree whose surrogate stores every direction
-            held = sum(d.nbytes for kept in self.dirs for _, _, d in kept)
-        else:
-            held = sum(a.nbytes for a in self.factors) + max(
-                sum(self.groups[gi].base.nbytes // self.groups[gi].base.shape[2] * idx.size
-                    for gi, idx in kept) for kept in self.kept)
+        model["moving_blocks"] = int(self.moving.sum())
+        held = sum(a.nbytes for a in self.factors) + sum(
+            g.base.nbytes for g in self.groups if g.gather is not None)
         model["surrogate_held_mb"] = held / 2**20
 
     search = match_synth._pattern_search

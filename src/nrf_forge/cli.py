@@ -63,6 +63,8 @@ def _load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = artifact_io.load_document(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(cfg).__name__}")
     _setting("schema_version", cfg.get("schema_version"), int, "1", lambda v: v == 1)
     return cfg
 
@@ -80,7 +82,7 @@ def _permutation(pl: dict, key: str, n: int) -> np.ndarray | None:
 
 def _plant_from_config(cfg: dict, coeffs_path: str | None) -> Plant:
     if "grid" in cfg:
-        doc = dict(cfg["grid"])
+        doc = _object(cfg, "grid")
         if coeffs_path:
             doc = artifact_io.load_document(coeffs_path)
         coeffs = coefficients_from_dict(doc) if ("h" in doc) else surrogate_coefficients()
@@ -140,16 +142,16 @@ def _setting(name: str, value, kind: type, need: str, ok=lambda v: True):
 FIXED_SYNTHESIS_KEYS = {"param_mode": "factored", "preserve_diagonal": True}
 
 
-def _object(section: dict, prefix: str, key: str) -> dict:
-    """``section[key]``, an empty dict when absent; a ConfigError unless it is an object."""
-    value = section.get(key, {})
+def _object(section: dict, name: str) -> dict:
+    """``section[key]``, ``key`` the last part of the dotted ``name``; {} when absent, a ConfigError unless an object."""
+    value = section.get(name.rpartition(".")[2], {})
     if not isinstance(value, dict):
-        raise ConfigError(f"{prefix}.{key} must be an object, got {value!r}")
+        raise ConfigError(f"{name} must be an object, got {value!r}")
     return value
 
 
 def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
-    syn = dict(cfg.get("synthesis", {}))
+    syn = _object(cfg, "synthesis")
     if syn.get("norm", "hinf") != "hinf":
         raise ConfigError("only the 'hinf' norm is supported at v1; "
                           "the quadratic-norm route is out of scope")
@@ -171,7 +173,7 @@ def _algorithm_config(cfg: dict, q_override: int | None) -> AlgorithmConfig:
     bound_slack = _setting("synthesis.bound_slack", syn.get("bound_slack", 0.0),
                            float, "a finite float >= 0", lambda v: 0 <= v < float("inf"))
     # the optimizer's and the Bezout grid's keys name settings the design no longer has
-    removed = [f"synthesis.optimizer.{key}" for key in _object(syn, "synthesis", "optimizer")]
+    removed = [f"synthesis.optimizer.{key}" for key in _object(syn, "synthesis.optimizer")]
     if "bezout_grid" in syn:
         removed.append("synthesis.bezout_grid")
     for name in removed:
@@ -274,7 +276,7 @@ def _write_synthesis_report(result, out: str) -> None:
         f"objective (certified): {result.objective:.12g}",
         f"free coefficients: {result.x.size} (nonzero {int(np.sum(result.x != 0))})",
         f"surrogate evaluations: {result.n_evals}",
-        "surrogate direction pairs kept: {} of {}".format(*result.surrogate_pairs),
+        f"blocks moving with x: {int(np.sum(result.moving))} of {result.moving.size}",
         f"search point certified: {'yes' if result.search_certified else 'no (returned x = 0)'}",
         f"structurally zero blocks: {zeros} of {result.support.size}",
         f"x: {np.array2string(result.x, precision=6, max_line_width=100)}",
@@ -353,14 +355,14 @@ def cmd_simulate(args) -> int:
     if run is None:
         return EXIT_CONFIG
     plant, partition, nb, bank = run
-    sim = dict(cfg.get("simulation", {}))
+    sim = _object(cfg, "simulation")
     horizon = _setting("simulation.horizon", sim.get("horizon", 500), int, "a positive int",
                        lambda v: v > 0)
     seed = _setting("simulation.seed", args.seed if args.seed is not None else sim.get("seed", 0),
                     int, "a non-negative int", lambda v: v >= 0)
     amplitudes = {k: _setting(f"simulation.amplitudes.{k}", v, float, "a finite float", np.isfinite)
-                  for k, v in _object(sim, "simulation", "amplitudes").items()}
-    kinds = _object(sim, "simulation", "kinds")
+                  for k, v in _object(sim, "simulation.amplitudes").items()}
+    kinds = _object(sim, "simulation.kinds")
     for k, v in kinds.items():
         if v not in NOISE_KINDS:
             raise ConfigError(f"simulation.kinds.{k} must be one of {list(NOISE_KINDS)}, got {v!r}")

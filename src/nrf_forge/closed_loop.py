@@ -22,7 +22,11 @@ n_u columns, and [Y + N Q; X + M Q] = R [Q; I], while [-Xq, Yq] =
 (zI - A)^{-1} z = I + (zI - A)^{-1} A.
 
 The same formulas give each area block's support, which holds at every
-value of the Youla parameter (:func:`block_support`).
+value of the Youla parameter (:func:`block_support`).  With Q = P (I - A_L z^{-1})
+(:mod:`sparse_param`), the Q-linear part of F and I is [N; M] times the FIR maps
+Q Mt = P (I - A z^{-1}), Q Nt = P B_u z^{-1}, Q (zI - A_L)^{-1} B_d = P B_d z^{-1}
+and Q J1 = P, so which blocks move with x follows from exact zeros too
+(:func:`moving_blocks`).
 """
 
 from __future__ import annotations
@@ -211,9 +215,8 @@ def q_linear_response(factors: tuple, taps: np.ndarray):
     J1 = z (zI - A_L)^{-1}, Q contributes
 
         forced:  [N; M] [ Q Mt | Q Nt | diag(Q Nt) - Q Nt | Q (zI - A_L)^{-1} B_d ]
-        initial: [N; M] Q J1   (the plant-IC columns; the controller-IC
-                                columns [N; M] J2 depend on Q only through
-                                diag(Yq) and the bank)
+        initial: [N; M] Q J1   (the plant-IC columns; [N; M] J2 depends on
+                                Q only through diag(Yq) and the bank)
 
     on the grid of ``factors`` (:func:`q_factor_responses`).  Returns a pair
     of shapes (G, n_x + n_u, n_x + 2 n_u + n_d) and (G, n_x + n_u, n_x).
@@ -225,12 +228,6 @@ def q_linear_response(factors: tuple, taps: np.ndarray):
     gap[:, diag, diag] = 0.0
     right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
     return nm @ right, nm @ (q_resp @ j1)
-
-
-def q_linear_responses(bundle: DcfBundle, taps: np.ndarray, zs):
-    """:func:`q_linear_response` of each tap tensor in ``taps``, factors evaluated once."""
-    factors = q_factor_responses(bundle, zs)
-    return (q_linear_response(factors, t) for t in taps)
 
 
 def kd_responses(bundle: DcfBundle, taps_seq, zs):
@@ -274,14 +271,20 @@ def _realization_support(R: Realization, row_sizes, state_sizes, col_sizes) -> n
     """Area support of C (zI - A)^{-1} B + D: the resolvent's is the
     reflexive transitive closure of A's (its Neumann series)."""
     reach = _area_support(R.A, state_sizes, state_sizes) | np.eye(len(state_sizes), dtype=bool)
-    while True:
-        wider = _product_support(reach, reach)
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
+    for _ in range(len(state_sizes).bit_length()):   # k squarings reach every path below 2^k steps
+        reach = _product_support(reach, reach)
     return (_product_support(_area_support(R.C, row_sizes, state_sizes), reach,
                              _area_support(R.B, state_sizes, col_sizes))
             | _area_support(R.D, row_sizes, col_sizes))
+
+
+def _slot_support(n_areas: int, disturbance, coupling, init) -> np.ndarray:
+    """One flag per slot of :func:`matching_slots` from area supports whose
+    rows are every area's x and then its u rows, which an area's block joins."""
+    kinds = {kind: s[:n_areas] | s[n_areas:] for kind, s in
+             (("disturbance", disturbance), ("coupling", coupling), ("init", init))}
+    return np.array([kinds[kind][i] if j is None else kinds[kind][i, j]
+                     for kind, i, j in matching_slots(n_areas)])
 
 
 def block_support(bundle: DcfBundle, param: QParametrization,
@@ -297,7 +300,9 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     combine them with support(X Y) within support(X) support(Y), and an
     area's rows are its x and its u rows.  No tolerance enters, so where
     some exact zero is missing (say with ``user_supplied`` gains) the
-    support only grows, up to every block.
+    support only grows, up to every block.  Read through Q Mt = P (I - A z^{-1}),
+    Q Nt = P B_u z^{-1}, Q (zI - A_L)^{-1} B_d = P B_d z^{-1} and Q J1 = P, the
+    same formulas give the blocks that move with x (:func:`moving_blocks`).
     """
     N, xs, us = partition.n_areas, partition.x_sizes, partition.u_sizes
     eye = np.eye(N, dtype=bool)
@@ -317,10 +322,26 @@ def block_support(bundle: DcfBundle, param: QParametrization,
     coupling = _product_support(nm, xq) | by_yq | np.concatenate([np.zeros_like(eye), eye])
     init = _product_support(ic_rows, j1) | nm   # plant ICs through J1, controller ICs through J2
     disturbance = by_yq.any(axis=1) | _product_support(ic_rows, gd).any(axis=1)
-    kinds = {kind: s[:N] | s[N:] for kind, s in
-             (("disturbance", disturbance), ("coupling", coupling), ("init", init))}
-    return np.array([kinds[kind][i] if j is None else kinds[kind][i, j]
-                     for kind, i, j in matching_slots(N)])
+    return _slot_support(N, disturbance, coupling, init)
+
+
+def moving_blocks(bundle: DcfBundle, param: QParametrization,
+                  partition: AreaPartition) -> np.ndarray:
+    """Which blocks of :func:`block_support` the Q-linear part of F and I
+    (:func:`q_linear_response`, so not the controller-IC columns) moves from
+    some free direction, per slot: the FIR maps of the module docstring, on
+    the exact zeros of A, B_u, B_d and ``param.free_p``, lifted by [N; M]."""
+    xs, us, plant, eye = partition.x_sizes, partition.u_sizes, bundle.plant, np.eye(bundle.n_x, dtype=bool)
+    nm = _realization_support(_nm(bundle), xs + us, xs, us)
+
+    def lifted(factor, cols):   # [N; M] P factor, from entry supports to areas
+        return _product_support(nm, _area_support(_product_support(param.free_p, factor), us, cols))
+
+    by_nt = lifted(plant.B_u != 0, us)               # Q Nt = P B_u z^{-1}
+    by_bd = lifted(plant.B_d != 0, [plant.n_d])      # Q (zI - A_L)^{-1} B_d = P B_d z^{-1}
+    by_mt = lifted(eye | (plant.A != 0), xs)         # Q Mt = P (I - A z^{-1})
+    return block_support(bundle, param, partition) & _slot_support(
+        partition.n_areas, by_nt.any(axis=1) | by_bd.any(axis=1), by_mt | by_nt, lifted(eye, xs))   # Q J1 = P
 
 
 def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:

@@ -228,6 +228,7 @@ def export_parametrization(param: QParametrization, x: np.ndarray, dirpath: str)
         "x": list(np.asarray(x, dtype=float)),
         "pattern": matrix_doc(param.pattern.matrix),
         "support": matrix_doc(param.support),
+        "free_p": matrix_doc(param.free_p),
     }
     dump_document(doc, os.path.join(dirpath, "parametrization.json"))
 
@@ -240,13 +241,12 @@ def load_parametrization(dirpath: str):
         basis = np.stack([np.stack([matrix_from_doc(d) for d in taps]) for taps in doc["basis"]])
     else:
         basis = np.zeros((0,) + q0.shape)
-    # older run directories also carry a "mode" key, which is ignored
     pattern = matrix_from_doc(doc["pattern"])
     n_u = pattern.shape[0]
     param = QParametrization(q0, basis, q, float(doc["residual"]),
                              int(doc["constraint_rank"]), int(doc["n_constraints"]),
                              SparsityPattern(pattern, n_u, pattern.shape[1] - n_u),
-                             matrix_from_doc(doc["support"]) != 0)
+                             matrix_from_doc(doc["support"]) != 0, matrix_from_doc(doc["free_p"]) != 0)
     x = _finite(doc["x"])
     if x.shape != (param.n_free,):
         raise DimensionMismatchError(
@@ -309,6 +309,8 @@ def export_partition(partition: AreaPartition, nb: Neighborhoods, path: str) -> 
 def partition_from_doc(sizes, neighborhoods):
     """(partition, nb) from (n_xi, n_ui) pairs and 1-based neighborhood
     lists; raises unless there is one valid set per area."""
+    if not all(isinstance(v, list) and all(isinstance(s, list) for s in v) for v in (sizes, neighborhoods)):
+        raise ValueError("sizes and neighborhoods must be lists of lists")
     part = build_partition([tuple(s) for s in sizes])
     nb = Neighborhoods(tuple(frozenset(int(j) - 1 for j in s) for s in neighborhoods))
     readable(part, nb)

@@ -13,7 +13,7 @@ and structural-zero flag here is one flat vector in it.  The solver is a
 coordinate pattern search from x = 0 with golden-section line searches on a
 surrogate sampled on :data:`SEARCH_GRID` points of :func:`lti.half_circle`
 (the certified norms sweep :data:`NORM_GRID` points of it), which holds one
-direction's responses at a time, formed from fixed factors when needed; candidates
+direction's responses to the blocks that move with x at a time; candidates
 violating the admissible upper bounds are rejected outright (feasible-point
 method; the bootstrap at x = 0 supplies a feasible start by construction).
 Reported constraint values are never taken from the search: they are
@@ -33,6 +33,7 @@ from .closed_loop import (
     block_support,
     build_closed_loop_maps,
     matching_slots,
+    moving_blocks,
     q_factor_responses,
     q_linear_response,
     slot_name,
@@ -229,27 +230,15 @@ class _Block:
     transposed: bool
 
 
-#: A direction keeps a block only when the block's largest |entry| along it exceeds
-#: this fraction of the largest |entry| of all the direction's responses.  A dropped
-#: stack d of shape (s, t) moves the block's surrogate sigma at coefficient x_k by at
-#: most |x_k| sqrt(s t) max|d| (Weyl, as ||x_k d||_2 <= |x_k| ||d||_F).
-DROP_REL = 1e-12
-
-
 @dataclass
 class _BlockGroup:
-    """Blocks of one stacked shape (s, t), on a block axis before the grid axis."""
+    """Blocks of one stacked shape (s, t), all moving or all fixed, blocks before the grid axis."""
 
     blocks: list
     slots: np.ndarray
     base: np.ndarray            # (s, t, blocks, G): responses at x = 0 minus targets
     fixed: np.ndarray | None    # (s, s, blocks, G): Gram of the fixed columns
-    gather: np.ndarray          # (s, t, blocks): rows of a direction's flat responses
-
-
-def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """The blocks ``idx`` (sorted) of a group's stack; ``a`` itself for all or None."""
-    return a if idx is None or idx.size == a.shape[2] else a[:, :, idx]
+    gather: np.ndarray | None   # (s, t, blocks): rows of a direction's flat responses; None if fixed
 
 
 def _gather(forced: np.ndarray, ic: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -276,11 +265,11 @@ def _horner(terms: list, t: float):
 def _gram_sum(members: list):
     """peaks(t, count): per block, the grid peak of sqrt(lambda_max(H(t))) of
     Gram stacks H(t) = _horner(terms, t) laid end to end, one tuple of terms
-    per member, each a pair (stack (r, r, n, G), the member's blocks in it).
-    Bracketed (:func:`lti._bracket`), H(t) and lambda_max are formed only
-    where a peak can be; ``count`` gains (points formed, points bracketed)."""
-    ends = np.cumsum([0] + [m[0][1].size for m in members])
-    diags = [np.concatenate([np.einsum("ii...->i...", T).real[:, idx] for T, idx in terms], axis=1)
+    (r, r, blocks, G) per member.  Bracketed (:func:`lti._bracket`), H(t)
+    and lambda_max are formed only where a peak can be; ``count`` gains
+    (points formed, points bracketed)."""
+    ends = np.cumsum([0] + [m[0].shape[2] for m in members])
+    diags = [np.concatenate([np.einsum("ii...->i...", T).real for T in terms], axis=1)
              for terms in zip(*members)]
     sizes, G = [np.abs(d).sum(axis=0).max(axis=1) for d in diags], diags[0].shape[2]
 
@@ -291,7 +280,7 @@ def _gram_sum(members: list):
             b, p = flat // G, flat % G
             cuts = np.searchsorted(b, ends)
             return _lambda_max(np.concatenate([
-                _horner([T[:, :, idx[b[lo:hi] - first], p[lo:hi]] for T, idx in m], t)
+                _horner([T[:, :, b[lo:hi] - first, p[lo:hi]] for T in m], t)
                 for m, lo, hi, first in zip(members, cuts, cuts[1:], ends)], axis=2))
 
         return np.sqrt(np.maximum(_bracket(_horner(diags, t), lam_at, scale=_horner(sizes, abs(t))), 0.0))
@@ -313,13 +302,12 @@ class _SurrogateModel:
     responses come from the realized maps at x = 0; each free direction's
     response is the Q-linear part of the closed-loop formulas, evaluated
     pointwise from factors no direction enters (``factors``, evaluated once).
-    Blocks are grouped by stacked shape; each direction keeps per group only
-    the blocks it moves (:data:`DROP_REL`; ``kept``, found at build by forming
-    the directions one at a time).  Only the last direction :meth:`direction`
-    formed, for a line along it or a step of the held x, keeps its stacks
-    (``held``), so the resident memory does not grow with the directions.
     Blocks outside :func:`closed_loop.block_support` (``self.support``, per
-    slot) are zero at every x and are left out of the groups.
+    slot) are zero at every x and are left out; the others are grouped by
+    stacked shape and by :func:`closed_loop.moving_blocks` (``self.moving``).
+    Only moving groups take a direction's stacks, and only the last direction
+    :meth:`direction` formed keeps them (``held``), so the resident memory
+    does not grow with the directions.
     Only the plant-IC columns of the initial map move with x here: the
     controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
     side is the rows they enter as a constant Gram term.  That is exact only
@@ -328,10 +316,8 @@ class _SurrogateModel:
     companion forms then fix J2.  A row whose order grows with x adds
     controller-IC columns the surrogate leaves out (the two-area toy of the
     tests has 0 controller states at x = 0 and 3 at a random x).
-    ``n_evals`` counts calls of :meth:`objective`; ``n_pairs`` is (kept,
-    blocks x directions), the structural zeros counted among the blocks;
-    ``lambda_points`` is (points whose lambda_max the evaluations took,
-    points they bracketed).
+    ``n_evals`` counts calls of :meth:`objective`; ``lambda_points`` is
+    (points whose lambda_max the evaluations took, points they bracketed).
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
@@ -341,93 +327,86 @@ class _SurrogateModel:
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
-        self._x = None   # the held x of line(), with its stacks B, Grams G0 and flat peaks
+        self._x = None   # the held x of line(), with its stacks B, Grams G0 and peaks
         self.support = block_support(bundle, param, partition)
+        self.moving = moving_blocks(bundle, param, partition)
         self.groups = self._base_groups(partition, maps0)
         self.factors = q_factor_responses(bundle, self.zs)
         self.taps = param.basis[active]
-        self.kept = []   # per direction: (group, kept blocks) pairs
-        for k in range(len(self.taps)):
-            row_max = np.concatenate([np.abs(r).max(axis=1) for r in self._responses(k)] + [[0.0]])
-            moved = [np.flatnonzero(row_max[g.gather].max(axis=(0, 1)) > DROP_REL * row_max.max())
-                     for g in self.groups]
-            self.kept.append([(gi, idx) for gi, idx in enumerate(moved) if idx.size])
-        self.held = (None, [])   # (direction, its direction() triples)
-        self.n_pairs = (sum(idx.size for kept in self.kept for _, idx in kept),
-                        len(self.kept) * self.support.size)
+        self.held = (None, [])   # (direction, its direction() pairs)
 
-    def _responses(self, k: int) -> tuple:
-        """Direction k's flat forced and plant-IC responses, (rows, G) each."""
+    def _moving_stacks(self, taps: np.ndarray) -> list:
+        """(group, stack) of each moving group for the tap tensor ``taps``."""
         G = self.zs.size
-        forced, ic = q_linear_response(self.factors, self.taps[k])
-        return forced.reshape(G, -1).T, ic.reshape(G, -1).T
+        forced, ic = (r.reshape(G, -1).T for r in q_linear_response(self.factors, taps))
+        return [(gi, _gather(forced, ic, g.gather)) for gi, g in enumerate(self.groups)
+                if g.gather is not None]
 
     def direction(self, k: int) -> list:
-        """Direction k's (group, kept blocks, their stack) triples.  Unless k
-        is the held direction, the held stacks are released and k's formed
-        from the factors; k is then held."""
+        """Direction k's (group, stack) pairs.  Unless k is held, the held
+        stacks are released and k's formed from the factors; k is then held."""
         if self.held[0] != k:
             self.held = (None, [])
-            forced_k, ic_k = self._responses(k)
-            self.held = (k, [(gi, idx, _gather(forced_k, ic_k, self.groups[gi].gather[:, :, idx]))
-                             for gi, idx in self.kept[k]])
+            self.held = (k, self._moving_stacks(self.taps[k]))
         return self.held[1]
 
     def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
         """Lay out every matching block in ``self.support`` and group the
-        blocks by stacked shape; then write each block's response at x = 0
-        minus its target straight into its group's ``base`` stack, and the
-        Gram of its fixed columns into ``fixed``.  A direction's flat
-        responses are forced, plant-IC, then a zero row for controller ICs."""
+        blocks by stacked shape and ``self.moving``; then write each block's
+        response at x = 0 minus its target straight into its group's
+        ``base`` stack, and the Gram of its fixed columns into ``fixed``.  A
+        direction's flat responses are forced, plant-IC, then a zero row for
+        controller ICs."""
         zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
         grouped: dict = {}
         for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
             if not self.support[slot]:
                 continue
             transposed = cols.size < rows.size
-            moving = cols < n_x if src == 1 and not transposed else np.ones(cols.size, dtype=bool)
-            block = _Block(slot, src, rows, cols[moving], cols[~moving], transposed)
+            varies = cols < n_x if src == 1 and not transposed else np.ones(cols.size, dtype=bool)
+            block = _Block(slot, src, rows, cols[varies], cols[~varies], transposed)
             r, c = np.ix_(rows, block.cols)
             at = r * n_f + c if src == 0 else np.where(c < n_x, n_r * n_f + r * n_x + c, n_r * (n_f + n_x))
             at = at.T if transposed else at
-            grouped.setdefault(at.shape, []).append((block, cols, moving, target, at))
+            grouped.setdefault((at.shape, self.moving[slot]), []).append((block, cols, varies, target, at))
 
         base_resp = _map_responses(maps0, zs)
         groups = []
-        for (s, t), members in grouped.items():
+        for ((s, t), moves), members in grouped.items():
             blocks = [m[0] for m in members]
             g = _BlockGroup(blocks, np.array([b.slot for b in blocks]),
                             base=np.empty((s, t, len(blocks), G), dtype=complex),
                             fixed=(np.zeros((s, s, len(blocks), G), dtype=complex)
                                    if any(b.fixed_cols.size for b in blocks) else None),
-                            gather=np.stack([m[4] for m in members], axis=2))
-            for n, (block, cols, moving, target, _) in enumerate(members):
+                            gather=np.stack([m[4] for m in members], axis=2) if moves else None)
+            for n, (block, cols, varies, target, _) in enumerate(members):
                 blk = base_resp[block.source][:, block.rows[:, None], cols]
                 if target is not None:
                     blk = blk - frequency_response(target, zs)
-                g.base[:, :, n] = blk.transpose(2, 1, 0) if block.transposed else blk[:, :, moving].transpose(1, 2, 0)
+                g.base[:, :, n] = blk.transpose(2, 1, 0) if block.transposed else blk[:, :, varies].transpose(1, 2, 0)
                 if block.fixed_cols.size:   # never on a transposed block
-                    fixed_part = blk[:, :, ~moving].transpose(1, 2, 0)
+                    fixed_part = blk[:, :, ~varies].transpose(1, 2, 0)
                     g.fixed[:, :, n] = _gram(fixed_part, fixed_part)
             groups.append(g)
         return groups
 
     def stacks_at(self, x_active: np.ndarray) -> list:
-        """Per-group block responses, targets subtracted, at the active coefficients."""
+        """Per-group block responses minus targets at the active coefficients, from one tap tensor."""
         stacks = [g.base.copy() for g in self.groups]
-        for k in np.flatnonzero(x_active):
-            self._step(stacks, k, x_active[k])
+        if np.any(x_active):
+            for gi, d in self._moving_stacks(np.tensordot(x_active, self.taps, axes=(0, 0))):
+                stacks[gi] += d
         return stacks
 
-    def _step(self, stacks: list, k: int, t: float) -> list:
-        """Add t times direction k to ``stacks``; returns its (group, blocks) pairs."""
-        for gi, idx, d in self.direction(k):
-            stacks[gi][:, :, idx] += t * d
-        return self.kept[k]
+    def _step(self, k: int, t: float) -> None:
+        """Move the held stacks and Grams t along direction k."""
+        for gi, d in self.direction(k):
+            self._stacks[gi] += t * d
+            self._grams[gi] = self._gram0(self.groups[gi], self._stacks[gi])
 
-    def _gram0(self, g: _BlockGroup, B: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """Gram stack, constant term included, of a group's blocks ``idx`` (all when None)."""
-        return _gram(B, B) if g.fixed is None else _gram(B, B) + _take(g.fixed, idx)
+    def _gram0(self, g: _BlockGroup, B: np.ndarray) -> np.ndarray:
+        """Gram stack of a group's blocks, constant term included."""
+        return _gram(B, B) if g.fixed is None else _gram(B, B) + g.fixed
 
     def gammas_from(self, peaks: list, slots: list, at: np.ndarray | None = None, t: float = 0.0):
         """The gamma vector: the blocks ``slots[i]`` from ``peaks[i]`` (of
@@ -451,38 +430,35 @@ class _SurrogateModel:
         self._x = np.array(x_active, dtype=float).ravel()
         self._stacks = self.stacks_at(self._x)
         self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
-        self._vals = self.gammas_from([_gram_sum([((H, np.arange(H.shape[2])),)]) for H in self._grams],
+        self._vals = self.gammas_from([_gram_sum([(H,)]) for H in self._grams],
                                       [g.slots for g in self.groups])
         return self.objective(self._vals)
 
     def line(self, x_active: np.ndarray, k: int):
         """phi(t) = :meth:`objective` at x + t e_k, valid until the next line.
 
-        The held B, G0 and peaks (of the last line or objective_at) first
-        move to x, for the blocks of the directions x moved along.  Along the
-        line each block k moves is B + t d, with Gram G0 + t G1 + t^2 G2 for
-        G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here and
-        laid end to end per Gram side r; a probe brackets each side's peaks
-        in one pass (:func:`_gram_sum`).  Other blocks keep their peak at x.
-        Direction k's stacks d are formed here (:meth:`direction`) and stay
-        held, so the step of the next line along k forms none.
+        The held B and G0 (of the last line or objective_at) of the moving
+        groups first move to x.  Along the line each moving block is B + t d,
+        with Gram G0 + t G1 + t^2 G2 for G0 = B B^H, G1 = B d^H + d B^H and
+        G2 = d d^H, formed once here and laid end to end per Gram side r; a
+        probe brackets each side's peaks in one pass (:func:`_gram_sum`).
+        Fixed blocks keep their peak.  Direction k's stacks d are formed here
+        (:meth:`direction`) and stay held, so the step of the next line along
+        k forms none.
         """
         if self._x is None:
-            self.objective_at(np.zeros(len(self.kept)))
+            self.objective_at(np.zeros(len(self.taps)))
         step = np.asarray(x_active, dtype=float) - self._x
         for j in np.flatnonzero(step):
-            for gi, idx in self._step(self._stacks, j, step[j]):
-                self._grams[gi][:, :, idx] = h = self._gram0(self.groups[gi], _take(self._stacks[gi], idx), idx)
-                self._vals[self.groups[gi].slots[idx]] = _gram_sum([((h, np.arange(idx.size)),)])()
+            self._step(j, step[j])
         self._x = np.array(x_active, dtype=float)
         sides: dict = {}
-        for gi, idx, d in self.direction(k):
-            cross, own = _gram(_take(self._stacks[gi], idx), d), np.arange(idx.size)
+        for gi, d in self.direction(k):
+            cross = _gram(self._stacks[gi], d)
             g1 = cross.conj().swapaxes(0, 1)
             g1 += cross  # G1 = cross + cross^H, with one temporary fewer
             del cross
-            sides.setdefault(d.shape[0], []).append(
-                (self.groups[gi].slots[idx], ((self._grams[gi], idx), (g1, own), (_gram(d, d), own))))
+            sides.setdefault(d.shape[0], []).append((self.groups[gi].slots, (self._grams[gi], g1, _gram(d, d))))
         peaks = [_gram_sum([q for _, q in m]) for m in sides.values()]
         slots, at = [np.concatenate([s for s, _ in m]) for m in sides.values()], self._vals
 
@@ -498,8 +474,8 @@ def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
 
     Exactly the function the pattern search minimises over its first
     :data:`MAX_FREE_DIMS` coefficients (+inf outside the admissible bounds); exposed so tests and experiment scripts can
-    brute-force it independently of the solver.  A call forms the stacks of
-    each nonzero coefficient's direction in turn (:class:`_SurrogateModel`).
+    brute-force it independently of the solver.  A call forms the responses
+    of one tap tensor, sum_k x_k basis_k (:meth:`_SurrogateModel.stacks_at`).
     """
     builder = MapsBuilder(bundle, partition)
     maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
@@ -525,8 +501,8 @@ class SynthesisResult:
     n_evals: int
     hints: list
     search_certified: bool  # False: the search point failed a bound and x = 0 was returned
-    surrogate_pairs: tuple  # (kept, all) (block, direction) pairs of the search surrogate
     support: np.ndarray     # per slot: False = structural zero
+    moving: np.ndarray      # per slot: the block moves with x (closed_loop.moving_blocks)
 
     @property
     def bank(self):
@@ -573,12 +549,13 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
             return bootstrap
         return constraint_norms(param, x, spec, builder)
 
-    def result(x, certificate, log, n_evals, search_certified, pairs=(0, 0)):
+    def result(x, certificate, log, n_evals, search_certified):
         gamma, maps = certificate
         obj = _objective_value(spec, gamma)
         return SynthesisResult(x, gamma, obj, log or [obj], q_from_x(param, x), maps,
-                               spec, param, n_evals, _bound_hints(spec, gamma),
-                               search_certified, pairs, block_support(bundle, param, partition))
+                               spec, param, n_evals, _bound_hints(spec, gamma), search_certified,
+                               block_support(bundle, param, partition),
+                               moving_blocks(bundle, param, partition))
 
     if n_free == 0 or not np.any(spec.tau):
         return result(zero, certify(zero), None, 1, True)
@@ -593,12 +570,12 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
         x_full = zero  # no real progress; keep the certified origin
     # the surrogate's stacks and factors are not needed past this point;
     # free them before the certificate allocates its sweeps
-    n_evals, pairs = model.n_evals, model.n_pairs
+    n_evals = model.n_evals
     del model
     certificate = certify(x_full)
     if not np.any(x_full) or _within_bounds(spec, certificate[0]):
-        return result(x_full, certificate, log, n_evals, True, pairs)
-    return result(zero, certify(zero), log, n_evals, False, pairs)
+        return result(x_full, certificate, log, n_evals, True)
+    return result(zero, certify(zero), log, n_evals, False)
 
 
 def _pattern_search(model, x0: np.ndarray, log: list) -> tuple[np.ndarray, float]:
@@ -723,7 +700,7 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     independent areas, and start over).
     """
     from .dcf import build_dcf, design_gains
-    from .sparse_param import build_parametrization, pattern_from_neighborhoods
+    from .sparse_param import InfeasibilityReport, build_parametrization, pattern_from_neighborhoods
 
     config = config if config is not None else AlgorithmConfig()
     pattern = pattern_from_neighborhoods(partition, nb)
@@ -733,7 +710,6 @@ def run_algorithm1(plant, partition: AreaPartition, nb: Neighborhoods,
     F, L = design_gains(plant, partition, config.gain_strategy, config.F, config.L)
     bundle = build_dcf(plant, F, L)
     param = build_parametrization(bundle, pattern, config.q)
-    from .sparse_param import InfeasibilityReport
     if isinstance(param, InfeasibilityReport):
         return AlgorithmReport(
             status="sparsity_infeasible",

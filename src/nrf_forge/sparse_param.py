@@ -18,7 +18,8 @@ solution is the least-norm solution of the stacked system; the free
 directions are an orthonormal basis of its null space, both stated as Q's
 own tap tensors.  The entries of Q that the equations pin to zero in every
 member (an equation in one unknown with a zero right-hand side, repeated as
-pinned unknowns drop out) are recorded as the family's structural support.
+pinned unknowns drop out) are recorded as the family's structural support;
+those the homogeneous equations leave unpinned, as the P entries directions move.
 """
 
 from __future__ import annotations
@@ -62,21 +63,13 @@ class SparsityPattern:
         object.__setattr__(self, "matrix", M)
 
     def constrained_u_entries(self):
-        """Zero input-side entries, excluding the structurally zero diagonal."""
-        out = []
-        for i in range(self.n_u):
-            for j in range(self.n_u):
-                if i != j and self.matrix[i, j] == 0:
-                    out.append((i, j))
-        return out
+        """Zero input-side entries (i, j), row by row, excluding the structurally zero diagonal."""
+        zero = self.matrix[:, :self.n_u] == 0
+        np.fill_diagonal(zero, False)
+        return list(map(tuple, np.argwhere(zero).tolist()))
 
     def constrained_x_entries(self):
-        out = []
-        for i in range(self.n_u):
-            for j in range(self.n_x):
-                if self.matrix[i, self.n_u + j] == 0:
-                    out.append((i, j))
-        return out
+        return list(map(tuple, np.argwhere(self.matrix[:, self.n_u:] == 0).tolist()))
 
 
 def pattern_from_neighborhoods(partition: AreaPartition, nb: Neighborhoods) -> SparsityPattern:
@@ -106,6 +99,8 @@ class QParametrization:
     ``pattern`` is the communication pattern every member's Yq and Xq
     satisfy, and ``support`` (n_u, n_x) marks the entries of Q that some
     member can make nonzero; elsewhere the taps hold only round-off.
+    ``free_p`` (n_u, n_x) marks the entries of P, over all taps, that some
+    free direction can move.
     """
 
     q0_taps: np.ndarray          # (q, n_u, n_x)
@@ -116,9 +111,10 @@ class QParametrization:
     n_constraints: int
     pattern: SparsityPattern
     support: np.ndarray          # (n_u, n_x) booleans
+    free_p: np.ndarray           # (n_u, n_x) booleans
 
     def __post_init__(self):
-        for name, dtype in (("q0_taps", float), ("basis", float), ("support", bool)):
+        for name, dtype in (("q0_taps", float), ("basis", float), ("support", bool), ("free_p", bool)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -304,7 +300,7 @@ def build_parametrization(bundle: DcfBundle, pattern: SparsityPattern, q: int):
         q0_flat = q0.ravel()
         q0 = (q0_flat - flat_b.T @ (flat_b @ q0_flat)).reshape(q, n_u, n_x)
     # Q_t = P_t - P_{t-1} A_L is zero wherever P_t and the P_{t-1} entries
-    # that A_L carries there are pinned
-    free = (~_pinned_zero(mat, vec)).reshape(q - 1, n_u, n_x).any(axis=0)
+    # that A_L carries there are pinned; a direction solves mat v = 0
+    free, free_p = ((~_pinned_zero(mat, b)).reshape(q - 1, n_u, n_x).any(axis=0) for b in (vec, 0 * vec))
     support = free | ((free.astype(float) @ (A_L != 0)) > 0)
-    return QParametrization(q0, basis, q, residual, int(rank), mat.shape[0], pattern, support)
+    return QParametrization(q0, basis, q, residual, int(rank), mat.shape[0], pattern, support, free_p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from nrf_forge.closed_loop import block_indices, matching_slots, q_factor_responses, q_linear_response
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.grid import GridCoefficients, build_grid_plant, grid_neighborhoods, grid_partition
 from nrf_forge.lti import negate, select_cols, select_rows
@@ -94,6 +95,24 @@ def refine_steps(monkeypatch) -> list:
 
     monkeypatch.setattr(lti, "_brent_max", counting)
     return steps
+
+
+def q_linear_responses(bundle, taps, zs):
+    """``closed_loop.q_linear_response`` of each tap tensor in ``taps``, factors evaluated once."""
+    factors = q_factor_responses(bundle, zs)
+    return (q_linear_response(factors, t) for t in taps)
+
+
+def block_reach(maps, part, forced, ic):
+    """Per slot of ``matching_slots``: the largest |entry| of one direction's
+    Q-linear responses ``forced`` and ``ic`` (``q_linear_response``) in the
+    slot's block of ``maps``, over the largest |entry| of both.  The
+    controller-IC columns read zero."""
+    resp = (forced, np.concatenate([ic, np.zeros(ic.shape[:2] + (maps.n_w,))], axis=2))
+    scale = max(np.max(np.abs(forced)), np.max(np.abs(ic)))
+    return np.array([np.max(np.abs(resp[src][:, rows[:, None], cols]), initial=0.0) / scale
+                     for src, rows, cols in (block_indices(maps, part, *slot)
+                                             for slot in matching_slots(part.n_areas))])
 
 
 def deadbeat_bundle(plant, F=None):

@@ -191,7 +191,7 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
     param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q=3)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
                               param.residual, param.constraint_rank, param.n_constraints,
-                              param.pattern, param.support)
+                              param.pattern, param.support, param.free_p)
     spec = default_targets(part, two_area_plant.n_d)
     builder = MapsBuilder(bundle, part)
     gamma, _ = constraint_norms(single, np.zeros(1), spec, builder)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import deadbeat_bundle, random_stable_plant, shift_nilpotent
+from conftest import block_reach, deadbeat_bundle, q_linear_responses, random_stable_plant, shift_nilpotent
 from nrf_forge import cli, closed_loop
 from nrf_forge.closed_loop import (
     area_block,
@@ -14,6 +14,7 @@ from nrf_forge.closed_loop import (
     decompose_response,
     ic_response,
     matching_slots,
+    moving_blocks,
     prediction_model,
     reconstructed_response,
     slot_name,
@@ -328,8 +329,9 @@ def test_structural_zeros_read_zero_on_random_networks():
     """On random 2-4-area networks, every block the support calls zero reads
     round-off through the numeric path at x = 0 and at a random x.  The maps'
     round-off grows with their size, so it is measured against their largest
-    block."""
-    zeros = designs = 0
+    block.  Every block that :func:`closed_loop.moving_blocks` holds fixed
+    reads round-off in every direction's Q-linear responses."""
+    zeros = fixed = designs = 0
     for seed in range(16):
         plant, part, nb = structured_network(seed)
         F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
@@ -343,7 +345,38 @@ def test_structural_zeros_read_zero_on_random_networks():
         for x in (np.zeros(param.n_free), np.random.default_rng(seed).standard_normal(param.n_free)):
             vals = numeric_norms(bundle, param, part, x)
             assert np.max(vals[zero], initial=0.0) <= 1e-9 * max(1.0, np.max(vals))
-    assert designs >= 8 and zeros >= 20
+        still = ~moving_blocks(bundle, param, part)
+        fixed += int(np.sum(still & ~zero))
+        maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
+        for forced, ic in q_linear_responses(bundle, param.basis, half_circle(64)):
+            assert np.max(block_reach(maps, part, forced, ic)[still], initial=0.0) <= 1e-13
+    assert designs >= 8 and zeros >= 20 and fixed >= 1
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_moving_blocks_are_exact_on_a_chain(q):
+    """Four one-state areas, area 3 driving area 2 and area 2 driving area 4;
+    area 1 reads areas 2 and 4 but not 3.  Row 1 of P can move only its
+    area-4 entry, yet Q Mt = P (I - A z^{-1}) carries it onto area 2's state
+    through A: coupling block (1, 2) moves through P A alone.  Every block
+    the rule moves reaches far above round-off along some direction, and
+    every other block reads round-off along all of them."""
+    A = np.diag([0.5, 0.4, 0.3, 0.6])
+    A[1, 2], A[3, 1] = 0.5, 0.7
+    plant = Plant(A, np.eye(4), np.random.default_rng(0).standard_normal((4, 1)))
+    part = build_partition([(1, 1)] * 4)
+    nb = Neighborhoods(tuple(map(frozenset, ({0, 1, 3}, {0, 1, 2, 3}, {1, 2}, {1, 2, 3}))))
+    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
+    bundle = build_dcf(plant, F, L)
+    param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q)
+    assert not param.free_p[0, 1] and param.free_p[0, 3]
+    moving = moving_blocks(bundle, param, part)
+    maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
+    reach = np.max([block_reach(maps, part, forced, ic) for forced, ic in
+                    q_linear_responses(bundle, param.basis, half_circle(64))], axis=0)
+    assert moving[matching_slots(4).index(("coupling", 0, 1))]
+    assert np.min(reach[moving]) >= 1e-3 and np.max(reach[~moving]) <= 1e-13
+    assert np.sum(moving) == 26 and np.sum(block_support(bundle, param, part) & ~moving) == 3
 
 
 def test_user_supplied_gains_give_the_all_true_support():

@@ -122,8 +122,9 @@ def test_bundle_and_bank_roundtrip(tmp_path):
     assert np.array_equal(param2.basis, param.basis)
     assert np.array_equal(param2.pattern.matrix, param.pattern.matrix)
     assert np.array_equal(param2.support, param.support)
+    assert np.array_equal(param2.free_p, param.free_p) and param.free_p.dtype == bool
     assert np.array_equal(x2, x)
-    # older run directories also carry the parametrization's "mode"
+    # a key the loader does not read, such as the former "mode", is ignored
     doc_path = str(tmp_path / "param" / "parametrization.json")
     doc = artifact_io.load_document(doc_path)
     assert "mode" not in doc
@@ -387,8 +388,11 @@ def intact_traces(cli_run, tmp_path_factory):
     ("param/parametrization.json", lambda doc: doc["x"].__setitem__(0, np.nan), "NaN or inf"),
     ("plant.json", lambda doc: doc["A"]["data"][0].__setitem__(0, np.nan), "NaN or inf"),
     ("bank/area_1.json", lambda doc: doc["D"]["data"][0].__setitem__(0, np.inf), "NaN or inf"),
+    # a run directory written before the parametrization recorded free_p
+    ("param/parametrization.json", lambda doc: doc.pop("free_p"), "'free_p'"),
 ], ids=["extra_row_order", "short_x", "no_forced_map", "old_format_bundle", "short_forced_d",
-        "set_out_of_range", "set_without_own_area", "nan_in_x", "nan_in_plant", "inf_in_bank"])
+        "set_out_of_range", "set_without_own_area", "nan_in_x", "nan_in_plant", "inf_in_bank",
+        "no_free_p"])
 def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_path, capsys,
                                                    rel, corrupt, cause):
     run = str(tmp_path / "run")
@@ -411,6 +415,39 @@ def test_cli_broken_run_directory_cannot_be_loaded(cli_run, intact_traces, tmp_p
     if not deployed:
         assert main(["simulate", "--out", run]) == 0
         assert tree_bytes(os.path.join(run, "traces")) == intact_traces
+
+
+NOT_LISTS = "sizes and neighborhoods must be lists of lists"
+
+
+@pytest.mark.parametrize("command, rel, edit, cause", [
+    ("design", "config.json", lambda doc: [doc], "must hold a JSON object, got list"),
+    ("design", "config.json", lambda doc: {**doc, "partition": 3}, f"invalid partition/neighborhoods: {NOT_LISTS}"),
+    ("design", "config.json", lambda doc: {**doc, "neighborhoods": 5},
+     f"invalid partition/neighborhoods: {NOT_LISTS}"),
+    ("design", "config.json", lambda doc: {**doc, "synthesis": [1, 2]}, "synthesis must be an object, got [1, 2]"),
+    ("design", "config.json", lambda doc: {**doc, "grid": [1, 2]}, "grid must be an object, got [1, 2]"),
+    ("simulate", "config.json", lambda doc: {**doc, "simulation": [1]}, "simulation must be an object, got [1]"),
+    ("verify", "partition.json", lambda doc: {**doc, "sizes": 7}, NOT_LISTS),
+    ("simulate", "partition.json", lambda doc: {**doc, "sizes": 7}, NOT_LISTS),
+    ("verify", "partition.json", lambda doc: {**doc, "neighborhoods": 5}, NOT_LISTS),
+    ("simulate", "partition.json", lambda doc: {**doc, "neighborhoods": 5}, NOT_LISTS),
+], ids=["design_top_level_list", "design_partition_int", "design_neighborhoods_int", "design_synthesis_list",
+        "design_grid_list", "simulate_simulation_list", "verify_sizes_int", "simulate_sizes_int",
+        "verify_neighborhoods_int", "simulate_neighborhoods_int"])
+def test_cli_malformed_document_structure_exits_2_in_one_line(cli_run, tmp_path, capsys, command, rel, edit, cause):
+    run = str(tmp_path / "run")
+    shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
+    path = os.path.join(run, rel)
+    artifact_io.dump_document(edit(artifact_io.load_document(path)), path)
+    capsys.readouterr()
+    out = str(tmp_path / "out") if command == "design" else run
+    config = ["--config", path] if rel == "config.json" else []
+    assert main([command, *config, "--out", out]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    prefix = "configuration error: " if rel == "config.json" else f"cannot load run directory {run}: "
+    assert len(lines) == 1 and lines[0].startswith(prefix) and lines[0].endswith(cause)
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("column, failing, cause", [

@@ -6,11 +6,19 @@ from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
-from conftest import DESIGN_SLACK, deadbeat_bundle, random_stable_plant, refine_steps, unprune
+from conftest import (
+    DESIGN_SLACK,
+    block_reach,
+    deadbeat_bundle,
+    q_linear_responses,
+    random_stable_plant,
+    refine_steps,
+    unprune,
+)
 from nrf_forge import cli
 from nrf_forge import io as artifact_io
 from nrf_forge.dcf import build_dcf, design_gains
-from nrf_forge.closed_loop import area_block, matching_slots, q_linear_responses
+from nrf_forge.closed_loop import area_block, matching_slots
 from nrf_forge.lti import (
     _gram,
     _lambda_max,
@@ -31,7 +39,6 @@ from nrf_forge.match_synth import (
     NORM_GRID,
     REFINE_PASSES,
     SynthesisSpec,
-    DROP_REL,
     _SurrogateModel,
     _block_layout,
     _map_responses,
@@ -443,13 +450,13 @@ def test_line_search_phi_matches_objective_at_on_mesh(mesh_model):
 
 def dense_reference(model, bundle, param, part, maps0, x, lines):
     """The affine surrogate built straight from ``q_linear_responses``,
-    keeping every (block, direction) pair.
+    moving every block with every direction.
 
     Returns the gamma vector of peaks at x, the peaks at
     x + t e_k as a function of (k, t) for k in ``lines``, and rel[k, slot]:
     the block's largest |entry| along direction k over the largest |entry| of
-    all of k's responses.  Direction responses leave the controller-IC
-    columns of the initial map at zero.
+    all of k's responses (``conftest.block_reach``).  Direction responses
+    leave the controller-IC columns of the initial map at zero.
     """
     zs, n_x = model.zs, maps0.n_x
     layout = _block_layout(model.spec, part, maps0)
@@ -460,9 +467,7 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
         initial_k = np.zeros_like(at_x[1])
         initial_k[:, :, :n_x] = ic_k
         resp = (forced_k, initial_k)
-        scale = max(np.max(np.abs(forced_k)), np.max(np.abs(ic_k)))
-        for slot, src, rows, cols, _ in layout:
-            rel[k, slot] = np.max(np.abs(resp[src][:, rows[:, None], cols])) / scale
+        rel[k] = block_reach(maps0, part, forced_k, ic_k)
         for a, d in zip(at_x, resp):
             a += x[k] * d
         if k in lines:
@@ -532,15 +537,9 @@ def grouped_dense(grid_setup):
     return case
 
 
-@pytest.fixture(params=["mesh", "ring"])
+@pytest.fixture(params=["mesh", "ring", "grouped"])
 def dense_case(request):
     return request.getfixturevalue(f"{request.param}_dense")
-
-
-def kept_pairs(model):
-    """{(direction, slot)} of the pairs the model keeps."""
-    return {(k, int(slot)) for k, kept in enumerate(model.kept)
-            for gi, idx in kept for slot in model.groups[gi].slots[idx]}
 
 
 @pytest.mark.parametrize("network", ["mesh", "ring", "grouped"])
@@ -565,33 +564,34 @@ def test_sparse_surrogate_matches_dense_reference(request, network):
 
 
 def test_sparse_surrogate_drops_only_round_off_pairs(dense_case):
+    """A block the structural rule holds fixed reads round-off along every
+    direction; a block it moves reaches far above round-off along some."""
     _, model, _, _, (_, _, rel) = dense_case
-    kept = kept_pairs(model)
-    assert kept == {(int(k), int(slot)) for k, slot in zip(*np.nonzero(rel > DROP_REL))}
-    dropped = np.ones(rel.shape, dtype=bool)
-    dropped[tuple(np.array(sorted(kept)).T)] = False
-    assert np.max(rel[dropped], initial=0.0) <= 1e-13
-    assert np.min(rel[~dropped]) >= 1e-7
-    assert model.n_pairs == (len(kept), rel.size)
+    assert np.max(rel[:, ~model.moving], initial=0.0) <= 1e-13
+    assert np.min(rel[:, model.moving].max(axis=0)) >= 1e-7
 
 
-def test_sparse_surrogate_stores_only_kept_pairs(dense_case):
+def test_surrogate_direction_stores_only_moving_blocks(dense_case):
     _, model, _, _, _ = dense_case
-    assert not any(hasattr(g, "dirs") for g in model.groups)
-    G, stored, want = model.zs.size, 0, 0
-    for k, kept in enumerate(model.kept):
-        stored += sum(d.nbytes for _, _, d in model.direction(k))
-        want += sum(idx.size * np.prod(model.groups[gi].base.shape[:2]) * G * 16 for gi, idx in kept)
-    assert stored == want
+    moving = set(np.flatnonzero(model.moving))
+    assert {int(s) for g in model.groups if g.gather is not None for s in g.slots} == moving
+    for k in range(len(model.taps)):
+        stacks = model.direction(k)
+        assert model.held[0] == k
+        assert sum(d.nbytes for _, d in stacks) == sum(
+            model.groups[gi].base.nbytes for gi, _ in stacks)
+        assert sum(model.groups[gi].slots.size for gi, _ in stacks) == len(moving)
 
 
-def test_ring_far_blocks_keep_no_pair(ring_dense):
+def test_ring_far_blocks_do_not_move(ring_dense):
     part, model, _, _, _ = ring_dense
     N = part.n_areas
     far = {s for s, (_, i, j) in enumerate(matching_slots(N))
            if j is not None and min(abs(i - j), N - abs(i - j)) >= 3}
     assert len(far) == 48
-    assert not far & {slot for _, slot in kept_pairs(model)}
+    assert not far & set(np.flatnonzero(model.moving))
+    # no disturbance block moves: 80 of the 88 blocks that are not structural zeros
+    assert not model.moving[:N].any() and model.moving.sum() == 80 and model.support.sum() == 88
 
 
 @pytest.mark.parametrize("network", ["grid", "ring"])
@@ -629,33 +629,45 @@ def test_solve_holds_one_direction_at_a_time(request, monkeypatch, network):
     assert models and all(m is models[0] for m in models) and len({k for k, _ in live}) > 1
     monkeypatch.undo()
     model, G = models[0], models[0].zs.size
-    responses = q_linear_responses(res.pair.bundle, res.param.basis[:len(model.kept)], model.zs)
+    responses = q_linear_responses(res.pair.bundle, model.taps, model.zs)
     for k, (forced_k, ic_k) in enumerate(responses):
         flat = np.concatenate([forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T, np.zeros((1, G))])
-        for gi, idx, d in model.direction(k):
-            assert np.array_equal(d, flat[model.groups[gi].gather[:, :, idx]])
+        for gi, d in model.direction(k):
+            assert np.array_equal(d, flat[model.groups[gi].gather])
+
+
+def test_stacks_at_forms_one_tap_tensor_and_keeps_the_held_direction(mesh_dense, monkeypatch):
+    _, model, x, _, _ = mesh_dense
+    held = model.direction(2)
+    calls = []
+    real = match_synth.q_linear_response
+    monkeypatch.setattr(match_synth, "q_linear_response", lambda *a: calls.append(a) or real(*a))
+    stacks = model.stacks_at(x)
+    monkeypatch.undo()
+    assert len(calls) == 1 and model.held == (2, held)
+    want = [g.base.copy() for g in model.groups]
+    for k in range(len(model.taps)):
+        for gi, d in model.direction(k):
+            want[gi] += x[k] * d
+    assert rel_gap(stacks, want) <= 1e-12
 
 
 @given(st.integers(1, 4), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
 def test_probe_through_cancellation_equals_every_point(r, t0, seed):
     """Along B + t d with d = -B / t0 the Grams cancel to round-off at t0,
-    where they are not positive semidefinite; two members of one side, the
-    first read through a block index of a larger stack, match a sum over
-    every point bit for bit at t0 and nearby."""
+    where they are not positive semidefinite; two members of one side match
+    a sum over every point bit for bit at t0 and nearby."""
     rng = np.random.default_rng(seed)
-    members, want = [], []
+    members = []
     for t, blocks in ((3, 4), (1, 2)):
         B = rng.standard_normal((r, t, blocks, 64)) + 1j * rng.standard_normal((r, t, blocks, 64))
         d = -B / t0
-        cross, own = _gram(B, d), np.arange(blocks)
-        terms = (_gram(B, B), cross + cross.conj().swapaxes(0, 1), _gram(d, d))
-        members.append(((np.concatenate([terms[0], terms[0]], axis=2), own + blocks),
-                        (terms[1], own), (terms[2], own)))
-        want.append(terms)
+        cross = _gram(B, d)
+        members.append((_gram(B, B), cross + cross.conj().swapaxes(0, 1), _gram(d, d)))
     peaks = match_synth._gram_sum(members)
     for t in (t0, t0 * (1 + 1e-9), 0.0):
         full = []
-        for g0, g1, g2 in want:
+        for g0, g1, g2 in members:
             H = g2 * t
             H += g1
             H *= t
@@ -705,7 +717,7 @@ def test_one_basis_toy_matches_brute_force_scan():
     plant, part, nb, bundle, param = toy_setup(seed=8)
     single = QParametrization(param.q0_taps, param.basis[:1], param.fir_degree,
                               param.residual, param.constraint_rank, param.n_constraints,
-                              param.pattern, param.support)
+                              param.pattern, param.support, param.free_p)
     # unboxed problem: this toy's bootstrap controller is empty, so finite
     # boxes built at x = 0 would not be comparable across the family
     spec, _ = bootstrap_spec(plant, part, bundle, single, slack=np.inf)

@@ -237,3 +237,19 @@ def test_recorded_support_leaves_only_round_off_outside(request, network):
     assert np.min(peak[param.support]) >= 1e-3
     if network == "ring":
         assert not np.all(param.support)
+
+
+@pytest.mark.parametrize("network, moved", [("grid", 37), ("ring", 24)])
+def test_free_p_marks_the_p_entries_directions_move(request, network, moved):
+    """P's taps, recovered from each direction's Q taps through
+    P_1 = Q_0 and P_{t+1} = Q_t + P_t A_L, are round-off outside ``free_p``."""
+    res = request.getfixturevalue(f"{network}_design")
+    param, a_l = res.param, res.pair.bundle.observer_pencil()
+    p = [param.basis[:, 0]]
+    for t in range(1, param.fir_degree - 1):
+        p.append(param.basis[:, t] + p[-1] @ a_l)
+    peak = np.max(np.abs(np.concatenate(p)), axis=0)
+    assert param.free_p.sum() == moved
+    assert np.max(peak[~param.free_p], initial=0.0) <= 1e-14
+    assert np.min(peak[param.free_p]) >= 1e-3
+    assert not np.any(param.free_p & ~param.support)
