@@ -323,11 +323,11 @@ def cmd_verify(args) -> int:
     from .sparse_param import q_from_x
     try:
         maps = build_closed_loop_maps(form_nrf_pair(bundle, q_from_x(param, x)), bank, partition)
-    except (SingularDiagonalError, UnboundedTfmError) as exc:
-        # factors or a plant that no longer fit together: nothing else can be checked
+    except (AlgebraicLoopError, SingularDiagonalError, UnboundedTfmError) as exc:
+        # factors, a plant or a bank that no longer close a loop: nothing else can be checked
         records = [CheckRecord("closed_loop_rebuild", float("inf"), 0.0, False, str(exc))]
     else:
-        records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param)
+        records = run_invariant_suite(plant, partition, nb, bundle, bank, maps, param, x)
         records.append(_roundtrip_record(maps, exported))
     lines = [r.line() for r in records]
     report_path = os.path.join(args.out, "verify_report.txt")

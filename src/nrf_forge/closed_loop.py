@@ -1,14 +1,16 @@
-"""Closed-loop maps of the controlled network, assembled symbolically.
+"""Closed-loop maps of the controlled network: the loop's own realization,
+and the paper's expressions for it, evaluated pointwise.
 
 The loop of plant and controller bank admits the explicit response
 
     [x; u_f] = F star d_s  +  I[k] [x_c; w_c]
 
-where d_s stacks the compound disturbances [beta_x; beta_u; beta_f; d].  The
-forced map F and the initial-condition map I are assembled here from the
-right factor R = [N Y; M X], the left factor Lt = [-Xt Yt; Mt -Nt] and the
-Youla parameter by realization composition, never by simulating the loop;
-the time-domain simulator is the independent cross-check of this algebra.
+where d_s stacks the compound disturbances [beta_x; beta_u; beta_f; d].  F and
+I are realized as the loop itself over s = [x; w], with the state matrix
+A_cl of :func:`nrf.loop_matrix` that the monolithic simulation steps:
+F = C_cl (zI - A_cl)^{-1} B_cl + D_cl and I = C_cl z (zI - A_cl)^{-1}, with
+no reduction (:func:`build_closed_loop_maps`).  In the coprime factors
+R = [N Y; M X], Lt = [-Xt Yt; Mt -Nt] and the Youla parameter Q they are
 
     F = [ N Xq | N Yq     | N (Yqd - Yq) | (N Xq + I) G_d ]
         [ M Xq | M Yq - I | M (Yqd - Yq) | M Xq G_d       ]
@@ -16,10 +18,12 @@ the time-domain simulator is the independent cross-check of this algebra.
     I = [ Y J1 + N Q J1 | N J2 ]     J1 = Mt (zI - A)^{-1} z
         [ X J1 + M Q J1 | M J2 ]     J2 = Yqd C_w (zI - A_w)^{-1} z
 
-Every column reads R through its two Youla forms: [N; M] is R's first
-n_u columns, and [Y + N Q; X + M Q] = R [Q; I], while [-Xq, Yq] =
-[I, -Q] Lt comes with the pair (:mod:`nrf`).  Properness of J1/J2 uses
-(zI - A)^{-1} z = I + (zI - A)^{-1} A.
+with [-Xq, Yq] = [I, -Q] Lt (:mod:`nrf`), Yqd the diagonal of Yq and
+(A_w, C_w) the stacked bank; by the Bezout identity (N Xq + I) G_d =
+(Y + N Q) (zI - A_L)^{-1} B_d and J1 = z (zI - A_L)^{-1}.  These
+expressions are evaluated once, pointwise (:func:`explicit_maps`, whose
+Q-linear part :func:`q_linear_response` the search surrogate reads), and
+verify's ``explicit_closed_loop_maps`` holds the loop realization to them.
 
 The same formulas give each area block's support, which holds at every
 value of the Youla parameter (:func:`block_support`).  With Q = P (I - A_L z^{-1})
@@ -41,33 +45,25 @@ from .lti import (
     Realization,
     SignalTrace,
     frequency_response,
-    from_gain,
     make_realization,
     minimal,
-    negate,
-    parallel,
     select_cols,
     select_rows,
-    series,
     spectral_radius_raw,
-    stack_cols_many,
-    stack_rows,
     star,
 )
-from .nrf import NrfPair, stacked_bank
+from .nrf import NrfPair, loop_matrix, stacked_bank
 from .partition import AreaPartition, Neighborhoods
 from .sparse_param import QParametrization
 
 
 @dataclass(frozen=True)
 class ClosedLoopMaps:
-    """Forced and initial-condition maps plus their building blocks."""
+    """The loop's forced and initial-condition maps, both realized over
+    s = [x; w] (order n_x + n_w), with the pair and the bank they close."""
 
     forced: Realization        # (n_x + n_u) x (n_x + 2 n_u + n_d)
     initial: Realization       # (n_x + n_u) x (n_x + n_w)
-    ic_plant_factor: Realization      # J1
-    ic_controller_factor: Realization  # J2
-    g_d: Realization
     pair: NrfPair
     bank: tuple
     partition: AreaPartition
@@ -104,79 +100,42 @@ def _resolvent_times_z(A: np.ndarray, C: np.ndarray) -> Realization:
     return make_realization(A, A.copy(), C, C.copy())
 
 
-def _assert_stable(R: Realization, label: str) -> Realization:
-    rho = spectral_radius_raw(R)
-    if rho >= 1.0 - 1e-9:
-        raise UnboundedTfmError(
-            f"{label} has spectral radius {rho:.6g} after minimalization; "
-            "the factorization or the Youla parameter is broken"
-        )
-    return R
-
-
-def stabilized_ic_rows(pair: NrfPair) -> Realization:
-    """Realize [Y + N Q; X + M Q] = R [Q; I], which the disturbance column
-    and the plant-IC columns share."""
-    q_i = stack_rows(pair.q, from_gain(np.eye(pair.n_x)))
-    return minimal(series(pair.bundle.right, q_i))
-
-
 def _nm(bundle: DcfBundle) -> Realization:
     """[N; M], the first n_u columns of R."""
     return select_cols(bundle.right, np.arange(bundle.n_u))
 
 
-def build_fq(pair: NrfPair, ic_rows: Realization) -> Realization:
-    """Assemble and minimalize the forced closed-loop map; ``ic_rows`` is
-    :func:`stabilized_ic_rows` of ``pair``.
-
-    The disturbance column is built through the Bezout identity
-    (N Xq + I) G_d = (Y + N Q) Mt G_d with Mt G_d = (zI - A - L)^{-1} B_d,
-    so no unstable plant mode ever has to cancel numerically.
-    """
-    bundle = pair.bundle
-    n_x, n_u, n_d = bundle.n_x, bundle.n_u, bundle.plant.n_d
-    nm = _nm(bundle)
-    diag_gap = minimal(parallel(pair.yq_diag, negate(pair.yq)))
-    cols123 = series(nm, stack_cols_many([pair.xq, pair.yq, diag_gap]))
-    a_l = bundle.observer_pencil()
-    gd_obs = make_realization(a_l, bundle.plant.B_d, np.eye(n_x), np.zeros((n_x, n_d)))
-    col4 = series(ic_rows, gd_obs)
-    corr = np.zeros((n_x + n_u, n_x + 2 * n_u + n_d))
-    corr[n_x:, n_x:n_x + n_u] = -np.eye(n_u)
-    fq = minimal(parallel(stack_cols_many([cols123, col4]), from_gain(corr)))
-    return _assert_stable(fq, "forced closed-loop map")
-
-
-def build_iq(pair: NrfPair, bank, ic_rows: Realization) -> tuple[Realization, Realization, Realization]:
-    """Assemble the initial-condition map; returns (I, J1, J2).  ``ic_rows``
-    is :func:`stabilized_ic_rows` of ``pair``.
-
-    J1 = Mt (zI - A)^{-1} z collapses to I + (zI - A - L)^{-1} (A + L) for
-    this factorization, which is stable by construction.
-    """
-    bundle = pair.bundle
-    a_l = bundle.observer_pencil()
-    j1 = minimal(_resolvent_times_z(a_l, np.eye(bundle.n_x)))
-    ctrl = stacked_bank(bank)
-    j2 = minimal(series(pair.yq_diag, _resolvent_times_z(ctrl.A, ctrl.C)))
-    nm = _nm(bundle)
-    left_cols = minimal(series(ic_rows, j1))
-    right_cols = minimal(series(nm, j2))
-    iq = minimal(stack_cols_many([left_cols, right_cols]))
-    _assert_stable(iq, "initial-condition map")
-    _assert_stable(j1, "plant resolvent factor")
-    _assert_stable(j2, "controller resolvent factor")
-    return iq, j1, j2
-
-
 def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> ClosedLoopMaps:
-    """One-stop construction of every closed-loop map for a designed bank."""
-    ic_rows = stabilized_ic_rows(pair)
-    fq = build_fq(pair, ic_rows)
-    iq, j1, j2 = build_iq(pair, bank, ic_rows)
+    """F and I of the plant closed by ``bank``, realized over s = [x; w]:
+    A_cl and u_f = C_uf s + D_x beta_x from :func:`nrf.loop_matrix` (which
+    refuses command feedthrough), outputs C_cl = [I 0; C_uf], and
+
+        B_cl = [ B_u D_x           B_u   0     B_d ]     D_cl = [ 0    0 0 0 ]
+               [ B_wx + B_wu D_x   0     B_wu  0   ]            [ D_x  0 0 0 ]
+
+    A loop of spectral radius 1 - 1e-9 or more raises UnboundedTfmError.
+    """
+    plant, ctrl = pair.bundle.plant, stacked_bank(bank)
+    n_x, n_u, n_w, n_d = plant.n_x, plant.n_u, ctrl.order, plant.n_d
+    A_cl, C_uf = loop_matrix(plant, ctrl)
+    D_x, B_wu = ctrl.D[:, n_u:], ctrl.B[:, :n_u]
+    B_cl = np.zeros((n_x + n_w, n_x + 2 * n_u + n_d))
+    B_cl[:, :n_x] = np.vstack([plant.B_u, B_wu]) @ D_x
+    B_cl[n_x:, :n_x] += ctrl.B[:, n_u:]
+    B_cl[:n_x, n_x:n_x + n_u], B_cl[n_x:, n_x + n_u:n_x + 2 * n_u] = plant.B_u, B_wu
+    B_cl[:n_x, n_x + 2 * n_u:] = plant.B_d
+    C_cl = np.vstack([np.eye(n_x, n_x + n_w), C_uf])
+    D_cl = np.zeros((n_x + n_u, B_cl.shape[1]))
+    D_cl[n_x:, :n_x] = D_x
+    forced = make_realization(A_cl, B_cl, C_cl, D_cl)
+    rho = spectral_radius_raw(forced)
+    if rho >= 1.0 - 1e-9:
+        raise UnboundedTfmError(
+            f"the closed loop has spectral radius {rho:.6g}; "
+            "the factorization, the Youla parameter or the bank is broken"
+        )
     part_w = partition.with_w_sizes([c.order for c in bank])
-    return ClosedLoopMaps(fq, iq, j1, j2, pair.bundle.plant.g_d(), pair, tuple(bank), part_w)
+    return ClosedLoopMaps(forced, _resolvent_times_z(A_cl, C_cl), pair, tuple(bank), part_w)
 
 
 def _left_responses(bundle: DcfBundle, zs: np.ndarray):
@@ -228,6 +187,37 @@ def q_linear_response(factors: tuple, taps: np.ndarray):
     gap[:, diag, diag] = 0.0
     right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
     return nm @ right, nm @ (q_resp @ j1)
+
+
+def explicit_maps(bundle: DcfBundle, taps: np.ndarray, bank, zs) -> tuple[np.ndarray, np.ndarray]:
+    """F and I of the module docstring's expressions on the flat complex
+    grid ``zs``, for the tap tensor ``taps`` of Q (as in
+    :func:`q_linear_response`) and the bank deployed at that Q, in the loop
+    maps' shapes.  The sum of the part no Q enters,
+
+        forced:  [N; M] [ Xt | Yt | diag(Yt) - Yt | 0 ] + [ 0 | [0; -I] | 0 | [Y; X] (zI - A_L)^{-1} B_d ]
+        initial: [Y; X] J1   (the plant-IC columns),
+
+    :func:`q_linear_response`, and the controller-IC columns
+    [N; M] Yqd C_w (zI - A_w)^{-1} z with Yqd = diag(Yt + Q Nt).
+    """
+    factors = q_factor_responses(bundle, zs)
+    zs, nm, mt, nt, gd_l, j1 = factors
+    n_x, n_u = bundle.n_x, bundle.n_u
+    xt, yt, _, _ = _left_responses(bundle, zs)
+    yx = frequency_response(select_cols(bundle.right, n_u + np.arange(n_x)), zs)   # [Y; X]
+    forced, plant_ic = q_linear_response(factors, taps)
+    diag = np.arange(n_u)
+    gap = -yt
+    gap[:, diag, diag] = 0.0
+    forced[:, :, :n_x + 2 * n_u] += nm @ np.concatenate([xt, yt, gap], axis=-1)
+    forced[:, n_x:, n_x:n_x + n_u] -= np.eye(n_u)
+    forced[:, :, n_x + 2 * n_u:] += yx @ gd_l
+    plant_ic += yx @ j1
+    yqd = np.diagonal(yt + _q_response(mt, nt, taps, zs)[2], axis1=1, axis2=2)
+    ctrl = stacked_bank(bank)
+    j2 = yqd[:, :, None] * frequency_response(_resolvent_times_z(ctrl.A, ctrl.C), zs)
+    return forced, np.concatenate([plant_ic, nm @ j2], axis=-1)
 
 
 def kd_responses(bundle: DcfBundle, taps_seq, zs):

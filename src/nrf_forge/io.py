@@ -258,10 +258,6 @@ def export_maps(maps, dirpath: str) -> None:
     os.makedirs(dirpath, exist_ok=True)
     dump_document(realization_doc(maps.forced), os.path.join(dirpath, "forced.json"))
     dump_document(realization_doc(maps.initial), os.path.join(dirpath, "initial.json"))
-    dump_document(realization_doc(maps.ic_plant_factor), os.path.join(dirpath, "ic_plant_factor.json"))
-    dump_document(realization_doc(maps.ic_controller_factor),
-                  os.path.join(dirpath, "ic_controller_factor.json"))
-    dump_document(realization_doc(maps.g_d), os.path.join(dirpath, "g_d.json"))
 
 
 def export_prediction_models(models, dirpath: str) -> None:

@@ -246,17 +246,6 @@ def transpose(R: Realization) -> Realization:
     return make_realization(R.A.T, R.C.T, R.B.T, R.D.T)
 
 
-def stack_rows(R1: Realization, R2: Realization) -> Realization:
-    """Realize ``[R1; R2]`` (shared input)."""
-    if R1.ninputs != R2.ninputs:
-        raise DimensionMismatchError(f"row stack mismatch: {R1.ninputs} vs {R2.ninputs} inputs")
-    A = scipy.linalg.block_diag(R1.A, R2.A)
-    B = np.vstack([R1.B, R2.B])
-    C = scipy.linalg.block_diag(R1.C, R2.C)
-    D = np.vstack([R1.D, R2.D])
-    return make_realization(A, B, C, D)
-
-
 def stack_cols(R1: Realization, R2: Realization) -> Realization:
     """Realize ``[R1, R2]`` (shared output)."""
     if R1.noutputs != R2.noutputs:
@@ -266,15 +255,6 @@ def stack_cols(R1: Realization, R2: Realization) -> Realization:
     C = np.hstack([R1.C, R2.C])
     D = np.hstack([R1.D, R2.D])
     return make_realization(A, B, C, D)
-
-
-def stack_cols_many(realizations) -> Realization:
-    out = None
-    for R in realizations:
-        out = R if out is None else stack_cols(out, R)
-    if out is None:
-        raise DimensionMismatchError("nothing to stack")
-    return out
 
 
 def select_rows(R: Realization, idx) -> Realization:

@@ -24,6 +24,7 @@ import scipy.linalg
 
 from .dcf import DcfBundle
 from .errors import (
+    AlgebraicLoopError,
     CommConstraintError,
     DimensionMismatchError,
     NotStrictlyProperError,
@@ -270,6 +271,33 @@ def bank_from_pair(pair: NrfPair, partition: AreaPartition):
 def stacked_bank(bank) -> Realization:
     """Global controller realization diag-stacked over areas (shared input)."""
     return make_realization(*_diag_stack(bank))
+
+
+def _check_no_algebraic_loop(D: np.ndarray, n_u: int) -> None:
+    if D.size and np.any(D[:, :n_u] != 0.0):
+        raise AlgebraicLoopError(
+            "controller feedthrough on the command-feedforward columns is "
+            "nonzero; the loop has no causal execution order"
+        )
+
+
+def loop_matrix(plant, ctrl: Realization) -> tuple[np.ndarray, np.ndarray]:
+    """(A_cl, C_uf) of the plant closed by the stacked bank ``ctrl`` (inputs
+    [u_f + beta_f; x + beta_x]) over s = [x; w]: u_f = C_uf s + D_x beta_x
+    with C_uf = [D_x, C_w], and
+
+        A_cl = [ A + B_u D_x       B_u C_w         ]
+               [ B_wx + B_wu D_x   A_w + B_wu C_w  ]
+
+    A bank that feeds a command straight through has no causal order and
+    raises :class:`AlgebraicLoopError`.
+    """
+    n_u = plant.n_u
+    _check_no_algebraic_loop(ctrl.D, n_u)
+    C_uf = np.hstack([ctrl.D[:, n_u:], ctrl.C])
+    B_s = np.vstack([plant.B_u, ctrl.B[:, :n_u]])   # where u_f enters s
+    open_loop = np.block([[plant.A, np.zeros((plant.n_x, ctrl.order))], [ctrl.B[:, n_u:], ctrl.A]])
+    return open_loop + B_s @ C_uf, C_uf
 
 
 def check_comm_constraints(bank, partition: AreaPartition, nb: Neighborhoods) -> None:

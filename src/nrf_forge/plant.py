@@ -55,7 +55,3 @@ class Plant:
     def g_u(self) -> Realization:
         """Map from commanded inputs to states: (zI - A)^{-1} B_u."""
         return make_realization(self.A, self.B_u, np.eye(self.n_x), np.zeros((self.n_x, self.n_u)))
-
-    def g_d(self) -> Realization:
-        """Map from disturbances to states: (zI - A)^{-1} B_d."""
-        return make_realization(self.A, self.B_d, np.eye(self.n_x), np.zeros((self.n_x, self.n_d)))

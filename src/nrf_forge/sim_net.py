@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlgebraicLoopError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .lti import RECURSION_CHUNK, SignalTrace, _apply, _recursion
-from .nrf import check_comm_constraints, stacked_bank
+from .nrf import _check_no_algebraic_loop, check_comm_constraints, loop_matrix, stacked_bank
 from .partition import AreaPartition, Neighborhoods, readable
 from .plant import Plant
 
@@ -254,14 +254,6 @@ def _initial_state(v, dim: int, batch: tuple, name: str) -> np.ndarray:
     return v.reshape(shape)
 
 
-def _check_no_algebraic_loop(D: np.ndarray, n_u: int) -> None:
-    if D.size and np.any(D[:, :n_u] != 0.0):
-        raise AlgebraicLoopError(
-            "controller feedthrough on the command-feedforward columns is "
-            "nonzero; the loop has no causal execution order"
-        )
-
-
 def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
                         x_c, w_c) -> LoopTrace:
     """Step the plant against the stacked bank realization, exactly.
@@ -271,7 +263,8 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
     ``x_c`` and ``w_c`` are (dim,) for one scenario and (dim, S) for signals
     batched over S scenarios.
 
-    The loop is precomposed: s = [x; w] steps as s_{k+1} = A_cl s_k + B_cl
+    The loop is precomposed (:func:`nrf.loop_matrix`, which refuses command
+    feedthrough): s = [x; w] steps as s_{k+1} = A_cl s_k + B_cl
     d_s[k] over d_s = [beta_x; beta_u; beta_f; d], one product per step
     (:func:`lti._recursion`), and u_f = [D_x, C_w] s + D_x beta_x.  The
     drive B_cl d_s is taken from B_cl's nonzero blocks, sharing D_x beta_x
@@ -284,7 +277,7 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
         raise DimensionMismatchError(
             f"controller is {controller.shape}, expected {(n_u, n_u + n_x)}"
         )
-    _check_no_algebraic_loop(controller.D, n_u)
+    A_cl, C_uf = loop_matrix(plant, controller)
     D_x = controller.D[:, n_u:]
     B_wu, B_wx = controller.B[:, :n_u], controller.B[:, n_u:]
     n_w, batch = controller.order, signals.batch
@@ -293,10 +286,6 @@ def simulate_monolithic(plant: Plant, controller, signals: ScenarioSignals,
                          _initial_state(w_c, n_w, batch, "w_c").reshape(n_w, S)])
     beta_x, beta_u, beta_f, d = (a.reshape(T, a.shape[1], S) for a in (
         signals.beta_x, signals.beta_u, signals.beta_f_full, signals.d_full))
-    # s_{k+1} = A_cl s_k + drive_k over s = [x; w]; u_f enters s through B_s
-    C_uf = np.hstack([D_x, controller.C])
-    B_s = np.vstack([plant.B_u, B_wu])
-    A_cl = np.block([[plant.A, np.zeros((n_x, n_w))], [B_wx, controller.A]]) + B_s @ C_uf
     # v = D_x beta_x; x: [B_u | B_d] [v + beta_u; d], w: [B_wu | B_wx] [v + beta_f; beta_x]
     u_f = _apply(D_x, beta_x)
     states = _recursion(A_cl, (np.hstack([plant.B_u, plant.B_d]), np.hstack([B_wu, B_wx])),

@@ -246,7 +246,7 @@ def test_criterion_9_end_to_end_runtime(grid_setup):
     result = run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.25, q=2))
     t_design = time.perf_counter() - t0
     records = run_invariant_suite(plant, part, nb, result.maps.pair.bundle,
-                                  list(result.bank), result.maps, result.param)
+                                  list(result.bank), result.maps, result.param, result.x)
     elapsed = time.perf_counter() - t0
     all_pass = all(r.passed for r in records)
     _line(9, "end_to_end_runtime", elapsed < 60.0 and all_pass,

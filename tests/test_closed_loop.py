@@ -1,27 +1,27 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from conftest import block_reach, deadbeat_bundle, q_linear_responses, random_stable_plant, shift_nilpotent
-from nrf_forge import cli, closed_loop
+from nrf_forge import cli, closed_loop, lti, nrf
 from nrf_forge.closed_loop import (
     area_block,
     block_support,
     build_closed_loop_maps,
-    build_fq,
-    build_iq,
     decompose_response,
+    explicit_maps,
     ic_response,
     matching_slots,
     moving_blocks,
     prediction_model,
+    q_factor_responses,
     reconstructed_response,
     slot_name,
-    stabilized_ic_rows,
 )
 from nrf_forge.dcf import build_dcf, design_gains
-from nrf_forge.errors import DimensionMismatchError, UnboundedTfmError
+from nrf_forge.errors import AlgebraicLoopError, DimensionMismatchError, UnboundedTfmError
 from nrf_forge.lti import (
     SignalTrace,
     evaluate,
@@ -35,7 +35,7 @@ from nrf_forge.lti import (
     star,
 )
 from nrf_forge.match_synth import MapsBuilder, _norms_from_maps, default_targets
-from nrf_forge.nrf import bank_from_pair, form_nrf_pair
+from nrf_forge.nrf import AreaController, bank_from_pair, extract_row, form_nrf_pair
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
 from nrf_forge.sim_net import compose_signals, simulate_monolithic, stack_scenarios
@@ -50,11 +50,27 @@ ZS = half_circle(16)
 
 
 def scalar_setup():
+    """The one-state plant x+ = u + d with a deadbeat bundle, the pair at
+    Q = 0 and its one-area bank."""
     plant = Plant([[0.0]], [[1.0]], [[1.0]])
     bundle = deadbeat_bundle(plant)
-    q = fir_realization([np.zeros((1, 1))])
-    pair = form_nrf_pair(bundle, q)
-    return plant, bundle, q, pair
+    pair = form_nrf_pair(bundle, fir_realization([np.zeros((1, 1))]))
+    row = extract_row(pair.kd, 0)
+    return plant, bundle, pair, [AreaController(0, row.A, row.B, row.C, row.D, (row.order,),
+                                                np.zeros(row.order))]
+
+
+def expressions(pair, bank, taps, zs=ZS):
+    """F and I from the closed-loop expressions (closed_loop.explicit_maps)."""
+    return explicit_maps(pair.bundle, taps, bank, zs)
+
+
+def expression_gap(maps, taps, zs=ZS):
+    """Largest entry of the realized maps minus the expressions, over the
+    expressions' largest entry."""
+    got = (frequency_response(maps.forced, zs), frequency_response(maps.initial, zs))
+    want = expressions(maps.pair, maps.bank, taps, zs)
+    return max(float(np.max(np.abs(g - w)) / np.max(np.abs(w))) for g, w in zip(got, want))
 
 
 def two_area_design(plant, seed=0, q_scale=0.05):
@@ -71,10 +87,9 @@ def two_area_design(plant, seed=0, q_scale=0.05):
 
 
 def test_scalar_forced_map_blocks():
-    plant, bundle, q, pair = scalar_setup()
-    fq = build_fq(pair, stabilized_ic_rows(pair))
-    assert fq.shape == (2, 4)
-    vals = frequency_response(fq, ZS)
+    plant, bundle, pair, bank = scalar_setup()
+    vals, _ = expressions(pair, bank, np.zeros((1, 1, 1)))
+    assert vals.shape == (ZS.size, 2, 4)
     # state from beta_x: N Xq = 0; command from beta_u: M Yq - 1 = 0;
     # the feedforward column collapses because diag equals the whole matrix
     assert np.max(np.abs(vals[:, 0, 0])) <= 1e-12
@@ -87,17 +102,14 @@ def test_scalar_forced_map_blocks():
 
 
 def test_scalar_ic_map_upper_left_is_one():
-    plant, bundle, q, pair = scalar_setup()
+    plant, bundle, pair, bank = scalar_setup()
     # the single-input loop has one constant (zero) controller row
-    from nrf_forge.nrf import AreaController, extract_row
-    row = extract_row(pair.kd, 0)
-    bank = [AreaController(0, row.A, row.B, row.C, row.D, (row.order,),
-                           np.zeros(row.order))]
-    iq, j1, j2 = build_iq(pair, bank, stabilized_ic_rows(pair))
-    vals = frequency_response(iq, ZS)
+    assert [c.order for c in bank] == [0]
+    _, vals = expressions(pair, bank, np.zeros((1, 1, 1)))
     assert np.max(np.abs(vals[:, 0, 0] - 1.0)) <= 1e-12
     assert np.max(np.abs(vals[:, 1, 0])) <= 1e-12
-    assert np.max(np.abs(frequency_response(j1, ZS) - 1.0)) <= 1e-12
+    j1 = q_factor_responses(bundle, ZS)[5]   # J1 = z (zI - A_L)^{-1}
+    assert np.max(np.abs(j1 - 1.0)) <= 1e-12
 
 
 def test_iq_at_impulse_coefficients():
@@ -111,27 +123,57 @@ def test_iq_at_impulse_coefficients():
 
 
 def test_fully_deadbeat_ic_map_is_fir():
-    # deadbeat feedback AND observer: every factor of the IC map is nilpotent
+    # deadbeat feedback AND observer: every factor of the IC map is nilpotent,
+    # and so is the loop that realizes it
     A = shift_nilpotent(4) * 0.8
     plant = Plant(A, np.eye(4)[:, [0, 2]], np.eye(4)[:, [1]])
     part = build_partition([(2, 1), (2, 1)])
     bundle = deadbeat_bundle(plant, F=np.zeros((2, 4)))
-    q = fir_realization([0.1 * np.ones((2, 4))])
-    pair = form_nrf_pair(bundle, q)
+    taps = 0.1 * np.ones((1, 2, 4))
+    pair = form_nrf_pair(bundle, fir_realization(taps))
     _, bank = bank_from_pair(pair, part)
-    iq, _, _ = build_iq(pair, bank, stabilized_ic_rows(pair))
-    total_degree = iq.order + 1
-    h = impulse_response(iq, total_degree + 6)
-    assert np.max(np.abs(h[total_degree + 1])) <= 1e-12
-    assert np.max(np.abs(h[total_degree + 5])) <= 1e-12
+    iq = build_closed_loop_maps(pair, bank, part).initial
+    h = impulse_response(iq, iq.order + 7)
+    assert np.max(np.abs(h[iq.order + 1:])) <= 1e-12
+    assert np.max(np.abs(h[:iq.order])) >= 0.1
+    # the expressions' initial map is that FIR polynomial
+    zs = ZS[:6]
+    fir = np.einsum("tij,gt->gij", h, zs[:, None] ** -np.arange(h.shape[0]))
+    assert np.max(np.abs(expressions(pair, bank, taps, zs)[1] - fir)) <= 1e-12
 
 
 def test_unstable_parameter_rejected():
-    plant, bundle, q, pair = scalar_setup()
-    q_bad = make_realization([[1.5]], [[1.0]], [[1.0]], [[0.0]])
-    pair = form_nrf_pair(bundle, q_bad)
-    with pytest.raises(UnboundedTfmError):
-        build_fq(pair, stabilized_ic_rows(pair))
+    # two copies of the scalar loop, one area each; Q has a pole at 1.5
+    plant = Plant(np.zeros((2, 2)), np.eye(2), np.ones((2, 1)))
+    part = build_partition([(1, 1), (1, 1)])
+    pair = form_nrf_pair(deadbeat_bundle(plant), make_realization(
+        1.5 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))))
+    _, bank = bank_from_pair(pair, part)
+    with pytest.raises(UnboundedTfmError, match="spectral radius"):
+        build_closed_loop_maps(pair, bank, part)
+
+
+def test_command_feedthrough_has_no_maps(two_area_plant):
+    part, nb, bundle, q, bank, maps = two_area_design(two_area_plant, seed=2)
+    D = bank[0].D.copy()
+    D[0, 1] = 0.5   # area 1 reads area 2's command with no delay
+    bank[0] = dataclasses.replace(bank[0], D=D)
+    with pytest.raises(AlgebraicLoopError, match="feedthrough"):
+        build_closed_loop_maps(maps.pair, bank, part)
+
+
+def test_maps_build_makes_no_minimal_call(two_area_plant, monkeypatch):
+    part, nb, bundle, q, bank, maps = two_area_design(two_area_plant, seed=3)
+
+    def refuse(R):
+        raise AssertionError("minimal called")
+
+    for module in (lti, nrf, closed_loop):
+        monkeypatch.setattr(module, "minimal", refuse)
+    again = build_closed_loop_maps(maps.pair, bank, part)
+    n = two_area_plant.n_x + sum(c.order for c in bank)
+    assert again.forced.order == again.initial.order == n
+    assert np.array_equal(again.forced.A, maps.forced.A) and np.array_equal(again.initial.C, maps.initial.C)
 
 
 def test_area_blocks_select_expected_submaps(two_area_plant):
@@ -157,7 +199,8 @@ def test_column_block_consistency_through_gd(two_area_plant):
     part, nb, bundle, q, bank, maps = two_area_design(two_area_plant, seed=3)
     zs = ZS[:12]
     full = frequency_response(maps.forced, zs)
-    gd = frequency_response(maps.g_d, zs)
+    plant = two_area_plant
+    gd = frequency_response(make_realization(plant.A, plant.B_d, np.eye(plant.n_x), np.zeros((plant.n_x, plant.n_d))), zs)
     n_x, n_u, n_d = maps.n_x, maps.n_u, maps.n_d
     beta_x_block = full[:, :, maps.column_block("beta_x")]
     d_block = full[:, :, maps.column_block("d")]
@@ -314,6 +357,42 @@ def numeric_norms(bundle, param, part, x):
     return _norms_from_maps(maps, default_targets(part, bundle.plant.n_d), part)
 
 
+def test_loop_maps_equal_the_expressions_on_random_networks():
+    """The maps realized as the loop equal the closed-loop expressions on
+    the coprime factors, Q and the bank at a random x, on every feasible
+    random network at q = 2 and 3.  The factor-algebra realizations these
+    maps replaced, reduced by minimal(), were up to 6.5e-12 off here."""
+    designs = 0
+    for seed in range(16):
+        plant, part, nb = structured_network(seed)
+        F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
+        bundle = build_dcf(plant, F, L)
+        for q in (2, 3):
+            param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q)
+            if not isinstance(param, QParametrization):
+                continue
+            designs += 1
+            x = np.random.default_rng(seed).standard_normal(param.n_free)
+            maps = MapsBuilder(bundle, part)(q_from_x(param, x))
+            assert expression_gap(maps, param.taps_from_x(x), half_circle(64)) <= 1e-12, (seed, q)
+    assert designs >= 16
+
+
+def test_loop_maps_equal_the_expressions_on_the_grouped_mesh(grid_setup):
+    """On the mesh grouped into areas (6, 3), (2, 1), (2, 1), whose deadbeat
+    factors are large and cancel, the loop maps stay within 1e-9 of the
+    expressions at a random x (the factor-algebra maps were 7.6e-7 off)."""
+    plant = grid_setup[0]
+    part = build_partition([(6, 3), (2, 1), (2, 1)])
+    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
+    bundle = build_dcf(plant, F, L)
+    param = build_parametrization(bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
+    x = 0.3 * np.random.default_rng(15).standard_normal(param.n_free)
+    maps = MapsBuilder(bundle, part)(q_from_x(param, x))
+    assert maps.forced.order == maps.initial.order == plant.n_x + maps.n_w
+    assert expression_gap(maps, param.taps_from_x(x), half_circle(64)) <= 1e-9
+
+
 @pytest.mark.parametrize("network", ["grid", "ring"])
 def test_structural_zeros_read_zero_on_designs(request, network):
     res = request.getfixturevalue(f"{network}_design")
@@ -379,6 +458,36 @@ def test_moving_blocks_are_exact_on_a_chain(q):
     assert np.sum(moving) == 26 and np.sum(block_support(bundle, param, part) & ~moving) == 3
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_moving_blocks_see_a_disturbance_through_p_bd(q):
+    """Two areas of two states; each input acts on its area's second state,
+    and the disturbance enters area 1's first.  Area 1 reads only itself,
+    so row 1 of P can move only its entry on that unactuated state: P B_u
+    has no entry from it, and area 1's disturbance block moves through
+    Q (zI - A_L)^{-1} B_d = P B_d z^{-1} alone.  Every block the rule moves
+    reaches far above round-off along some direction, and every other block
+    reads round-off along all of them."""
+    A = np.array([[0.5, 0.2, 0.0, 0.0],
+                  [0.3, 0.4, 0.0, 0.0],
+                  [0.0, 0.0, 0.6, 0.1],
+                  [0.4, 0.2, 0.3, 0.5]])
+    B_u = np.zeros((4, 2))
+    B_u[1, 0] = B_u[3, 1] = 1.0
+    plant = Plant(A, B_u, np.eye(4)[:, [0]])
+    part = build_partition([(2, 1), (2, 1)])
+    nb = Neighborhoods((frozenset({0}), frozenset({0, 1})))
+    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
+    bundle = build_dcf(plant, F, L)
+    param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q)
+    assert param.free_p[0].tolist() == [True, False, False, False]
+    moving = moving_blocks(bundle, param, part)
+    maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
+    reach = np.max([block_reach(maps, part, forced, ic) for forced, ic in
+                    q_linear_responses(bundle, param.basis, half_circle(64))], axis=0)
+    assert moving[matching_slots(2).index(("disturbance", 0, None))]
+    assert np.min(reach[moving]) >= 1e-3 and np.max(reach[~moving]) <= 1e-13
+
+
 def test_user_supplied_gains_give_the_all_true_support():
     # zero feedback leaves A + B_u F = A, whose random coupling reaches every area
     rng = np.random.default_rng(3)
@@ -425,19 +534,3 @@ def test_slot_names_follow_the_gamma_table_rows(N):
             + [f"gamma_c[{i + 1};{j + 1}]" for i in range(N) for j in range(N)])
     assert [slot_name(slot, ";") for slot in matching_slots(N)] == rows
     assert [slot_name(slot) for slot in matching_slots(N)] == [r.replace(";", ",") for r in rows]
-
-
-def test_minimal_maps_keep_the_composed_transfer_function(grid_setup, grid_design, monkeypatch):
-    # the mesh's maps at x = 0, with and without every minimal() of the
-    # assembly: the reductions of R [Q; I], [N; M] and the pair may drop
-    # no mode that the composed maps need
-    plant, part, _ = grid_setup
-    param = grid_design.param
-    maps = MapsBuilder(grid_design.maps.pair.bundle, part)(q_from_x(param, np.zeros(param.n_free)))
-    monkeypatch.setattr(closed_loop, "minimal", lambda R: R)
-    composed = build_closed_loop_maps(maps.pair, maps.bank, part)
-    zs = half_circle(256)
-    for name in ("forced", "initial"):
-        ref = frequency_response(getattr(composed, name), zs)
-        got = frequency_response(getattr(maps, name), zs)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name

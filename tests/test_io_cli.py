@@ -204,7 +204,8 @@ def test_cli_verify_passes(cli_run, capsys):
     assert "FAIL" not in out
     # the scenario counts are part of the certificate, not a speed knob
     report = open(os.path.join(cli_run, "verify_report.txt")).read()
-    assert len(report.strip().splitlines()) == 19
+    assert len(report.strip().splitlines()) == 20
+    assert "PASS  explicit_closed_loop_maps:" in report
     for note in ("20 scenarios x 200 steps", "100 scenarios x 500 steps", "100 random draws"):
         assert note in report
 
@@ -454,9 +455,7 @@ def test_cli_malformed_document_structure_exits_2_in_one_line(cli_run, tmp_path,
     # 0-based column 11 is area 4's first state, outside area 1's set {1, 2, 3, 5}
     (11, ("communication_constraints", "distributed_equivalence"),
      "communication constraint violated for (area, source) pairs: [(1, 4)]"),
-    # column 1 is area 2's command: a feedthrough the loop cannot order
-    (1, ("closed_loop_identity", "distributed_equivalence", "response_decomposition"), "feedthrough"),
-], ids=["reads_outside_its_set", "command_feedthrough"])
+], ids=["reads_outside_its_set"])
 def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, failing, cause):
     run = str(tmp_path / "run")
     shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
@@ -468,7 +467,7 @@ def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, fail
     capsys.readouterr()
     assert main(["verify", "--out", run]) == 4
     report = open(os.path.join(run, "verify_report.txt")).read().strip().splitlines()
-    assert len(report) == 19
+    assert len(report) == 20
     for name in failing:
         line = next(r for r in report if f" {name}:" in r)
         assert line.startswith("FAIL") and cause in line, line
@@ -486,7 +485,9 @@ def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, fail
     ("bundle/left.json", lambda doc: doc["D"]["data"][0].__setitem__(doc["order"], 0.0),
      "diagonal entry 1 of Yq vanishes at infinity"),
     ("plant.json", lambda doc: doc["A"]["data"][0].__setitem__(0, 5.0), "spectral radius"),
-], ids=["singular_yt_diagonal", "plant_unstabilized_by_factors"])
+    # column 1 is area 2's command: a feedthrough the loop cannot order, so it has no maps
+    ("bank/area_1.json", lambda doc: [row.__setitem__(1, 0.5) for row in doc["D"]["data"]], "feedthrough"),
+], ids=["singular_yt_diagonal", "plant_unstabilized_by_factors", "command_feedthrough"])
 def test_cli_loop_that_cannot_be_rebuilt_fails_verify(cli_run, tmp_path, capsys, rel, corrupt, cause):
     run = str(tmp_path / "run")
     shutil.copytree(cli_run, run, ignore=shutil.ignore_patterns("traces"))
@@ -499,6 +500,11 @@ def test_cli_loop_that_cannot_be_rebuilt_fails_verify(cli_run, tmp_path, capsys,
     assert len(report) == 1
     assert report[0].startswith("FAIL  closed_loop_rebuild:") and cause in report[0], report[0]
     assert capsys.readouterr().out.strip().splitlines()[-1].startswith("0/1 checks passed")
+    if rel.startswith("bank/"):
+        # the bank still cannot be stepped
+        assert main(["simulate", "--out", run]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"cannot simulate the bank in {run}: ") and cause in lines[0]
 
 
 def test_cli_uncontrollable_mode_is_infeasible(tmp_path, capsys):

@@ -43,7 +43,6 @@ from nrf_forge.lti import (
     series,
     spectral_radius,
     stack_cols,
-    stack_rows,
     star,
     transpose,
 )
@@ -170,8 +169,6 @@ def test_composition_soundness(seed):
     for z in zs[:3]:
         v1, v3 = evaluate(R1, z), evaluate(R3, z)
         assert np.allclose(evaluate(parallel(R1, R3), z), v1 + v3, rtol=1e-10, atol=1e-10)
-        assert np.allclose(evaluate(stack_rows(R1, R3), z), np.vstack([v1, v3]),
-                           rtol=1e-10, atol=1e-10)
         assert np.allclose(evaluate(stack_cols(R1, R3), z), np.hstack([v1, v3]),
                            rtol=1e-10, atol=1e-10)
         assert np.allclose(evaluate(select_rows(R1, [0]), z), v1[[0], :], rtol=1e-10)

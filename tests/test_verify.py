@@ -36,7 +36,7 @@ def test_deployed_row_reading_its_own_command_fails_inheritance(grid_setup, grid
     B[0, ell] = 1e-12
     bank[0] = dataclasses.replace(ctrl, B=B)
     maps = build_closed_loop_maps(pair, bank, part)
-    records = run_invariant_suite(plant, part, nb, pair.bundle, bank, maps, param)
+    records = run_invariant_suite(plant, part, nb, pair.bundle, bank, maps, param, grid_design.x)
     failed = [r for r in records if not r.passed]
     assert [r.name for r in failed] == ["row_sparsity_inheritance"]
     assert f"({ell}, {ell})" in failed[0].note
