@@ -5,11 +5,14 @@ The loop of plant and controller bank admits the explicit response
 
     [x; u_f] = F star d_s  +  I[k] [x_c; w_c]
 
-where d_s stacks the compound disturbances [beta_x; beta_u; beta_f; d].  F and
-I are realized as the loop itself over s = [x; w], with the state matrix
-A_cl of :func:`nrf.loop_matrix` that the monolithic simulation steps:
-F = C_cl (zI - A_cl)^{-1} B_cl + D_cl and I = C_cl z (zI - A_cl)^{-1}, with
-no reduction (:func:`build_closed_loop_maps`).  In the coprime factors
+where d_s stacks the compound disturbances [beta_x; beta_u; beta_f; d].  The
+loop itself is one realization over s = [x; w] from [d_s; s_0], with the
+state matrix A_cl of :func:`nrf.loop_matrix` that the monolithic simulation
+steps and no reduction (:func:`build_closed_loop_maps`): its column panels are
+F = C_cl (zI - A_cl)^{-1} B_cl + D_cl and I = C_cl z (zI - A_cl)^{-1}, whose
+response to s_0 delta_0 is the loop's free response from s_0 = [x_c; w_c].
+Every matching block is (rows, cols) of it (:func:`block_indices`).  In the
+coprime factors
 R = [N Y; M X], Lt = [-Xt Yt; Mt -Nt] and the Youla parameter Q they are
 
     F = [ N Xq | N Yq     | N (Yqd - Yq) | (N Xq + I) G_d ]
@@ -59,11 +62,11 @@ from .sparse_param import QParametrization
 
 @dataclass(frozen=True)
 class ClosedLoopMaps:
-    """The loop's forced and initial-condition maps, both realized over
-    s = [x; w] (order n_x + n_w), with the pair and the bank they close."""
+    """The loop over s = [x; w] (order n_x + n_w) as one realization from
+    [d_s; s_0] to [x; u_f], whose column panels are F and I, with the pair
+    and the bank it closes."""
 
-    forced: Realization        # (n_x + n_u) x (n_x + 2 n_u + n_d)
-    initial: Realization       # (n_x + n_u) x (n_x + n_w)
+    loop: Realization          # (n_x + n_u) x (n_f + n_x + n_w)
     pair: NrfPair
     bank: tuple
     partition: AreaPartition
@@ -82,7 +85,19 @@ class ClosedLoopMaps:
 
     @property
     def n_w(self) -> int:
-        return self.initial.ninputs - self.n_x
+        return self.loop.order - self.n_x
+
+    @property
+    def n_f(self) -> int:   # the width of d_s
+        return self.n_x + 2 * self.n_u + self.n_d
+
+    @property
+    def forced(self) -> Realization:   # F, the loop's d_s columns
+        return select_cols(self.loop, np.arange(self.n_f))
+
+    @property
+    def initial(self) -> Realization:   # I, the loop's s_0 columns
+        return select_cols(self.loop, self.n_f + np.arange(self.loop.order))
 
     def column_block(self, name: str) -> np.ndarray:
         """Column indices of one input block of the forced map."""
@@ -106,13 +121,15 @@ def _nm(bundle: DcfBundle) -> Realization:
 
 
 def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> ClosedLoopMaps:
-    """F and I of the plant closed by ``bank``, realized over s = [x; w]:
-    A_cl and u_f = C_uf s + D_x beta_x from :func:`nrf.loop_matrix` (which
-    refuses command feedthrough), outputs C_cl = [I 0; C_uf], and
+    """The plant closed by ``bank`` as one realization over s = [x; w],
+    (A_cl, [B_cl | A_cl], C_cl, [D_cl | C_cl]) from [d_s; s_0]: A_cl and
+    u_f = C_uf s + D_x beta_x from :func:`nrf.loop_matrix` (which refuses
+    command feedthrough), outputs C_cl = [I 0; C_uf], and
 
         B_cl = [ B_u D_x           B_u   0     B_d ]     D_cl = [ 0    0 0 0 ]
                [ B_wx + B_wu D_x   0     B_wu  0   ]            [ D_x  0 0 0 ]
 
+    The s_0 columns realize C_cl z (zI - A_cl)^{-1} = C_cl + C_cl (zI - A_cl)^{-1} A_cl.
     A loop of spectral radius 1 - 1e-9 or more raises UnboundedTfmError.
     """
     plant, ctrl = pair.bundle.plant, stacked_bank(bank)
@@ -127,15 +144,15 @@ def build_closed_loop_maps(pair: NrfPair, bank, partition: AreaPartition) -> Clo
     C_cl = np.vstack([np.eye(n_x, n_x + n_w), C_uf])
     D_cl = np.zeros((n_x + n_u, B_cl.shape[1]))
     D_cl[n_x:, :n_x] = D_x
-    forced = make_realization(A_cl, B_cl, C_cl, D_cl)
-    rho = spectral_radius_raw(forced)
+    loop = make_realization(A_cl, np.hstack([B_cl, A_cl]), C_cl, np.hstack([D_cl, C_cl]))
+    rho = spectral_radius_raw(loop)
     if rho >= 1.0 - 1e-9:
         raise UnboundedTfmError(
             f"the closed loop has spectral radius {rho:.6g}; "
             "the factorization, the Youla parameter or the bank is broken"
         )
     part_w = partition.with_w_sizes([c.order for c in bank])
-    return ClosedLoopMaps(forced, _resolvent_times_z(A_cl, C_cl), pair, tuple(bank), part_w)
+    return ClosedLoopMaps(loop, pair, tuple(bank), part_w)
 
 
 def _left_responses(bundle: DcfBundle, zs: np.ndarray):
@@ -159,7 +176,11 @@ def q_factor_responses(bundle: DcfBundle, zs) -> tuple:
     """The factors of :func:`q_linear_response`, which no Q enters, on the flat
     complex grid ``zs``: (zs, [N; M], Mt, Nt, (zI - A_L)^{-1} B_d, J1)."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    _, _, mt, nt = _left_responses(bundle, zs)
+    return _q_factors(bundle, zs, *_left_responses(bundle, zs)[2:])
+
+
+def _q_factors(bundle: DcfBundle, zs: np.ndarray, mt: np.ndarray, nt: np.ndarray) -> tuple:
+    """:func:`q_factor_responses` from the responses ``mt`` and ``nt`` on ``zs``."""
     res_l = np.linalg.inv(zs[:, None, None] * np.eye(bundle.n_x) - bundle.observer_pencil())
     return (zs, frequency_response(_nm(bundle), zs), np.ascontiguousarray(mt), nt,
             res_l @ bundle.plant.B_d, zs[:, None, None] * res_l)
@@ -174,11 +195,12 @@ def q_linear_response(factors: tuple, taps: np.ndarray):
     J1 = z (zI - A_L)^{-1}, Q contributes
 
         forced:  [N; M] [ Q Mt | Q Nt | diag(Q Nt) - Q Nt | Q (zI - A_L)^{-1} B_d ]
-        initial: [N; M] Q J1   (the plant-IC columns; [N; M] J2 depends on
-                                Q only through diag(Yq) and the bank)
+        initial: [N; M] Q J1   (the x_c columns; the w_c columns [N; M] J2
+                                depend on Q only through diag(Yq) and the bank)
 
-    on the grid of ``factors`` (:func:`q_factor_responses`).  Returns a pair
-    of shapes (G, n_x + n_u, n_x + 2 n_u + n_d) and (G, n_x + n_u, n_x).
+    on the grid of ``factors`` (:func:`q_factor_responses`).  Returns the
+    loop's first n_f + n_x columns (:attr:`ClosedLoopMaps.loop`), one array
+    of shape (G, n_x + n_u, n_f + n_x).
     """
     zs, nm, mt, nt, gd_l, j1 = factors
     q_resp, q_mt, q_nt = _q_response(mt, nt, taps, zs)
@@ -186,38 +208,43 @@ def q_linear_response(factors: tuple, taps: np.ndarray):
     gap = -q_nt
     gap[:, diag, diag] = 0.0
     right = np.concatenate([q_mt, q_nt, gap, q_resp @ gd_l], axis=-1)
-    return nm @ right, nm @ (q_resp @ j1)
+    n_f = right.shape[-1]
+    out = np.empty(nm.shape[:2] + (n_f + j1.shape[-1],), dtype=complex)
+    np.matmul(nm, right, out=out[..., :n_f])
+    np.matmul(nm, q_resp @ j1, out=out[..., n_f:])
+    return out
 
 
-def explicit_maps(bundle: DcfBundle, taps: np.ndarray, bank, zs) -> tuple[np.ndarray, np.ndarray]:
-    """F and I of the module docstring's expressions on the flat complex
-    grid ``zs``, for the tap tensor ``taps`` of Q (as in
-    :func:`q_linear_response`) and the bank deployed at that Q, in the loop
-    maps' shapes.  The sum of the part no Q enters,
+def explicit_maps(bundle: DcfBundle, taps: np.ndarray, bank, zs) -> np.ndarray:
+    """The loop map [F | I] of the module docstring's expressions on the
+    flat complex grid ``zs``, for the tap tensor ``taps`` of Q (as in
+    :func:`q_linear_response`) and the bank deployed at that Q, in the shape
+    of :attr:`ClosedLoopMaps.loop`.  The sum of the part no Q enters,
 
         forced:  [N; M] [ Xt | Yt | diag(Yt) - Yt | 0 ] + [ 0 | [0; -I] | 0 | [Y; X] (zI - A_L)^{-1} B_d ]
-        initial: [Y; X] J1   (the plant-IC columns),
+        initial: [Y; X] J1   (the x_c columns),
 
-    :func:`q_linear_response`, and the controller-IC columns
-    [N; M] Yqd C_w (zI - A_w)^{-1} z with Yqd = diag(Yt + Q Nt).
+    :func:`q_linear_response`, and the w_c columns [N; M] Yqd C_w (zI - A_w)^{-1} z
+    with Yqd = diag(Yt + Q Nt).  Lt is evaluated once.
     """
-    factors = q_factor_responses(bundle, zs)
-    zs, nm, mt, nt, gd_l, j1 = factors
+    zs = np.asarray(zs, dtype=complex).ravel()
+    xt, yt, mt, nt = _left_responses(bundle, zs)
+    factors = _q_factors(bundle, zs, mt, nt)
+    _, nm, mt, nt, gd_l, j1 = factors
     n_x, n_u = bundle.n_x, bundle.n_u
-    xt, yt, _, _ = _left_responses(bundle, zs)
     yx = frequency_response(select_cols(bundle.right, n_u + np.arange(n_x)), zs)   # [Y; X]
-    forced, plant_ic = q_linear_response(factors, taps)
+    out = q_linear_response(factors, taps)
     diag = np.arange(n_u)
     gap = -yt
     gap[:, diag, diag] = 0.0
-    forced[:, :, :n_x + 2 * n_u] += nm @ np.concatenate([xt, yt, gap], axis=-1)
-    forced[:, n_x:, n_x:n_x + n_u] -= np.eye(n_u)
-    forced[:, :, n_x + 2 * n_u:] += yx @ gd_l
-    plant_ic += yx @ j1
+    out[:, :, :n_x + 2 * n_u] += nm @ np.concatenate([xt, yt, gap], axis=-1)
+    out[:, n_x:, n_x:n_x + n_u] -= np.eye(n_u)
+    out[:, :, n_x + 2 * n_u:-n_x] += yx @ gd_l
+    out[:, :, -n_x:] += yx @ j1
     yqd = np.diagonal(yt + _q_response(mt, nt, taps, zs)[2], axis1=1, axis2=2)
     ctrl = stacked_bank(bank)
     j2 = yqd[:, :, None] * frequency_response(_resolvent_times_z(ctrl.A, ctrl.C), zs)
-    return forced, np.concatenate([plant_ic, nm @ j2], axis=-1)
+    return np.concatenate([out, nm @ j2], axis=-1)
 
 
 def kd_responses(bundle: DcfBundle, taps_seq, zs):
@@ -334,33 +361,21 @@ def moving_blocks(bundle: DcfBundle, param: QParametrization,
         partition.n_areas, by_nt.any(axis=1) | by_bd.any(axis=1), by_mt | by_nt, lifted(eye, xs))   # Q J1 = P
 
 
-def ic_response(iq: Realization, v, horizon: int, start_index: int = 0) -> SignalTrace:
-    """Trace of I[k] v for k = 0..horizon-1: the response to an input that
-    is v at k = 0 and zero after.  ``v`` is (ninputs,), or (ninputs, S)."""
-    v = np.asarray(v, dtype=float)
-    if len(v) != iq.ninputs:
-        raise DimensionMismatchError(f"vector length {len(v)}, map expects {iq.ninputs}")
-    u = np.zeros((horizon,) + v.shape)
-    u[:1] = v
-    return star(iq, SignalTrace(u, start_index))
-
-
 def reconstructed_response(maps: ClosedLoopMaps, d_s: SignalTrace, x_c, w_c) -> SignalTrace:
-    """[x; u_f] rebuilt from the closed-loop maps (no loop simulation).
+    """[x; u_f] rebuilt from the closed-loop maps (no loop simulation): the
+    forced map's response to ``d_s`` from the loop state [x_c; w_c].
 
     For a trace of S scenarios, ``x_c`` and ``w_c`` are (dim, S) and one
-    forced and one initial-condition recursion rebuild all of them.
+    recursion rebuilds all of them.
     """
     v = np.concatenate([np.asarray(x_c, dtype=float), np.asarray(w_c, dtype=float)])
     if v.shape[1:] != d_s.samples.shape[2:]:
         raise DimensionMismatchError(f"initial states {v.shape} do not match the trace")
-    forced = star(maps.forced, d_s)
-    free = ic_response(maps.initial, v, d_s.horizon, d_s.start_index)
-    return SignalTrace(forced.samples + free.samples, d_s.start_index)
+    return star(maps.forced, d_s, v)
 
 
-def _z_rows(partition: AreaPartition, i: int, n_x: int) -> np.ndarray:
-    return np.concatenate([partition.indices("x", i), n_x + partition.indices("u", i)])
+def _z_rows(partition: AreaPartition, i: int, n_x: int, tail: str = "u") -> np.ndarray:
+    return np.concatenate([partition.indices("x", i), n_x + partition.indices(tail, i)])
 
 
 def matching_slots(n_areas: int) -> list:
@@ -382,32 +397,30 @@ def slot_name(slot: tuple, sep: str = ",") -> str:
 
 
 def block_indices(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,
-                  i: int, j: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
-    """(source, rows, cols) of one area-level block of the closed-loop maps;
-    source 0 is the forced map, 1 the initial-condition map.
+                  i: int, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of one area-level block of the loop map ``maps.loop``.
 
     kind 'disturbance': response of area i to [beta_f; d].
     kind 'coupling':    response of area i to area j's injected commands.
-    kind 'init':        response of area i to area j's initial conditions.
+    kind 'init':        response of area i to area j's x_c and w_c.
     """
     rows = _z_rows(partition, i, maps.n_x)
     if kind == "disturbance":
-        return 0, rows, np.concatenate([maps.column_block("beta_f"), maps.column_block("d")])
+        return rows, np.concatenate([maps.column_block("beta_f"), maps.column_block("d")])
     if kind not in ("coupling", "init"):
         raise ValueError(f"unknown block kind {kind!r}")
     if j is None:
         raise ValueError(f"{kind} block needs a source area j")
     if kind == "coupling":
-        return 0, rows, _z_rows(partition, j, maps.n_x)
-    part = maps.partition
-    return 1, rows, np.concatenate([part.indices("x", j), maps.n_x + part.indices("w", j)])
+        return rows, _z_rows(partition, j, maps.n_x)
+    return rows, maps.n_f + _z_rows(maps.partition, j, maps.n_x, "w")   # x_c[j] and w_c[j]
 
 
 def area_block(maps: ClosedLoopMaps, partition: AreaPartition, kind: str,
                i: int, j: int | None = None) -> Realization:
     """Minimal realization of one area-level block (see :func:`block_indices`)."""
-    src, rows, cols = block_indices(maps, partition, kind, i, j)
-    return minimal(select_cols(select_rows((maps.forced, maps.initial)[src], rows), cols))
+    rows, cols = block_indices(maps, partition, kind, i, j)
+    return minimal(select_cols(select_rows(maps.loop, rows), cols))
 
 
 @dataclass(frozen=True)
@@ -486,8 +499,7 @@ def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
     ``{j: (u_s1j, u_s2j)}`` traces.  Together with the area's own prediction
     model state, psi + theta + delta reconstructs the simulated response.
     """
-    n_x = maps.n_x
-    part = maps.partition
+    n_x, part = maps.n_x, maps.partition
     rows = _z_rows(partition, i, n_x)
     x_c = np.asarray(x_c, dtype=float).ravel()
     w_c = np.asarray(w_c, dtype=float).ravel()
@@ -502,17 +514,15 @@ def decompose_response(maps: ClosedLoopMaps, partition: AreaPartition,
         return v
 
     # residual: cross-coupling from other areas' commands + far-away ICs
-    cross = np.zeros((d_s.horizon, maps.forced.ninputs))
+    cross = np.zeros((d_s.horizon, maps.n_f))
     for j, (u1, u2) in us_others.items():
         if j != i:
             cross[:, partition.indices("x", j)] += u1.samples
             cross[:, n_x + partition.indices("u", j)] += u2.samples
     outside = [j for j in range(partition.n_areas) if j not in nb.of(i)]
-    # [psi, forced part of delta] and [theta, free part of delta] as batches of two
-    forced = star(select_rows(maps.forced, rows),
-                  SignalTrace(np.stack([d_s.samples, cross], axis=-1))).samples
-    free = ic_response(select_rows(maps.initial, rows), np.stack(
-        [masked_ic(sorted(nb.of(i))), masked_ic(outside)], axis=-1), d_s.horizon).samples
-    psi, theta, delta = (SignalTrace(a, d_s.start_index) for a in (
-        forced[..., 0], free[..., 0], forced[..., 1] + free[..., 1]))
-    return DecomposedResponse(psi, theta, delta)
+    # psi, theta and delta as one batch of three forced responses from loop
+    # states: (d_s, 0), (0, the neighbourhood's ICs) and (cross, the far ICs)
+    u = np.stack([d_s.samples, np.zeros_like(cross), cross], axis=-1)
+    s0 = np.stack([masked_ic(()), masked_ic(sorted(nb.of(i))), masked_ic(outside)], axis=-1)
+    out = star(select_rows(maps.forced, rows), SignalTrace(u), s0).samples
+    return DecomposedResponse(*(SignalTrace(out[..., k], d_s.start_index) for k in range(3)))

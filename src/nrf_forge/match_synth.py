@@ -52,6 +52,7 @@ from .lti import (
     half_circle,
     is_cb_bounded,
     minimal,  # noqa: F401  (unused here; perfbench's tracer test rebinds match_synth.minimal)
+    select_cols,
     transpose,
 )
 from .nrf import bank_from_pair, form_nrf_pair
@@ -173,12 +174,12 @@ def constraint_norms(param: QParametrization, x, spec: SynthesisSpec,
 
 
 def _block_layout(spec: SynthesisSpec, partition: AreaPartition, maps: ClosedLoopMaps) -> list:
-    """Every matching block as (slot, source, rows, cols, target), ``slot``
-    its index in :func:`closed_loop.matching_slots` and (source, rows, cols)
-    as in :func:`closed_loop.block_indices`.  The blocks tile both maps."""
+    """Every matching block as (slot, rows, cols, target), ``slot`` its
+    index in :func:`closed_loop.matching_slots` and (rows, cols) as in
+    :func:`closed_loop.block_indices`.  The blocks tile the loop map."""
     layout = [(s, *block_indices(maps, partition, *slot), spec.targets[s])
               for s, slot in enumerate(matching_slots(spec.n_areas))]
-    for _, _, rows, cols, target in layout:
+    for _, rows, cols, target in layout:
         if target is not None and target.shape != (rows.size, cols.size):
             raise DimensionMismatchError(
                 f"target has shape {target.shape}, block is {(rows.size, cols.size)}")
@@ -192,18 +193,19 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
     (:func:`closed_loop.block_support`; None keeps every block) is zero at
     every x, and is certified as exactly 0 with no sweep, ranking or
     refinement.  No block realization is formed: every other block is read
-    from one Schur form of the whole forced map or of the whole
-    initial-condition map (:func:`lti._block_peaks`), which have the
-    blocks' transfer functions.  Each of their values is the largest SVD
-    sample seen, a lower bound on the true norm."""
+    from one Schur form of the loop's forced or initial panel
+    (:func:`lti._block_peaks`), swept one panel at a time to bound memory.
+    Each value is the largest SVD sample seen, a lower bound on the true
+    norm."""
     layout = _block_layout(spec, partition, maps)
     keep = np.ones(len(layout), dtype=bool) if support is None else support
     vals = np.zeros(len(layout))
-    for src, R in enumerate((maps.forced, maps.initial)):
-        mine = [blk for blk in layout if blk[1] == src and keep[blk[0]]]
+    for lo, hi in ((0, maps.n_f), (maps.n_f, maps.loop.ninputs)):   # the forced, then the initial panel
+        mine = [(s, rows, cols - lo, target) for s, rows, cols, target in layout
+                if keep[s] and cols.size and lo <= cols[0] < hi]
         if mine:
             vals[[blk[0] for blk in mine]] = _block_peaks(
-                R, [blk[2:] for blk in mine], NORM_GRID, REFINE_PASSES)
+                select_cols(maps.loop, np.arange(lo, hi)), [blk[1:] for blk in mine], NORM_GRID, REFINE_PASSES)
     return vals
 
 
@@ -213,17 +215,15 @@ def _norms_from_maps(maps: ClosedLoopMaps, spec: SynthesisSpec,
 
 @dataclass(frozen=True)
 class _Block:
-    """Where one matching block sits in the closed-loop maps.
+    """Where one matching block sits in the loop map.
 
-    ``slot`` is its index in :func:`closed_loop.matching_slots` and
-    ``source`` 0 for the forced map, 1 for the initial-condition map.  The
-    stacks hold the ``cols`` of ``rows`` (transposed when the block has fewer
+    ``slot`` is its index in :func:`closed_loop.matching_slots`.  The stacks
+    hold the ``cols`` of ``rows`` (transposed when the block has fewer
     columns than rows, so the Gram side comes first); ``fixed_cols`` never
     move with x and enter only through a constant Gram term.
     """
 
     slot: int
-    source: int
     rows: np.ndarray
     cols: np.ndarray
     fixed_cols: np.ndarray
@@ -241,12 +241,11 @@ class _BlockGroup:
     gather: np.ndarray | None   # (s, t, blocks): rows of a direction's flat responses; None if fixed
 
 
-def _gather(forced: np.ndarray, ic: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Rows ``at`` of the flat responses [forced; ic; 0] (rows, G), without forming them."""
-    out = np.zeros(at.shape + forced.shape[1:], dtype=complex)
-    for part, lo in ((forced, 0), (ic, forced.shape[0])):
-        sel = (at >= lo) & (at < lo + part.shape[0])
-        out[sel] = part[at[sel] - lo]
+def _gather(flat: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows ``at`` of the flat responses [flat; 0] (rows, G), without forming them."""
+    out = np.zeros(at.shape + flat.shape[1:], dtype=complex)
+    sel = at < flat.shape[0]
+    out[sel] = flat[at[sel]]
     return out
 
 
@@ -288,36 +287,29 @@ def _gram_sum(members: list):
     return peaks
 
 
-def _map_responses(maps: ClosedLoopMaps, zs: np.ndarray) -> tuple:
-    """Values of the forced and the initial map on ``zs``, each solved on
-    its smaller side (the forced map is wide)."""
-    return tuple(frequency_response(transpose(R), zs).transpose(0, 2, 1) if R.ninputs > R.noutputs
-                 else frequency_response(R, zs) for R in (maps.forced, maps.initial))
-
-
 class _SurrogateModel:
     """Grid responses of the matching blocks as affine functions of x.
 
     The points are :func:`lti.half_circle` (:data:`SEARCH_GRID`).  The base
-    responses come from the realized loop maps at x = 0, not from
-    :func:`closed_loop.explicit_maps`, which loses 8.8e-10 relative where
-    the factors are large and cancel (the mesh grouped into areas (6, 3),
-    (2, 1), (2, 1)); each free direction's response is the Q-linear part of
-    the closed-loop formulas, evaluated pointwise from factors no direction
-    enters (``factors``, evaluated once).
+    responses come from one output-side solve of the realized loop map at
+    x = 0, not from :func:`closed_loop.explicit_maps`, which loses 8.8e-10
+    relative where the factors are large and cancel (the mesh grouped into
+    areas (6, 3), (2, 1), (2, 1)); each free direction's response is the
+    loop's d_s and x_c columns of :func:`closed_loop.q_linear_response`,
+    from factors no direction enters (``factors``, evaluated once).
     Blocks outside :func:`closed_loop.block_support` (``self.support``, per
     slot) are zero at every x and are left out; the others are grouped by
     stacked shape and by :func:`closed_loop.moving_blocks` (``self.moving``).
     Only moving groups take a direction's stacks, and only the last direction
     :meth:`direction` formed keeps them (``held``), so the resident memory
     does not grow with the directions.
-    Only the plant-IC columns of the initial map move with x here: the
-    controller-IC columns [N; M] J2 are held at x = 0, so where the Gram
-    side is the rows they enter as a constant Gram term.  That is exact only
+    The w_c columns [N; M] J2 are held at x = 0 (a direction reads them
+    from one zero row), so where the Gram side is the rows they enter as a
+    constant Gram term.  That is exact only
     while every controller row keeps its x = 0 order and characteristic
     polynomial: the parametrization fixes diag(Yq) = diag(Yt), and the rows'
     companion forms then fix J2.  A row whose order grows with x adds
-    controller-IC columns the surrogate leaves out (the two-area toy of the
+    w_c columns the surrogate leaves out (the two-area toy of the
     tests has 0 controller states at x = 0 and 3 at a random x).
     ``n_evals`` counts calls of :meth:`objective`; ``lambda_points`` is
     (points whose lambda_max the evaluations took, points they bracketed).
@@ -340,9 +332,8 @@ class _SurrogateModel:
 
     def _moving_stacks(self, taps: np.ndarray) -> list:
         """(group, stack) of each moving group for the tap tensor ``taps``."""
-        G = self.zs.size
-        forced, ic = (r.reshape(G, -1).T for r in q_linear_response(self.factors, taps))
-        return [(gi, _gather(forced, ic, g.gather)) for gi, g in enumerate(self.groups)
+        flat = q_linear_response(self.factors, taps).reshape(self.zs.size, -1).T
+        return [(gi, _gather(flat, g.gather)) for gi, g in enumerate(self.groups)
                 if g.gather is not None]
 
     def direction(self, k: int) -> list:
@@ -358,22 +349,22 @@ class _SurrogateModel:
         blocks by stacked shape and ``self.moving``; then write each block's
         response at x = 0 minus its target straight into its group's
         ``base`` stack, and the Gram of its fixed columns into ``fixed``.  A
-        direction's flat responses are forced, plant-IC, then a zero row for
-        controller ICs."""
-        zs, G, n_x, (n_r, n_f) = self.zs, self.zs.size, maps0.n_x, maps0.forced.shape
+        direction's flat responses are the loop's first n_q = n_f + n_x
+        columns, row by row, then one zero row that every w_c column reads."""
+        zs, G, n_r, n_q = self.zs, self.zs.size, maps0.loop.noutputs, maps0.n_f + maps0.n_x
         grouped: dict = {}
-        for slot, src, rows, cols, target in _block_layout(self.spec, partition, maps0):
+        for slot, rows, cols, target in _block_layout(self.spec, partition, maps0):
             if not self.support[slot]:
                 continue
             transposed = cols.size < rows.size
-            varies = cols < n_x if src == 1 and not transposed else np.ones(cols.size, dtype=bool)
-            block = _Block(slot, src, rows, cols[varies], cols[~varies], transposed)
+            varies = (cols < n_q) | transposed
+            block = _Block(slot, rows, cols[varies], cols[~varies], transposed)
             r, c = np.ix_(rows, block.cols)
-            at = r * n_f + c if src == 0 else np.where(c < n_x, n_r * n_f + r * n_x + c, n_r * (n_f + n_x))
+            at = np.where(c < n_q, r * n_q + c, n_r * n_q)
             at = at.T if transposed else at
             grouped.setdefault((at.shape, self.moving[slot]), []).append((block, cols, varies, target, at))
 
-        base_resp = _map_responses(maps0, zs)
+        base_resp = frequency_response(transpose(maps0.loop), zs).transpose(0, 2, 1)
         groups = []
         for ((s, t), moves), members in grouped.items():
             blocks = [m[0] for m in members]
@@ -383,7 +374,7 @@ class _SurrogateModel:
                                    if any(b.fixed_cols.size for b in blocks) else None),
                             gather=np.stack([m[4] for m in members], axis=2) if moves else None)
             for n, (block, cols, varies, target, _) in enumerate(members):
-                blk = base_resp[block.source][:, block.rows[:, None], cols]
+                blk = base_resp[:, block.rows[:, None], cols]
                 if target is not None:
                     blk = blk - frequency_response(target, zs)
                 g.base[:, :, n] = blk.transpose(2, 1, 0) if block.transposed else blk[:, :, varies].transpose(1, 2, 0)

@@ -186,15 +186,16 @@ def extract_row(kd: Realization, row: int) -> ControllerRow:
     The minimal row realization is reduced, its characteristic polynomial is
     read off the real Schur form, and the numerator coefficient rows follow
     from the Markov parameters.  Columns at entries that test identically
-    zero on the grid are zeroed exactly, so downstream message passing can
-    rely on structure rather than magnitudes.
+    zero on 64 points of :func:`lti.half_circle` (:func:`zero_columns`) are
+    zeroed exactly, so downstream message passing can rely on structure
+    rather than magnitudes.
     """
     if not 0 <= row < kd.noutputs:
         raise DimensionMismatchError(f"row {row} out of range for {kd.noutputs} outputs")
     r_min = minimal(select_rows(kd, [row]))
     n_r = r_min.order
     width = kd.ninputs
-    zero_cols = _grid_zero_columns(kd, row)
+    zero_cols = zero_columns(frequency_response(select_rows(kd, [row]), half_circle(64))[:, 0, :])
     D_row = r_min.D.copy()
     D_row[0, list(zero_cols)] = 0.0
     if n_r == 0:
@@ -218,18 +219,16 @@ def extract_row(kd: Realization, row: int) -> ControllerRow:
     return ControllerRow(row, A_r, B_r, C_r, D_row, coeffs, K, zero_cols)
 
 
-def _grid_zero_columns(kd: Realization, row: int) -> tuple[int, ...]:
-    """Columns of one row of ``kd`` that test identically zero on 64 points
-    of :func:`lti.half_circle`."""
-    resp = frequency_response(select_rows(kd, [row]), half_circle(64))
-    col_max = np.max(np.abs(resp[:, 0, :]), axis=0)
+def zero_columns(resp: np.ndarray) -> tuple[int, ...]:
+    """Columns of a row's response ``resp`` (G, m) that test identically zero."""
+    col_max = np.max(np.abs(resp), axis=0)
     return tuple(int(j) for j in np.flatnonzero(col_max <= ZERO_TOL))
 
 
-def verify_sparsity_inheritance(index: int, row: Realization, kd: Realization) -> None:
+def verify_sparsity_inheritance(index: int, row: Realization, zero_cols) -> None:
     """Check that the B/D columns of controller row ``index`` are exactly
-    zero wherever that row of ``kd`` is identically zero."""
-    offending = [(index, j) for j in _grid_zero_columns(kd, index)
+    zero at ``zero_cols``, the :func:`zero_columns` of that row of kd."""
+    offending = [(index, j) for j in zero_cols
                  if np.any(row.B[:, j] != 0.0) or np.any(row.D[:, j] != 0.0)]
     if offending:
         raise SparsityInheritanceError(offending)

@@ -103,16 +103,16 @@ def q_linear_responses(bundle, taps, zs):
     return (q_linear_response(factors, t) for t in taps)
 
 
-def block_reach(maps, part, forced, ic):
+def block_reach(maps, part, resp):
     """Per slot of ``matching_slots``: the largest |entry| of one direction's
-    Q-linear responses ``forced`` and ``ic`` (``q_linear_response``) in the
-    slot's block of ``maps``, over the largest |entry| of both.  The
-    controller-IC columns read zero."""
-    resp = (forced, np.concatenate([ic, np.zeros(ic.shape[:2] + (maps.n_w,))], axis=2))
-    scale = max(np.max(np.abs(forced)), np.max(np.abs(ic)))
-    return np.array([np.max(np.abs(resp[src][:, rows[:, None], cols]), initial=0.0) / scale
-                     for src, rows, cols in (block_indices(maps, part, *slot)
-                                             for slot in matching_slots(part.n_areas))])
+    Q-linear response ``resp`` (``q_linear_response``) in the slot's block
+    of ``maps.loop``, over the largest |entry| of ``resp``.  The w_c columns
+    read zero."""
+    resp = np.concatenate([resp, np.zeros(resp.shape[:2] + (maps.n_w,))], axis=2)
+    scale = np.max(np.abs(resp))
+    return np.array([np.max(np.abs(resp[:, rows[:, None], cols]), initial=0.0) / scale
+                     for rows, cols in (block_indices(maps, part, *slot)
+                                        for slot in matching_slots(part.n_areas))])
 
 
 def deadbeat_bundle(plant, F=None):

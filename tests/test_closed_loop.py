@@ -12,7 +12,6 @@ from nrf_forge.closed_loop import (
     build_closed_loop_maps,
     decompose_response,
     explicit_maps,
-    ic_response,
     matching_slots,
     moving_blocks,
     prediction_model,
@@ -61,8 +60,12 @@ def scalar_setup():
 
 
 def expressions(pair, bank, taps, zs=ZS):
-    """F and I from the closed-loop expressions (closed_loop.explicit_maps)."""
-    return explicit_maps(pair.bundle, taps, bank, zs)
+    """F and I from the closed-loop expressions (closed_loop.explicit_maps),
+    split at the loop's panel boundary."""
+    bundle = pair.bundle
+    loop = explicit_maps(bundle, taps, bank, zs)
+    n_f = bundle.n_x + 2 * bundle.n_u + bundle.plant.n_d
+    return loop[:, :, :n_f], loop[:, :, n_f:]
 
 
 def expression_gap(maps, taps, zs=ZS):
@@ -282,8 +285,9 @@ def test_decompose_initial_conditions_all_in_theta(two_area_plant):
     dec = decompose_response(maps, part, nb, 0, d_s, x_c, w_c, {})
     assert np.max(np.abs(dec.delta.samples)) == 0.0
     rows = [0, 1, 4]
-    free = ic_response(select_rows(maps.initial, rows),
-                       np.concatenate([x_c, w_c]), 50)
+    impulse = np.zeros((50, maps.initial.ninputs))
+    impulse[0] = np.concatenate([x_c, w_c])
+    free = star(select_rows(maps.initial, rows), SignalTrace(impulse))
     assert np.max(np.abs(dec.theta.samples - free.samples)) <= 1e-12
 
 
@@ -378,19 +382,55 @@ def test_loop_maps_equal_the_expressions_on_random_networks():
     assert designs >= 16
 
 
+def grouped_mesh(plant):
+    """The mesh grouped into areas (6, 3), (2, 1), (2, 1), with complete
+    communication: its partition, bundle and parametrization at q = 2."""
+    part = build_partition([(6, 3), (2, 1), (2, 1)])
+    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
+    bundle = build_dcf(plant, F, L)
+    return part, bundle, build_parametrization(
+        bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
+
+
 def test_loop_maps_equal_the_expressions_on_the_grouped_mesh(grid_setup):
     """On the mesh grouped into areas (6, 3), (2, 1), (2, 1), whose deadbeat
     factors are large and cancel, the loop maps stay within 1e-9 of the
     expressions at a random x (the factor-algebra maps were 7.6e-7 off)."""
     plant = grid_setup[0]
-    part = build_partition([(6, 3), (2, 1), (2, 1)])
-    F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
-    bundle = build_dcf(plant, F, L)
-    param = build_parametrization(bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
+    part, bundle, param = grouped_mesh(plant)
     x = 0.3 * np.random.default_rng(15).standard_normal(param.n_free)
     maps = MapsBuilder(bundle, part)(q_from_x(param, x))
     assert maps.forced.order == maps.initial.order == plant.n_x + maps.n_w
     assert expression_gap(maps, param.taps_from_x(x), half_circle(64)) <= 1e-9
+
+
+def test_initial_panel_is_the_free_response_of_the_forced_map(grid_setup):
+    """The initial panel's response to v delta_0 equals the forced panel's
+    response to a zero input from the loop state v (what
+    reconstructed_response and decompose_response step), within 1e-12 of
+    its largest entry: on the structured networks of seeds 0-7 at q = 2 and 3
+    and on the grouped mesh, each at a random x."""
+    cases = []
+    for seed in range(8):
+        plant, part, nb = structured_network(seed)
+        F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L")
+        bundle = build_dcf(plant, F, L)
+        for q in (2, 3):
+            param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), q)
+            if isinstance(param, QParametrization):
+                cases.append((part, bundle, param))
+    cases.append(grouped_mesh(grid_setup[0]))
+    assert len(cases) >= 7
+    for n, (part, bundle, param) in enumerate(cases):
+        rng = np.random.default_rng(n)
+        x = 0.3 * rng.standard_normal(param.n_free)
+        maps = MapsBuilder(bundle, part)(q_from_x(param, x))
+        v = rng.uniform(-1, 1, (maps.loop.order, 3))
+        impulse = np.zeros((60, maps.initial.ninputs, 3))
+        impulse[0] = v
+        got = star(maps.initial, SignalTrace(impulse)).samples
+        want = star(maps.forced, SignalTrace(np.zeros((60, maps.n_f, 3))), v).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), n
 
 
 @pytest.mark.parametrize("network", ["grid", "ring"])
@@ -427,8 +467,8 @@ def test_structural_zeros_read_zero_on_random_networks():
         still = ~moving_blocks(bundle, param, part)
         fixed += int(np.sum(still & ~zero))
         maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
-        for forced, ic in q_linear_responses(bundle, param.basis, half_circle(64)):
-            assert np.max(block_reach(maps, part, forced, ic)[still], initial=0.0) <= 1e-13
+        for resp in q_linear_responses(bundle, param.basis, half_circle(64)):
+            assert np.max(block_reach(maps, part, resp)[still], initial=0.0) <= 1e-13
     assert designs >= 8 and zeros >= 20 and fixed >= 1
 
 
@@ -451,7 +491,7 @@ def test_moving_blocks_are_exact_on_a_chain(q):
     assert not param.free_p[0, 1] and param.free_p[0, 3]
     moving = moving_blocks(bundle, param, part)
     maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
-    reach = np.max([block_reach(maps, part, forced, ic) for forced, ic in
+    reach = np.max([block_reach(maps, part, resp) for resp in
                     q_linear_responses(bundle, param.basis, half_circle(64))], axis=0)
     assert moving[matching_slots(4).index(("coupling", 0, 1))]
     assert np.min(reach[moving]) >= 1e-3 and np.max(reach[~moving]) <= 1e-13
@@ -482,7 +522,7 @@ def test_moving_blocks_see_a_disturbance_through_p_bd(q):
     assert param.free_p[0].tolist() == [True, False, False, False]
     moving = moving_blocks(bundle, param, part)
     maps = MapsBuilder(bundle, part)(q_from_x(param, np.zeros(param.n_free)))
-    reach = np.max([block_reach(maps, part, forced, ic) for forced, ic in
+    reach = np.max([block_reach(maps, part, resp) for resp in
                     q_linear_responses(bundle, param.basis, half_circle(64))], axis=0)
     assert moving[matching_slots(2).index(("disturbance", 0, None))]
     assert np.min(reach[moving]) >= 1e-3 and np.max(reach[~moving]) <= 1e-13

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from conftest import refine_steps, shift_nilpotent, unprune
 from nrf_forge import lti
-from nrf_forge.closed_loop import ic_response
 from nrf_forge.errors import (
     DimensionMismatchError,
     NearSingularResolventError,
@@ -463,10 +462,10 @@ def stepwise_star(R, u, x0):
     return y
 
 
-def stepwise_ic(R, v, horizon):
-    out, x = np.empty((horizon, R.noutputs)), R.B @ v
-    out[0] = R.D @ v
-    for k in range(1, horizon):
+def stepwise_free(R, x0, horizon):
+    """C A^k x0 for k < horizon, one state step at a time."""
+    out, x = np.empty((horizon, R.noutputs)), x0.copy()
+    for k in range(horizon):
         out[k] = R.C @ x
         x = R.A @ x
     return out
@@ -499,12 +498,14 @@ def test_batched_star_matches_columns_and_stepwise_loop(seed):
 
 @given(st.integers(0, 60000))
 def test_batched_ic_response_matches_columns_and_stepwise_loop(seed):
+    # the initial-condition response is the free response from x0 = v: star with a zero input
     rng, R, T, S = _recursion_case(seed)
-    v = rng.standard_normal((R.ninputs, S))
-    batched = ic_response(R, v, T).samples
+    v = rng.standard_normal((R.order, S))
+    zero = np.zeros((T, R.ninputs, S))
+    batched = star(R, SignalTrace(zero), v).samples
     for s in range(S):
-        one = ic_response(R, v[:, s], T).samples
-        ref = stepwise_ic(R, v[:, s], T)
+        one = star(R, SignalTrace(zero[:, :, s]), v[:, s]).samples
+        ref = stepwise_free(R, v[:, s], T)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(batched[:, :, s] - one)) <= tol
         assert np.max(np.abs(one - ref)) <= tol

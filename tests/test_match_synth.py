@@ -41,7 +41,6 @@ from nrf_forge.match_synth import (
     SynthesisSpec,
     _SurrogateModel,
     _block_layout,
-    _map_responses,
     _norms_from_maps,
     constraint_norms,
     default_targets,
@@ -316,32 +315,38 @@ def surrogate_model(bundle, part, param, spec):
 
 
 def assert_blocks_tile_maps(model, maps0):
-    """Every entry of F and I lies in exactly one block, as a stacked or a
-    fixed column."""
-    hits = [np.zeros(maps0.forced.shape, dtype=int), np.zeros(maps0.initial.shape, dtype=int)]
+    """Every entry of the loop map [F | I] lies in exactly one block, as a
+    stacked or a fixed column."""
+    hits = np.zeros(maps0.loop.shape, dtype=int)
     for g in model.groups:
         for b in g.blocks:
             cols = np.concatenate([b.cols, b.fixed_cols])
-            np.add.at(hits[b.source], (b.rows[:, None], cols[None, :]), 1)
-    assert all(np.all(h == 1) for h in hits)
+            np.add.at(hits, (b.rows[:, None], cols[None, :]), 1)
+    assert np.all(hits == 1)
+
+
+def panel_responses(maps, zs):
+    """The loop map's values on ``zs``, from LU responses of its forced and
+    initial panels apart."""
+    return np.concatenate([frequency_response(maps.forced, zs), frequency_response(maps.initial, zs)], axis=2)
 
 
 def realized_gaps(model, maps):
     """Relative gaps between the model's per-block stacks at ``x`` (already
     formed) and the same rows and columns of the realized maps minus the
     targets; and between the fixed Gram terms and the realized fixed columns."""
-    resp = [frequency_response(m, model.zs) for m in (maps.forced, maps.initial)]
+    resp = panel_responses(maps, model.zs)
     want, want_fixed, got_fixed = [], [], []
     for g in model.groups:
         parts, grams = [], []
         for b in g.blocks:
-            blk = resp[b.source][:, b.rows[:, None], b.cols]
+            blk = resp[:, b.rows[:, None], b.cols]
             target = model.spec.targets[b.slot]
             if target is not None:
                 assert b.fixed_cols.size == 0
                 blk = blk - frequency_response(target, model.zs)
             parts.append(blk.transpose(2, 1, 0) if b.transposed else blk.transpose(1, 2, 0))
-            w = resp[b.source][:, b.rows[:, None], b.fixed_cols].transpose(1, 2, 0)
+            w = resp[:, b.rows[:, None], b.fixed_cols].transpose(1, 2, 0)
             grams.append(np.einsum("ikn,jkn->ijn", w, w.conj()))
         want.append(np.concatenate(parts, axis=-1))
         if g.fixed is not None:
@@ -455,28 +460,27 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
     Returns the gamma vector of peaks at x, the peaks at
     x + t e_k as a function of (k, t) for k in ``lines``, and rel[k, slot]:
     the block's largest |entry| along direction k over the largest |entry| of
-    all of k's responses (``conftest.block_reach``).  Direction responses
-    leave the controller-IC columns of the initial map at zero.
+    all of k's responses (``conftest.block_reach``).  The base is the LU
+    responses of the forced and initial panels (:func:`panel_responses`);
+    direction responses leave the w_c columns at zero.
     """
-    zs, n_x = model.zs, maps0.n_x
+    zs = model.zs
     layout = _block_layout(model.spec, part, maps0)
-    at_x = list(_map_responses(maps0, zs))
+    at_x = panel_responses(maps0, zs)
     along = {}
     rel = np.empty((param.n_free, len(layout)))
-    for k, (forced_k, ic_k) in enumerate(q_linear_responses(bundle, param.basis, zs)):
-        initial_k = np.zeros_like(at_x[1])
-        initial_k[:, :, :n_x] = ic_k
-        resp = (forced_k, initial_k)
-        rel[k] = block_reach(maps0, part, forced_k, ic_k)
-        for a, d in zip(at_x, resp):
-            a += x[k] * d
+    for k, resp_k in enumerate(q_linear_responses(bundle, param.basis, zs)):
+        resp = np.zeros_like(at_x)
+        resp[:, :, :resp_k.shape[2]] = resp_k
+        rel[k] = block_reach(maps0, part, resp_k)
+        at_x += x[k] * resp
         if k in lines:
             along[k] = resp
 
     def peaks(resp):
         vals = np.empty(len(layout))
-        for slot, src, rows, cols, target in layout:
-            W = resp[src][:, rows[:, None], cols]
+        for slot, rows, cols, target in layout:
+            W = resp[:, rows[:, None], cols]
             if target is not None:
                 W = W - frequency_response(target, zs)
             Wh = W.conj().swapaxes(1, 2)
@@ -485,7 +489,7 @@ def dense_reference(model, bundle, param, part, maps0, x, lines):
         return vals
 
     def on_line(k, t):
-        return peaks([a + t * d for a, d in zip(at_x, along[k])])
+        return peaks(at_x + t * along[k])
 
     return peaks(at_x), on_line, rel
 
@@ -532,8 +536,8 @@ def grouped_dense(grid_setup):
     bundle = build_dcf(plant, F, L)
     param = build_parametrization(bundle, pattern_from_neighborhoods(part, Neighborhoods.complete(3)), 2)
     case = build_dense_case(part, bundle, param, default_targets(part, plant.n_d))
-    assert any(b.transposed and b.source == 1 and np.any(b.cols >= plant.n_x)
-               for g in case[1].groups for b in g.blocks)
+    n_q = 2 * plant.n_x + 2 * plant.n_u + plant.n_d   # the loop's d_s and x_c columns
+    assert any(b.transposed and np.any(b.cols >= n_q) for g in case[1].groups for b in g.blocks)
     return case
 
 
@@ -630,8 +634,8 @@ def test_solve_holds_one_direction_at_a_time(request, monkeypatch, network):
     monkeypatch.undo()
     model, G = models[0], models[0].zs.size
     responses = q_linear_responses(res.pair.bundle, model.taps, model.zs)
-    for k, (forced_k, ic_k) in enumerate(responses):
-        flat = np.concatenate([forced_k.reshape(G, -1).T, ic_k.reshape(G, -1).T, np.zeros((1, G))])
+    for k, resp in enumerate(responses):
+        flat = np.concatenate([resp.reshape(G, -1).T, np.zeros((1, G))])
         for gi, d in model.direction(k):
             assert np.array_equal(d, flat[model.groups[gi].gather])
 

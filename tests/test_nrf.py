@@ -26,6 +26,7 @@ from nrf_forge.nrf import (
     stack_area,
     stacked_bank,
     verify_sparsity_inheritance,
+    zero_columns,
 )
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
@@ -136,16 +137,20 @@ def test_row_eval_matches_and_minimal():
 
 def test_sparsity_inheritance_positive_and_negative():
     _, pair = small_pair(seed=6)
+    kd_resp = frequency_response(pair.kd, ZS)
     for ell in range(pair.n_u):
-        verify_sparsity_inheritance(ell, extract_row(pair.kd, ell).realization(), pair.kd)  # dense: vacuous
+        # dense: vacuous
+        verify_sparsity_inheritance(ell, extract_row(pair.kd, ell).realization(), zero_columns(kd_resp[:, ell, :]))
     # a row whose first input column is identically zero but left nonzero in B
     kd = make_realization(np.array([[0.0]]), np.array([[0.0, 1.0]]),
                           np.array([[1.0]]), np.zeros((1, 2)))
     bad = ControllerRow(0, np.array([[0.0]]), np.array([[0.5, 1.0]]),
                         np.array([[1.0]]), np.zeros((1, 2)), np.array([1.0, 0.0]),
                         np.array([[0.5, 1.0]]), zero_columns=(0,))
+    zero_cols = zero_columns(frequency_response(kd, ZS)[:, 0, :])
+    assert zero_cols == (0,)
     with pytest.raises(SparsityInheritanceError) as err:
-        verify_sparsity_inheritance(0, bad.realization(), kd)
+        verify_sparsity_inheritance(0, bad.realization(), zero_cols)
     assert (0, 0) in err.value.entries
 
 

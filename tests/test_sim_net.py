@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import deadbeat_bundle, unequal_ring
-from nrf_forge.closed_loop import build_closed_loop_maps, ic_response
+from nrf_forge.closed_loop import build_closed_loop_maps
 from nrf_forge.errors import AlgebraicLoopError, CommConstraintError, DimensionMismatchError
-from nrf_forge.lti import fir_realization, impulse_response
+from nrf_forge.lti import SignalTrace, fir_realization, impulse_response, star
 from nrf_forge.nrf import AreaController, bank_from_pair, check_comm_constraints, form_nrf_pair, stacked_bank
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.sim_net import (
@@ -106,7 +106,9 @@ def test_free_response_matches_ic_map(loop):
     w_c = rng.uniform(-1, 1, maps.n_w)
     sig = compose_signals(60, 4, 2, 2, seed=0)
     tr = simulate_monolithic(plant, list(bank), sig, x_c, w_c)
-    free = ic_response(maps.initial, np.concatenate([x_c, w_c]), 60)
+    impulse = np.zeros((60, maps.initial.ninputs))
+    impulse[0] = np.concatenate([x_c, w_c])
+    free = star(maps.initial, SignalTrace(impulse))
     assert np.max(np.abs(tr.outputs().samples - free.samples)) <= 1e-9
 
 
