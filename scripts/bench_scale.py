@@ -2,8 +2,8 @@
 """Record how design and verify cost grows with the size of a ring network.
 
 Designs and verifies ``perfbench/scenarios.ring_config(N, 8)`` (an N-node
-swing ring, slack 0, the design method's fixed constants) for N = 8, 12, 20
-and 30, each run in a fresh child process with one BLAS thread.  A run records the
+swing ring, slack 0, the design method's fixed constants) for N = 8, 12, 20,
+30 and 40, each run in a fresh child process with one BLAS thread.  A run records the
 wall time of ``nrf-forge design`` and ``verify``, the child's peak RSS, the
 time spent building the search surrogate, in the pattern search and in the
 certified norms (``constraint_norms``), the bytes of direction responses
@@ -19,6 +19,9 @@ and the count of structurally zero blocks.  Each time is the median over
 (``design_tracemalloc_peak_mb``).  Unlike the peak RSS, which moves by
 about 20 MB between identical ring20 runs, it repeats from run to run; it
 stays out of the timed runs because tracing slows the program.  The record
+also holds the exponent p of a least-squares fit design_s ~ N^p over
+N = 20, 30 and 40 (``design_s_exponent_20_40``), the growth a change at
+scale is judged by.  A ring40 child takes about 70 s and 1.3 GB.  The record
 is stored under ``--label`` in ``BENCH_scale.json`` at the repository root;
 other labels already in that file are kept, so two source trees can be
 compared.
@@ -36,6 +39,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -49,7 +53,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_scale.json"
 RING_SEED = 8
-SIZES = (8, 12, 20, 30)
+SIZES = (8, 12, 20, 30, 40)
+FIT_SIZES = (20, 30, 40)
 REPEATS = 3
 TIMED = ("design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s", "certify_s")
 
@@ -179,9 +184,11 @@ def main(argv=None) -> int:
                           "the design method's fixed constants), each run in a fresh process with "
                           "one BLAS thread; times in s and peak RSS in MB are medians over the runs; "
                           "scripts/bench_scale.py")
+    fit = [(math.log(r["N"]), math.log(r["design_s"])) for r in rows if r["N"] in FIT_SIZES]
     doc.setdefault("records", {})[args.label] = {
         "python": platform.python_version(), "numpy": numpy_version,
         "machine": platform.machine(), "nproc": os.cpu_count(), "results": rows,
+        "design_s_exponent_20_40": round(statistics.linear_regression(*zip(*fit)).slope, 2),
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -12,10 +12,15 @@ is a convex function of x.  These N + 2 N^2 blocks have one order,
 and structural-zero flag here is one flat vector in it.  The solver is a
 coordinate pattern search from x = 0 with golden-section line searches on a
 surrogate sampled on :data:`SEARCH_GRID` points of :func:`lti.half_circle`
-(the certified norms sweep :data:`NORM_GRID` points of it), which holds one
-direction's responses to the blocks that move with x at a time; candidates
-violating the admissible upper bounds are rejected outright (feasible-point
-method; the bootstrap at x = 0 supplies a feasible start by construction).
+(the certified norms sweep :data:`NORM_GRID` points of it).  The surrogate
+starts at x = 0 and moves only along lines, holding one direction's
+responses to the blocks that move with x at a time.  Candidates violating
+the surrogate's bounds are rejected outright (feasible-point method).  A
+block's surrogate bound is its surrogate value at x = 0 plus the slack its
+certificate at x = 0 leaves under the admissible bound, so the slack is
+measured on the surrogate's own samples: at bound slack 0 no sampled peak
+may rise, and x = 0 is feasible by construction.  That is consistency
+with the certificate, not a guarantee.
 Reported constraint values are never taken from the search: they are
 recomputed post-hoc through the certified norm path, and a search
 point whose certificate fails a bound is replaced by the certified origin.
@@ -300,9 +305,12 @@ class _SurrogateModel:
     Blocks outside :func:`closed_loop.block_support` (``self.support``, per
     slot) are zero at every x and are left out; the others are grouped by
     stacked shape and by :func:`closed_loop.moving_blocks` (``self.moving``).
-    Only moving groups take a direction's stacks, and only the last direction
-    :meth:`direction` formed keeps them (``held``), so the resident memory
-    does not grow with the directions.
+
+    The model holds one point and moves it only along lines: :meth:`origin`
+    reads every block at x = 0, :meth:`line` opens a direction at the held
+    point and :meth:`move` steps the held point along it.  Only the open
+    line holds a direction's stacks, and only for the moving groups, so the
+    resident memory does not grow with the directions.
     The w_c columns [N; M] J2 are held at x = 0 (a direction reads them
     from one zero row), so where the Gram side is the rows they enter as a
     constant Gram term.  That is exact only
@@ -317,32 +325,25 @@ class _SurrogateModel:
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
                  partition: AreaPartition, spec: SynthesisSpec,
-                 maps0: ClosedLoopMaps, active: np.ndarray):
+                 bootstrap: tuple, active: np.ndarray):
+        """``bootstrap`` is the certificate (gamma, maps) at x = 0 (:func:`constraint_norms`)."""
         self.zs = half_circle(SEARCH_GRID)
         self.spec = spec
         self.n_evals = 0
         self.lambda_points = np.zeros(2, dtype=np.int64)
-        self._x = None   # the held x of line(), with its stacks B, Grams G0 and peaks
+        self.gamma0 = bootstrap[0]
         self.support = block_support(bundle, param, partition)
         self.moving = moving_blocks(bundle, param, partition)
-        self.groups = self._base_groups(partition, maps0)
+        self.groups = self._base_groups(partition, bootstrap[1])
         self.factors = q_factor_responses(bundle, self.zs)
         self.taps = param.basis[active]
-        self.held = (None, [])   # (direction, its direction() pairs)
+        self._line = []   # the open line's (group, stack) pairs
 
     def _moving_stacks(self, taps: np.ndarray) -> list:
         """(group, stack) of each moving group for the tap tensor ``taps``."""
         flat = q_linear_response(self.factors, taps).reshape(self.zs.size, -1).T
         return [(gi, _gather(flat, g.gather)) for gi, g in enumerate(self.groups)
                 if g.gather is not None]
-
-    def direction(self, k: int) -> list:
-        """Direction k's (group, stack) pairs.  Unless k is held, the held
-        stacks are released and k's formed from the factors; k is then held."""
-        if self.held[0] != k:
-            self.held = (None, [])
-            self.held = (k, self._moving_stacks(self.taps[k]))
-        return self.held[1]
 
     def _base_groups(self, partition: AreaPartition, maps0: ClosedLoopMaps) -> list:
         """Lay out every matching block in ``self.support`` and group the
@@ -384,20 +385,6 @@ class _SurrogateModel:
             groups.append(g)
         return groups
 
-    def stacks_at(self, x_active: np.ndarray) -> list:
-        """Per-group block responses minus targets at the active coefficients, from one tap tensor."""
-        stacks = [g.base.copy() for g in self.groups]
-        if np.any(x_active):
-            for gi, d in self._moving_stacks(np.tensordot(x_active, self.taps, axes=(0, 0))):
-                stacks[gi] += d
-        return stacks
-
-    def _step(self, k: int, t: float) -> None:
-        """Move the held stacks and Grams t along direction k."""
-        for gi, d in self.direction(k):
-            self._stacks[gi] += t * d
-            self._grams[gi] = self._gram0(self.groups[gi], self._stacks[gi])
-
     def _gram0(self, g: _BlockGroup, B: np.ndarray) -> np.ndarray:
         """Gram stack of a group's blocks, constant term included."""
         return _gram(B, B) if g.fixed is None else _gram(B, B) + g.fixed
@@ -413,41 +400,42 @@ class _SurrogateModel:
 
     def objective(self, gamma: np.ndarray) -> float:
         """Weighted surrogate objective of the gamma vector; +inf outside
-        the admissible bounds."""
+        the surrogate's bounds ``bar`` (set by :meth:`origin`)."""
         self.n_evals += 1
-        if not _within_bounds(self.spec, gamma):
+        if not _within_bounds(self.bar, gamma):
             return np.inf
         return _objective_value(self.spec, gamma)
 
-    def objective_at(self, x_active) -> float:
-        """:meth:`objective` at the active coefficients, which become the held x of :meth:`line`."""
-        self._x = np.array(x_active, dtype=float).ravel()
-        self._stacks = self.stacks_at(self._x)
+    def origin(self) -> float:
+        """:meth:`objective` at x = 0, which becomes the held point.
+
+        Its gamma vector gamma_s(0) fixes the surrogate's bounds
+        ``bar`` = gamma_s(0) + (gamma_bar - gamma(0)), gamma(0) the
+        certificate at x = 0: the slack a block has under its admissible
+        bound is measured on the surrogate's own samples.
+        """
+        self._stacks = [g.base.copy() for g in self.groups]
         self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
         self._vals = self.gammas_from([_gram_sum([(H,)]) for H in self._grams],
                                       [g.slots for g in self.groups])
+        self.bar = self._vals + (self.spec.gamma_bar - self.gamma0)
         return self.objective(self._vals)
 
-    def line(self, x_active: np.ndarray, k: int):
-        """phi(t) = :meth:`objective` at x + t e_k, valid until the next line.
+    def line(self, k: int):
+        """phi(t) = :meth:`objective` at the held point plus t e_k, valid
+        until the next line or move.
 
-        The held B and G0 (of the last line or objective_at) of the moving
-        groups first move to x.  Along the line each moving block is B + t d,
-        with Gram G0 + t G1 + t^2 G2 for G0 = B B^H, G1 = B d^H + d B^H and
-        G2 = d d^H, formed once here and laid end to end per Gram side r; a
-        probe brackets each side's peaks in one pass (:func:`_gram_sum`).
-        Fixed blocks keep their peak.  Direction k's stacks d are formed here
-        (:meth:`direction`) and stay held, so the step of the next line along
-        k forms none.
+        Direction k's stacks d are formed here, once the previous line's are
+        released, and stay with the line for :meth:`move`.  Along the line
+        each moving block is B + t d, with Gram G0 + t G1 + t^2 G2 for the
+        held G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here
+        and laid end to end per Gram side r; a probe brackets each side's
+        peaks in one pass (:func:`_gram_sum`).  Fixed blocks keep their peak.
         """
-        if self._x is None:
-            self.objective_at(np.zeros(len(self.taps)))
-        step = np.asarray(x_active, dtype=float) - self._x
-        for j in np.flatnonzero(step):
-            self._step(j, step[j])
-        self._x = np.array(x_active, dtype=float)
+        self._line = []   # release the previous line's stacks before forming k's
+        self._line = self._moving_stacks(self.taps[k])
         sides: dict = {}
-        for gi, d in self.direction(k):
+        for gi, d in self._line:
             cross = _gram(self._stacks[gi], d)
             g1 = cross.conj().swapaxes(0, 1)
             g1 += cross  # G1 = cross + cross^H, with one temporary fewer
@@ -461,19 +449,11 @@ class _SurrogateModel:
 
         return phi
 
-
-def make_surrogate_objective(spec: SynthesisSpec, param: QParametrization,
-                             bundle: DcfBundle, partition: AreaPartition):
-    """Standalone surrogate objective over every free coefficient.
-
-    Exactly the function the pattern search minimises over its first
-    :data:`MAX_FREE_DIMS` coefficients (+inf outside the admissible bounds); exposed so tests and experiment scripts can
-    brute-force it independently of the solver.  A call forms the responses
-    of one tap tensor, sum_k x_k basis_k (:meth:`_SurrogateModel.stacks_at`).
-    """
-    builder = MapsBuilder(bundle, partition)
-    maps0 = builder(q_from_x(param, np.zeros(param.n_free)))
-    return _SurrogateModel(bundle, param, partition, spec, maps0, np.arange(param.n_free)).objective_at
+    def move(self, t: float) -> None:
+        """Move the held stacks and Grams t along the open line."""
+        for gi, d in self._line:
+            self._stacks[gi] += t * d
+            self._grams[gi] = self._gram0(self.groups[gi], self._stacks[gi])
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +491,8 @@ def _objective_value(spec: SynthesisSpec, gamma: np.ndarray) -> float:
     return float(np.sum(spec.tau * gamma))
 
 
-def _within_bounds(spec: SynthesisSpec, gamma: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.all(gamma <= spec.gamma_bar + tol * (1.0 + spec.gamma_bar)))
+def _within_bounds(bar: np.ndarray, gamma: np.ndarray, tol: float = 1e-9) -> bool:
+    return bool(np.all(gamma <= bar + tol * (1.0 + bar)))
 
 
 def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
@@ -528,8 +508,10 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     origin is returned instead (``search_certified`` False), which makes at
     most one certificate beyond the search point.
     ``bootstrap`` is the ``constraint_norms`` result at x = 0 under this
-    spec's targets, when the caller already has it: its maps seed the
-    surrogate, and a certificate at x = 0 reuses its norms.
+    spec's targets, when the caller already has it; otherwise it is
+    computed here.  Its maps seed the surrogate, its norms measure the
+    surrogate's bounds (:meth:`_SurrogateModel.origin`), and every
+    certificate at x = 0 reuses it.
     """
     if not spec.bounds_set():
         raise ValueError("admissible bounds unset; compute the bootstrap first")
@@ -537,11 +519,8 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     n_free = param.n_free
     active = np.arange(min(n_free, MAX_FREE_DIMS))
     zero = np.zeros(n_free)
-
-    def certify(x):
-        if bootstrap is not None and not np.any(x):
-            return bootstrap
-        return constraint_norms(param, x, spec, builder)
+    if bootstrap is None:
+        bootstrap = constraint_norms(param, zero, spec, builder)
 
     def result(x, certificate, log, n_evals, search_certified):
         gamma, maps = certificate
@@ -552,12 +531,11 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
                                moving_blocks(bundle, param, partition))
 
     if n_free == 0 or not np.any(spec.tau):
-        return result(zero, certify(zero), None, 1, True)
+        return result(zero, bootstrap, None, 0, True)
 
-    maps0 = bootstrap[1] if bootstrap is not None else builder(q_from_x(param, zero))
-    model = _SurrogateModel(bundle, param, partition, spec, maps0, active)
+    model = _SurrogateModel(bundle, param, partition, spec, bootstrap, active)
     log: list[float] = []
-    x_act, f_star = _pattern_search(model, np.zeros(active.size), log)
+    x_act, f_star = _pattern_search(model, log)
     x_full = zero.copy()
     x_full[active] = x_act
     if f_star >= log[0] - SWEEP_TOL:
@@ -566,44 +544,49 @@ def solve(spec: SynthesisSpec, param: QParametrization, bundle: DcfBundle,
     # free them before the certificate allocates its sweeps
     n_evals = model.n_evals
     del model
-    certificate = certify(x_full)
-    if not np.any(x_full) or _within_bounds(spec, certificate[0]):
+    if not np.any(x_full):
+        return result(zero, bootstrap, log, n_evals, True)
+    certificate = constraint_norms(param, x_full, spec, builder)
+    if _within_bounds(spec.gamma_bar, certificate[0]):
         return result(x_full, certificate, log, n_evals, True)
-    return result(zero, certify(zero), log, n_evals, False)
+    return result(zero, bootstrap, log, n_evals, False)
 
 
-def _pattern_search(model, x0: np.ndarray, log: list) -> tuple[np.ndarray, float]:
-    """Coordinate descent with golden-section line searches; appends the
-    objective at the start and after every line search to ``log``."""
-    x = x0.copy()
-    fx = model.objective_at(x)
+def _pattern_search(model, log: list) -> tuple[np.ndarray, float]:
+    """Coordinate descent from x = 0 with golden-section line searches over
+    the model's directions; the model's held point follows every accepted
+    step.  Appends the objective at the start and after every line search
+    to ``log``."""
+    x = np.zeros(len(model.taps))
+    fx = model.origin()
     log.append(fx)
     for _ in range(MAX_SWEEPS):
         f_before = fx
         for k in range(x.size):
-            x, fx = _line_search_coord(model, x, k, fx)
+            t, f = _line_search_coord(model.line(k), x[k], fx)
+            if f < fx:
+                model.move(t)
+                x[k] += t
+                fx = f
             log.append(fx)
         if f_before - fx < SWEEP_TOL:
             break
     return x, fx
 
 
-def _line_search_coord(model, x: np.ndarray, k: int, fx: float) -> tuple[np.ndarray, float]:
-    """Golden-section minimisation along coordinate k (infeasible = +inf).
-
-    Each probe evaluates the model's ``phi(t)``, whose Gram stacks are
-    quadratic in the step t.
-    """
-    phi = model.line(x, k)
-
-    step = INITIAL_STEP * max(1.0, abs(x[k]))
+def _line_search_coord(phi, x_k: float, fx: float) -> tuple[float, float]:
+    """Golden-section minimisation of ``phi(t)`` (infeasible = +inf), the
+    objective a step t along a coordinate line from a point where it is
+    ``fx`` and that coordinate is ``x_k``.  Returns the best step found and
+    its value, (0, fx) when no probe improves on fx."""
+    step = INITIAL_STEP * max(1.0, abs(x_k))
     f_plus, f_minus = phi(step), phi(-step)
     if fx <= f_plus and fx <= f_minus:
         # try a smaller probe before giving up on this coordinate
         step *= 0.1
         f_plus, f_minus = phi(step), phi(-step)
         if fx <= f_plus and fx <= f_minus:
-            return x, fx
+            return 0.0, fx
     sign = 1.0 if f_plus < f_minus else -1.0
     t_cur = sign * step
     f_cur = f_plus if sign > 0 else f_minus
@@ -637,11 +620,7 @@ def _line_search_coord(model, x: np.ndarray, k: int, fx: float) -> tuple[np.ndar
             f1 = phi(x1)
     candidates = [(fx, 0.0), (f1, x1), (f2, x2), (f_cur, t_cur)]
     f_best, t_best = min(candidates, key=lambda p: p[0])
-    if f_best < fx:
-        y = x.copy()
-        y[k] += t_best
-        return y, f_best
-    return x, fx
+    return t_best, f_best
 
 
 def _bound_hints(spec: SynthesisSpec, gamma: np.ndarray) -> list:

@@ -42,7 +42,7 @@ from .lti import (
     half_circle,
     is_minimal,
     make_realization,
-    spectral_radius,
+    spectral_radius_raw,
 )
 from .nrf import (
     check_comm_constraints,
@@ -160,12 +160,9 @@ def run_invariant_suite(plant: Plant, partition: AreaPartition, nb: Neighborhood
     except CommConstraintError as exc:
         records.append(CheckRecord("communication_constraints", 1.0, 0.0, False, str(exc)))
 
-    rho_f = spectral_radius(maps.forced)
-    rho_i = spectral_radius(maps.initial)
-    records.append(_rec("forced_map_spectral_radius", rho_f, 1.0 - 1e-12))
-    records.append(_rec("ic_map_spectral_radius", rho_i, 1.0 - 1e-12))
-    probe = np.max(np.abs(maps.forced.eval(1e6)))
-    records.append(_rec("forced_map_proper_probe", 0.0 if np.isfinite(probe) else 1.0, 0.0))
+    # both panels share the loop's state matrix; the raw radius is never
+    # below a minimal realization's, and the build refuses 1 - 1e-9 or above
+    records.append(_rec("loop_spectral_radius", spectral_radius_raw(maps.loop), 1.0 - 1e-9))
     want = explicit_maps(bundle, param.taps_from_x(x), bank, zs)
     gap = (float(np.max(np.abs(frequency_response(maps.loop, zs) - want)))
            / max(1.0, float(np.max(np.abs(want)))))

@@ -7,8 +7,8 @@ from hypothesis import settings
 from nrf_forge.closed_loop import block_indices, matching_slots, q_factor_responses, q_linear_response
 from nrf_forge.dcf import build_dcf, design_gains
 from nrf_forge.grid import GridCoefficients, build_grid_plant, grid_neighborhoods, grid_partition
-from nrf_forge.lti import negate, select_cols, select_rows
-from nrf_forge.match_synth import AlgorithmConfig, run_algorithm1
+from nrf_forge.lti import _lambda_max, negate, select_cols, select_rows
+from nrf_forge.match_synth import AlgorithmConfig, _objective_value, _within_bounds, run_algorithm1
 from nrf_forge.nrf import AreaController
 from nrf_forge.partition import Neighborhoods, build_partition
 from nrf_forge.plant import Plant
@@ -113,6 +113,30 @@ def block_reach(maps, part, resp):
     return np.array([np.max(np.abs(resp[:, rows[:, None], cols]), initial=0.0) / scale
                      for rows, cols in (block_indices(maps, part, *slot)
                                         for slot in matching_slots(part.n_areas))])
+
+
+def held_direction_objective(model):
+    """The surrogate objective of ``model`` (a ``match_synth._SurrogateModel``)
+    as a function of its active coefficients x, with the bounds of its
+    :meth:`origin`, which this calls.  Every direction's stacks are formed
+    once and held; at x each moving group's stack is base + sum_k x_k d_k,
+    and each block's value is the peak over every grid point of
+    sqrt(lambda_max) of its dense Gram, fixed columns included.  No
+    bracketing and no Gram polynomial enter."""
+    model.origin()
+    held = [dict(model._moving_stacks(taps)) for taps in model.taps]
+
+    def objective(x):
+        gamma = np.zeros(model.support.size)
+        for gi, g in enumerate(model.groups):
+            B = g.base.copy()
+            if g.gather is not None:
+                for x_k, stacks in zip(x, held):
+                    B += x_k * stacks[gi]
+            gamma[g.slots] = np.sqrt(np.maximum(_lambda_max(model._gram0(g, B)).max(axis=-1), 0.0))
+        return _objective_value(model.spec, gamma) if _within_bounds(model.bar, gamma) else np.inf
+
+    return objective
 
 
 def deadbeat_bundle(plant, F=None):

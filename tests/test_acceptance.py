@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import shift_nilpotent
+from conftest import held_direction_objective, shift_nilpotent
 from nrf_forge.closed_loop import reconstructed_response
 from nrf_forge.dcf import build_dcf
 from nrf_forge.grid import (
@@ -27,9 +27,9 @@ from nrf_forge.lti import frequency_response, half_circle, is_minimal, spectral_
 from nrf_forge.match_synth import (
     AlgorithmConfig,
     MapsBuilder,
+    _SurrogateModel,
     constraint_norms,
     default_targets,
-    make_surrogate_objective,
     run_algorithm1,
     solve,
 )
@@ -194,10 +194,10 @@ def test_criterion_7_optimizer_soundness(two_area_plant):
                               param.pattern, param.support, param.free_p)
     spec = default_targets(part, two_area_plant.n_d)
     builder = MapsBuilder(bundle, part)
-    gamma, _ = constraint_norms(single, np.zeros(1), spec, builder)
-    spec = spec.with_bounds(gamma, np.inf)
+    bootstrap = constraint_norms(single, np.zeros(1), spec, builder)
+    spec = spec.with_bounds(bootstrap[0], np.inf)
     res = solve(spec, single, bundle, part)
-    objective = make_surrogate_objective(spec, single, bundle, part)
+    objective = held_direction_objective(_SurrogateModel(bundle, single, part, spec, bootstrap, np.arange(1)))
     ts = np.linspace(-2.0, 2.0, 10_001)
     vals = np.array([objective([t]) for t in ts])
     t_star = float(ts[int(np.argmin(vals))])

@@ -204,8 +204,8 @@ def test_cli_verify_passes(cli_run, capsys):
     assert "FAIL" not in out
     # the scenario counts are part of the certificate, not a speed knob
     report = open(os.path.join(cli_run, "verify_report.txt")).read()
-    assert len(report.strip().splitlines()) == 20
-    assert "PASS  explicit_closed_loop_maps:" in report
+    assert len(report.strip().splitlines()) == 18
+    assert "PASS  explicit_closed_loop_maps:" in report and "PASS  loop_spectral_radius:" in report
     for note in ("20 scenarios x 200 steps", "100 scenarios x 500 steps", "100 random draws"):
         assert note in report
 
@@ -467,7 +467,7 @@ def test_cli_bank_that_cannot_be_stepped(cli_run, tmp_path, capsys, column, fail
     capsys.readouterr()
     assert main(["verify", "--out", run]) == 4
     report = open(os.path.join(run, "verify_report.txt")).read().strip().splitlines()
-    assert len(report) == 20
+    assert len(report) == 18
     for name in failing:
         line = next(r for r in report if f" {name}:" in r)
         assert line.startswith("FAIL") and cause in line, line
