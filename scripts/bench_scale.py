@@ -9,9 +9,12 @@ time spent building the search surrogate, in the pattern search and in the
 certified norms (``constraint_norms``), the bytes of direction responses
 the surrogate holds (its factor responses plus one direction's stacks of
 the moving blocks, as it holds one direction at a time), the count of
-blocks that move with x and the share of its evaluations' grid
-points at which a lambda_max was taken (read from the surrogate's
-``lambda_points`` counter), the largest and the median number of lockstep
+blocks that move with x, the count of the search's lines that formed
+their direction on the grid (``lines_formed``; the others refused every
+probe on the blocks' held peak samples) and the share of the grid points
+of its full evaluations at which a lambda_max was taken (read from the
+surrogate's ``lambda_points`` counter, which probes refused on the
+samples do not enter), the largest and the median number of lockstep
 steps per batch of the certificates' peak refinement (``lti._brent_max``)
 and the count of structurally zero blocks.  Each time is the median over
 3 runs.  One more child per N runs ``design`` alone under
@@ -107,6 +110,7 @@ def child(n: int, src: str, trace_memory: bool = False) -> dict:
         out = search(surrogate, *args, **kwargs)
         taken, bracketed = surrogate.lambda_points
         model["lambda_share"] = round(float(taken / bracketed), 4)
+        model["lines_formed"] = surrogate.lines_formed
         return out
 
     refine_steps = []   # lockstep steps of each refinement batch

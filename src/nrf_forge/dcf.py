@@ -249,4 +249,4 @@ def _bezout_residual(left: Realization, right: Realization) -> float:
     col_sq = np.concatenate([(np.abs(residual(zs[lo:lo + BEZOUT_CHUNK])) ** 2).sum(axis=1)
                              for lo in range(0, zs.size, BEZOUT_CHUNK)])
     return float(_bracket(col_sq.T[:, None], lambda f: np.linalg.svd(
-        residual(zs[f]), compute_uv=False)[:, 0])[0])
+        residual(zs[f]), compute_uv=False)[:, 0])[0][0])

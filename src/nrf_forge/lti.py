@@ -441,14 +441,14 @@ BRACKET_TOL = 1e-10
 
 
 def _bracket(diag: np.ndarray, value_at, top: int | None = None,
-             scale: np.ndarray | None = None) -> np.ndarray:
-    """Each block's peak, or with ``top`` the (blocks, top) indices of its top
-    points (ties to the later one), of value_at(flat) = lambda_max (or an
-    increasing function of it) of the Grams at flat points b G + g, whose
-    real diagonals are diag (r, blocks, G).  As max diag <= lambda_max <=
-    trace for a positive semidefinite Gram, values are taken only where the
-    trace reaches the block's top-th largest max-diagonal less BRACKET_TOL *
-    scale (default: the block's largest sum of |diag|).  Peaks and indices
+             scale: np.ndarray | None = None):
+    """Each block's peak and first peak point, or with ``top`` the (blocks, top)
+    indices of its top points (ties to the later one), of value_at(flat) =
+    lambda_max (or an increasing function of it) of the Grams at flat points
+    b G + g, whose real diagonals are diag (r, blocks, G).  As max diag <=
+    lambda_max <= trace for a positive semidefinite Gram, values are taken
+    only where the trace reaches the block's top-th largest max-diagonal less
+    BRACKET_TOL * scale (default: the block's largest sum of |diag|).  All
     equal a sweep's over every point when value_at forms values as it would."""
     blocks, G = diag.shape[1:]
     k = min(top or 1, G)
@@ -457,7 +457,9 @@ def _bracket(diag: np.ndarray, value_at, top: int | None = None,
     flat = np.flatnonzero(diag.sum(axis=0) >= (kth - BRACKET_TOL * scale)[:, None])
     vals = np.full((blocks, G), -np.inf)
     vals.flat[flat] = value_at(flat)
-    return vals.max(axis=1) if top is None else np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
+    if top is None:
+        return vals.max(axis=1), vals.argmax(axis=1)
+    return np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
 
 
 @dataclass(frozen=True)

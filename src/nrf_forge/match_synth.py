@@ -15,7 +15,10 @@ surrogate sampled on :data:`SEARCH_GRID` points of :func:`lti.half_circle`
 (the certified norms sweep :data:`NORM_GRID` points of it).  The surrogate
 starts at x = 0 and moves only along lines, holding one direction's
 responses to the blocks that move with x at a time.  Candidates violating
-the surrogate's bounds are rejected outright (feasible-point method).  A
+the surrogate's bounds are rejected outright (feasible-point method), first
+on the moving blocks' values at their held peak points (grid points, so no
+more than the grid peaks); a line forms its direction on the whole grid
+only once a probe gets past them.  A
 block's surrogate bound is its surrogate value at x = 0 plus the slack its
 certificate at x = 0 leaves under the admissible bound, so the slack is
 measured on the surrogate's own samples: at bound slack 0 no sampled peak
@@ -71,7 +74,7 @@ MODE_DECOUPLE_AND_TRACK = "decouple_and_track"
 # equal designs.
 #: Points of :func:`lti.half_circle` in the search surrogate.
 SEARCH_GRID = 256
-#: Leading free coefficients the search moves (uncapped: mesh5 4.6x evaluations, -0.35 %; ring8 fails its certificate).
+#: Leading free coefficients the search moves (uncapped: mesh5 4.6x evaluations, -0.35 %; ring8 stays at x = 0).
 MAX_FREE_DIMS = 12
 #: Coordinate sweeps of the pattern search, and the gain a sweep must make.
 MAX_SWEEPS = 3
@@ -266,18 +269,27 @@ def _horner(terms: list, t: float):
     return out
 
 
+def _line_terms(G0: np.ndarray, B: np.ndarray, d: np.ndarray) -> tuple:
+    """Gram terms of B + t d for the given G0 = B B^H: (G0, B d^H + d B^H, d d^H)."""
+    cross = _gram(B, d)
+    g1 = cross.conj().swapaxes(0, 1)
+    g1 += cross  # G1 = cross + cross^H, with one temporary fewer
+    del cross
+    return G0, g1, _gram(d, d)
+
+
 def _gram_sum(members: list):
     """peaks(t, count): per block, the grid peak of sqrt(lambda_max(H(t))) of
     Gram stacks H(t) = _horner(terms, t) laid end to end, one tuple of terms
-    (r, r, blocks, G) per member.  Bracketed (:func:`lti._bracket`), H(t)
-    and lambda_max are formed only where a peak can be; ``count`` gains
-    (points formed, points bracketed)."""
+    (r, r, blocks, G) per member, and the first grid point that reaches it.
+    Bracketed (:func:`lti._bracket`), H(t) and lambda_max are formed only
+    where a peak can be; ``count`` gains (points formed, points bracketed)."""
     ends = np.cumsum([0] + [m[0].shape[2] for m in members])
     diags = [np.concatenate([np.einsum("ii...->i...", T).real for T in terms], axis=1)
              for terms in zip(*members)]
     sizes, G = [np.abs(d).sum(axis=0).max(axis=1) for d in diags], diags[0].shape[2]
 
-    def peaks(t: float = 0.0, count: np.ndarray | None = None) -> np.ndarray:
+    def peaks(t: float = 0.0, count: np.ndarray | None = None) -> tuple:
         def lam_at(flat):
             if count is not None:
                 count[:] += flat.size, diags[0][0].size
@@ -287,7 +299,8 @@ def _gram_sum(members: list):
                 _horner([T[:, :, b[lo:hi] - first, p[lo:hi]] for T in m], t)
                 for m, lo, hi, first in zip(members, cuts, cuts[1:], ends)], axis=2))
 
-        return np.sqrt(np.maximum(_bracket(_horner(diags, t), lam_at, scale=_horner(sizes, abs(t))), 0.0))
+        peak, where = _bracket(_horner(diags, t), lam_at, scale=_horner(sizes, abs(t)))
+        return np.sqrt(np.maximum(peak, 0.0)), where
 
     return peaks
 
@@ -310,7 +323,8 @@ class _SurrogateModel:
     reads every block at x = 0, :meth:`line` opens a direction at the held
     point and :meth:`move` steps the held point along it.  Only the open
     line holds a direction's stacks, and only for the moving groups, so the
-    resident memory does not grow with the directions.
+    resident memory does not grow with the directions.  A probe is read
+    first at the moving blocks' held peak points (:meth:`gammas_from`).
     The w_c columns [N; M] J2 are held at x = 0 (a direction reads them
     from one zero row), so where the Gram side is the rows they enter as a
     constant Gram term.  That is exact only
@@ -319,8 +333,9 @@ class _SurrogateModel:
     companion forms then fix J2.  A row whose order grows with x adds
     w_c columns the surrogate leaves out (the two-area toy of the
     tests has 0 controller states at x = 0 and 3 at a random x).
-    ``n_evals`` counts calls of :meth:`objective`; ``lambda_points`` is
-    (points whose lambda_max the evaluations took, points they bracketed).
+    ``n_evals`` counts calls of :meth:`objective`, ``lines_formed`` the lines
+    formed on the grid; ``lambda_points`` is (points whose lambda_max the
+    grid evaluations took, points they bracketed).
     """
 
     def __init__(self, bundle: DcfBundle, param: QParametrization,
@@ -337,7 +352,7 @@ class _SurrogateModel:
         self.groups = self._base_groups(partition, bootstrap[1])
         self.factors = q_factor_responses(bundle, self.zs)
         self.taps = param.basis[active]
-        self._line = []   # the open line's (group, stack) pairs
+        self.lines_formed = 0
 
     def _moving_stacks(self, taps: np.ndarray) -> list:
         """(group, stack) of each moving group for the tap tensor ``taps``."""
@@ -389,13 +404,30 @@ class _SurrogateModel:
         """Gram stack of a group's blocks, constant term included."""
         return _gram(B, B) if g.fixed is None else _gram(B, B) + g.fixed
 
-    def gammas_from(self, peaks: list, slots: list, at: np.ndarray | None = None, t: float = 0.0):
-        """The gamma vector: the blocks ``slots[i]`` from ``peaks[i]`` (of
-        :func:`_gram_sum`) at t, every other block from the gamma vector
-        ``at`` (structural zeros, in no group, are 0)."""
-        vals = np.zeros(self.support.size) if at is None else at.copy()
-        for block_peaks, s in zip(peaks, slots):
-            vals[s] = block_peaks(t, self.lambda_points)
+    def gammas_from(self, t: float = 0.0, points: np.ndarray | None = None) -> np.ndarray:
+        """The gamma vector t along the open line (at the held point from
+        :meth:`origin`); fixed blocks keep their held values.  ``points``,
+        when given, receives each grid-evaluated block's peak point.
+
+        Until the line forms its direction on the grid, each moving block
+        is first sampled at its held peak point, and samples breaking a
+        bound are returned (the probe is refused).  That is exact: a sample
+        is formed by the same operations as the grid evaluation's value at
+        that point, which the grid peak is at least, so the grid evaluation
+        refuses the probe too.  Otherwise the line forms its direction
+        (:meth:`_form_line`), and its later probes skip the samples.
+        """
+        vals = self._vals.copy()
+        if self._peaks is None:
+            for slots, terms in self._samples:
+                vals[slots] = np.sqrt(np.maximum(_lambda_max(_horner(terms, t)), 0.0))
+            if not _within_bounds(self.bar, vals):
+                return vals
+            self._form_line()
+        for slots, block_peaks in self._peaks:
+            vals[slots], where = block_peaks(t, self.lambda_points)
+            if points is not None:
+                points[slots] = where
         return vals
 
     def objective(self, gamma: np.ndarray) -> float:
@@ -412,45 +444,71 @@ class _SurrogateModel:
         Its gamma vector gamma_s(0) fixes the surrogate's bounds
         ``bar`` = gamma_s(0) + (gamma_bar - gamma(0)), gamma(0) the
         certificate at x = 0: the slack a block has under its admissible
-        bound is measured on the surrogate's own samples.
+        bound is measured on the surrogate's own samples.  The same pass
+        finds each block's peak point, where lines sample first.
         """
         self._stacks = [g.base.copy() for g in self.groups]
         self._grams = [self._gram0(g, B) for g, B in zip(self.groups, self._stacks)]
-        self._vals = self.gammas_from([_gram_sum([(H,)]) for H in self._grams],
-                                      [g.slots for g in self.groups])
+        self._line, self._peaks = [], [(g.slots, _gram_sum([(H,)])) for g, H in zip(self.groups, self._grams)]
+        self._vals, self._at = np.zeros(self.support.size), np.zeros(self.support.size, dtype=np.intp)
+        self._vals = self.gammas_from(0.0, self._at)
         self.bar = self._vals + (self.spec.gamma_bar - self.gamma0)
         return self.objective(self._vals)
 
     def line(self, k: int):
         """phi(t) = :meth:`objective` at the held point plus t e_k, valid
-        until the next line or move.
-
-        Direction k's stacks d are formed here, once the previous line's are
-        released, and stay with the line for :meth:`move`.  Along the line
-        each moving block is B + t d, with Gram G0 + t G1 + t^2 G2 for the
-        held G0 = B B^H, G1 = B d^H + d B^H and G2 = d d^H, formed once here
-        and laid end to end per Gram side r; a probe brackets each side's
-        peaks in one pass (:func:`_gram_sum`).  Fixed blocks keep their peak.
-        """
-        self._line = []   # release the previous line's stacks before forming k's
-        self._line = self._moving_stacks(self.taps[k])
-        sides: dict = {}
-        for gi, d in self._line:
-            cross = _gram(self._stacks[gi], d)
-            g1 = cross.conj().swapaxes(0, 1)
-            g1 += cross  # G1 = cross + cross^H, with one temporary fewer
-            del cross
-            sides.setdefault(d.shape[0], []).append((self.groups[gi].slots, (self._grams[gi], g1, _gram(d, d))))
-        peaks = [_gram_sum([q for _, q in m]) for m in sides.values()]
-        slots, at = [np.concatenate([s for s, _ in m]) for m in sides.values()], self._vals
+        until the next line or move.  Direction k is formed only at each
+        moving block's held peak point (:meth:`_peak_samples`) once the
+        previous line's stacks are released; its stacks on the grid wait
+        for a probe that gets past those samples (:meth:`gammas_from`)."""
+        self._line, self._peaks = [], None   # release the previous line's stacks and Grams
+        self._k, self._samples = k, self._peak_samples(self.taps[k])
 
         def phi(t: float) -> float:
-            return self.objective(self.gammas_from(peaks, slots, at, t))
+            return self.objective(self.gammas_from(t))
 
         return phi
 
+    def _peak_samples(self, taps: np.ndarray) -> list:
+        """(slots, Gram terms (G0, G1, G2)) per Gram side of the moving blocks
+        along the direction ``taps``, each at its held peak point only:
+        :func:`closed_loop.q_linear_response` of ``factors`` at those points."""
+        moving = [(gi, g, self._at[g.slots]) for gi, g in enumerate(self.groups) if g.gather is not None]
+        if not moving:
+            return []
+        pts, col = np.unique(np.concatenate([p for *_, p in moving]), return_inverse=True)
+        flat = q_linear_response(tuple(f[pts] for f in self.factors), taps).reshape(pts.size, -1).T
+        flat = np.concatenate([flat, np.zeros((1, pts.size))])   # the zero row of _gather
+        sides, lo = {}, 0
+        for gi, g, p in moving:
+            b, c, lo = np.arange(p.size), col[lo:lo + p.size], lo + p.size
+            sides.setdefault(g.base.shape[0], []).append((g.slots, _line_terms(
+                self._grams[gi][:, :, b, p], self._stacks[gi][:, :, b, p], flat[g.gather, c])))
+        return [(np.concatenate([s for s, _ in m]), [np.concatenate(T, axis=2) for T in zip(*(q for _, q in m))])
+                for m in sides.values()]
+
+    def _form_line(self) -> None:
+        """Form the open line's direction on the grid: the stacks d of the
+        moving groups, which stay with the line for :meth:`move`, and each
+        moving block's Gram G0 + t G1 + t^2 G2 of B + t d (:func:`_line_terms`),
+        laid end to end per Gram side r, so that a probe brackets each side's
+        peaks in one pass (:func:`_gram_sum`)."""
+        self._line = self._moving_stacks(self.taps[self._k])
+        self.lines_formed += 1
+        sides: dict = {}
+        for gi, d in self._line:
+            sides.setdefault(d.shape[0], []).append(
+                (self.groups[gi].slots, _line_terms(self._grams[gi], self._stacks[gi], d)))
+        self._peaks = [(np.concatenate([s for s, _ in m]), _gram_sum([q for _, q in m])) for m in sides.values()]
+
     def move(self, t: float) -> None:
-        """Move the held stacks and Grams t along the open line."""
+        """Step the held stacks and Grams t along the open line, formed on the
+        grid first if no probe has; the new peak points come from one
+        bracketed pass of the line's Grams at t."""
+        if self._peaks is None:
+            self._form_line()
+        for slots, block_peaks in self._peaks:
+            self._at[slots] = block_peaks(t)[1]
         for gi, d in self._line:
             self._stacks[gi] += t * d
             self._grams[gi] = self._gram0(self.groups[gi], self._stacks[gi])

@@ -72,7 +72,9 @@ def bracket_every_point(diag, value_at, top=None, scale=None):
     """``lti._bracket`` without pruning: ``value_at`` at every point."""
     blocks, G = diag.shape[1:]
     vals = value_at(np.arange(blocks * G)).reshape(blocks, G)
-    return vals.max(axis=1) if top is None else np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
+    if top is None:
+        return vals.max(axis=1), vals.argmax(axis=1)
+    return np.argsort(vals, axis=1, kind="stable")[:, ::-1][:, :top]
 
 
 def unprune(monkeypatch):
@@ -80,6 +82,31 @@ def unprune(monkeypatch):
     from nrf_forge import dcf, lti, match_synth
     for module in (lti, dcf, match_synth):
         monkeypatch.setattr(module, "_bracket", bracket_every_point)
+
+
+def structured_network(seed):
+    """2-4 areas whose couplings enter only actuated states (each area's B_u
+    is [0; I]), so that the block-diagonalising gains make A + B_u F and
+    A + L exactly block-diagonal; a random coupling graph and random
+    communication sets that contain it."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 5))
+    x_sizes = [int(v) for v in rng.integers(1, 4, N)]
+    u_sizes = [int(rng.integers(1, nx + 1)) for nx in x_sizes]
+    part = build_partition(list(zip(x_sizes, u_sizes)))
+    A, B_u = np.zeros((part.n_x, part.n_x)), np.zeros((part.n_x, part.n_u))
+    coupled = rng.random((N, N)) < 0.5
+    for i in range(N):
+        xi, ui = part.indices("x", i), part.indices("u", i)
+        A[np.ix_(xi, xi)] = rng.standard_normal((xi.size, xi.size))
+        B_u[xi[-ui.size:], ui] = 1.0
+        for j in np.flatnonzero(coupled[i]):
+            if j != i:
+                A[np.ix_(xi[-ui.size:], part.indices("x", j))] = rng.standard_normal((ui.size, x_sizes[j]))
+    A *= 0.8 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6)
+    nb = Neighborhoods(tuple(frozenset({i} | {j for j in range(N) if coupled[i, j] or coupled[j, i]
+                                             or rng.random() < 0.3}) for i in range(N)))
+    return Plant(A, B_u, rng.standard_normal((part.n_x, 1))), part, nb
 
 
 def refine_steps(monkeypatch) -> list:

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import block_reach, deadbeat_bundle, q_linear_responses, random_stable_plant, shift_nilpotent
+from conftest import (block_reach, deadbeat_bundle, q_linear_responses, random_stable_plant, shift_nilpotent,
+                      structured_network)
 from nrf_forge import cli, closed_loop, lti, nrf
 from nrf_forge.closed_loop import (
     area_block,
@@ -329,31 +330,6 @@ def test_maps_are_stable_and_proper(two_area_plant):
 # ---------------------------------------------------------------------------
 # structural support of the matching blocks
 # ---------------------------------------------------------------------------
-
-def structured_network(seed):
-    """2-4 areas whose couplings enter only actuated states (each area's B_u
-    is [0; I]), so that the block-diagonalising gains make A + B_u F and
-    A + L exactly block-diagonal; a random coupling graph and random
-    communication sets that contain it."""
-    rng = np.random.default_rng(seed)
-    N = int(rng.integers(2, 5))
-    x_sizes = [int(v) for v in rng.integers(1, 4, N)]
-    u_sizes = [int(rng.integers(1, nx + 1)) for nx in x_sizes]
-    part = build_partition(list(zip(x_sizes, u_sizes)))
-    A, B_u = np.zeros((part.n_x, part.n_x)), np.zeros((part.n_x, part.n_u))
-    coupled = rng.random((N, N)) < 0.5
-    for i in range(N):
-        xi, ui = part.indices("x", i), part.indices("u", i)
-        A[np.ix_(xi, xi)] = rng.standard_normal((xi.size, xi.size))
-        B_u[xi[-ui.size:], ui] = 1.0
-        for j in np.flatnonzero(coupled[i]):
-            if j != i:
-                A[np.ix_(xi[-ui.size:], part.indices("x", j))] = rng.standard_normal((ui.size, x_sizes[j]))
-    A *= 0.8 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-6)
-    nb = Neighborhoods(tuple(frozenset({i} | {j for j in range(N) if coupled[i, j] or coupled[j, i]
-                                             or rng.random() < 0.3}) for i in range(N)))
-    return Plant(A, B_u, rng.standard_normal((part.n_x, 1))), part, nb
-
 
 def numeric_norms(bundle, param, part, x):
     """Every block's certified norm through the numeric path (no support)."""

@@ -597,7 +597,8 @@ def test_bracket_equals_every_point_bit_for_bit(case):
         return _lambda_max(flat[:, :, points])
 
     diag = np.einsum("ii...->i...", H).real
-    assert np.array_equal(_bracket(diag, value_at), lam.max(axis=-1))
+    peaks, points = _bracket(diag, value_at)
+    assert np.array_equal(peaks, lam.max(axis=-1)) and np.array_equal(points, lam.argmax(axis=-1))
     assert np.array_equal(_bracket(diag, value_at, top=k),
                           np.argsort(lam, axis=1, kind="stable")[:, ::-1][:, :k])
 
@@ -612,7 +613,7 @@ def test_bracket_takes_few_points_of_a_smooth_peak():
         asked.append(points.size)
         return _lambda_max(H.reshape(3, 3, -1)[:, :, points])
 
-    assert _bracket(np.einsum("ii...->i...", H).real, value_at)[0] == _lambda_max(H).max()
+    assert _bracket(np.einsum("ii...->i...", H).real, value_at)[0][0] == _lambda_max(H).max()
     assert asked[0] <= 0.25 * zs.size
 
 

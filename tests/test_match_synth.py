@@ -17,6 +17,7 @@ from conftest import (
     q_linear_responses,
     random_stable_plant,
     refine_steps,
+    structured_network,
     unprune,
 )
 from nrf_forge import cli
@@ -607,10 +608,8 @@ def test_surrogate_direction_stores_only_moving_blocks(dense_case):
     _, model, _, _, _ = dense_case
     moving = set(np.flatnonzero(model.moving))
     assert {int(s) for g in model.groups if g.gather is not None for s in g.slots} == moving
-    model.origin()
     for k in range(len(model.taps)):
-        model.line(k)
-        stacks = model._line
+        stacks = model._moving_stacks(model.taps[k])
         assert sum(d.nbytes for _, d in stacks) == sum(
             model.groups[gi].base.nbytes for gi, _ in stacks)
         assert sum(model.groups[gi].slots.size for gi, _ in stacks) == len(moving)
@@ -632,9 +631,12 @@ def test_solve_holds_one_direction_at_a_time(request, monkeypatch, network):
     """During a whole search the model holds at most one direction's stacks:
     a line releases the previous line's before it forms its own.  Each
     direction's stacks, formed on demand from the factors, equal bit for bit
-    the stacks gathered from ``q_linear_responses``."""
-    part = request.getfixturevalue(f"{network}_setup")[1]
-    res = request.getfixturevalue(f"{network}_design")
+    the stacks gathered from ``q_linear_responses``.  Both networks are
+    designed at bound slack 0.25, where lines get past their peak samples
+    (at slack 0 the ring forms no line on the grid)."""
+    plant, part, nb = request.getfixturevalue(f"{network}_setup")
+    res = (request.getfixturevalue("grid_design") if network == "grid"
+           else run_algorithm1(plant, part, nb, config=AlgorithmConfig(bound_slack=0.25)))
     models, forming, live = [], [], []   # live: (formation, weak reference to a stack)
     real_stacks, real_gather = _SurrogateModel._moving_stacks, match_synth._gather
 
@@ -691,7 +693,7 @@ def test_probe_through_cancellation_equals_every_point(r, t0, seed):
             H *= t
             H += g0
             full.append(np.sqrt(np.maximum(_lambda_max(H).max(axis=-1), 0.0)))
-        assert np.array_equal(peaks(t, np.zeros(2, dtype=np.int64)), np.concatenate(full))
+        assert np.array_equal(peaks(t, np.zeros(2, dtype=np.int64))[0], np.concatenate(full))
 
 
 def test_probes_take_few_lambda_max(mesh_model):
@@ -785,6 +787,17 @@ def row_local_basis(bundle, pattern, q):
     return np.concatenate(basis).reshape(-1, q, n_u, n_x)
 
 
+def boxed_ring():
+    """perfbench's ring8-boxed scenario, ``scenarios.ring_config(8, 8)``
+    (read, not changed): its document, plant, partition and neighbourhoods."""
+    spec_ = importlib.util.spec_from_file_location("perfbench_scenarios", SCENARIOS)
+    scenarios = importlib.util.module_from_spec(spec_)
+    spec_.loader.exec_module(scenarios)
+    cfg = scenarios.ring_config(8, 8)
+    plant = Plant(*(np.array(cfg["plant"][k]) for k in ("A", "B_u", "B_d")))
+    return (cfg, plant, *artifact_io.partition_from_doc(cfg["partition"], cfg["neighborhoods"]))
+
+
 def test_surrogate_bounds_certify_a_moving_search_on_the_boxed_ring():
     """perfbench's ring8-boxed (slack 0) under a row-local basis of the same
     family: the search moves, and each block's surrogate bound, measured on
@@ -792,12 +805,7 @@ def test_surrogate_bounds_certify_a_moving_search_on_the_boxed_ring():
     the admissible bounds the surrogate's, the search would spend headroom
     that exists only on the surrogate's grid, and its point would fail its
     certificate (x = 0 after 515 evaluations)."""
-    spec_ = importlib.util.spec_from_file_location("perfbench_scenarios", SCENARIOS)
-    scenarios = importlib.util.module_from_spec(spec_)
-    spec_.loader.exec_module(scenarios)
-    cfg = scenarios.ring_config(8, 8)
-    plant = Plant(*(np.array(cfg["plant"][k]) for k in ("A", "B_u", "B_d")))
-    part, nb = artifact_io.partition_from_doc(cfg["partition"], cfg["neighborhoods"])
+    cfg, plant, part, nb = boxed_ring()
     F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
     bundle = build_dcf(plant, F, L)
     pattern = pattern_from_neighborhoods(part, nb)
@@ -814,6 +822,100 @@ def test_surrogate_bounds_certify_a_moving_search_on_the_boxed_ring():
     assert res.search_certified and np.count_nonzero(res.x) == 3
     at_origin = float(spec.tau @ bootstrap[0])   # 178.201216042
     assert res.objective == pytest.approx(178.129832855, rel=1e-9) and res.objective < at_origin
+
+
+def grid_formations(monkeypatch) -> list:
+    """One entry per direction the surrogate forms on the grid from here on."""
+    formed, real = [], _SurrogateModel._moving_stacks
+    monkeypatch.setattr(_SurrogateModel, "_moving_stacks",
+                        lambda self, taps: formed.append(self) or real(self, taps))
+    return formed
+
+
+def test_boxed_ring_refuses_every_probe_on_its_peak_samples(monkeypatch, grid_setup, grid_design):
+    """On ring8-boxed every probe breaks some block's bound at the block's
+    held peak point, so no line forms its direction on the grid; on the
+    mesh design every line gets past its samples.  ``lines_formed`` counts
+    the formations."""
+    formed, models = grid_formations(monkeypatch), []
+    search = match_synth._pattern_search
+    monkeypatch.setattr(match_synth, "_pattern_search", lambda model, log: models.append(model) or search(model, log))
+    cfg, plant, part, nb = boxed_ring()
+    res = run_algorithm1(plant, part, nb, config=AlgorithmConfig(
+        q=cfg["synthesis"]["q"], bound_slack=cfg["synthesis"]["bound_slack"]))
+    assert not formed and models[0].lines_formed == 0
+    assert not np.any(res.x) and res.n_evals == 49
+    again = solve(grid_design.spec, grid_design.param, grid_design.pair.bundle, grid_setup[1])
+    assert len(formed) == models[1].lines_formed == 24
+    assert np.array_equal(again.x, grid_design.x) and again.n_evals == grid_design.n_evals == 315
+
+
+@pytest.mark.parametrize("network", ["mesh", "grouped"])
+def test_peak_samples_are_the_grid_values_at_the_peak_points(request, network):
+    """Each moving block's sample along a line equals, bit for bit, the
+    value the line's grid evaluation forms at the block's held peak point,
+    at x = 0 and after a move; at x = 0 and t = 0 it is the block's peak.
+    The grouped mesh has Gram sides of 8 and 9, whose lambda_max LAPACK takes."""
+    model = request.getfixturevalue("mesh_model")[0] if network == "mesh" else request.getfixturevalue(
+        "grouped_dense")[1]
+    model.origin()
+    for k, step in ((0, 0.3), (1, None)):
+        model.line(k)
+        samples = model._samples
+        model._form_line()
+        for t in (0.0, 0.3, -1e-3):
+            got, want = np.zeros(model.support.size), np.zeros(model.support.size)
+            for slots, terms in samples:
+                got[slots] = np.sqrt(np.maximum(_lambda_max(match_synth._horner(terms, t)), 0.0))
+            for gi, d in model._line:
+                g = model.groups[gi]
+                p = model._at[g.slots]
+                terms = match_synth._line_terms(model._grams[gi], model._stacks[gi], d)
+                want[g.slots] = np.sqrt(np.maximum(_lambda_max(match_synth._horner(
+                    [T[:, :, np.arange(p.size), p] for T in terms], t)), 0.0))
+            assert np.array_equal(got, want) and np.any(got)
+            if k == 0 and t == 0.0:
+                assert np.array_equal(got[model.moving], model._vals[model.moving])
+        if step is not None:
+            model.move(step)
+
+
+def test_peak_sample_refusal_changes_no_search(monkeypatch, grid_setup):
+    """A probe refused on the held peak samples is one the grid evaluation
+    refuses too.  On the structured networks of seeds 0 and 6 (the
+    feasible seeds of 0-7 at q = 2 but seed 4, whose 6 x 6 Gram sides take
+    3-6 s a search), the mesh and ring8-boxed, each at bound slack 0 and
+    0.25, a search with the refusal switched off (each line formed on the
+    grid as it opens) returns the same x, evaluation count and objective
+    log, bit for bit; the samples refuse some lines."""
+    formed = grid_formations(monkeypatch)
+    real_line = _SurrogateModel.line
+
+    def eager_line(self, k):
+        phi = real_line(self, k)
+        self._form_line()
+        return phi
+
+    lines = np.zeros(2, dtype=int)   # lines formed on the grid: shipped, eager
+    for plant, part, nb in [structured_network(0), structured_network(6), grid_setup, boxed_ring()[1:]]:
+        F, L = design_gains(plant, part, "block_diagonalizing_F_deadbeat_L", None, None)
+        bundle = build_dcf(plant, F, L)
+        param = build_parametrization(bundle, pattern_from_neighborhoods(part, nb), 2)
+        spec = default_targets(part, plant.n_d)
+        bootstrap = constraint_norms(param, np.zeros(param.n_free), spec, MapsBuilder(bundle, part))
+        for slack in (0.0, 0.25):
+            bounded = spec.with_bounds(bootstrap[0], slack)
+            shipped = solve(bounded, param, bundle, part, bootstrap)
+            lines[0] += len(formed)
+            formed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_SurrogateModel, "line", eager_line)
+                eager = solve(bounded, param, bundle, part, bootstrap)
+            lines[1] += len(formed)
+            formed.clear()
+            assert np.array_equal(shipped.x, eager.x) and shipped.n_evals == eager.n_evals
+            assert shipped.objective_log == eager.objective_log
+    assert lines[0] < lines[1]
 
 
 def test_objective_log_non_increasing():

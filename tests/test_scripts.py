@@ -43,7 +43,7 @@ def test_bench_scale_child_records_every_figure():
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(record) == {
         "N", "design_s", "verify_s", "peak_rss_mb", "surrogate_build_s", "search_s", "certify_s",
-        "moving_blocks", "surrogate_held_mb", "lambda_share", "surrogate_evals",
+        "moving_blocks", "surrogate_held_mb", "lambda_share", "lines_formed", "surrogate_evals",
         "refine_steps_max", "refine_steps_median", "structural_zeros", "objective", "numpy"}
     assert record["N"] == 8 and record["surrogate_evals"] == 49 and record["structural_zeros"] == 48
-    assert record["moving_blocks"] == 80
+    assert record["moving_blocks"] == 80 and record["lines_formed"] == 0
